@@ -119,6 +119,8 @@ class BellDiagonal:
         v = np.array(p, dtype=float).reshape(-1)
         if v.shape != (4,):
             raise ValueError("expected 4 probabilities")
+        if not np.isfinite(v).all():
+            raise ValueError(f"probabilities must be finite: {v.tolist()}")
         if v.min() < -1e-12 or v.max() > 1.0 + 1e-12:
             raise ValueError(f"probabilities out of range: {v.tolist()}")
         s = float(v.sum())

@@ -30,11 +30,12 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
 
 def worker_cap() -> int:
-    """Worker limit from the DISTILL_THREADS environment variable (default 1)."""
+    """Worker limit from the DISTILL_THREADS environment variable (default 1),
+    clamped to [1, os.cpu_count()]."""
     raw = os.environ.get("DISTILL_THREADS", "").strip()
     if not raw:
         return 1
-    return max(1, int(raw))
+    return max(1, min(int(raw), os.cpu_count() or 1))
 
 
 def run_sharded(task, n_shards: int, max_workers: int | None = None) -> list:

@@ -103,13 +103,14 @@ def parallel_from_fidelity(f: float) -> float:
 def dr_curve(f: float, max_steps: int = 64) -> float:
     """Best recurrence-then-breed yield: run k two-pair tests (each keeps one
     pair out of two with that step's success probability), then breed the
-    survivors. Maximizes prod(p_i / 2) * d0(F_k) over k = 0..max_steps."""
+    survivors. Maximizes prod(p_i / 2) * d0(F_k) over k = 0..max_steps, and
+    over discarding every pair, which yields 0."""
     if not 0.5 < f < 1.0:
         raise ValueError(f"dr_curve needs 1/2 < f < 1, got {f!r}")
     # imported here: protocols layers on top of this module
     from .protocols import recurrence_formula
 
-    best = d0(f)
+    best = max(0.0, d0(f))
     cur = f
     acc = 1.0
     for _ in range(max_steps):

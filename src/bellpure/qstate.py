@@ -162,7 +162,8 @@ class DensityMatrix:
 
     The trace is renormalized when within 1e-9 of 1 (float drift); anything
     further off is rejected as a caller bug, as are matrices that fail the
-    Hermiticity (1e-12) or positivity (-1e-10) tolerances.
+    Hermiticity (1e-12) or positivity (-1e-10) tolerances, or that hold a
+    non-finite entry.
     """
 
     __slots__ = ("mat",)
@@ -171,6 +172,8 @@ class DensityMatrix:
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         herm_dev = np.abs(m - m.conj().T).max()
         if herm_dev > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3g})")

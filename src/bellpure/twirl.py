@@ -53,39 +53,39 @@ def exact_twirl(rho) -> BellDiagonal:
     return measures.werner(min(1.0, max(0.0, f)))
 
 
-def _su2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-random SU(2) elements from uniformly random unit quaternions:
-    u = q0 I - i (q1 sx + q2 sy + q3 sz)."""
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    u = np.empty((n, 2, 2), dtype=complex)
-    u[:, 0, 0] = q[:, 0] - 1j * q[:, 3]
-    u[:, 0, 1] = -q[:, 2] - 1j * q[:, 1]
-    u[:, 1, 0] = q[:, 2] - 1j * q[:, 1]
-    u[:, 1, 1] = q[:, 0] + 1j * q[:, 3]
-    return u
+_A = np.stack([qstate.ID2, -1j * qstate.SIGMA_X, -1j * qstate.SIGMA_Y, -1j * qstate.SIGMA_Z])
+_K = np.einsum("iab,jcd->ijacbd", _A, _A).reshape(16, 4, 4)  # K[4i+j] = kron(A_i, A_j)
+_K.setflags(write=False)
 
 
 def sampled_twirl(
     rho, n: int, seed: int, stream_id: int = 0
 ) -> tuple[qstate.DensityMatrix, TwirlReport]:
     """Average u rho u-dagger over n random bilateral rotations u = r (x) r,
-    with r drawn Haar-uniformly from SU(2). The report carries the trace
-    distance between the average and the exact Werner target."""
+    with r Haar-uniform in SU(2): r = sum_i q_i A_i for a normalized Gaussian
+    quaternion q and A = (I, -i sx, -i sy, -i sz). The report carries the
+    trace distance between the average and the exact Werner target.
+
+    Fourth-moment identity: with K_(4i+j) = kron(A_i, A_j) and P_n,(4i+j) =
+    q_i q_j for draw n, u_n = sum_a P_na K_a, so sum_n u_n rho u_n-dagger =
+    sum_ab G_ab K_a rho K_b-dagger with the real 16x16 Gram matrix G = P^T P.
+    The average depends on the seeded draws only through G.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     mat = qstate.as_matrix(rho)
     fid_in = qstate.fidelity_singlet(mat)
     rng = ensemble.stream(seed, stream_id)
-    acc = np.zeros((4, 4), dtype=complex)
+    gram = np.zeros((16, 16))
     left = n
     while left > 0:
         m = min(200_000, left)
-        u2 = _su2_batch(rng, m)
-        u4 = np.einsum("nab,ncd->nacbd", u2, u2).reshape(m, 4, 4)
-        acc += np.einsum("nij,jk,nlk->il", u4, mat, u4.conj())
+        q = rng.normal(size=(m, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        p = (q[:, :, None] * q[:, None, :]).reshape(m, 16)
+        gram += p.T @ p
         left -= m
-    avg = acc / n
+    avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n
     target = bell.to_density(exact_twirl(mat))
     report = TwirlReport(
         n_samples=n,

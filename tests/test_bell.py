@@ -121,6 +121,11 @@ class TestBellDiagonal:
         with pytest.raises(ValueError):
             BellDiagonal([0.3, 0.3, 0.3, 0.3])
 
+    @pytest.mark.parametrize("p", [[np.nan] * 4, [np.nan, 0.0, 0.0, 1.0]])
+    def test_rejects_nan(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            BellDiagonal(p)
+
     def test_fidelity_reads_singlet_weight(self):
         assert measures.werner(0.8).fidelity == 0.8
 

@@ -150,6 +150,16 @@ class TestTwirlCommand:
         _, _, rows = parse_csv(out)
         assert [int(r["n_samples"]) for r in rows] == [0, 100, 1000, 2000]
 
+    def test_nan_matrix_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        data = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        data[2][2][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # json writes the bare NaN literal
+        code, out, err = run(capsys, ["twirl", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: matrix has non-finite entries"]
+
     def test_bad_matrix_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[[1,2],[3,4]]")

@@ -121,7 +121,18 @@ class TestRunSharded:
         assert serial == threaded
 
     def test_respects_env_cap(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 8)
         monkeypatch.setenv("DISTILL_THREADS", "3")
         assert ensemble.worker_cap() == 3
         monkeypatch.delenv("DISTILL_THREADS")
+        assert ensemble.worker_cap() == 1
+
+    def test_env_cap_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("DISTILL_THREADS", "100000")
+        assert ensemble.worker_cap() == 2
+        monkeypatch.setenv("DISTILL_THREADS", "0")
+        assert ensemble.worker_cap() == 1
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: None)  # undeterminable
+        monkeypatch.setenv("DISTILL_THREADS", "8")
         assert ensemble.worker_cap() == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellpure import bell, qstate
 from bellpure.measures import (
@@ -182,6 +184,16 @@ class TestDrCurve:
             f = float(f)
             dr = dr_curve(f)
             assert e_formation_werner(f) >= dr >= max(0.0, d0(f))
+
+    def test_never_negative_just_above_half(self):
+        # every product of recurrence steps still has d0 < 0 here; discarding
+        # all pairs (yield 0) is the best choice
+        assert dr_curve(0.5 + 1e-7) == 0.0
+
+    @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_sandwiched_by_bounds_everywhere(self, f):
+        dr = dr_curve(f)
+        assert e_formation_werner(f) >= dr >= max(0.0, d0(f))
 
     def test_domain(self):
         with pytest.raises(ValueError):

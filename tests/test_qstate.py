@@ -235,6 +235,22 @@ class TestValidation:
         rho = DensityMatrix(m)
         assert abs(rho.mat.trace().real - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "entries",
+        [{(1, 1): math.nan}, {(2, 2): complex(0.25, math.nan)}, {(0, 1): math.inf, (1, 0): math.inf}],
+        ids=["nan_diagonal", "nan_imaginary_part", "inf_off_diagonal_pair"],
+    )
+    def test_density_rejects_non_finite_entry(self, entries, monkeypatch):
+        def no_eig(_):
+            raise AssertionError("eig_hermitian reached with a non-finite entry")
+
+        monkeypatch.setattr(qstate, "eig_hermitian", no_eig)
+        m = np.eye(4, dtype=complex) / 4
+        for ij, v in entries.items():
+            m[ij] = v
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))

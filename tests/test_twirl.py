@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, qstate
 from bellpure.bell import BellDiagonal, BellLabel
@@ -50,7 +52,68 @@ class TestExactTwirl:
             assert abs(f_in - f_out) <= 1e-10
 
 
+def _per_rotation_twirl(mat, n, seed, stream_id=0):
+    """Reference: build every rotation u = r (x) r from the same stream and
+    batches as sampled_twirl and sum u rho u-dagger one rotation at a time."""
+    rng = ensemble.stream(seed, stream_id)
+    acc = np.zeros((4, 4), dtype=complex)
+    left = n
+    while left > 0:
+        m = min(200_000, left)
+        q = rng.normal(size=(m, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        u2 = np.empty((m, 2, 2), dtype=complex)
+        u2[:, 0, 0] = q[:, 0] - 1j * q[:, 3]
+        u2[:, 0, 1] = -q[:, 2] - 1j * q[:, 1]
+        u2[:, 1, 0] = q[:, 2] - 1j * q[:, 1]
+        u2[:, 1, 1] = q[:, 0] + 1j * q[:, 3]
+        u4 = np.einsum("nab,ncd->nacbd", u2, u2).reshape(m, 4, 4)
+        acc += np.einsum("nij,jk,nlk->il", u4, mat, u4.conj())
+        left -= m
+    return acc / n
+
+
+def _random_state(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return qstate.DensityMatrix(m / m.trace().real)
+
+
 class TestSampledTwirl:
+    # 200 000 and 200 001 sit on either side of the batch boundary
+    @pytest.mark.parametrize("n", [1, 7, 200_000, 200_001])
+    def test_matches_per_rotation_reference(self, n):
+        rho = _random_state(np.random.default_rng(n))
+        avg, report = sampled_twirl(rho, n, seed=17, stream_id=3)
+        ref = _per_rotation_twirl(rho.mat, n, seed=17, stream_id=3)
+        assert np.abs(avg.mat - ref).max() <= 1e-12
+        assert report.n_samples == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+        n=st.integers(1, 500),
+        seed=st.integers(0, 2**63),
+    )
+    def test_output_is_a_state_at_the_input_fidelity(self, entries, n, seed):
+        g = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+        m = g @ g.conj().T
+        tr = m.trace().real
+        assume(tr > 1e-3)
+        rho = qstate.DensityMatrix(m / tr)
+        avg, report = sampled_twirl(rho, n, seed)
+        assert np.abs(avg.mat - avg.mat.conj().T).max() <= 1e-12
+        assert abs(avg.mat.trace().real - 1.0) <= 1e-12
+        f_in = qstate.fidelity_singlet(rho)
+        assert abs(report.fidelity_out - f_in) <= 1e-12
+        assert abs(qstate.fidelity_singlet(avg) - f_in) <= 1e-12
+
+    def test_werner_input_returned_unchanged(self):
+        rho = bell.to_density(measures.werner(0.7))
+        avg, report = sampled_twirl(rho, 100_000, seed=3)
+        assert avg.allclose(rho, tol=1e-14)
+        assert report.trace_distance_to_werner <= 1e-14
+
     def test_werner_input_invariant_sample_by_sample(self):
         rho = bell.to_density(measures.werner(0.6))
         avg, report = sampled_twirl(rho, 200, seed=21)
