@@ -5,10 +5,18 @@ are anti-parallel) and the sign bit (1 for the "-" superposition). A label's
 integer value is amp*2 + sign, which fixes the package-wide Bell order
 (Phi+ = 0, Phi- = 1, Psi+ = 2, Psi- = 3).
 
+Every label rule is written once here, as a two-bit integer operation that
+acts on a BellLabel or elementwise on a uint8 label array: one-particle pi
+rotations are XORs (X ^2, Y ^3, Z ^1), the two-particle pi/2 rotations are
+one permutation array per axis, and the bilateral controlled-NOT is
+(s, t) -> (s ^ (t & 1), t ^ (s & 2)). The lookup tables are derived from
+these rules.
+
 All maps here drop global phases. The matrix-level unitaries that certify
-every table live in `qstate`; the test suite conjugates Bell projectors by
-them and checks each table row (projectors are insensitive to the dropped
-phases, so the comparison is exact).
+every rule are built below from `qstate`; the test suite and the CLI
+self-test conjugate Bell projectors by them and check each table row
+(projectors are insensitive to the dropped phases, so the comparison is
+exact).
 """
 from __future__ import annotations
 
@@ -37,66 +45,58 @@ class MeasureParity(Enum):
     ANTIPARALLEL = "antiparallel"
 
 
-_PHI_P, _PHI_M, _PSI_P, _PSI_M = BellLabel
+#: Every label, in Bell order, as a read-only uint8 array.
+LABELS = np.arange(4, dtype=np.uint8)
+LABELS.setflags(write=False)
 
-# One-particle pi rotations: X swaps the amp bit, Z swaps the sign bit, Y both.
-# Each row is (image of Phi+, Phi-, Psi+, Psi-); all are fixed-point-free
-# involutions.
-UNILATERAL_PAULI_TABLE = {
-    PauliAxis.X: (_PSI_P, _PSI_M, _PHI_P, _PHI_M),
-    PauliAxis.Y: (_PSI_M, _PSI_P, _PHI_M, _PHI_P),
-    PauliAxis.Z: (_PHI_M, _PHI_P, _PSI_M, _PSI_P),
+# The label rules. Each acts on a BellLabel (or int), returning BellLabels,
+# or elementwise on a uint8 label array.
+
+#: One-particle pi rotations as XOR masks: X flips the amp bit, Z the sign
+#: bit, Y both. Each is a fixed-point-free involution.
+PAULI_XOR = {PauliAxis.X: 2, PauliAxis.Y: 3, PauliAxis.Z: 1}
+
+#: Two-particle pi/2 rotations as label images (entry l is the image of l):
+#: each fixes the singlet and one triplet and swaps the remaining two.
+BILATERAL_PERM = {
+    PauliAxis.X: np.array([2, 1, 0, 3], dtype=np.uint8),
+    PauliAxis.Y: np.array([0, 2, 1, 3], dtype=np.uint8),
+    PauliAxis.Z: np.array([1, 0, 2, 3], dtype=np.uint8),
 }
-
-# Two-particle pi/2 rotations: each fixes the singlet and one triplet and
-# swaps the remaining two triplets.
-BILATERAL_ROT_TABLE = {
-    PauliAxis.X: (_PSI_P, _PHI_M, _PHI_P, _PSI_M),
-    PauliAxis.Y: (_PHI_P, _PSI_P, _PHI_M, _PSI_M),
-    PauliAxis.Z: (_PHI_M, _PHI_P, _PSI_P, _PSI_M),
-}
-
-# Bilateral controlled-NOT acting on two shared pairs,
-# (source, target) -> (source', target'), phases dropped. Grouped by target
-# state. The test suite regenerates this table from the 16x16 unitary
-# (bxor_table_from_unitaries) to rule out transcription slips.
-BXOR_TABLE = {
-    # target Phi+: Psi sources toggle it to Psi+, nothing else changes
-    (_PHI_P, _PHI_P): (_PHI_P, _PHI_P),
-    (_PHI_M, _PHI_P): (_PHI_M, _PHI_P),
-    (_PSI_P, _PHI_P): (_PSI_P, _PSI_P),
-    (_PSI_M, _PHI_P): (_PSI_M, _PSI_P),
-    # target Psi+: Psi sources toggle it back to Phi+
-    (_PHI_P, _PSI_P): (_PHI_P, _PSI_P),
-    (_PHI_M, _PSI_P): (_PHI_M, _PSI_P),
-    (_PSI_P, _PSI_P): (_PSI_P, _PHI_P),
-    (_PSI_M, _PSI_P): (_PSI_M, _PHI_P),
-    # target Phi-: the minus sign kicks back into the source's sign bit
-    (_PHI_P, _PHI_M): (_PHI_M, _PHI_M),
-    (_PHI_M, _PHI_M): (_PHI_P, _PHI_M),
-    (_PSI_P, _PHI_M): (_PSI_M, _PSI_M),
-    (_PSI_M, _PHI_M): (_PSI_P, _PSI_M),
-    # target Psi-: sign kick-back plus the Psi-source toggle
-    (_PHI_P, _PSI_M): (_PHI_M, _PSI_M),
-    (_PHI_M, _PSI_M): (_PHI_P, _PSI_M),
-    (_PSI_P, _PSI_M): (_PSI_M, _PHI_M),
-    (_PSI_M, _PSI_M): (_PSI_P, _PHI_M),
-}
+for _perm in BILATERAL_PERM.values():
+    _perm.setflags(write=False)
 
 
-def unilateral_pauli(label: BellLabel, axis: PauliAxis) -> BellLabel:
+def _as_labels(v):
+    """Pass a label array through; coerce a scalar to BellLabel, which
+    rejects values outside 0..3."""
+    return v if isinstance(v, np.ndarray) else BellLabel(v)
+
+
+def unilateral_pauli(label, axis: PauliAxis):
     """Label image under a pi rotation of one particle about the given axis."""
-    return UNILATERAL_PAULI_TABLE[axis][BellLabel(label)]
+    return _as_labels(label ^ PAULI_XOR[axis])
 
 
-def bilateral_rot(label: BellLabel, axis: PauliAxis) -> BellLabel:
+def bilateral_rot(label, axis: PauliAxis):
     """Label image under pi/2 rotations of both particles about the axis."""
-    return BILATERAL_ROT_TABLE[axis][BellLabel(label)]
+    return _as_labels(BILATERAL_PERM[axis][_as_labels(label)])
 
 
-def bxor(source: BellLabel, target: BellLabel) -> tuple[BellLabel, BellLabel]:
-    """Joint label image of the bilateral controlled-NOT on (source, target)."""
-    return BXOR_TABLE[(BellLabel(source), BellLabel(target))]
+def bxor(source, target) -> tuple:
+    """Joint label image of the bilateral controlled-NOT on (source, target),
+    phases dropped: the target's sign bit kicks back into the source's, and
+    the source's amp bit toggles the target's.
+
+    The rule never changes a source's amp bit or the target's sign bit, so
+    chaining several sources into one target acts on the target like a
+    single controlled-NOT from the XOR of the sources."""
+    return _as_labels(source ^ (target & 1)), _as_labels(target ^ (source & 2))
+
+
+def amp_bit(label):
+    """1 for the Psi states, whose z spins come out anti-parallel."""
+    return label >> 1
 
 
 def measure_z(label: BellLabel) -> MeasureParity:
@@ -105,7 +105,14 @@ def measure_z(label: BellLabel) -> MeasureParity:
     Distinguishes the Phi class (parallel outcomes) from the Psi class
     (anti-parallel) and nothing more.
     """
-    return MeasureParity.ANTIPARALLEL if BellLabel(label) >= 2 else MeasureParity.PARALLEL
+    return MeasureParity.ANTIPARALLEL if amp_bit(BellLabel(label)) else MeasureParity.PARALLEL
+
+
+# The rules as lookup tables, certified against the unitaries below by the
+# test suite and the CLI self-test.
+UNILATERAL_PAULI_TABLE = {a: tuple(unilateral_pauli(l, a) for l in BellLabel) for a in PauliAxis}
+BILATERAL_ROT_TABLE = {a: tuple(bilateral_rot(l, a) for l in BellLabel) for a in PauliAxis}
+BXOR_TABLE = {(s, t): bxor(s, t) for s in BellLabel for t in BellLabel}
 
 
 class BellDiagonal:
@@ -146,15 +153,15 @@ class BellDiagonal:
         return f"BellDiagonal({self.p.tolist()!r})"
 
 
-def map_distribution(d: BellDiagonal, label_map) -> BellDiagonal:
-    """Push a distribution through a label bijection; the sum is preserved
-    exactly because the entries are only permuted."""
-    images = [BellLabel(label_map(l)) for l in BellLabel]
-    if len(set(images)) != 4:
+def map_distribution(d: BellDiagonal, image) -> BellDiagonal:
+    """Push a distribution through a label bijection given as its image
+    array (entry l is the image of label l); the sum is preserved exactly
+    because the entries are only permuted."""
+    image = np.asarray(image)
+    if image.shape != (4,) or not np.array_equal(np.sort(image), LABELS):
         raise ValueError("label map is not a bijection")
     out = np.empty(4)
-    for src, dst in zip(BellLabel, images):
-        out[dst] = d.p[src]
+    out[image] = d.p
     return BellDiagonal(out)
 
 

@@ -18,6 +18,10 @@ import numpy as np
 from . import __version__, bell, measures, protocols, qstate, twirl
 from .bell import BellDiagonal, BellLabel, PauliAxis
 
+#: Largest accepted value of each size argument, so that no argument can make
+#: one run's time or memory unbounded. Larger values exit 2.
+SIZE_LIMITS = {"steps": 1000, "mc": 10**7, "samples": 10**8, "trials": 10**5, "points": 10**5}
+
 
 def _plain(v):
     """Reduce numpy scalars and enums to plain ints/floats for emission."""
@@ -65,6 +69,19 @@ def _write(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _config(ns) -> dict:
+    """The run configuration embedded in every header: each parsed argument
+    except the output path."""
+    return {k: v for k, v in vars(ns).items() if k not in ("func", "out")}
+
+
+def _check_sizes(ns) -> None:
+    for name, limit in SIZE_LIMITS.items():
+        value = getattr(ns, name, None)
+        if value is not None and value > limit:
+            raise ValueError(f"--{name} {value} exceeds the limit of {limit}")
+
+
 def _add_output_args(p) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write to this path instead of stdout")
@@ -81,15 +98,6 @@ def cmd_recurrence(ns) -> int:
         trace = protocols.recurrence_trajectory(ns.f0, f_target=ns.target)
     else:
         trace = protocols.recurrence_trajectory(ns.f0, max_steps=ns.steps)
-    config = {
-        "command": "recurrence",
-        "f0": ns.f0,
-        "target": ns.target,
-        "steps": ns.steps,
-        "mc": ns.mc,
-        "seed": ns.seed,
-        "format": ns.format,
-    }
     columns = ["step", "fidelity", "p_success", "cumulative_yield"]
     rows = [{"step": 0, "fidelity": ns.f0, "p_success": 1.0, "cumulative_yield": 1.0}]
     for i, st in enumerate(trace.steps, start=1):
@@ -116,7 +124,13 @@ def cmd_recurrence(ns) -> int:
                 mc_survival=st.survival,
                 mc_survival_err=st.survival_err,
             )
-    _write(_render(columns, rows, config, ns.format), ns.out)
+        if mc.truncated:
+            print(
+                f"note: Monte Carlo ran out of pairs after step {mc.steps[-1].step};"
+                " later mc_* cells are blank",
+                file=sys.stderr,
+            )
+    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
     return 0
 
 
@@ -133,17 +147,6 @@ def cmd_breed(ns) -> int:
         r_margin=ns.r_margin,
         seed=ns.seed,
     )
-    config = {
-        "command": "breed",
-        "werner": ns.werner,
-        "probs": list(ns.probs) if ns.probs else None,
-        "pairs": ns.pairs,
-        "trials": ns.trials,
-        "delta": ns.delta,
-        "r_margin": ns.r_margin,
-        "seed": ns.seed,
-        "format": ns.format,
-    }
     columns = [
         "trials",
         "pairs",
@@ -166,7 +169,7 @@ def cmd_breed(ns) -> int:
             "budget_exceeded_rate": summary.budget_exceeded_rate,
         }
     ]
-    _write(_render(columns, rows, config, ns.format), ns.out)
+    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
     return 0
 
 
@@ -177,13 +180,6 @@ def cmd_curves(ns) -> int:
     if ns.points < 2:
         print("error: need at least 2 points", file=sys.stderr)
         return 2
-    config = {
-        "command": "curves",
-        "f_min": ns.f_min,
-        "f_max": ns.f_max,
-        "points": ns.points,
-        "format": ns.format,
-    }
     columns = ["F", "F_minus_half", "D0", "DR", "E"]
     rows = []
     for f in np.linspace(ns.f_min, ns.f_max, ns.points):
@@ -197,7 +193,7 @@ def cmd_curves(ns) -> int:
                 "E": measures.e_formation_werner(f),
             }
         )
-    _write(_render(columns, rows, config, ns.format), ns.out)
+    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
     return 0
 
 
@@ -258,15 +254,7 @@ def cmd_twirl(ns) -> int:
                     **base,
                 }
             )
-    config = {
-        "command": "twirl",
-        "input": ns.input,
-        "werner": ns.werner,
-        "samples": ns.samples,
-        "seed": ns.seed,
-        "format": ns.format,
-    }
-    _write(_render(columns, rows, config, ns.format), ns.out)
+    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
     return 0
 
 
@@ -275,13 +263,14 @@ def cmd_twirl(ns) -> int:
 
 def _check_bxor_bijection() -> int:
     images = {bell.bxor(s, t) for s in BellLabel for t in BellLabel}
-    assert len(images) == 16, "BXOR table is not a bijection"
+    assert len(images) == 16, "BXOR rule is not a bijection"
     return 16
 
 
 def _check_bxor_matrix_oracle() -> int:
     regenerated = bell.bxor_table_from_unitaries()
     for key, val in regenerated.items():
+        assert bell.bxor(*key) == val, f"BXOR rule mismatch at {key}"
         assert bell.BXOR_TABLE[key] == val, f"BXOR table mismatch at {key}"
     return 16
 
@@ -292,6 +281,7 @@ def _check_pauli_maps() -> int:
         u = bell.unilateral_pauli_unitary(axis)
         for l in BellLabel:
             mapped = bell.unilateral_pauli(l, axis)
+            assert bell.UNILATERAL_PAULI_TABLE[axis][l] == mapped, "table differs from rule"
             assert mapped != l, "one-particle pi rotations move every label"
             assert bell.unilateral_pauli(mapped, axis) == l, "not an involution"
             got = u @ bell.label_projector(l).mat @ u.conj().T
@@ -307,6 +297,7 @@ def _check_bilateral_maps() -> int:
         u = bell.bilateral_rot_unitary(axis)
         for l in BellLabel:
             mapped = bell.bilateral_rot(l, axis)
+            assert bell.BILATERAL_ROT_TABLE[axis][l] == mapped, "table differs from rule"
             assert bell.bilateral_rot(mapped, axis) == l, "not an involution"
             got = u @ bell.label_projector(l).mat @ u.conj().T
             dev = np.abs(got - bell.label_projector(mapped).mat).max()
@@ -466,6 +457,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
+        _check_sizes(ns)
         return ns.func(ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

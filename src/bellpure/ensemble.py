@@ -91,14 +91,15 @@ def random_subset(n: int, seed: int) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
+def pack_bits(bits) -> int:
+    """Pack a 0/1 sequence into an integer, element i as bit i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def subset_mask(rng: np.random.Generator, n: int) -> int:
     """Random subset of n positions packed into an integer bit mask
     (bit i set means position i is in the subset)."""
-    bits = rng.integers(0, 2, size=n)
-    mask = 0
-    for i in range(n):
-        mask |= int(bits[i]) << i
-    return mask
+    return pack_bits(rng.integers(0, 2, size=n))
 
 
 def random_axis_parallel_prob(d: BellDiagonal, n_trials: int, seed: int) -> EstimateWithError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell, ensemble, measures, qstate, twirl
-from .bell import BellDiagonal, BellLabel, MeasureParity, PauliAxis
+from .bell import BellDiagonal, BellLabel, PauliAxis
 
 #: The breeding decoder enumerates all 2^n class strings.
 MAX_BREEDING_PAIRS = 20
@@ -75,8 +75,14 @@ def recurrence_formula(f: float) -> tuple[float, float]:
     return num9 / den9, den9 / 9.0
 
 
+_Y_IMAGE = bell.unilateral_pauli(bell.LABELS, PauliAxis.Y)
+
+#: Every (source, target) label pair, source-major.
+_SRC, _TGT = (a.ravel() for a in np.indices((4, 4), dtype=np.uint8))
+
+
 def _apply_y(d: BellDiagonal) -> BellDiagonal:
-    return bell.map_distribution(d, lambda l: bell.unilateral_pauli(l, PauliAxis.Y))
+    return bell.map_distribution(d, _Y_IMAGE)
 
 
 def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutcome:
@@ -89,17 +95,10 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     Werner form. For m1 = m2 = werner(F) the post fidelity and p_success
     reproduce the closed form of recurrence_formula exactly.
     """
-    src = _apply_y(m1)
-    tgt = _apply_y(m2)
-    post = np.zeros(4)
-    for s in BellLabel:
-        for t in BellLabel:
-            w = src.p[s] * tgt.p[t]
-            if w == 0.0:
-                continue
-            s2, t2 = bell.bxor(s, t)
-            if bell.measure_z(t2) is MeasureParity.PARALLEL:
-                post[s2] += w
+    w = np.outer(_apply_y(m1).p, _apply_y(m2).p).ravel()
+    s2, t2 = bell.bxor(_SRC, _TGT)
+    parallel = bell.amp_bit(t2) == 0
+    post = np.bincount(s2[parallel], weights=w[parallel], minlength=4)
     p_success = float(post.sum())
     if p_success <= 0.0:
         return RecurrenceOutcome(None, 0.0, None)
@@ -202,11 +201,11 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
             truncated = True
             break
         n_tests = labels.size // 2
-        src = labels[0 : 2 * n_tests : 2] ^ 3  # one-particle y: to mostly-Phi+ form
-        tgt = labels[1 : 2 * n_tests : 2] ^ 3
-        keep = ((src ^ tgt) & 2) == 0  # target z spins come out parallel
-        kept = src[keep] ^ (tgt[keep] & 1)  # sign kick-back from the controlled-NOT
-        kept ^= 3  # y rotation back to mostly-Psi- form
+        # one-particle y: to mostly-Phi+ form
+        pairs = bell.unilateral_pauli(labels[: 2 * n_tests].reshape(n_tests, 2), PauliAxis.Y)
+        src, tgt = bell.bxor(pairs[:, 0], pairs[:, 1])
+        keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
+        kept = bell.unilateral_pauli(src[keep], PauliAxis.Y)  # back to mostly-Psi- form
         kept = twirl.twirl_labels(kept, rng)
         n_in = 2 * n_tests
         n_kept = int(kept.size)
@@ -268,15 +267,15 @@ def variable_block_mc(f0: float, n_pairs: int, seed: int) -> VariableBlockStats:
     n_blocks = n_pairs // (k + 1)
     n_used = n_blocks * (k + 1)
     labels = ensemble._sample_labels(rng, measures.werner(f0), n_used)
-    labels = labels.reshape(n_blocks, k + 1) ^ 3
+    labels = bell.unilateral_pauli(labels.reshape(n_blocks, k + 1), PauliAxis.Y)
     srcs = labels[:, :k]
-    tgt = labels[:, k]
-    # the chained controlled-NOTs accumulate every source amp bit in the target
-    par = np.bitwise_xor.reduce(srcs & 2, axis=1) ^ (tgt & 2)
-    keep = par == 0
+    # the chain acts on the target like one controlled-NOT from the XOR of
+    # the sources, and on each source like its own controlled-NOT
+    _, tgt = bell.bxor(np.bitwise_xor.reduce(srcs, axis=1), labels[:, k])
+    keep = bell.amp_bit(tgt) == 0
     n_keep_blocks = int(keep.sum())
-    kept_blocks = srcs[keep] ^ (tgt[keep, None] & 1)  # shared sign kick-back
-    kept = (kept_blocks ^ 3).reshape(-1)
+    kept_blocks, _ = bell.bxor(srcs[keep], tgt[keep, None])
+    kept = bell.unilateral_pauli(kept_blocks, PauliAxis.Y).reshape(-1)
     kept = twirl.twirl_labels(kept, rng)
     n_kept = int(kept.size)
     if n_kept:
@@ -347,11 +346,9 @@ class BreedingResult:
         )
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    out = 0
-    for i, b in enumerate(bits):
-        out |= int(b) << i
-    return out
+def _mask_bits(mask: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of an integer mask, as a boolean array."""
+    return ((mask >> np.arange(n)) & 1).astype(bool)
 
 
 def _bxor_parity(labels: np.ndarray, mask: int) -> int:
@@ -361,9 +358,9 @@ def _bxor_parity(labels: np.ndarray, mask: int) -> int:
     A Phi+ target's sign bit stays 0 through the whole chain, so no source is
     altered; the target's amp bit ends up holding the subset's Psi-count
     parity, which is what the measurement reports."""
-    sel = ((np.uint64(mask) >> np.arange(labels.size, dtype=np.uint64)) & 1).astype(np.uint8)
-    amp = (labels >> 1) & 1
-    return int((amp * sel).sum() & 1)
+    chained = int(np.bitwise_xor.reduce(labels[_mask_bits(mask, labels.size)]))
+    _, target = bell.bxor(chained, BellLabel.PHI_PLUS)
+    return bell.amp_bit(target)
 
 
 def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
@@ -402,9 +399,6 @@ def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
         score += ones * math.log2(p / (1.0 - p))
     best = cands[score == score.max()]
     return int(best.min()), n_consistent, bool(best.size > 1)
-
-
-_BY_LUT = np.array([0, 2, 1, 3], dtype=np.uint8)  # two-particle pi/2 y rotation
 
 
 def breeding_mc(
@@ -464,24 +458,24 @@ def breeding_mc(
         return masks, parities
 
     r1 = int(math.ceil(n * h_class + r_margin * math.sqrt(n)))
-    x_true = _pack_bits((labels >> 1) & 1)
+    x_true = ensemble.pack_bits(bell.amp_bit(labels))
     masks1, pars1 = run_tests(labels, r1)
     x_hat, _, tie1 = _ml_decode(n, masks1, pars1, [(full, p_psi)])
     correct1 = x_hat == x_true
 
-    flip = np.array([(x_hat >> i) & 1 for i in range(n)], dtype=np.uint8)
-    labels = labels ^ (flip * 3)  # one-particle y on every decoded Psi
-    labels = _BY_LUT[labels]  # leftover sign errors become Psi+
+    # one-particle y on every decoded Psi
+    labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
+    labels = bell.bilateral_rot(labels, PauliAxis.Y)  # leftover sign errors become Psi+
 
     r2 = int(math.ceil(n * h_sign + r_margin * math.sqrt(n)))
-    y_true = _pack_bits((labels >> 1) & 1)
+    y_true = ensemble.pack_bits(bell.amp_bit(labels))
     masks2, pars2 = run_tests(labels, r2)
     groups = [(full & ~x_hat, sign_given_phi), (x_hat, sign_given_psi)]
     y_hat, _, tie2 = _ml_decode(n, masks2, pars2, groups)
     correct2 = y_hat == y_true
 
-    yflip = np.array([(y_hat >> i) & 1 for i in range(n)], dtype=np.uint8)
-    labels = labels ^ (yflip * 2)  # one-particle x on every decoded Psi+
+    # one-particle x on every decoded Psi+
+    labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
     residual = int((labels != BellLabel.PHI_PLUS).sum())
 
     targets = r1 + r2

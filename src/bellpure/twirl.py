@@ -9,25 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell, ensemble, measures, qstate
-from .bell import BellDiagonal
+from .bell import BellDiagonal, PauliAxis
+
+_X, _Y, _Z = (bell.BILATERAL_PERM[a] for a in (PauliAxis.X, PauliAxis.Y, PauliAxis.Z))
 
 #: Label permutations generated by the two-particle pi/2 rotations: identity,
-#: the three single triplet swaps, and their two 3-cycle compositions. Every
-#: element fixes the singlet. The sampled twirl draws uniformly from this
-#: closure so that its per-pair expectation equals the analytic average,
-#: which equalizes the triplet weights exactly; the bare 4-element set
-#: {identity + three swaps} would leave a bias of order the triplet spread.
-TWIRL_PERMS = np.array(
-    [
-        [0, 1, 2, 3],
-        [2, 1, 0, 3],  # x swap
-        [0, 2, 1, 3],  # y swap
-        [1, 0, 2, 3],  # z swap
-        [1, 2, 0, 3],
-        [2, 0, 1, 3],
-    ],
-    dtype=np.uint8,
-)
+#: the x, y and z triplet swaps, and the 3-cycles x after z and z after x
+#: (row order fixes which permutation a seeded draw picks). Every element
+#: fixes the singlet. The sampled twirl draws uniformly from this closure so
+#: that its per-pair expectation equals the analytic average, which equalizes
+#: the triplet weights exactly; the bare 4-element set {identity + three
+#: swaps} would leave a bias of order the triplet spread.
+TWIRL_PERMS = np.stack([bell.LABELS, _X, _Y, _Z, _X[_Z], _Z[_X]])
 TWIRL_PERMS.setflags(write=False)
 
 
@@ -108,10 +101,7 @@ def discrete_twirl(d: BellDiagonal, seed: int | None = None) -> BellDiagonal:
         t = float(d.p[0] + d.p[1] + d.p[2]) / 3.0
         return BellDiagonal((t, t, t, float(d.p[3])))
     rng = ensemble.stream(seed)
-    perm = TWIRL_PERMS[int(rng.integers(TWIRL_PERMS.shape[0]))]
-    out = np.empty(4)
-    out[perm] = d.p
-    return BellDiagonal(out)
+    return bell.map_distribution(d, TWIRL_PERMS[int(rng.integers(TWIRL_PERMS.shape[0]))])
 
 
 def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpure import bell, measures
 from bellpure.bell import (
@@ -83,6 +85,35 @@ class TestBxor:
     def test_table_matches_matrix_algebra(self):
         assert bell.bxor_table_from_unitaries() == bell.BXOR_TABLE
 
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=64))
+    def test_vectorized_rule_matches_scalar_rule(self, pairs):
+        s, t = np.array(pairs, dtype=np.uint8).T
+        s2, t2 = bxor(s, t)
+        assert s2.dtype == t2.dtype == np.uint8
+        assert list(zip(s2.tolist(), t2.tolist())) == [bxor(a, b) for a, b in pairs]
+
+
+class TestOnePairRulesOnArrays:
+    @settings(max_examples=50, deadline=None)
+    @given(labels=st.lists(st.integers(0, 3), min_size=1, max_size=64))
+    def test_array_images_match_scalar_images(self, labels):
+        arr = np.array(labels, dtype=np.uint8)
+        for axis in PauliAxis:
+            for rule in (unilateral_pauli, bilateral_rot):
+                got = rule(arr, axis)
+                assert got.dtype == np.uint8
+                assert got.tolist() == [rule(l, axis) for l in labels]
+
+    def test_scalar_outside_label_range_rejected(self):
+        for bad in (4, -1):
+            with pytest.raises(ValueError):
+                unilateral_pauli(bad, PauliAxis.X)
+            with pytest.raises(ValueError):
+                bilateral_rot(bad, PauliAxis.Y)
+            with pytest.raises(ValueError):
+                bxor(bad, L.PHI_PLUS)
+
 
 class TestLabelMatrixEquivalence:
     def test_unilateral_maps_match_projector_conjugation(self):
@@ -92,6 +123,7 @@ class TestLabelMatrixEquivalence:
                 got = u @ bell.label_projector(l).mat @ u.conj().T
                 want = bell.label_projector(unilateral_pauli(l, axis)).mat
                 assert np.abs(got - want).max() <= 1e-10
+                assert bell.UNILATERAL_PAULI_TABLE[axis][l] == unilateral_pauli(l, axis)
 
     def test_bilateral_maps_match_projector_conjugation(self):
         for axis in PauliAxis:
@@ -100,6 +132,7 @@ class TestLabelMatrixEquivalence:
                 got = u @ bell.label_projector(l).mat @ u.conj().T
                 want = bell.label_projector(bilateral_rot(l, axis)).mat
                 assert np.abs(got - want).max() <= 1e-10
+                assert bell.BILATERAL_ROT_TABLE[axis][l] == bilateral_rot(l, axis)
 
 
 class TestMeasureZ:
@@ -138,22 +171,23 @@ class TestBellDiagonal:
 class TestMapDistribution:
     def test_identity(self):
         d = BellDiagonal([0.1, 0.2, 0.3, 0.4])
-        assert map_distribution(d, lambda l: l).allclose(d)
+        assert map_distribution(d, bell.LABELS).allclose(d)
 
     def test_unilateral_y_on_werner_moves_weight_to_phi_plus(self):
         f = 0.7
-        got = map_distribution(measures.werner(f), lambda l: unilateral_pauli(l, PauliAxis.Y))
+        got = map_distribution(measures.werner(f), unilateral_pauli(bell.LABELS, PauliAxis.Y))
         g = (1 - f) / 3
         assert got.allclose([f, g, g, g])
 
     def test_bilateral_y_swaps_phi_minus_and_psi_plus_entries(self):
         d = BellDiagonal([0.1, 0.2, 0.3, 0.4])
-        got = map_distribution(d, lambda l: bilateral_rot(l, PauliAxis.Y))
+        got = map_distribution(d, bilateral_rot(bell.LABELS, PauliAxis.Y))
         assert got.allclose([0.1, 0.3, 0.2, 0.4])
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            map_distribution(measures.werner(0.7), lambda l: L.PHI_PLUS)
+        for image in ([0, 0, 0, 0], [0, 1, 2], [[0, 1], [2, 3]]):
+            with pytest.raises(ValueError):
+                map_distribution(measures.werner(0.7), image)
 
 
 class TestToDensity:

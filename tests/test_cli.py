@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from bellpure import bell, measures
 from bellpure.bell import BellLabel
-from bellpure.cli import main
+from bellpure.cli import SIZE_LIMITS, main
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run(capsys, args):
@@ -53,6 +58,16 @@ class TestRecurrenceCommand:
         err = float(rows[1]["mc_fidelity_err"])
         assert abs(fid - 0.7352941176470588) <= 4 * err
 
+    def test_mc_truncation_noted_on_stderr_only(self, capsys):
+        code, out, err = run(capsys, ["recurrence", "0.7", "--steps", "5", "--mc", "2"])
+        assert code == 0
+        assert err.splitlines() == [
+            "note: Monte Carlo ran out of pairs after step 1; later mc_* cells are blank"
+        ]
+        _, _, rows = parse_csv(out)
+        assert rows[1]["mc_survival"] != ""
+        assert [r["mc_fidelity"] for r in rows[2:]] == [""] * 4
+
 
 class TestHeaderContract:
     def test_rerunning_embedded_config_reproduces_bytes(self, capsys):
@@ -99,6 +114,48 @@ class TestHeaderContract:
         assert code == 0
         assert out == ""
         assert "# bellpure" in path.read_text()
+
+
+class TestGoldenOutputs:
+    """Seeded Monte Carlo and breeding emissions, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (["breed", "--werner", "0.95", "--pairs", "12", "--trials", "20", "--seed", "7"], "breed_golden.csv"),
+            (["recurrence", "0.8", "--steps", "3", "--mc", "20000", "--seed", "11"], "recurrence_mc_golden.csv"),
+        ],
+    )
+    def test_matches_golden_file(self, capsys, args, golden):
+        code, out, err = run(capsys, args)
+        assert code == 0
+        assert err == ""
+        assert out == (DATA_DIR / golden).read_text()
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("steps", ["recurrence", "0.7"]),
+            ("mc", ["recurrence", "0.7", "--steps", "2"]),
+            ("samples", ["twirl", "--werner", "0.7"]),
+            ("trials", ["breed", "--werner", "0.95", "--pairs", "8"]),
+            ("points", ["curves"]),
+        ],
+    )
+    def test_beyond_limit_exits_2_with_one_error_line(self, capsys, name, args):
+        value = SIZE_LIMITS[name] + 1
+        code, out, err = run(capsys, args + [f"--{name}", str(value)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: --{name} {value} exceeds the limit of {SIZE_LIMITS[name]}"]
+
+    def test_steps_at_limit_accepted(self, capsys):
+        code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", str(SIZE_LIMITS["steps"])])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == SIZE_LIMITS["steps"] + 1
 
 
 class TestCurvesCommand:
@@ -204,6 +261,14 @@ class TestSelftest:
         code, out, _ = run(capsys, ["selftest"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_corrupted_bxor_rule_fails(self, capsys, monkeypatch):
+        # drop the sign kick-back into the source: still a bijection
+        monkeypatch.setattr(bell, "bxor", lambda s, t: (s, t ^ (s & 2)))
+        code, out, _ = run(capsys, ["selftest"])
+        assert code == 1
+        assert "FAIL bxor-matrix-oracle" in out
+        assert "ok   bxor-table-bijection" in out
 
 
 class TestParsing:

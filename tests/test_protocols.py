@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, protocols
 from bellpure.bell import BellDiagonal, BellLabel, MeasureParity
@@ -123,6 +125,23 @@ class TestDensityMatrixOracle:
             a = recurrence_step_exact(m1, m2)
             b = density_matrix_oracle_step(m1, m2)
             assert abs(a.p_success - b.p_success) <= 1e-10
+            assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
+            assert np.abs(a.post_state_raw.p - b.post_state_raw.p).max() <= 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w1=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=4, max_size=4),
+        w2=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=4, max_size=4),
+    )
+    def test_property_matches_on_any_bell_diagonal_pair(self, w1, w2):
+        assume(sum(w1) > 0.0 and sum(w2) > 0.0)
+        m1 = BellDiagonal(np.array(w1) / sum(w1))
+        m2 = BellDiagonal(np.array(w2) / sum(w2))
+        a = recurrence_step_exact(m1, m2)
+        b = density_matrix_oracle_step(m1, m2)
+        assert abs(a.p_success - b.p_success) <= 1e-10
+        assert (a.post_state is None) == (b.post_state is None)
+        if a.post_state is not None:
             assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
             assert np.abs(a.post_state_raw.p - b.post_state_raw.p).max() <= 1e-10
 

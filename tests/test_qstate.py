@@ -138,6 +138,13 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(m)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(m)
+
     def test_matches_numpy_on_random_hermitian(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
