@@ -281,7 +281,6 @@ def _check_pauli_maps() -> int:
         u = bell.unilateral_pauli_unitary(axis)
         for l in BellLabel:
             mapped = bell.unilateral_pauli(l, axis)
-            assert bell.UNILATERAL_PAULI_TABLE[axis][l] == mapped, "table differs from rule"
             assert mapped != l, "one-particle pi rotations move every label"
             assert bell.unilateral_pauli(mapped, axis) == l, "not an involution"
             got = u @ bell.label_projector(l).mat @ u.conj().T
@@ -297,7 +296,6 @@ def _check_bilateral_maps() -> int:
         u = bell.bilateral_rot_unitary(axis)
         for l in BellLabel:
             mapped = bell.bilateral_rot(l, axis)
-            assert bell.BILATERAL_ROT_TABLE[axis][l] == mapped, "table differs from rule"
             assert bell.bilateral_rot(mapped, axis) == l, "not an involution"
             got = u @ bell.label_projector(l).mat @ u.conj().T
             dev = np.abs(got - bell.label_projector(mapped).mat).max()

@@ -351,16 +351,15 @@ def _mask_bits(mask: int, n: int) -> np.ndarray:
     return ((mask >> np.arange(n)) & 1).astype(bool)
 
 
-def _bxor_parity(labels: np.ndarray, mask: int) -> int:
-    """Chain the masked pairs as sources into one fresh Phi+ target and
+def _bxor_parity(labels: np.ndarray, bits: np.ndarray) -> int:
+    """Chain the selected pairs as sources into one fresh Phi+ target and
     z-measure it (consuming the target).
 
-    A Phi+ target's sign bit stays 0 through the whole chain, so no source is
-    altered; the target's amp bit ends up holding the subset's Psi-count
-    parity, which is what the measurement reports."""
-    chained = int(np.bitwise_xor.reduce(labels[_mask_bits(mask, labels.size)]))
-    _, target = bell.bxor(chained, BellLabel.PHI_PLUS)
-    return bell.amp_bit(target)
+    By the bxor rule the chain acts on the target like one controlled-NOT
+    from the XOR of the sources. A Phi+ target's sign bit is 0, so no source
+    is altered, and its amp bit 0 is toggled by the sources' XORed amp bit:
+    the subset's Psi-count parity, which the measurement reports."""
+    return int(bell.amp_bit(np.bitwise_xor.reduce(labels[bits])))
 
 
 def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
@@ -450,8 +449,9 @@ def breeding_mc(
         masks, parities = [], []
         for _ in range(count):
             mask = ensemble.subset_mask(rng, n)
-            par = _bxor_parity(current_labels, mask)
-            subset = tuple(i for i in range(n) if (mask >> i) & 1)
+            bits = _mask_bits(mask, n)
+            par = _bxor_parity(current_labels, bits)
+            subset = tuple(np.flatnonzero(bits).tolist())
             tests.append(ParityTest(subset, par, len(tests)))
             masks.append(mask)
             parities.append(par)

@@ -123,7 +123,6 @@ class TestLabelMatrixEquivalence:
                 got = u @ bell.label_projector(l).mat @ u.conj().T
                 want = bell.label_projector(unilateral_pauli(l, axis)).mat
                 assert np.abs(got - want).max() <= 1e-10
-                assert bell.UNILATERAL_PAULI_TABLE[axis][l] == unilateral_pauli(l, axis)
 
     def test_bilateral_maps_match_projector_conjugation(self):
         for axis in PauliAxis:
@@ -132,7 +131,6 @@ class TestLabelMatrixEquivalence:
                 got = u @ bell.label_projector(l).mat @ u.conj().T
                 want = bell.label_projector(bilateral_rot(l, axis)).mat
                 assert np.abs(got - want).max() <= 1e-10
-                assert bell.BILATERAL_ROT_TABLE[axis][l] == bilateral_rot(l, axis)
 
 
 class TestMeasureZ:

@@ -284,7 +284,8 @@ class TestBxorParityHelper:
         for _ in range(10):
             labels = ensemble._sample_labels(rng, measures.werner(0.7), 6)
             for mask in range(64):
-                assert protocols._bxor_parity(labels, mask) == _scalar_chain_parity(labels, mask)
+                bits = protocols._mask_bits(mask, 6)
+                assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
 
     def test_matches_scalar_chain_on_sampled_larger_subsets(self):
         rng = np.random.default_rng(6)
@@ -292,7 +293,8 @@ class TestBxorParityHelper:
             n = int(rng.integers(7, 21))
             labels = ensemble._sample_labels(rng, measures.werner(0.8), n)
             mask = int(rng.integers(0, 1 << n))
-            assert protocols._bxor_parity(labels, mask) == _scalar_chain_parity(labels, mask)
+            bits = protocols._mask_bits(mask, n)
+            assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
 
 
 class TestBreeding:

@@ -146,13 +146,20 @@ class TestEigHermitian:
             eig_hermitian(m)
 
     def test_matches_numpy_on_random_hermitian(self):
+        # References that do not go through eigvalsh: a spectrum planted by a
+        # random unitary, the trace and the Frobenius norm.
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = (g + g.conj().T) / 2
+            u, _ = np.linalg.qr(g)
+            planted = np.sort(rng.normal(size=4))[::-1]
+            h = u @ np.diag(planted) @ u.conj().T
+            h = (h + h.conj().T) / 2
             mine = eig_hermitian(h)
-            ref = np.sort(np.linalg.eigvalsh(h))[::-1]
-            assert np.abs(mine - ref).max() <= 1e-10
+            assert np.all(np.diff(mine) <= 0.0)
+            assert np.abs(mine - planted).max() <= 1e-10
+            assert abs(mine.sum() - np.trace(h).real) <= 1e-10
+            assert abs((mine**2).sum() - np.sum(np.abs(h) ** 2)) <= 1e-10
 
 
 class TestEntropy:
