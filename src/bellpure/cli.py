@@ -261,17 +261,23 @@ def cmd_twirl(ns) -> int:
 # self-test checks: each returns the number of assertions it made
 
 
+def _require(ok, message: str) -> None:
+    """One self-test assertion. Unlike assert, it still runs under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_bxor_bijection() -> int:
     images = {bell.bxor(s, t) for s in BellLabel for t in BellLabel}
-    assert len(images) == 16, "BXOR rule is not a bijection"
+    _require(len(images) == 16, "BXOR rule is not a bijection")
     return 16
 
 
 def _check_bxor_matrix_oracle() -> int:
     regenerated = bell.bxor_table_from_unitaries()
     for key, val in regenerated.items():
-        assert bell.bxor(*key) == val, f"BXOR rule mismatch at {key}"
-        assert bell.BXOR_TABLE[key] == val, f"BXOR table mismatch at {key}"
+        _require(bell.bxor(*key) == val, f"BXOR rule mismatch at {key}")
+        _require(bell.BXOR_TABLE[key] == val, f"BXOR table mismatch at {key}")
     return 16
 
 
@@ -281,11 +287,11 @@ def _check_pauli_maps() -> int:
         u = bell.unilateral_pauli_unitary(axis)
         for l in BellLabel:
             mapped = bell.unilateral_pauli(l, axis)
-            assert mapped != l, "one-particle pi rotations move every label"
-            assert bell.unilateral_pauli(mapped, axis) == l, "not an involution"
+            _require(mapped != l, "one-particle pi rotations move every label")
+            _require(bell.unilateral_pauli(mapped, axis) == l, "not an involution")
             got = u @ bell.label_projector(l).mat @ u.conj().T
             dev = np.abs(got - bell.label_projector(mapped).mat).max()
-            assert dev <= 1e-10, f"unilateral {axis} on {l}: deviation {dev}"
+            _require(dev <= 1e-10, f"unilateral {axis} on {l}: deviation {dev}")
             count += 1
     return count
 
@@ -296,14 +302,15 @@ def _check_bilateral_maps() -> int:
         u = bell.bilateral_rot_unitary(axis)
         for l in BellLabel:
             mapped = bell.bilateral_rot(l, axis)
-            assert bell.bilateral_rot(mapped, axis) == l, "not an involution"
+            _require(bell.bilateral_rot(mapped, axis) == l, "not an involution")
             got = u @ bell.label_projector(l).mat @ u.conj().T
             dev = np.abs(got - bell.label_projector(mapped).mat).max()
-            assert dev <= 1e-10, f"bilateral {axis} on {l}: deviation {dev}"
+            _require(dev <= 1e-10, f"bilateral {axis} on {l}: deviation {dev}")
             count += 1
-    assert all(
-        bell.bilateral_rot(BellLabel.PSI_MINUS, a) == BellLabel.PSI_MINUS for a in PauliAxis
-    ), "the singlet must be fixed by every bilateral rotation"
+    _require(
+        all(bell.bilateral_rot(BellLabel.PSI_MINUS, a) == BellLabel.PSI_MINUS for a in PauliAxis),
+        "the singlet must be fixed by every bilateral rotation",
+    )
     return count
 
 
@@ -311,16 +318,16 @@ def _check_psi_parity_rule() -> int:
     for s in BellLabel:
         for t in BellLabel:
             s2, t2 = bell.bxor(s, t)
-            assert (s2 >= 2) == (s >= 2), "source class must never change"
+            _require((s2 >= 2) == (s >= 2), "source class must never change")
             toggled = (t2 >= 2) != (t >= 2)
-            assert toggled == (s >= 2), "target class toggles exactly on Psi sources"
+            _require(toggled == (s >= 2), "target class toggles exactly on Psi sources")
     return 32
 
 
 def _check_recurrence_fixed_points() -> int:
     for f in (0.25, 0.5, 1.0):
         out, _ = protocols.recurrence_formula(f)
-        assert out == f, f"fixed point at {f} broken: {out}"
+        _require(out == f, f"fixed point at {f} broken: {out}")
     return 3
 
 
@@ -329,8 +336,8 @@ def _check_recurrence_enumeration() -> int:
     for f in np.linspace(0.55, 0.95, 9):
         ff, p = protocols.recurrence_formula(float(f))
         out = protocols.recurrence_step_exact(measures.werner(float(f)), measures.werner(float(f)))
-        assert abs(out.post_state.fidelity - ff) <= 1e-12
-        assert abs(out.p_success - p) <= 1e-12
+        _require(abs(out.post_state.fidelity - ff) <= 1e-12, f"post fidelity at {f}")
+        _require(abs(out.p_success - p) <= 1e-12, f"success probability at {f}")
         count += 2
     return count
 
@@ -340,8 +347,8 @@ def _check_recurrence_matrix_oracle() -> int:
     for f1, f2 in ((0.6, 0.6), (0.7, 0.9), (1.0, 1.0)):
         a = protocols.recurrence_step_exact(measures.werner(f1), measures.werner(f2))
         b = protocols.density_matrix_oracle_step(measures.werner(f1), measures.werner(f2))
-        assert abs(a.p_success - b.p_success) <= 1e-10
-        assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
+        _require(abs(a.p_success - b.p_success) <= 1e-10, f"success probability at {f1}, {f2}")
+        _require(np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10, f"post state at {f1}, {f2}")
         count += 2
     return count
 
@@ -350,7 +357,8 @@ def _check_yield_entropy_identity() -> int:
     count = 0
     for f in np.linspace(0.01, 0.99, 25):
         f = float(f)
-        assert abs(measures.d0(f) - (1.0 - measures.entropy_bell(measures.werner(f)))) <= 1e-12
+        dev = abs(measures.d0(f) - (1.0 - measures.entropy_bell(measures.werner(f))))
+        _require(dev <= 1e-12, f"D0 vs 1 - S at {f}: deviation {dev}")
         count += 1
     return count
 
@@ -361,7 +369,7 @@ def _check_werner_mixture_identity() -> int:
     for psi in qstate.werner_pure_states(f):
         mix += psi.projector() / 8.0
     dev = np.abs(mix - bell.to_density(measures.werner(f)).mat).max()
-    assert dev <= 1e-12, f"eight-state mixture deviates by {dev}"
+    _require(dev <= 1e-12, f"eight-state mixture deviates by {dev}")
     return 1
 
 

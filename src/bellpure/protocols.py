@@ -4,7 +4,8 @@ Contents: the exact two-pair recurrence step (label-level enumeration plus a
 full density-matrix replay used as an independent oracle), iterated
 trajectories with surviving-pair yield bookkeeping, label-level Monte Carlo
 ensembles, the variable-blocksize variant, and the breeding protocol built on
-random-subset parity tests with an exhaustive maximum-likelihood decoder.
+random-subset parity tests with a maximum-likelihood decoder that solves the
+parities over GF(2) and searches only the strings that fit them.
 """
 from __future__ import annotations
 
@@ -16,12 +17,23 @@ import numpy as np
 from . import bell, ensemble, measures, qstate, twirl
 from .bell import BellDiagonal, BellLabel, PauliAxis
 
-#: The breeding decoder enumerates all 2^n class strings.
+#: Largest breeding run. The decoder enumerates the 2^(n - rank) strings that
+#: fit the parity tests, up to 2^n when the tests have rank 0, so the cap bounds
+#: its memory.
 MAX_BREEDING_PAIRS = 20
 
 
 class NotDistillableError(ValueError):
     """The recurrence map cannot improve fidelities at or below 1/2."""
+
+
+class ZeroPriorError(RuntimeError):
+    """Every string that fits the parity tests has zero prior probability.
+    n_consistent counts the strings that fit."""
+
+    def __init__(self, n_consistent: int):
+        super().__init__("no candidate with non-zero prior")
+        self.n_consistent = n_consistent
 
 
 @dataclass(frozen=True)
@@ -321,8 +333,12 @@ class ParityTest:
 class BreedingResult:
     """Outcome of one breeding run. decode_correct_* report whether the
     applied corrections matched the truth; ties are flagged separately and
-    always count as failures (never silently resolved). residual_error_pairs
-    is zero exactly when both decodes were correct."""
+    always count as failures (never silently resolved). A round whose every
+    parity-consistent string has zero prior decodes nothing and counts as
+    incorrect. residual_error_pairs is zero exactly when both decodes were
+    correct. coset_dim_* is the decoder's search size in each round: the
+    parity-consistent strings number 2^coset_dim, with coset_dim = n minus the
+    rank of that round's tests."""
 
     n: int
     targets_consumed: int
@@ -334,6 +350,8 @@ class BreedingResult:
     net_yield: float
     provisioned_targets: int
     budget_exceeded: bool
+    coset_dim_round1: int
+    coset_dim_round2: int
     parity_tests: tuple[ParityTest, ...] = ()
 
     @property
@@ -351,34 +369,67 @@ def _mask_bits(mask: int, n: int) -> np.ndarray:
     return ((mask >> np.arange(n)) & 1).astype(bool)
 
 
-def _bxor_parity(labels: np.ndarray, bits: np.ndarray) -> int:
+def _bxor_parity(labels: np.ndarray, bits: np.ndarray):
     """Chain the selected pairs as sources into one fresh Phi+ target and
-    z-measure it (consuming the target).
+    z-measure it (consuming the target). bits selects the subset; a 2-D bits
+    array holds one subset per row and gives one parity per row.
 
     By the bxor rule the chain acts on the target like one controlled-NOT
     from the XOR of the sources. A Phi+ target's sign bit is 0, so no source
     is altered, and its amp bit 0 is toggled by the sources' XORed amp bit:
     the subset's Psi-count parity, which the measurement reports."""
-    return int(bell.amp_bit(np.bitwise_xor.reduce(labels[bits])))
+    return (bits.astype(np.int64) @ bell.amp_bit(labels)) & 1
+
+
+def _parity_coset(n: int, masks, parity_bits) -> tuple[int, list[int]]:
+    """Solve subset parities over GF(2).
+
+    The n-bit strings x with popcount(x & mask) % 2 == bit for every test are
+    exactly x0 ^ (any XOR of basis vectors): an affine coset of dimension
+    len(basis) = n - rank. Returns (x0, basis); raises RuntimeError when the
+    parities contradict each other."""
+    rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row mask, parity)
+    for mask, bit in zip(masks, parity_bits):
+        while mask:
+            lead = mask.bit_length() - 1
+            if lead not in rows:
+                rows[lead] = (mask, bit)
+                break
+            row, row_bit = rows[lead]
+            mask ^= row
+            bit ^= row_bit
+        if not mask and bit:
+            raise RuntimeError("no parity-consistent candidate")
+    leads = sorted(rows)
+
+    def back_substitute(x: int, use_parity: bool) -> int:
+        # a row's other bits all lie below its leading bit, so ascending
+        # leads see every bit they depend on already fixed
+        for lead in leads:
+            row, bit = rows[lead]
+            if ((x & row).bit_count() + (bit if use_parity else 0)) & 1:
+                x |= 1 << lead
+        return x
+
+    x0 = back_substitute(0, True)
+    basis = [back_substitute(1 << free, False) for free in range(n) if free not in rows]
+    return x0, basis
 
 
 def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
-    """Exhaustive maximum-likelihood decode of an n-bit string from subset
-    parities.
+    """Maximum-likelihood decode of an n-bit string from subset parities.
 
-    prior_groups is a list of (position_mask, p_one) pairs partitioning the
-    positions; within a group each bit is independently 1 with probability
-    p_one. Candidates inconsistent with any parity or carrying zero prior are
-    discarded; the survivor with the largest prior wins, smallest value first
-    among exact ties. Returns (decoded, n_consistent, tie)."""
-    cands = np.arange(1 << n, dtype=np.uint64)
-    for mask, bit in zip(masks, parity_bits):
-        if cands.size == 1:
-            break
-        par = np.bitwise_count(cands & np.uint64(mask)).astype(np.uint8) & 1
-        cands = cands[par == bit]
-    if cands.size == 0:
-        raise RuntimeError("no parity-consistent candidate")
+    Only the 2^(n - rank) parity-consistent strings of _parity_coset are
+    scored, built by doubling over the coset basis. prior_groups is a list of
+    (position_mask, p_one) pairs partitioning the positions; within a group
+    each bit is independently 1 with probability p_one. Candidates carrying
+    zero prior are discarded (ZeroPriorError when none is left); the survivor
+    with the largest prior wins, smallest value first among exact ties.
+    Returns (decoded, n_consistent, tie)."""
+    x0, basis = _parity_coset(n, masks, parity_bits)
+    cands = np.array([x0], dtype=np.uint64)
+    for v in basis:
+        cands = np.concatenate([cands, cands ^ np.uint64(v)])
     n_consistent = int(cands.size)
     for mask, p in prior_groups:
         if mask == 0:
@@ -389,7 +440,7 @@ def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
         elif p >= 1.0:
             cands = cands[np.bitwise_count(cands & m) == np.bitwise_count(m)]
     if cands.size == 0:
-        raise RuntimeError("no candidate with non-zero prior")
+        raise ZeroPriorError(n_consistent)
     score = np.zeros(cands.size)
     for mask, p in prior_groups:
         if mask == 0 or p <= 0.0 or p >= 1.0 or p == 0.5:
@@ -412,18 +463,23 @@ def breeding_mc(
 
     Round 1 runs ceil(n*H + r_margin*sqrt(n)) random-subset parity tests,
     where H is the per-pair Phi/Psi class entropy, decodes the class string by
-    exhaustive maximum likelihood over all 2^n candidates under the sampling
-    prior, and fixes the decoded Psi pairs with one-particle y rotations.
-    Round 2 repeats the scheme for the sign string (sized by the conditional
-    sign entropy) after a two-particle y rotation converts leftover Phi- pairs
-    into Psi+, fixing hits with one-particle x rotations. Every test consumes
-    one prepurified Phi+ target; n*(S+delta) targets are provisioned and
-    overruns are reported via budget_exceeded, not raised.
+    maximum likelihood under the sampling prior over the 2^(n - rank) strings
+    that fit the tests, and fixes the decoded Psi pairs with one-particle y
+    rotations. Round 2 repeats the scheme for the sign string (sized by the
+    conditional sign entropy) after a two-particle y rotation converts
+    leftover Phi- pairs into Psi+, fixing hits with one-particle x rotations.
+    A round-1 misdecode can leave round 2 with no string of non-zero prior;
+    round 2 then fails and corrects nothing. Every test consumes one
+    prepurified Phi+ target; n*(S+delta) targets are provisioned and overruns
+    are reported via budget_exceeded, not raised.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_BREEDING_PAIRS:
-        raise ValueError(f"exhaustive decoder handles at most {MAX_BREEDING_PAIRS} pairs")
+        raise ValueError(
+            f"breeding handles at most {MAX_BREEDING_PAIRS} pairs,"
+            " which bounds the decoder's search"
+        )
     if delta < 0.0 or r_margin < 0.0:
         raise ValueError("delta and r_margin must be non-negative")
     p = w.p
@@ -443,25 +499,30 @@ def breeding_mc(
         h_sign += p_psi * measures.h2(sign_given_psi)
 
     full = (1 << n) - 1
+    weights = 1 << np.arange(n)
     tests: list[ParityTest] = []
 
     def run_tests(current_labels, count):
-        masks, parities = [], []
-        for _ in range(count):
-            mask = ensemble.subset_mask(rng, n)
-            bits = _mask_bits(mask, n)
-            par = _bxor_parity(current_labels, bits)
-            subset = tuple(np.flatnonzero(bits).tolist())
+        # one row per test: the same draws as count successive subset_mask calls
+        bits = rng.integers(0, 2, size=(count, n))
+        parities = _bxor_parity(current_labels, bits).tolist()
+        for row, par in zip(bits.tolist(), parities):
+            subset = tuple(i for i, b in enumerate(row) if b)
             tests.append(ParityTest(subset, par, len(tests)))
-            masks.append(mask)
-            parities.append(par)
-        return masks, parities
+        return (bits @ weights).tolist(), parities
+
+    def decode(masks, parities, groups, truth):
+        """(decoded, correct, tie, coset_dim) of one round."""
+        try:
+            decoded, n_consistent, tie = _ml_decode(n, masks, parities, groups)
+        except ZeroPriorError as exc:
+            return 0, False, False, exc.n_consistent.bit_length() - 1
+        return decoded, decoded == truth, tie, n_consistent.bit_length() - 1
 
     r1 = int(math.ceil(n * h_class + r_margin * math.sqrt(n)))
     x_true = ensemble.pack_bits(bell.amp_bit(labels))
     masks1, pars1 = run_tests(labels, r1)
-    x_hat, _, tie1 = _ml_decode(n, masks1, pars1, [(full, p_psi)])
-    correct1 = x_hat == x_true
+    x_hat, correct1, tie1, dim1 = decode(masks1, pars1, [(full, p_psi)], x_true)
 
     # one-particle y on every decoded Psi
     labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
@@ -471,8 +532,7 @@ def breeding_mc(
     y_true = ensemble.pack_bits(bell.amp_bit(labels))
     masks2, pars2 = run_tests(labels, r2)
     groups = [(full & ~x_hat, sign_given_phi), (x_hat, sign_given_psi)]
-    y_hat, _, tie2 = _ml_decode(n, masks2, pars2, groups)
-    correct2 = y_hat == y_true
+    y_hat, correct2, tie2, dim2 = decode(masks2, pars2, groups, y_true)
 
     # one-particle x on every decoded Psi+
     labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
@@ -491,6 +551,8 @@ def breeding_mc(
         net_yield=(n - residual - targets) / n,
         provisioned_targets=provisioned,
         budget_exceeded=targets > provisioned,
+        coset_dim_round1=dim1,
+        coset_dim_round2=dim2,
         parity_tests=tuple(tests),
     )
 

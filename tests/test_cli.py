@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bellpure
 from bellpure import bell, measures
 from bellpure.bell import BellLabel
 from bellpure.cli import SIZE_LIMITS, main
@@ -124,6 +128,7 @@ class TestGoldenOutputs:
         [
             (["breed", "--werner", "0.95", "--pairs", "12", "--trials", "20", "--seed", "7"], "breed_golden.csv"),
             (["recurrence", "0.8", "--steps", "3", "--mc", "20000", "--seed", "11"], "recurrence_mc_golden.csv"),
+            (["breed", "--werner", "0.95", "--pairs", "20", "--trials", "10", "--seed", "3"], "breed_n20_golden.csv"),
         ],
     )
     def test_matches_golden_file(self, capsys, args, golden):
@@ -247,6 +252,18 @@ class TestBreedCommand:
         assert float(rows[0]["decode_failure_rate"]) == 0.0
         assert float(rows[0]["residual_error_rate"]) == 0.0
 
+    def test_sign_string_without_prior_counts_as_failure(self, capsys):
+        # some trial misdecodes round 1, after which round 2 has no string of
+        # non-zero prior; that trial fails and the run goes on
+        code, out, err = run(
+            capsys,
+            ["breed", "--probs", "0.05", "0", "0", "0.95", "--pairs", "5", "--trials", "200", "--seed", "0"],
+        )
+        assert code == 0
+        assert err == ""
+        _, _, rows = parse_csv(out)
+        assert float(rows[0]["decode_failure_rate"]) > 0.0
+
 
 class TestSelftest:
     def test_clean_build_passes(self, capsys):
@@ -269,6 +286,20 @@ class TestSelftest:
         assert code == 1
         assert "FAIL bxor-matrix-oracle" in out
         assert "ok   bxor-table-bijection" in out
+
+    def test_checks_survive_optimized_interpreter(self):
+        # python -O strips assert statements; the self-test must still fail
+        script = (
+            "from bellpure import bell, cli\n"
+            "bell.bxor = lambda s, t: (s, t ^ (s & 2))\n"
+            "raise SystemExit(cli.main(['selftest']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bellpure.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1
+        assert "FAIL bxor-matrix-oracle" in proc.stdout
 
 
 class TestParsing:

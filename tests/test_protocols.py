@@ -297,6 +297,89 @@ class TestBxorParityHelper:
             assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
 
 
+    def test_one_parity_per_row_of_a_subset_matrix(self):
+        rng = np.random.default_rng(7)
+        labels = ensemble._sample_labels(rng, measures.werner(0.7), 9)
+        bits = rng.integers(0, 2, size=(40, 9))
+        masks = bits @ (1 << np.arange(9))
+        expected = [_scalar_chain_parity(labels, int(m)) for m in masks]
+        assert protocols._bxor_parity(labels, bits).tolist() == expected
+
+
+def _exhaustive_decode(n, masks, parity_bits, prior_groups):
+    """Reference decoder: scan all 2^n strings, keep those that fit every
+    parity and carry non-zero prior, and pick the likeliest, smallest value
+    first among exact ties. Returns (decoded, n_consistent, tie)."""
+    cands = np.arange(1 << n, dtype=np.uint64)
+    for mask, bit in zip(masks, parity_bits):
+        par = np.bitwise_count(cands & np.uint64(mask)).astype(np.uint8) & 1
+        cands = cands[par == bit]
+    if cands.size == 0:
+        raise RuntimeError("no parity-consistent candidate")
+    n_consistent = int(cands.size)
+    for mask, p in prior_groups:
+        if mask == 0:
+            continue
+        m = np.uint64(mask)
+        if p <= 0.0:
+            cands = cands[np.bitwise_count(cands & m) == 0]
+        elif p >= 1.0:
+            cands = cands[np.bitwise_count(cands & m) == np.bitwise_count(m)]
+    if cands.size == 0:
+        raise RuntimeError("no candidate with non-zero prior")
+    score = np.zeros(cands.size)
+    for mask, p in prior_groups:
+        if mask == 0 or p <= 0.0 or p >= 1.0 or p == 0.5:
+            continue
+        ones = np.bitwise_count(cands & np.uint64(mask)).astype(np.float64)
+        score += ones * math.log2(p / (1.0 - p))
+    best = cands[score == score.max()]
+    return int(best.min()), n_consistent, bool(best.size > 1)
+
+
+def _outcome(decoder, *args):
+    try:
+        return decoder(*args)
+    except RuntimeError as exc:
+        return "raised", str(exc)
+
+
+@st.composite
+def decode_instances(draw):
+    n = draw(st.integers(1, 14))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n))
+    if draw(st.booleans()):  # parities of a hidden string: always consistent
+        x = draw(st.integers(0, (1 << n) - 1))
+        parity_bits = [(m & x).bit_count() & 1 for m in masks]
+    else:  # arbitrary parities, often contradictory
+        parity_bits = draw(st.lists(st.integers(0, 1), min_size=len(masks), max_size=len(masks)))
+    n_groups = draw(st.integers(1, 3))
+    owner = draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n))
+    priors = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    groups = [
+        (sum(1 << i for i in range(n) if owner[i] == g), draw(priors)) for g in range(n_groups)
+    ]
+    return n, masks, parity_bits, groups
+
+
+class TestMLDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_instances())
+    def test_matches_exhaustive_scan(self, instance):
+        assert _outcome(protocols._ml_decode, *instance) == _outcome(_exhaustive_decode, *instance)
+
+    def test_inconsistent_parities_raise(self):
+        with pytest.raises(RuntimeError, match="no parity-consistent candidate"):
+            protocols._ml_decode(4, [0b0011, 0b0110, 0b0101], [1, 1, 1], [(0b1111, 0.1)])
+
+    def test_zero_prior_error_counts_consistent_strings(self):
+        # bit 0 must be 1, but the prior forbids every 1
+        with pytest.raises(protocols.ZeroPriorError, match="no candidate with non-zero prior") as exc:
+            protocols._ml_decode(3, [0b001], [1], [(0b111, 0.0)])
+        assert exc.value.n_consistent == 4
+        assert isinstance(exc.value, RuntimeError)
+
+
 class TestBreeding:
     def test_point_mass_phi_plus_trivially_clean(self):
         w = BellDiagonal([1, 0, 0, 0])
@@ -365,6 +448,43 @@ class TestBreeding:
         s4, r4 = breeding_trials(w, 10, 24, seed=6, max_workers=4)
         assert s1 == s4
         assert r1 == r4
+
+    def test_round2_with_no_prior_candidate_fails_without_raising(self):
+        # round 1 misdecodes a pair, and the round-2 prior then gives the
+        # true sign string zero probability
+        w = BellDiagonal([0.05, 0.0, 0.0, 0.95])
+        r = breeding_mc(w, 5, seed=6, stream_id=0)
+        assert not r.decode_correct_round1
+        assert not r.decode_correct_round2 and not r.tie_round2
+        assert r.decode_failed
+        assert r.residual_error_pairs > 0
+        assert r.net_yield == (r.n - r.residual_error_pairs - r.targets_consumed) / r.n
+
+    def test_subsets_follow_the_subset_mask_stream(self):
+        # each round draws its subsets in one call; they must be the draws
+        # that successive subset_mask calls make after the label draw
+        for w, n, sid in ((measures.werner(0.9), 13, 2), (BellDiagonal([0.9, 0.03, 0.04, 0.03]), 20, 5)):
+            r = breeding_mc(w, n, seed=3, stream_id=sid)
+            rng = ensemble.stream(3, sid)
+            ensemble._sample_labels(rng, w, n)
+            masks = [ensemble.subset_mask(rng, n) for _ in range(r.targets_consumed)]
+            assert [t.subset for t in r.parity_tests] == [
+                tuple(i for i in range(n) if (m >> i) & 1) for m in masks
+            ]
+
+    def test_coset_dimensions_match_exhaustive_count(self):
+        w = measures.werner(0.9)
+        p = w.p
+        n = 12
+        r1 = math.ceil(n * measures.h2(float(p[2] + p[3])) + 2.0 * math.sqrt(n))
+        for t in range(10):
+            r = breeding_mc(w, n, seed=8, stream_id=t)
+            rounds = (r.parity_tests[:r1], r.parity_tests[r1:])
+            for tests, dim in zip(rounds, (r.coset_dim_round1, r.coset_dim_round2)):
+                masks = [sum(1 << i for i in test.subset) for test in tests]
+                parities = [test.parity_observed for test in tests]
+                _, n_consistent, _ = _exhaustive_decode(n, masks, parities, [])
+                assert n_consistent == 2**dim
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
