@@ -4,14 +4,12 @@ statistics shared by every Monte Carlo operation.
 Stream contract (stable across versions): ``stream(seed, stream_id)`` is a
 numpy Generator over the Philox4x64-10 counter-based bit generator keyed by
 the pair (seed, stream_id) with a zero counter. Distinct ids give provably
-non-overlapping streams, so shards can draw independently and aggregated
-results never depend on how many workers executed them.
+non-overlapping streams; independent trial t of a seeded run draws from
+substream (seed, t).
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,27 +27,9 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def worker_cap() -> int:
-    """Worker limit from the DISTILL_THREADS environment variable (default 1),
-    clamped to [1, os.cpu_count()]."""
-    raw = os.environ.get("DISTILL_THREADS", "").strip()
-    if not raw:
-        return 1
-    return max(1, min(int(raw), os.cpu_count() or 1))
-
-
-def run_sharded(task, n_shards: int, max_workers: int | None = None) -> list:
-    """Run task(shard_index) for every shard, returning results in shard order.
-
-    The shard layout is fixed by the caller, so the outcome is identical for
-    any worker count; max_workers (or DISTILL_THREADS) caps concurrency only.
-    """
-    if max_workers is None:
-        max_workers = worker_cap()
-    if max_workers <= 1 or n_shards <= 1:
-        return [task(i) for i in range(n_shards)]
-    with ThreadPoolExecutor(max_workers=min(max_workers, n_shards)) as pool:
-        return list(pool.map(task, range(n_shards)))
+def run_sharded(task, n_shards: int) -> list:
+    """Run task(shard_index) for every shard, returning results in shard order."""
+    return [task(i) for i in range(n_shards)]
 
 
 @dataclass(frozen=True)
@@ -59,36 +39,11 @@ class EstimateWithError:
     n: int
 
 
-@dataclass(frozen=True)
-class LabelEnsemble:
-    labels: np.ndarray
-    source_dist: BellDiagonal
-
-
 def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
     """n i.i.d. label draws via inverse CDF on the 4-vector (uint8 array)."""
     cdf = np.cumsum(d.p)
     u = rng.random(n)
     return np.minimum(np.searchsorted(cdf, u, side="right"), 3).astype(np.uint8)
-
-
-def sample_ensemble(d: BellDiagonal, n: int, seed: int) -> LabelEnsemble:
-    """Seeded ensemble of n independent label draws from d."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    labels = _sample_labels(stream(seed), d, n)
-    labels.setflags(write=False)
-    return LabelEnsemble(labels, d)
-
-
-def random_subset(n: int, seed: int) -> np.ndarray:
-    """Indices 0..n-1, each included independently with probability 1/2."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    keep = stream(seed).integers(0, 2, size=n).astype(bool)
-    return np.nonzero(keep)[0]
 
 
 def pack_bits(bits) -> int:

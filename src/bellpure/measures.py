@@ -100,10 +100,14 @@ def parallel_from_fidelity(f: float) -> float:
     return 2.0 * (1.0 - f) / 3.0
 
 
-def dr_curve(f: float, max_steps: int = 64) -> float:
+#: Most recurrence steps that dr_curve tries before breeding.
+DR_MAX_STEPS = 64
+
+
+def dr_curve(f: float) -> float:
     """Best recurrence-then-breed yield: run k two-pair tests (each keeps one
     pair out of two with that step's success probability), then breed the
-    survivors. Maximizes prod(p_i / 2) * d0(F_k) over k = 0..max_steps, and
+    survivors. Maximizes prod(p_i / 2) * d0(F_k) over k = 0..DR_MAX_STEPS, and
     over discarding every pair, which yields 0."""
     if not 0.5 < f < 1.0:
         raise ValueError(f"dr_curve needs 1/2 < f < 1, got {f!r}")
@@ -113,7 +117,7 @@ def dr_curve(f: float, max_steps: int = 64) -> float:
     best = max(0.0, d0(f))
     cur = f
     acc = 1.0
-    for _ in range(max_steps):
+    for _ in range(DR_MAX_STEPS):
         cur, p = recurrence_formula(cur)
         acc *= 0.5 * p
         cand = acc * d0(cur)

@@ -22,6 +22,10 @@ from .bell import BellDiagonal, BellLabel, PauliAxis
 #: its memory.
 MAX_BREEDING_PAIRS = 20
 
+#: Largest accepted delta and r_margin. r_margin sets the tests per round,
+#: ceil(n*H + r_margin*sqrt(n)), so the cap bounds each round's subset draw.
+MAX_BREEDING_MARGIN = 100.0
+
 
 class NotDistillableError(ValueError):
     """The recurrence map cannot improve fidelities at or below 1/2."""
@@ -480,8 +484,8 @@ def breeding_mc(
             f"breeding handles at most {MAX_BREEDING_PAIRS} pairs,"
             " which bounds the decoder's search"
         )
-    if delta < 0.0 or r_margin < 0.0:
-        raise ValueError("delta and r_margin must be non-negative")
+    if not (0.0 <= delta <= MAX_BREEDING_MARGIN and 0.0 <= r_margin <= MAX_BREEDING_MARGIN):
+        raise ValueError(f"delta and r_margin must lie in [0, {MAX_BREEDING_MARGIN:g}]")
     p = w.p
     rng = ensemble.stream(seed, stream_id)
     labels = ensemble._sample_labels(rng, w, n)
@@ -578,16 +582,13 @@ def breeding_trials(
     delta: float = 0.05,
     r_margin: float = 2.0,
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> tuple[BreedingSummary, list[BreedingResult]]:
-    """Run independent seeded breeding trials (substream t of the seed drives
-    trial t, so the result set is identical for any worker count)."""
+    """Run independent seeded breeding trials: trial t runs on substream
+    (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t)."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     results = ensemble.run_sharded(
-        lambda t: breeding_mc(w, n, delta, r_margin, seed=seed, stream_id=t),
-        trials,
-        max_workers,
+        lambda t: breeding_mc(w, n, delta, r_margin, seed=seed, stream_id=t), trials
     )
     summary = BreedingSummary(
         trials=trials,

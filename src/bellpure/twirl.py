@@ -89,19 +89,13 @@ def sampled_twirl(
     return qstate.DensityMatrix(avg), report
 
 
-def discrete_twirl(d: BellDiagonal, seed: int | None = None) -> BellDiagonal:
-    """Twirl a Bell-diagonal state over the discrete bilateral-rotation set.
-
-    Without a seed this is the analytic group average: the three triplet
-    weights are equalized and the singlet weight is untouched. With a seed,
-    one uniformly drawn permutation from TWIRL_PERMS is applied (the sampled
-    form used by Monte Carlo ensembles; its expectation is the average).
-    """
-    if seed is None:
-        t = float(d.p[0] + d.p[1] + d.p[2]) / 3.0
-        return BellDiagonal((t, t, t, float(d.p[3])))
-    rng = ensemble.stream(seed)
-    return bell.map_distribution(d, TWIRL_PERMS[int(rng.integers(TWIRL_PERMS.shape[0]))])
+def discrete_twirl(d: BellDiagonal) -> BellDiagonal:
+    """Twirl a Bell-diagonal state over the discrete bilateral-rotation set:
+    the analytic group average, which equalizes the three triplet weights
+    and leaves the singlet weight untouched. twirl_labels is its sampled
+    form on label arrays."""
+    t = float(d.p[0] + d.p[1] + d.p[2]) / 3.0
+    return BellDiagonal((t, t, t, float(d.p[3])))
 
 
 def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellpure
 from bellpure import bell, measures
@@ -18,6 +22,33 @@ def run(capsys, args):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def emit(args):
+    """stdout of one cli.main run, which must succeed."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        assert main(args) == 0
+    return buf.getvalue()
+
+
+@st.composite
+def cli_runs(draw):
+    """argv of one small recurrence (with or without --mc), breed or curves
+    run, without --format."""
+    open_unit = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+    seed = str(draw(st.integers(0, 2**32)))
+    command = draw(st.sampled_from(["recurrence", "breed", "curves"]))
+    if command == "recurrence":
+        args = ["recurrence", repr(draw(open_unit)), "--steps", str(draw(st.integers(1, 6))), "--seed", seed]
+        mc = draw(st.none() | st.integers(2, 3000))
+        return args if mc is None else args + ["--mc", str(mc)]
+    if command == "breed":
+        pairs, trials = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+        return ["breed", "--werner", repr(draw(st.floats(0.0, 1.0))), "--pairs", str(pairs),
+                "--trials", str(trials), "--seed", seed]
+    f_min, f_max = sorted(draw(st.lists(open_unit, min_size=2, max_size=2, unique=True)))
+    return ["curves", "--f-min", repr(f_min), "--f-max", repr(f_max), "--points", str(draw(st.integers(2, 30)))]
 
 
 def parse_csv(text):
@@ -111,6 +142,18 @@ class TestHeaderContract:
                     assert float(cval) == jval
                 else:
                     assert cval == str(jval)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cli_runs())
+    def test_csv_and_json_agree_digit_for_digit(self, args):
+        config, columns, rows = parse_csv(emit(args + ["--format", "csv"]))
+        doc = json.loads(emit(args + ["--format", "json"]))
+        assert config == dict(doc["config"], format="csv")
+        assert doc["columns"] == columns
+        assert len(doc["rows"]) == len(rows)
+        for csv_row, json_row in zip(rows, doc["rows"]):
+            cells = ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in json_row]
+            assert [csv_row[c] for c in columns] == cells
 
     def test_out_writes_file(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
@@ -251,6 +294,15 @@ class TestBreedCommand:
         _, _, rows = parse_csv(out)
         assert float(rows[0]["decode_failure_rate"]) == 0.0
         assert float(rows[0]["residual_error_rate"]) == 0.0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--r-margin", "inf"), ("--r-margin", "nan"), ("--r-margin", "1e12"), ("--delta", "inf")]
+    )
+    def test_bad_margin_exits_2_with_one_error_line(self, capsys, flag, value):
+        code, out, err = run(capsys, ["breed", "--werner", "0.95", "--pairs", "5", "--trials", "1", flag, value])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: delta and r_margin must lie in [0, 100]"]
 
     def test_sign_string_without_prior_counts_as_failure(self, capsys):
         # some trial misdecodes round 1, after which round 2 has no string of

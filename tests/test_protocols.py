@@ -442,12 +442,10 @@ class TestBreeding:
         hi, _ = breeding_trials(w, 16, 120, r_margin=4.0, seed=55)
         assert hi.decode_failure_rate <= lo.decode_failure_rate
 
-    def test_trial_set_independent_of_worker_count(self):
+    def test_trial_t_runs_on_substream_t(self):
         w = measures.werner(0.95)
-        s1, r1 = breeding_trials(w, 10, 24, seed=6, max_workers=1)
-        s4, r4 = breeding_trials(w, 10, 24, seed=6, max_workers=4)
-        assert s1 == s4
-        assert r1 == r4
+        _, results = breeding_trials(w, 10, 24, seed=6)
+        assert results == [breeding_mc(w, 10, seed=6, stream_id=t) for t in range(24)]
 
     def test_round2_with_no_prior_candidate_fails_without_raising(self):
         # round 1 misdecodes a pair, and the round-2 prior then gives the
@@ -489,6 +487,21 @@ class TestBreeding:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             breeding_mc(measures.werner(0.95), 21)
+
+    @pytest.mark.parametrize("name", ["delta", "r_margin"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 1e12])
+    def test_margins_must_be_finite_and_bounded(self, name, value):
+        with pytest.raises(ValueError, match="delta and r_margin must lie in"):
+            breeding_mc(measures.werner(0.95), 5, **{name: value})
+
+    def test_margin_limit_accepted(self):
+        r = breeding_mc(
+            measures.werner(0.95),
+            5,
+            delta=protocols.MAX_BREEDING_MARGIN,
+            r_margin=protocols.MAX_BREEDING_MARGIN,
+        )
+        assert r.targets_consumed >= 2 * protocols.MAX_BREEDING_MARGIN * math.sqrt(5)
 
 
 class TestParityBound:

@@ -163,13 +163,16 @@ class TestDiscreteTwirl:
             assert abs(out.p[:3].sum() - d.p[:3].sum()) <= 1e-12
 
     def test_sampled_form_averages_to_analytic(self):
+        # twirl_labels is the sampled form: twirled label frequencies follow
+        # the analytic average
         d = BellDiagonal([0.5, 0.3, 0.1, 0.1])
-        acc = np.zeros(4)
-        n = 3000
-        for seed in range(n):
-            acc += discrete_twirl(d, seed=seed).p
-        acc /= n
-        assert np.abs(acc - discrete_twirl(d).p).max() < 0.02
+        n = 100_000
+        rng = ensemble.stream(31)
+        labels = twirl_labels(ensemble._sample_labels(rng, d, n), rng)
+        freq = np.bincount(labels, minlength=4) / n
+        expected = discrete_twirl(d).p
+        sigma = np.sqrt(expected * (1.0 - expected) / n)
+        assert (np.abs(freq - expected) <= 4 * sigma).all()
 
 
 class TestTwirlPerms:
