@@ -9,8 +9,7 @@ Every label rule is written once here, as a two-bit integer operation that
 acts on a BellLabel or elementwise on a uint8 label array: one-particle pi
 rotations are XORs (X ^2, Y ^3, Z ^1), the two-particle pi/2 rotations are
 one permutation array per axis, and the bilateral controlled-NOT is
-(s, t) -> (s ^ (t & 1), t ^ (s & 2)). The lookup tables are derived from
-these rules.
+(s, t) -> (s ^ (t & 1), t ^ (s & 2)). BXOR_TABLE is derived from that rule.
 
 All maps here drop global phases. The matrix-level unitaries that certify
 every rule are built below from `qstate`; the test suite and the CLI
@@ -108,10 +107,8 @@ def measure_z(label: BellLabel) -> MeasureParity:
     return MeasureParity.ANTIPARALLEL if amp_bit(BellLabel(label)) else MeasureParity.PARALLEL
 
 
-# The rules as lookup tables, certified against the unitaries below by the
-# test suite and the CLI self-test.
-UNILATERAL_PAULI_TABLE = {a: tuple(unilateral_pauli(l, a) for l in BellLabel) for a in PauliAxis}
-BILATERAL_ROT_TABLE = {a: tuple(bilateral_rot(l, a) for l in BellLabel) for a in PauliAxis}
+# The bilateral controlled-NOT as a lookup table, certified against the
+# unitaries below by the test suite and the CLI self-test.
 BXOR_TABLE = {(s, t): bxor(s, t) for s in BellLabel for t in BellLabel}
 
 

@@ -197,13 +197,41 @@ def cmd_curves(ns) -> int:
     return 0
 
 
+#: Largest accepted --input file. A 4x4 matrix of [re, im] pairs takes a few
+#: KB, so the limit bounds the read without refusing a real matrix.
+MAX_MATRIX_FILE_BYTES = 64 * 1024
+
+
+def _is_matrix_json(data) -> bool:
+    """True when data is 4 lists of 4 [re, im] pairs of finite-range numbers."""
+
+    def is_list(v, n):
+        return isinstance(v, list) and len(v) == n
+
+    def is_number(v):
+        if isinstance(v, float):
+            return True
+        return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+    return is_list(data, 4) and all(
+        is_list(row, 4) and all(is_list(c, 2) and all(map(is_number, c)) for c in row)
+        for row in data
+    )
+
+
 def _load_matrix_file(path: str) -> qstate.DensityMatrix:
     """Matrix input format: JSON array of 4 rows, each 4 [re, im] pairs."""
-    with open(path) as fh:
-        data = json.load(fh)
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (4, 4, 2):
-        raise ValueError("matrix file must hold 4 rows of 4 [re, im] pairs")
+    with open(path, "rb") as fh:
+        text = fh.read(MAX_MATRIX_FILE_BYTES + 1)
+    if len(text) > MAX_MATRIX_FILE_BYTES:
+        raise ValueError(f"matrix file is larger than {MAX_MATRIX_FILE_BYTES} bytes")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix file nests too deeply") from None
+    if not _is_matrix_json(data):
+        raise ValueError("matrix file must hold 4 rows of 4 [re, im] pairs of numbers")
+    arr = np.array(data, dtype=float)
     return qstate.DensityMatrix(arr[..., 0] + 1j * arr[..., 1])
 
 

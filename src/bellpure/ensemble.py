@@ -6,6 +6,17 @@ numpy Generator over the Philox4x64-10 counter-based bit generator keyed by
 the pair (seed, stream_id) with a zero counter. Distinct ids give provably
 non-overlapping streams; independent trial t of a seeded run draws from
 substream (seed, t).
+
+Chunk invariance: the label sampler, twirl.twirl_labels and
+protocols.recurrence_mc draw and process at most CHUNK labels or tests at a
+time, so recurrence_mc's working memory is its uint8 label ensemble (one byte
+per pair) plus one chunk of temporaries. Their output does not depend on
+CHUNK, because these draws return the same values whether made whole or in
+pieces: ``random(n)``, ``normal`` and ``integers(0, k, size=n)`` at the
+default int64 dtype. A narrower dtype breaks this:
+``integers(0, 6, size=n, dtype=np.uint8)`` draws other values than the int64
+call, and split into pieces it draws other values again, so the kernels keep
+the int64 draw. The test suite pins chunk invariance.
 """
 from __future__ import annotations
 
@@ -15,6 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import BellDiagonal
+
+
+#: Largest number of entries a Monte Carlo kernel draws or processes at once.
+CHUNK = 1 << 20
+
+
+def chunks(n: int):
+    """(lo, hi) bounds that cover range(n) in pieces of at most CHUNK."""
+    step = CHUNK
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -40,10 +62,13 @@ class EstimateWithError:
 
 
 def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
-    """n i.i.d. label draws via inverse CDF on the 4-vector (uint8 array)."""
+    """n i.i.d. label draws via inverse CDF on the 4-vector (uint8 array),
+    drawn one chunk at a time."""
     cdf = np.cumsum(d.p)
-    u = rng.random(n)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), 3).astype(np.uint8)
+    out = np.empty(n, dtype=np.uint8)
+    for lo, hi in chunks(n):
+        out[lo:hi] = np.minimum(np.searchsorted(cdf, rng.random(hi - lo), side="right"), 3)
+    return out
 
 
 def pack_bits(bits) -> int:

@@ -209,25 +209,33 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
         raise ValueError("need at least one step")
     rng = ensemble.stream(seed)
     labels = ensemble._sample_labels(rng, measures.werner(f0), n_pairs)
+    n_live = n_pairs
     f_formula = f0
     out: list[MCStep] = []
     truncated = False
     for k in range(1, steps + 1):
-        if labels.size < 2:
+        if n_live < 2:
             truncated = True
             break
-        n_tests = labels.size // 2
-        # one-particle y: to mostly-Phi+ form
-        pairs = bell.unilateral_pauli(labels[: 2 * n_tests].reshape(n_tests, 2), PauliAxis.Y)
-        src, tgt = bell.bxor(pairs[:, 0], pairs[:, 1])
-        keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
-        kept = bell.unilateral_pauli(src[keep], PauliAxis.Y)  # back to mostly-Psi- form
-        kept = twirl.twirl_labels(kept, rng)
+        n_tests = n_live // 2
+        # Each chunk of tests writes its kept sources to the front of labels,
+        # behind every pair still to be read, so one buffer serves all steps.
+        n_kept = 0
+        n_singlets = 0
+        for lo, hi in ensemble.chunks(n_tests):
+            # one-particle y: to mostly-Phi+ form
+            pairs = bell.unilateral_pauli(labels[2 * lo : 2 * hi].reshape(-1, 2), PauliAxis.Y)
+            src, tgt = bell.bxor(pairs[:, 0], pairs[:, 1])
+            keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
+            kept = bell.unilateral_pauli(src[keep], PauliAxis.Y)  # back to mostly-Psi- form
+            kept = twirl.twirl_labels(kept, rng)
+            labels[n_kept : n_kept + kept.size] = kept
+            n_kept += kept.size
+            n_singlets += int(np.count_nonzero(kept == BellLabel.PSI_MINUS))
         n_in = 2 * n_tests
-        n_kept = int(kept.size)
         f_formula, p_formula = recurrence_formula(f_formula)
         if n_kept:
-            fid = float((kept == BellLabel.PSI_MINUS).mean())
+            fid = n_singlets / n_kept
             fid_err = math.sqrt(max(fid * (1.0 - fid), 0.0) / n_kept)
         else:
             fid, fid_err = float("nan"), float("nan")
@@ -237,7 +245,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
         out.append(
             MCStep(k, n_in, n_kept, fid, fid_err, surv, surv_err, f_formula, p_formula)
         )
-        labels = kept
+        n_live = n_kept
     return MCTrace(f0, n_pairs, seed, tuple(out), truncated)
 
 

@@ -46,6 +46,10 @@ def exact_twirl(rho) -> BellDiagonal:
     return measures.werner(min(1.0, max(0.0, f)))
 
 
+#: Rotations drawn per batch of sampled_twirl. The Gram matrix sums one batch
+#: at a time, so the batch size fixes the summation order and the output bits.
+TWIRL_BATCH = 200_000
+
 _A = np.stack([qstate.ID2, -1j * qstate.SIGMA_X, -1j * qstate.SIGMA_Y, -1j * qstate.SIGMA_Z])
 _K = np.einsum("iab,jcd->ijacbd", _A, _A).reshape(16, 4, 4)  # K[4i+j] = kron(A_i, A_j)
 _K.setflags(write=False)
@@ -62,7 +66,8 @@ def sampled_twirl(
     Fourth-moment identity: with K_(4i+j) = kron(A_i, A_j) and P_n,(4i+j) =
     q_i q_j for draw n, u_n = sum_a P_na K_a, so sum_n u_n rho u_n-dagger =
     sum_ab G_ab K_a rho K_b-dagger with the real 16x16 Gram matrix G = P^T P.
-    The average depends on the seeded draws only through G.
+    The average depends on the seeded draws only through G, summed one batch
+    of TWIRL_BATCH draws at a time in one reused buffer.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -70,12 +75,13 @@ def sampled_twirl(
     fid_in = qstate.fidelity_singlet(mat)
     rng = ensemble.stream(seed, stream_id)
     gram = np.zeros((16, 16))
+    buf = np.empty((min(n, TWIRL_BATCH), 4, 4))
     left = n
     while left > 0:
-        m = min(200_000, left)
+        m = min(TWIRL_BATCH, left)
         q = rng.normal(size=(m, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        p = (q[:, :, None] * q[:, None, :]).reshape(m, 16)
+        p = np.multiply(q[:, :, None], q[:, None, :], out=buf[:m]).reshape(m, 16)
         gram += p.T @ p
         left -= m
     avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n
@@ -99,11 +105,12 @@ def discrete_twirl(d: BellDiagonal) -> BellDiagonal:
 
 
 def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Apply an independent uniformly drawn discrete twirl to every label."""
-    if labels.size == 0:
-        return labels
-    g = rng.integers(0, TWIRL_PERMS.shape[0], size=labels.shape[0])
-    return TWIRL_PERMS[g, labels]
+    """Apply an independent uniformly drawn discrete twirl to every label,
+    drawing one chunk of permutation indices at a time."""
+    out = np.empty_like(labels)
+    for lo, hi in ensemble.chunks(labels.shape[0]):
+        out[lo:hi] = TWIRL_PERMS[rng.integers(0, len(TWIRL_PERMS), size=hi - lo), labels[lo:hi]]
+    return out
 
 
 def convergence_table(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bellpure
 from bellpure import bell, measures
 from bellpure.bell import BellLabel
-from bellpure.cli import SIZE_LIMITS, main
+from bellpure.cli import MAX_MATRIX_FILE_BYTES, SIZE_LIMITS, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -271,6 +271,36 @@ class TestTwirlCommand:
         code, _, err = run(capsys, ["twirl", "--input", str(path)])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("dict", '{"a": 1}'),
+            ("ragged", json.dumps([[[0.25, 0.0]] * 4] * 3 + [[[0.25, 0.0]] * 3])),
+            ("deep", "[" * 10_000),
+            ("non_numeric", json.dumps([[["0.25", 0.0]] * 4] * 4)),
+            ("bool_cell", json.dumps([[[True, 0.0]] * 4] * 4)),
+            ("int_beyond_float", json.dumps([[[10**400, 0]] * 4] * 4)),
+            ("oversize", " " * MAX_MATRIX_FILE_BYTES + "[]"),
+        ],
+    )
+    def test_malformed_matrix_file_exits_2_with_one_error_line(self, tmp_path, capsys, name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["twirl", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_matrix_file_at_size_limit_accepted(self, tmp_path, capsys):
+        data = json.dumps([[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)])
+        path = tmp_path / "padded.json"
+        path.write_text(data.ljust(MAX_MATRIX_FILE_BYTES))
+        code, out, _ = run(capsys, ["twirl", "--input", str(path)])
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert abs(float(rows[0]["fidelity_in"]) - 0.25) <= 1e-12
 
 
 class TestBreedCommand:

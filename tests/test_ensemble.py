@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bellpure import measures
+from bellpure import bell, ensemble, measures, protocols, twirl
 from bellpure.bell import BellDiagonal, BellLabel
-from bellpure.ensemble import _sample_labels, random_axis_parallel_prob, stream, subset_mask
+from bellpure.ensemble import CHUNK, _sample_labels, random_axis_parallel_prob, stream, subset_mask
 
 # chi-square critical value, 3 degrees of freedom, alpha = 0.001
 CHI2_3DF_P999 = 16.266
@@ -89,3 +90,82 @@ class TestRandomAxisParallelProb:
         est = random_axis_parallel_prob(measures.werner(0.8), 5000, seed=44)
         assert est.n == 5000
         assert est.std_error >= 0.0
+
+
+class TestChunkInvariance:
+    """The kernels draw and process CHUNK entries at a time. Their outputs must
+    not depend on CHUNK, so that a numpy change which breaks this fails here
+    instead of silently moving output bytes."""
+
+    PIECES = (1, 333, 667)
+    #: One pair count below, at and above each chunk boundary that a run of
+    #: CHUNK labels, or of CHUNK two-pair tests, crosses.
+    PAIR_COUNTS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2, 3 * CHUNK + 5)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, n: rng.random(n),
+            lambda rng, n: rng.integers(0, 6, size=n),
+            lambda rng, n: rng.normal(size=(n, 4)),
+        ],
+        ids=["random", "integers", "normal"],
+    )
+    def test_stream_draws_do_not_depend_on_split(self, draw):
+        whole_rng, split_rng = stream(9, 2), stream(9, 2)
+        whole = draw(whole_rng, sum(self.PIECES))
+        split = np.concatenate([draw(split_rng, k) for k in self.PIECES])
+        assert np.array_equal(whole, split)
+        # and both streams are left in the same state
+        assert np.array_equal(whole_rng.integers(0, 6, size=9), split_rng.integers(0, 6, size=9))
+        assert np.array_equal(whole_rng.random(9), split_rng.random(9))
+
+    @staticmethod
+    def _kernel_outputs(n):
+        rng = stream(12, 1)
+        labels = _sample_labels(rng, measures.werner(0.7), n)
+        twirled = twirl.twirl_labels(labels, rng)
+        return (
+            labels.tobytes(),
+            twirled.tobytes(),
+            repr(protocols.recurrence_mc(0.8, n, 3, seed=31)),
+            repr(protocols.variable_block_mc(0.75, n, seed=32)),
+            repr(protocols.variable_block_mc(0.93, n, seed=33)),
+        )
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 14, 15, 26, 1001])
+    def test_small_chunk_matches_default(self, monkeypatch, n):
+        expected = self._kernel_outputs(n)
+        monkeypatch.setattr(ensemble, "CHUNK", 7)
+        assert self._kernel_outputs(n) == expected
+
+    @pytest.mark.parametrize("n", PAIR_COUNTS)
+    def test_default_chunk_matches_one_piece(self, monkeypatch, n):
+        expected = self._kernel_outputs(n)
+        monkeypatch.setattr(ensemble, "CHUNK", 4 * CHUNK)
+        assert self._kernel_outputs(n) == expected
+
+
+def _traced_peak_mib(fn, *args):
+    """Peak memory allocated during one call (tracemalloc sees numpy's
+    buffers; what was live before the call is not traced)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Working memory is the uint8 ensemble plus one chunk (recurrence) or one
+    reused batch buffer (sampled twirl), not a multiple of the run size."""
+
+    def test_recurrence_mc_at_1e7_pairs(self):
+        # 10 MB of labels plus one chunk; drawing all pairs at once takes ~230 MiB
+        assert _traced_peak_mib(protocols.recurrence_mc, 0.8, 10**7, 4, 5) < 48
+
+    def test_sampled_twirl_at_1e6_rotations(self):
+        # one 25.6 MB batch buffer; a fresh array per batch takes ~55 MiB
+        rho = bell.to_density(measures.werner(0.8))
+        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 45

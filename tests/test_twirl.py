@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bellpure import bell, ensemble, measures, qstate
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.twirl import (
+    TWIRL_BATCH,
     TWIRL_PERMS,
     discrete_twirl,
     exact_twirl,
@@ -59,7 +60,7 @@ def _per_rotation_twirl(mat, n, seed, stream_id=0):
     acc = np.zeros((4, 4), dtype=complex)
     left = n
     while left > 0:
-        m = min(200_000, left)
+        m = min(TWIRL_BATCH, left)
         q = rng.normal(size=(m, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         u2 = np.empty((m, 2, 2), dtype=complex)
@@ -80,8 +81,8 @@ def _random_state(rng):
 
 
 class TestSampledTwirl:
-    # 200 000 and 200 001 sit on either side of the batch boundary
-    @pytest.mark.parametrize("n", [1, 7, 200_000, 200_001])
+    # the last two sit on either side of the batch boundary
+    @pytest.mark.parametrize("n", [1, 7, TWIRL_BATCH, TWIRL_BATCH + 1])
     def test_matches_per_rotation_reference(self, n):
         rho = _random_state(np.random.default_rng(n))
         avg, report = sampled_twirl(rho, n, seed=17, stream_id=3)
