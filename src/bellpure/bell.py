@@ -197,29 +197,30 @@ def bilateral_rot_unitary(axis: PauliAxis) -> np.ndarray:
     return np.kron(r, r)
 
 
+#: 16x16 read-only unitary of the bilateral controlled-NOT on two pairs, qubit
+#: order (A_source, B_source, A_target, B_target): kron(U_XOR, U_XOR), whose
+#: order is (A_source, A_target, B_source, B_target), with the middle two swapped.
+BXOR_UNITARY = np.kron(qstate.U_XOR, qstate.U_XOR).reshape((2,) * 8)
+BXOR_UNITARY = BXOR_UNITARY.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+BXOR_UNITARY.setflags(write=False)
+
+
 def bxor_unitary() -> np.ndarray:
-    """16x16 joint unitary of the bilateral controlled-NOT on two shared
-    pairs, qubit order (A_source, B_source, A_target, B_target)."""
-    u_a = qstate.expand_two_qubit_gate(qstate.U_XOR, (0, 2), 4)
-    u_b = qstate.expand_two_qubit_gate(qstate.U_XOR, (1, 3), 4)
-    return u_a @ u_b
+    """The read-only BXOR_UNITARY."""
+    return BXOR_UNITARY
 
 
 def bxor_table_from_unitaries() -> dict:
     """Regenerate the BXOR lookup from the matrix algebra by conjugating every
     product of Bell projectors and identifying the image."""
     u = bxor_unitary()
-    projs = {l: label_projector(l).mat for l in BellLabel}
+    projs = [label_projector(l).mat for l in BellLabel]
+    prods = {(s, t): np.kron(projs[s], projs[t]) for s in BellLabel for t in BellLabel}
     out = {}
-    for s in BellLabel:
-        for t in BellLabel:
-            mapped = u @ np.kron(projs[s], projs[t]) @ u.conj().T
-            hit = None
-            for s2 in BellLabel:
-                for t2 in BellLabel:
-                    if np.abs(mapped - np.kron(projs[s2], projs[t2])).max() <= 1e-10:
-                        hit = (s2, t2)
-            if hit is None:
-                raise RuntimeError(f"BXOR image of {(s, t)} is not a Bell product")
-            out[(s, t)] = hit
+    for st, prod in prods.items():
+        mapped = u @ prod @ u.conj().T
+        hits = [st2 for st2, prod2 in prods.items() if np.abs(mapped - prod2).max() <= 1e-10]
+        if len(hits) != 1:
+            raise RuntimeError(f"BXOR image of {st} is not a Bell product")
+        out[st] = hits[0]
     return out

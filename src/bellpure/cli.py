@@ -229,6 +229,8 @@ def _load_matrix_file(path: str) -> qstate.DensityMatrix:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("matrix file nests too deeply") from None
+    except ValueError:  # bad UTF-8 and over-long integers included
+        raise ValueError("matrix file is not valid JSON") from None
     if not _is_matrix_json(data):
         raise ValueError("matrix file must hold 4 rows of 4 [re, im] pairs of numbers")
     arr = np.array(data, dtype=float)

@@ -108,7 +108,11 @@ def dr_curve(f: float) -> float:
     """Best recurrence-then-breed yield: run k two-pair tests (each keeps one
     pair out of two with that step's success probability), then breed the
     survivors. Maximizes prod(p_i / 2) * d0(F_k) over k = 0..DR_MAX_STEPS, and
-    over discarding every pair, which yields 0."""
+    over discarding every pair, which yields 0.
+
+    The scan stops once prod(p_i / 2) is at most the best so far, with the
+    full scan's float: d0 <= 1 in floating point (1.0 plus non-positive
+    terms) and the product only shrinks, so no later step can win."""
     if not 0.5 < f < 1.0:
         raise ValueError(f"dr_curve needs 1/2 < f < 1, got {f!r}")
     # imported here: protocols layers on top of this module
@@ -120,6 +124,8 @@ def dr_curve(f: float) -> float:
     for _ in range(DR_MAX_STEPS):
         cur, p = recurrence_formula(cur)
         acc *= 0.5 * p
+        if acc <= best:
+            break
         cand = acc * d0(cur)
         if cand > best:
             best = cand

@@ -122,24 +122,27 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
 
 
+# density_matrix_oracle_step's fixed operators: the y rotation of one pair, of
+# both pairs, and the projector onto parallel z spins of the target pair.
+_U_Y = np.kron(qstate.SIGMA_Y, qstate.ID2)
+_U_Y2 = np.kron(_U_Y, _U_Y)
+_TARGET_PARALLEL = np.kron(np.eye(4), np.diag([1.0, 0.0, 0.0, 1.0])).astype(complex)
+
+
 def density_matrix_oracle_step(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutcome:
     """Replay of recurrence_step_exact entirely at the 16x16 density-matrix
     level: explicit one-particle y rotations, the joint bilateral
     controlled-NOT, and a projective z x z measurement of the target pair.
     Serves as an independent verification path for the label algebra."""
     rho = np.kron(bell.to_density(m1).mat, bell.to_density(m2).mat)
-    u_y = np.kron(qstate.SIGMA_Y, qstate.ID2)
-    u_y2 = np.kron(u_y, u_y)
-    rho = u_y2 @ rho @ u_y2.conj().T
-    u_bx = bell.bxor_unitary()
-    rho = u_bx @ rho @ u_bx.conj().T
-    proj = np.kron(np.eye(4), np.diag([1.0, 0.0, 0.0, 1.0])).astype(complex)
-    sel = proj @ rho @ proj
+    rho = _U_Y2 @ rho @ _U_Y2.conj().T
+    rho = bell.BXOR_UNITARY @ rho @ bell.BXOR_UNITARY.conj().T
+    sel = _TARGET_PARALLEL @ rho @ _TARGET_PARALLEL
     p_success = float(np.trace(sel).real)
     if p_success <= 0.0:
         return RecurrenceOutcome(None, 0.0, None)
     src = np.einsum("ikjk->ij", (sel / p_success).reshape(4, 4, 4, 4))
-    src = u_y.conj().T @ src @ u_y
+    src = _U_Y.conj().T @ src @ _U_Y
     raw = BellDiagonal(bell.bell_diagonal_part(src))
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
 

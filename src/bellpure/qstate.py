@@ -217,30 +217,6 @@ def entanglement_pure(psi) -> float:
     return von_neumann_entropy(partial_trace(psi.projector(), "A"))
 
 
-def expand_two_qubit_gate(gate, qubits: tuple[int, int], n_qubits: int) -> np.ndarray:
-    """Embed a two-qubit gate on the given qubit positions of an n-qubit
-    register. Qubit 0 is the most significant bit of the basis index."""
-    g = np.asarray(gate, dtype=complex)
-    if g.shape != (4, 4):
-        raise ValueError("gate must be 4x4")
-    i, j = qubits
-    if i == j or not (0 <= i < n_qubits and 0 <= j < n_qubits):
-        raise ValueError(f"bad qubit positions {qubits!r} for {n_qubits} qubits")
-    dim = 1 << n_qubits
-    shift_i = n_qubits - 1 - i
-    shift_j = n_qubits - 1 - j
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        gcol = (((col >> shift_i) & 1) << 1) | ((col >> shift_j) & 1)
-        base = col & ~((1 << shift_i) | (1 << shift_j))
-        for grow in range(4):
-            amp = g[grow, gcol]
-            if amp != 0.0:
-                row = base | ((grow >> 1) << shift_i) | ((grow & 1) << shift_j)
-                out[row, col] += amp
-    return out
-
-
 def werner_pure_states(f: float) -> list[PureState]:
     """The eight pure states whose uniform mixture is the Werner state of
     fidelity f: weight f on the singlet, the remainder split over the three

@@ -94,6 +94,23 @@ class TestBxor:
         assert list(zip(s2.tolist(), t2.tolist())) == [bxor(a, b) for a, b in pairs]
 
 
+class TestBxorUnitary:
+    def test_matches_basis_permutation(self):
+        # independent oracle built from basis-index bits alone: qubit order
+        # (A_source, B_source, A_target, B_target), most significant first,
+        # and each target spin flips when its source spin is up (bit 0)
+        oracle = np.zeros((16, 16), dtype=complex)
+        for col in range(16):
+            a_s, b_s, a_t, b_t = ((col >> k) & 1 for k in (3, 2, 1, 0))
+            row = (a_s << 3) | (b_s << 2) | ((a_t ^ (1 - a_s)) << 1) | (b_t ^ (1 - b_s))
+            oracle[row, col] = 1.0
+        assert np.array_equal(bell.bxor_unitary(), oracle)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            bell.bxor_unitary()[0, 0] = 0.0
+
+
 class TestOnePairRulesOnArrays:
     @settings(max_examples=50, deadline=None)
     @given(labels=st.lists(st.integers(0, 3), min_size=1, max_size=64))

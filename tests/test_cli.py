@@ -291,6 +291,23 @@ class TestTwirlCommand:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "name,data",
+        [
+            ("int_past_digit_limit", b"[" + b"9" * 5000 + b"]"),
+            ("truncated", b"[[[0.25, 0.0],"),
+            ("bad_utf8", b"\xff\xfe["),
+        ],
+    )
+    def test_invalid_json_exits_2_with_one_plain_error_line(self, tmp_path, capsys, name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["twirl", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: matrix file is not valid JSON"]
+        assert "sys." not in err
         assert "Traceback" not in err
 
     def test_matrix_file_at_size_limit_accepted(self, tmp_path, capsys):

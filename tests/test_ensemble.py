@@ -6,7 +6,14 @@ import pytest
 
 from bellpure import bell, ensemble, measures, protocols, twirl
 from bellpure.bell import BellDiagonal, BellLabel
-from bellpure.ensemble import CHUNK, _sample_labels, random_axis_parallel_prob, stream, subset_mask
+from bellpure.ensemble import (
+    CHUNK,
+    MAX_AXIS_TRIALS,
+    _sample_labels,
+    random_axis_parallel_prob,
+    stream,
+    subset_mask,
+)
 
 # chi-square critical value, 3 degrees of freedom, alpha = 0.001
 CHI2_3DF_P999 = 16.266
@@ -91,6 +98,27 @@ class TestRandomAxisParallelProb:
         assert est.n == 5000
         assert est.std_error >= 0.0
 
+    @pytest.mark.parametrize(
+        "d,n,seed,mean,std_error",
+        [
+            (BellDiagonal([0, 0, 0, 1]), 20_000, 2, 0.0, 0.0),
+            (BellDiagonal([0.25] * 4), 200_000, 8, 0.500115, 0.001118036754273275),
+            (measures.werner(0.25), 200_000, 32, 0.50051, 0.0011180362022424621),
+            (measures.werner(0.5), 200_000, 57, 0.332465, 0.0010534066960121984),
+            (measures.werner(0.85), 200_000, 92, 0.09979, 0.0006701955127499188),
+            (measures.werner(1.0), 200_000, 107, 0.0, 0.0),
+            (measures.werner(0.8), 5000, 44, 0.1266, 0.004703074715795665),
+        ],
+    )
+    def test_estimates_pinned(self, d, n, seed, mean, std_error):
+        est = random_axis_parallel_prob(d, n, seed=seed)
+        assert (est.mean, est.std_error, est.n) == (mean, std_error, n)
+
+    @pytest.mark.parametrize("n", [0, MAX_AXIS_TRIALS + 1])
+    def test_trial_count_outside_range_rejected(self, n):
+        with pytest.raises(ValueError, match="n_trials"):
+            random_axis_parallel_prob(measures.werner(0.8), n, seed=1)
+
 
 class TestChunkInvariance:
     """The kernels draw and process CHUNK entries at a time. Their outputs must
@@ -169,3 +197,8 @@ class TestBoundedMemory:
         # one 25.6 MB batch buffer; a fresh array per batch takes ~55 MiB
         rho = bell.to_density(measures.werner(0.8))
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 45
+
+    def test_random_axis_parallel_prob_at_the_cap(self):
+        # about 61 MiB; a (4, n) stack of per-label correlations took ~108 MiB
+        peak = _traced_peak_mib(random_axis_parallel_prob, measures.werner(0.8), MAX_AXIS_TRIALS, 1)
+        assert peak < 80

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, qstate
+from bellpure import bell, protocols, qstate
 from bellpure.measures import (
+    DR_MAX_STEPS,
     chsh_threshold,
     d0,
     d0_threshold,
@@ -19,6 +20,7 @@ from bellpure.measures import (
     parallel_from_fidelity,
     werner,
 )
+from bellpure.protocols import recurrence_formula
 
 
 class TestH2:
@@ -168,6 +170,20 @@ def _dr_brute_force(f: float, k_max: int = 64) -> float:
     return best
 
 
+def _dr_full_scan(f: float) -> float:
+    """dr_curve's float operations over every one of the DR_MAX_STEPS steps,
+    with no early exit."""
+    best = max(0.0, d0(f))
+    cur, acc = f, 1.0
+    for _ in range(DR_MAX_STEPS):
+        cur, p = recurrence_formula(cur)
+        acc *= 0.5 * p
+        cand = acc * d0(cur)
+        if cand > best:
+            best = cand
+    return best
+
+
 class TestDrCurve:
     def test_at_least_direct_breeding(self):
         assert dr_curve(0.95) >= d0(0.95)
@@ -194,6 +210,28 @@ class TestDrCurve:
     def test_sandwiched_by_bounds_everywhere(self, f):
         dr = dr_curve(f)
         assert e_formation_werner(f) >= dr >= max(0.0, d0(f))
+
+    @settings(max_examples=500)
+    @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(0.5 + 1e-15)
+    @example(0.5 + 1e-7)
+    @example(1.0 - 1e-15)
+    def test_early_exit_returns_the_full_scan_float(self, f):
+        assert dr_curve(f) == _dr_full_scan(f)
+
+    def test_early_exit_cuts_steps_on_the_curves_grid(self, monkeypatch):
+        calls = 0
+
+        def counted(f):
+            nonlocal calls
+            calls += 1
+            return recurrence_formula(f)
+
+        monkeypatch.setattr(protocols, "recurrence_formula", counted)
+        grid = np.linspace(0.505, 0.995, 200)
+        for f in grid:
+            dr_curve(float(f))
+        assert calls / len(grid) < 16
 
     def test_domain(self):
         with pytest.raises(ValueError):

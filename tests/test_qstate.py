@@ -16,7 +16,6 @@ from bellpure.qstate import (
     conjugate,
     eig_hermitian,
     entanglement_pure,
-    expand_two_qubit_gate,
     fidelity_singlet,
     partial_trace,
     rotation_half_pi,
@@ -283,15 +282,3 @@ class TestBellBasis:
         rt2 = 1 / math.sqrt(2)
         assert np.allclose(BELL_BASIS[0], [rt2, 0, 0, rt2])
         assert np.allclose(BELL_BASIS[3], [0, rt2, -rt2, 0])
-
-
-class TestExpandGate:
-    def test_embedding_matches_kron_for_adjacent_qubits(self):
-        g = qstate.U_XOR
-        assert np.allclose(expand_two_qubit_gate(g, (0, 1), 2), g)
-        assert np.allclose(expand_two_qubit_gate(g, (0, 1), 3), np.kron(g, np.eye(2)))
-        assert np.allclose(expand_two_qubit_gate(g, (1, 2), 3), np.kron(np.eye(2), g))
-
-    def test_embedded_gate_is_unitary(self):
-        u = expand_two_qubit_gate(qstate.U_XOR, (0, 2), 4)
-        assert np.abs(u @ u.conj().T - np.eye(16)).max() <= 1e-14
