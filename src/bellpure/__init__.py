@@ -4,7 +4,7 @@ breeding runs, with seeded reproducible Monte Carlo throughout."""
 
 __version__ = "0.1.0"
 
-from .bell import BellDiagonal, BellLabel, MeasureParity, PauliAxis
+from .bell import BellDiagonal, BellLabel, PauliAxis
 from .measures import werner
 from .protocols import NotDistillableError
 from .qstate import DensityMatrix, PureState
@@ -13,7 +13,6 @@ __all__ = [
     "BellDiagonal",
     "BellLabel",
     "DensityMatrix",
-    "MeasureParity",
     "NotDistillableError",
     "PauliAxis",
     "PureState",

@@ -39,11 +39,6 @@ class PauliAxis(Enum):
     Z = "z"
 
 
-class MeasureParity(Enum):
-    PARALLEL = "parallel"
-    ANTIPARALLEL = "antiparallel"
-
-
 #: Every label, in Bell order, as a read-only uint8 array.
 LABELS = np.arange(4, dtype=np.uint8)
 LABELS.setflags(write=False)
@@ -94,17 +89,10 @@ def bxor(source, target) -> tuple:
 
 
 def amp_bit(label):
-    """1 for the Psi states, whose z spins come out anti-parallel."""
+    """1 for the Psi states, whose z spins come out anti-parallel; 0 for the
+    Phi states, whose z spins come out parallel. Measuring both spins of a
+    pair along z (which consumes it) reads this bit and nothing more."""
     return label >> 1
-
-
-def measure_z(label: BellLabel) -> MeasureParity:
-    """Measure both spins of the pair along z; the measured pair is consumed.
-
-    Distinguishes the Phi class (parallel outcomes) from the Psi class
-    (anti-parallel) and nothing more.
-    """
-    return MeasureParity.ANTIPARALLEL if amp_bit(BellLabel(label)) else MeasureParity.PARALLEL
 
 
 # The bilateral controlled-NOT as a lookup table, certified against the

@@ -61,13 +61,29 @@ class EstimateWithError:
     n: int
 
 
+def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out, for each uniform u, the count of cdf[0], cdf[1] and
+    cdf[2] that are <= u: its label under the non-decreasing 4-entry cdf."""
+    np.greater_equal(u, cdf[0], out=out)
+    out += u >= cdf[1]
+    out += u >= cdf[2]
+    return out
+
+
 def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
-    """n i.i.d. label draws via inverse CDF on the 4-vector (uint8 array),
-    drawn one chunk at a time."""
-    cdf = np.cumsum(d.p)
+    """n i.i.d. label draws by inverse CDF on the 4-vector (uint8 array),
+    one chunk of uniforms at a time.
+
+    A uniform u maps to the count of the cdf's first three entries that are
+    <= u, written in place by three compares. That is the integer
+    minimum(searchsorted(cdf, u, side="right"), 3): side="right" counts the
+    entries <= u, and as the cdf is non-decreasing, cdf[3] <= u (possible when
+    cdf[3] rounds below 1) makes the other three compares true as well, which
+    is the cap at 3. On 4 entries the compares cost less than the search."""
+    cdf = d.p.cumsum()
     out = np.empty(n, dtype=np.uint8)
     for lo, hi in chunks(n):
-        out[lo:hi] = np.minimum(np.searchsorted(cdf, rng.random(hi - lo), side="right"), 3)
+        _labels_from_uniforms(cdf, rng.random(hi - lo), out[lo:hi])
     return out
 
 

@@ -431,6 +431,35 @@ def _parity_coset(n: int, masks, parity_bits) -> tuple[int, list[int]]:
     return x0, basis
 
 
+#: With several scored groups, candidates whose float score lies within this
+#: fraction of the score's bound of the best are re-ranked exactly; the float
+#: sums err by far less.
+_DECODE_RTOL = 1e-9
+
+
+def _exact_best(cands: np.ndarray, score: np.ndarray, groups) -> np.ndarray:
+    """The candidates of largest prior, compared exactly.
+
+    Float log-odds sums over several groups can round equal priors apart, or
+    unequal ones together. So the candidates near the best float score are
+    ranked by their distinct vectors of per-group one-counts k_g (at most 121
+    for two groups at n = 20), each scored with the integer
+    prod_g a_g^k_g (b_g - a_g)^(size_g - k_g), where a_g / b_g is the float
+    p_g's exact ratio: the prior times the constant prod_g b_g^size_g."""
+    log_odds = [math.log2(p / (1.0 - p)) for _, p in groups]
+    scale = sum(int(mask).bit_count() * abs(l) for (mask, _), l in zip(groups, log_odds))
+    cands = cands[score >= score.max() - _DECODE_RTOL * scale]
+    counts = np.stack([np.bitwise_count(cands & np.uint64(mask)) for mask, _ in groups], axis=1)
+    vecs, inv = np.unique(counts, axis=0, return_inverse=True)
+    terms = [(*p.as_integer_ratio(), int(mask).bit_count()) for mask, p in groups]
+    priors = [
+        math.prod(a**k * (b - a) ** (size - k) for (a, b, size), k in zip(terms, vec.tolist()))
+        for vec in vecs
+    ]
+    top = max(priors)
+    return cands[np.array([prior == top for prior in priors])[inv.reshape(-1)]]
+
+
 def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
     """Maximum-likelihood decode of an n-bit string from subset parities.
 
@@ -439,8 +468,10 @@ def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
     (position_mask, p_one) pairs partitioning the positions; within a group
     each bit is independently 1 with probability p_one. Candidates carrying
     zero prior are discarded (ZeroPriorError when none is left); the survivor
-    with the largest prior wins, smallest value first among exact ties.
-    Returns (decoded, n_consistent, tie)."""
+    with the largest prior wins, smallest value first among exact ties. Priors
+    are ranked by float log-odds sums; with more than one scored group, those
+    near the top are re-ranked exactly (_exact_best), so a tie is never lost
+    to rounding. Returns (decoded, n_consistent, tie)."""
     x0, basis = _parity_coset(n, masks, parity_bits)
     cands = np.array([x0], dtype=np.uint64)
     for v in basis:
@@ -457,12 +488,18 @@ def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
     if cands.size == 0:
         raise ZeroPriorError(n_consistent)
     score = np.zeros(cands.size)
+    scored = []
     for mask, p in prior_groups:
         if mask == 0 or p <= 0.0 or p >= 1.0 or p == 0.5:
             continue
+        scored.append((mask, p))
         ones = np.bitwise_count(cands & np.uint64(mask)).astype(np.float64)
         score += ones * math.log2(p / (1.0 - p))
-    best = cands[score == score.max()]
+    if len(scored) > 1:
+        best = _exact_best(cands, score, scored)
+    else:
+        # one term k * log-odds: its rounding keeps the order of the counts k
+        best = cands[score == score.max()]
     return int(best.min()), n_consistent, bool(best.size > 1)
 
 

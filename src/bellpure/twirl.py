@@ -76,12 +76,18 @@ def sampled_twirl(
     rng = ensemble.stream(seed, stream_id)
     gram = np.zeros((16, 16))
     buf = np.empty((min(n, TWIRL_BATCH), 4, 4))
+    scratch = buf.reshape(-1)  # holds the row norms until the einsum fills buf
     left = n
     while left > 0:
         m = min(TWIRL_BATCH, left)
         q = rng.normal(size=(m, 4))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        p = np.multiply(q[:, :, None], q[:, None, :], out=buf[:m]).reshape(m, 16)
+        # ((q0^2 + q1^2) + q2^2) + q3^2: linalg.norm's add.reduce order
+        norm, sq = scratch[:m], scratch[m : 2 * m]
+        np.square(q[:, 0], out=norm)
+        for i in (1, 2, 3):
+            norm += np.square(q[:, i], out=sq)
+        q /= np.sqrt(norm, out=norm)[:, None]
+        p = np.einsum("ni,nj->nij", q, q, out=buf[:m]).reshape(m, 16)
         gram += p.T @ p
         left -= m
     avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n
@@ -108,8 +114,14 @@ def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply an independent uniformly drawn discrete twirl to every label,
     drawing one chunk of permutation indices at a time."""
     out = np.empty_like(labels)
+    flat = TWIRL_PERMS.ravel()
     for lo, hi in ensemble.chunks(labels.shape[0]):
-        out[lo:hi] = TWIRL_PERMS[rng.integers(0, len(TWIRL_PERMS), size=hi - lo), labels[lo:hi]]
+        # flat index 4 * j + label of TWIRL_PERMS[j, label], built in place
+        # on the default-int64 draw
+        idx = rng.integers(0, len(TWIRL_PERMS), size=hi - lo)
+        idx *= 4
+        idx += labels[lo:hi]
+        flat.take(idx, out=out[lo:hi])
     return out
 
 

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, measures
+from bellpure import bell, measures, qstate
 from bellpure.bell import (
     BellDiagonal,
     BellLabel,
-    MeasureParity,
     PauliAxis,
     bilateral_rot,
     bxor,
     map_distribution,
-    measure_z,
     to_density,
     unilateral_pauli,
 )
@@ -151,13 +149,23 @@ class TestLabelMatrixEquivalence:
 
 
 class TestMeasureZ:
+    """amp_bit is the outcome of measuring both spins along z: 0 parallel,
+    1 anti-parallel. Checked against each Bell vector's support."""
+
+    PARALLEL = [0, 3]  # uu and dd in the computational order
+
+    def _support(self, label):
+        return np.flatnonzero(qstate.BELL_BASIS[label]).tolist()
+
     def test_phi_states_parallel(self):
-        assert measure_z(L.PHI_PLUS) is MeasureParity.PARALLEL
-        assert measure_z(L.PHI_MINUS) is MeasureParity.PARALLEL
+        for l in (L.PHI_PLUS, L.PHI_MINUS):
+            assert bell.amp_bit(l) == 0
+            assert self._support(l) == self.PARALLEL
 
     def test_psi_states_antiparallel_regardless_of_sign(self):
-        assert measure_z(L.PSI_MINUS) is MeasureParity.ANTIPARALLEL
-        assert measure_z(L.PSI_PLUS) is MeasureParity.ANTIPARALLEL
+        for l in (L.PSI_PLUS, L.PSI_MINUS):
+            assert bell.amp_bit(l) == 1
+            assert self._support(l) == [1, 2]
 
 
 class TestBellDiagonal:

@@ -172,6 +172,7 @@ class TestGoldenOutputs:
             (["breed", "--werner", "0.95", "--pairs", "12", "--trials", "20", "--seed", "7"], "breed_golden.csv"),
             (["recurrence", "0.8", "--steps", "3", "--mc", "20000", "--seed", "11"], "recurrence_mc_golden.csv"),
             (["breed", "--werner", "0.95", "--pairs", "20", "--trials", "10", "--seed", "3"], "breed_n20_golden.csv"),
+            (["twirl", "--werner", "0.9", "--samples", "250001", "--seed", "1"], "twirl_samples_golden.csv"),
         ],
     )
     def test_matches_golden_file(self, capsys, args, golden):

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, protocols, twirl
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.ensemble import (
     CHUNK,
     MAX_AXIS_TRIALS,
+    _labels_from_uniforms,
     _sample_labels,
     random_axis_parallel_prob,
     stream,
@@ -66,6 +69,58 @@ class TestSampleEnsemble:
     def test_zero_probability_labels_never_drawn(self):
         labels = _sample_labels(stream(3), BellDiagonal([0.5, 0.0, 0.0, 0.5]), 100_000)
         assert not np.isin(labels, [1, 2]).any()
+
+
+#: A cdf whose last entry rounds below 1, so a uniform can reach it.
+_SHORT_CDF = np.cumsum([0.822, 0.028, 0.073, 0.077])
+
+
+@st.composite
+def cdfs_and_uniforms(draw):
+    """A label cdf (from weights with zeros, or a point mass) and uniforms at
+    its entries, one float to either side of them, and anywhere in [0, 1)."""
+    if draw(st.booleans()):
+        p = np.zeros(4)
+        p[draw(st.integers(0, 3))] = 1.0
+    else:
+        w = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=4, max_size=4)))
+        assume(w.sum() > 0.0)
+        p = w / w.sum()
+    cdf = np.cumsum(p)
+    at_entry = st.sampled_from(cdf.tolist()).flatmap(
+        lambda c: st.sampled_from([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)])
+    )
+    u = draw(st.lists(at_entry | st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+    return cdf, np.array(u)
+
+
+class TestLabelsFromUniforms:
+    """The sampler's count-compare form against the capped binary search it
+    replaces."""
+
+    @staticmethod
+    def _capped_searchsorted(cdf, u):
+        return np.minimum(np.searchsorted(cdf, u, side="right"), 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cdfs_and_uniforms())
+    @example((_SHORT_CDF, np.array([_SHORT_CDF[3], np.nextafter(_SHORT_CDF[3], 0.0), np.nextafter(1.0, 0.0)])))
+    def test_matches_capped_searchsorted(self, case):
+        cdf, u = case
+        got = _labels_from_uniforms(cdf, u, np.empty(u.size, dtype=np.uint8))
+        assert np.array_equal(got, self._capped_searchsorted(cdf, u))
+
+    def test_uniform_at_a_short_last_entry_caps_at_three(self):
+        assert _SHORT_CDF[3] < 1.0
+        u = np.array([_SHORT_CDF[3], np.nextafter(1.0, 0.0)])
+        # an uncapped search would return 4 here
+        assert np.searchsorted(_SHORT_CDF, u, side="right").tolist() == [4, 4]
+        assert _labels_from_uniforms(_SHORT_CDF, u, np.empty(2, dtype=np.uint8)).tolist() == [3, 3]
+
+    def test_writes_into_the_given_slice(self):
+        out = np.full(6, 9, dtype=np.uint8)
+        _labels_from_uniforms(np.cumsum([0.25] * 4), np.array([0.0, 0.5, 0.99]), out[2:5])
+        assert out.tolist() == [9, 9, 0, 2, 3, 9]
 
 
 class TestRandomSubset:

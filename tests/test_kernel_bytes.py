@@ -1,0 +1,110 @@
+"""The Monte Carlo kernels' output bytes, pinned by sha256 digest.
+
+The digests were recorded before the kernels' inner loops were last rewritten
+for speed, so any rewrite must keep every draw, its order and every summation
+order. Sizes sit on either side of the chunk (ensemble.CHUNK) and batch
+(twirl.TWIRL_BATCH) boundaries, where a reordering would first show.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from bellpure import measures, protocols, qstate, twirl
+from bellpure.bell import BellDiagonal
+from bellpure.ensemble import CHUNK, _sample_labels, stream
+from bellpure.twirl import TWIRL_BATCH
+
+
+def _digest(*parts) -> str:
+    """sha256 over the parts: arrays by their raw bytes, anything else by its
+    repr, which spells every float exactly."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()
+
+
+SAMPLER_INPUTS = {
+    "werner": measures.werner(0.7),
+    # a zero weight, and a cdf whose last entry rounds to 1 - 2^-53
+    "skewed": BellDiagonal([0.822, 0.028, 0.073, 0.077]),
+    "point_mass": BellDiagonal([0.0, 0.0, 1.0, 0.0]),
+}
+SAMPLER_SIZES = (CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5)
+
+# the sampled twirl's input: a fixed state with complex coherences, far from
+# Werner form
+_G = np.arange(16.0).reshape(4, 4) + 1j * np.array(
+    [[1, -2, 0, 3], [0, 1, 5, -1], [2, 2, -3, 0], [-1, 0, 4, 1]]
+)
+TWIRL_STATE = qstate.DensityMatrix(_G @ _G.conj().T / np.trace(_G @ _G.conj().T).real)
+TWIRL_SIZES = (1, TWIRL_BATCH - 1, TWIRL_BATCH, TWIRL_BATCH + 1, 1_234_567)
+
+#: Blocked recurrence inputs with block sizes k = 2, 3 and 4.
+BLOCK_FIDELITIES = {2: 0.75, 3: 0.9, 4: 0.94}
+
+
+def _sampler(name, n):
+    rng = stream(21, n)
+    labels = _sample_labels(rng, SAMPLER_INPUTS[name], n)
+    # the next draw pins how many uniforms the sampler consumed
+    return _digest(labels, rng.random(1))
+
+
+def _twirl_labels(n):
+    rng = stream(22, n)
+    labels = _sample_labels(rng, SAMPLER_INPUTS["skewed"], n)
+    return _digest(twirl.twirl_labels(labels, rng), rng.random(1))
+
+
+def _sampled_twirl(n):
+    avg, report = twirl.sampled_twirl(TWIRL_STATE, n, seed=23, stream_id=n % 7)
+    return _digest(avg.mat, report)
+
+
+def _variable_block(k):
+    stats = protocols.variable_block_mc(BLOCK_FIDELITIES[k], 10**6, seed=24 + k)
+    assert stats.k == k
+    return _digest(stats)
+
+
+CASES = {
+    **{
+        f"sample_labels-{name}-{n}": (lambda name=name, n=n: _sampler(name, n))
+        for name in SAMPLER_INPUTS
+        for n in SAMPLER_SIZES
+    },
+    **{f"twirl_labels-{n}": (lambda n=n: _twirl_labels(n)) for n in (7, 3 * CHUNK + 5)},
+    "recurrence_mc-0.8-1e7-4": lambda: _digest(protocols.recurrence_mc(0.8, 10**7, 4, seed=5)),
+    **{f"variable_block_mc-k{k}": (lambda k=k: _variable_block(k)) for k in BLOCK_FIDELITIES},
+    **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
+}
+
+DIGESTS = {
+    "sample_labels-werner-1048575": "c5398241d0db0eb21c9a937db1fcc9cfb8007168220c2f3c6719df9cbbbbd3d9",
+    "sample_labels-werner-1048577": "eb662c91de06fe1737a226b68be98a9285ad3d7553f41e958345c50d1f2cf9b9",
+    "sample_labels-werner-3145733": "54d85039e395c56f4b2f53b316d03de2b4d0aa7414d347ceec8dae4c29eff9c3",
+    "sample_labels-skewed-1048575": "2c6ce1aca422b0f4ca6dd8304549c2d28fd8a2a675ca1ab9c0c17c6589adaa5e",
+    "sample_labels-skewed-1048577": "7986b43626c6c758db108c7bf631634993bf4d36af1cf9176a34171ac8d99ac8",
+    "sample_labels-skewed-3145733": "d408fd894a43749e2aadc1e038c4e47efe3aa862725c140c5f8e5ad8cbd6879b",
+    "sample_labels-point_mass-1048575": "0530e94fbd35be07a5634e010bec1c09556772a350a6b1154579ad480c443563",
+    "sample_labels-point_mass-1048577": "98989f9fb542b63f8d0d0be2801f33d1fea2a5dc000636efd3468f3b3e12548e",
+    "sample_labels-point_mass-3145733": "55029ed68eefa9333356496d7913875dcf29de1161169fbef116ae3576434c10",
+    "twirl_labels-7": "8069fb90fa6775e6344dc855393e6002a470283f053707901478278a28e51e4d",
+    "twirl_labels-3145733": "bfc6d5e657525f927e164237372a791e5f298a9405666da7022cd5e3d4a42b3e",
+    "recurrence_mc-0.8-1e7-4": "8ee8909574abb956ef2a895a12855bd19d54f25318cc080202f5e24d3967bf6f",
+    "variable_block_mc-k2": "78791ecdf18fa6822db0186d006a68456ac7142b225f66bf9813312741203111",
+    "variable_block_mc-k3": "a9c3a6bf5460c9dcdc98a67cac6b380c03189365e87d7676e08efed8e75cd641",
+    "variable_block_mc-k4": "ea271be6b198d22269b13cba672216b1ec40731d06a5929ca13daf3625351819",
+    "sampled_twirl-1": "fe4362221932104b82de4c8d4e81c3847b65bde547cb3628e35b6f9a09b55db1",
+    "sampled_twirl-199999": "b0f908fa8e1cad9aed5bbfb2fd7c87b2edc8a2b269504859c3c8fafbc989aced",
+    "sampled_twirl-200000": "0f71a4be48c9a16ff3a8bfe8cc8c2c878dd7b9d39dc07f2268b87a8b423943da",
+    "sampled_twirl-200001": "e4c5cd73afd68c8183c5887641f15383999d04f5e3b1642e4d3042871c137ff7",
+    "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_output_bytes_match_recorded_digest(case):
+    assert CASES[case]() == DIGESTS[case]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, protocols
-from bellpure.bell import BellDiagonal, BellLabel, MeasureParity
+from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.protocols import (
     NotDistillableError,
     breeding_mc,
@@ -221,7 +222,7 @@ def _chain_block_reference(sources, target):
     for s in sources:
         s2, tgt = bell.bxor(s, tgt)
         out_sources.append(s2)
-    keep = bell.measure_z(tgt) is MeasureParity.PARALLEL
+    keep = bell.amp_bit(tgt) == 0  # the target's z spins come out parallel
     return keep, out_sources
 
 
@@ -274,7 +275,7 @@ def _scalar_chain_parity(labels, mask):
         if (mask >> i) & 1:
             s2, tgt = bell.bxor(BellLabel(int(labels[i])), tgt)
             assert s2 == labels[i]  # a Phi+ target never alters a source
-    return 1 if bell.measure_z(tgt) is MeasureParity.ANTIPARALLEL else 0
+    return int(bell.amp_bit(tgt))  # 1: the target's z spins come out anti-parallel
 
 
 class TestBxorParityHelper:
@@ -308,8 +309,10 @@ class TestBxorParityHelper:
 
 def _exhaustive_decode(n, masks, parity_bits, prior_groups):
     """Reference decoder: scan all 2^n strings, keep those that fit every
-    parity and carry non-zero prior, and pick the likeliest, smallest value
-    first among exact ties. Returns (decoded, n_consistent, tie)."""
+    parity, and give each its exact prior, prod p^k (1 - p)^(size - k) over
+    the groups, in Fraction arithmetic on the exact values of the float
+    priors. Picks the likeliest string of non-zero prior, smallest value first
+    among exact ties. Returns (decoded, n_consistent, tie)."""
     cands = np.arange(1 << n, dtype=np.uint64)
     for mask, bit in zip(masks, parity_bits):
         par = np.bitwise_count(cands & np.uint64(mask)).astype(np.uint8) & 1
@@ -317,24 +320,20 @@ def _exhaustive_decode(n, masks, parity_bits, prior_groups):
     if cands.size == 0:
         raise RuntimeError("no parity-consistent candidate")
     n_consistent = int(cands.size)
-    for mask, p in prior_groups:
-        if mask == 0:
-            continue
-        m = np.uint64(mask)
-        if p <= 0.0:
-            cands = cands[np.bitwise_count(cands & m) == 0]
-        elif p >= 1.0:
-            cands = cands[np.bitwise_count(cands & m) == np.bitwise_count(m)]
-    if cands.size == 0:
+    # strings with the same one-count in every group share one prior
+    counts = {c: tuple((c & mask).bit_count() for mask, _ in prior_groups) for c in cands.tolist()}
+    priors = {
+        k: math.prod(
+            Fraction(p) ** ones * (1 - Fraction(p)) ** (mask.bit_count() - ones)
+            for (mask, p), ones in zip(prior_groups, k)
+        )
+        for k in set(counts.values())
+    }
+    top = max(priors.values())
+    if top == 0:
         raise RuntimeError("no candidate with non-zero prior")
-    score = np.zeros(cands.size)
-    for mask, p in prior_groups:
-        if mask == 0 or p <= 0.0 or p >= 1.0 or p == 0.5:
-            continue
-        ones = np.bitwise_count(cands & np.uint64(mask)).astype(np.float64)
-        score += ones * math.log2(p / (1.0 - p))
-    best = cands[score == score.max()]
-    return int(best.min()), n_consistent, bool(best.size > 1)
+    best = [c for c, k in counts.items() if priors[k] == top]
+    return min(best), n_consistent, len(best) > 1
 
 
 def _outcome(decoder, *args):
@@ -355,7 +354,15 @@ def decode_instances(draw):
         parity_bits = draw(st.lists(st.integers(0, 1), min_size=len(masks), max_size=len(masks)))
     n_groups = draw(st.integers(1, 3))
     owner = draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n))
-    priors = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    # groups at one p, or at complements that are exact or one float off,
+    # make priors tie exactly or nearly, where float log-odds sums mislead
+    base = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    related = st.sampled_from([base, 1.0 - base, math.nextafter(1.0 - base, 0.5)])
+    priors = (
+        st.sampled_from([0.0, 0.5, 1.0])
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | related
+    )
     groups = [
         (sum(1 << i for i in range(n) if owner[i] == g), draw(priors)) for g in range(n_groups)
     ]
@@ -378,6 +385,34 @@ class TestMLDecode:
             protocols._ml_decode(3, [0b001], [1], [(0b111, 0.0)])
         assert exc.value.n_consistent == 4
         assert isinstance(exc.value, RuntimeError)
+
+    def test_equal_priors_tie_exactly_despite_rounding(self):
+        # the tests leave two strings of weight 5, with one-counts (0, 5) and
+        # (2, 3) in two groups at p = 0.25: equal priors, but the float sums
+        # 0*l + 5*l and 2*l + 3*l of l = log2(1/3) round apart
+        x0, x1 = 0b1111100000, 0b0011100011
+        masks = [1 << b for b in range(2, 8)] + [0b11, 0b1 << 1 | 0b1 << 8, 0b11 << 8]
+        parities = [(m & x0).bit_count() & 1 for m in masks]
+        groups = [(0b0000011111, 0.25), (0b1111100000, 0.25)]
+        assert protocols._ml_decode(10, masks, parities, groups) == (x1, 2, True)
+        assert _exhaustive_decode(10, masks, parities, groups) == (x1, 2, True)
+
+    def test_breed_probs_run_decodes_like_the_exact_reference(self, monkeypatch):
+        # breed --probs 0.6 0.2 0.05 0.15 --pairs 12 --trials 2000 --seed 7:
+        # both round-2 groups have p = 0.25, so strings of one total weight
+        # tie exactly; float log-odds sums resolved two of these silently
+        calls = []
+        decode = protocols._ml_decode
+
+        def recording_decode(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(protocols, "_ml_decode", recording_decode)
+        _, results = breeding_trials(BellDiagonal([0.6, 0.2, 0.05, 0.15]), 12, 2000, seed=7)
+        assert len(calls) == 4000
+        assert [a for a in calls if _outcome(decode, *a) != _outcome(_exhaustive_decode, *a)] == []
+        assert results[316].tie_round2 and results[748].tie_round2
 
 
 class TestBreeding:
