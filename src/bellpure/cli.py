@@ -4,19 +4,32 @@ twirl reports, and a self-test of the package's internal cross-checks.
 Output contract: every emission starts with a header embedding the tool
 version and the full run configuration. Floats are rendered with repr (exact
 round trip for doubles) in CSV; JSON carries the same values natively, so the
-two formats agree digit for digit. Exit codes: 0 success, 1 internal or
-self-test failure, 2 invalid input.
+two formats agree digit for digit. A float cell with no value (NaN, as from a
+Monte Carlo step that kept no pair) is blank in CSV and null in JSON, like a
+step the Monte Carlo never reached, so the JSON is strict RFC 8259. Exit
+codes: 0 success, 1 internal or self-test failure, 2 invalid input.
+
+Start-up cost: at import this module loads only the standard library and
+measures, which is plain float arithmetic. A command that needs arrays imports
+numpy and the modules built on it (bell, protocols, qstate, twirl) itself;
+`recurrence` and `curves` do so only after their own argument checks. So
+`--version`, usage errors, `recurrence` without `--mc` and the argument errors
+of `recurrence` and `curves` never load numpy. The self-test suites live in
+selftest, which only the `selftest` command imports.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__, measures
 
-from . import __version__, bell, measures, protocols, qstate, twirl
-from .bell import BellDiagonal, BellLabel, PauliAxis
+if TYPE_CHECKING:
+    from . import qstate
 
 #: Largest accepted value of each size argument, so that no argument can make
 #: one run's time or memory unbounded. Larger values exit 2.
@@ -24,12 +37,13 @@ SIZE_LIMITS = {"steps": 1000, "mc": 10**7, "samples": 10**8, "trials": 10**5, "p
 
 
 def _plain(v):
-    """Reduce numpy scalars and enums to plain ints/floats for emission."""
+    """Reduce numpy scalars and enums to plain ints/floats for emission, and a
+    NaN to None (a cell with no value)."""
     if isinstance(v, bool) or v is None or isinstance(v, str):
         return v
     if isinstance(v, float):
-        return float(v)
-    if isinstance(v, (int, np.integer)):
+        return None if math.isnan(v) else float(v)
+    if isinstance(v, numbers.Integral):
         return int(v)
     return v
 
@@ -45,7 +59,7 @@ def _render(columns, rows, config, fmt) -> str:
     if fmt == "csv":
         lines = [
             f"# bellpure {__version__}",
-            f"# config: {json.dumps(config, sort_keys=True)}",
+            f"# config: {json.dumps(config, sort_keys=True, allow_nan=False)}",
             ",".join(columns),
         ]
         for row in rows:
@@ -58,7 +72,7 @@ def _render(columns, rows, config, fmt) -> str:
         "columns": list(columns),
         "rows": [[_plain(row[c]) for c in columns] for row in rows],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(text: str, out_path) -> None:
@@ -95,9 +109,9 @@ def cmd_recurrence(ns) -> int:
         print("error: f0 must be below 1", file=sys.stderr)
         return 2
     if ns.target is not None:
-        trace = protocols.recurrence_trajectory(ns.f0, f_target=ns.target)
+        trace = measures.recurrence_trajectory(ns.f0, f_target=ns.target)
     else:
-        trace = protocols.recurrence_trajectory(ns.f0, max_steps=ns.steps)
+        trace = measures.recurrence_trajectory(ns.f0, max_steps=ns.steps)
     columns = ["step", "fidelity", "p_success", "cumulative_yield"]
     rows = [{"step": 0, "fidelity": ns.f0, "p_success": 1.0, "cumulative_yield": 1.0}]
     for i, st in enumerate(trace.steps, start=1):
@@ -110,6 +124,8 @@ def cmd_recurrence(ns) -> int:
             }
         )
     if ns.mc and trace.steps:
+        from . import protocols
+
         columns += ["mc_fidelity", "mc_fidelity_err", "mc_survival", "mc_survival_err"]
         mc = protocols.recurrence_mc(ns.f0, ns.mc, len(trace.steps), ns.seed)
         for row in rows:
@@ -135,6 +151,9 @@ def cmd_recurrence(ns) -> int:
 
 
 def cmd_breed(ns) -> int:
+    from . import protocols
+    from .bell import BellDiagonal
+
     if ns.werner is not None:
         w = measures.werner(ns.werner)
     else:
@@ -180,6 +199,8 @@ def cmd_curves(ns) -> int:
     if ns.points < 2:
         print("error: need at least 2 points", file=sys.stderr)
         return 2
+    import numpy as np
+
     columns = ["F", "F_minus_half", "D0", "DR", "E"]
     rows = []
     for f in np.linspace(ns.f_min, ns.f_max, ns.points):
@@ -233,11 +254,19 @@ def _load_matrix_file(path: str) -> qstate.DensityMatrix:
         raise ValueError("matrix file is not valid JSON") from None
     if not _is_matrix_json(data):
         raise ValueError("matrix file must hold 4 rows of 4 [re, im] pairs of numbers")
-    arr = np.array(data, dtype=float)
-    return qstate.DensityMatrix(arr[..., 0] + 1j * arr[..., 1])
+    import numpy as np
+
+    from . import qstate
+
+    # each [re, im] pair read as one complex number, with no arithmetic that
+    # could turn an infinite part into NaN
+    return qstate.DensityMatrix(np.array(data, dtype=float).view(complex)[..., 0])
 
 
 def cmd_twirl(ns) -> int:
+    from . import bell, qstate, twirl
+    from .bell import BellLabel
+
     if ns.input is not None:
         rho = _load_matrix_file(ns.input)
     else:
@@ -288,150 +317,10 @@ def cmd_twirl(ns) -> int:
     return 0
 
 
-# self-test checks: each returns the number of assertions it made
-
-
-def _require(ok, message: str) -> None:
-    """One self-test assertion. Unlike assert, it still runs under python -O."""
-    if not ok:
-        raise AssertionError(message)
-
-
-def _check_bxor_bijection() -> int:
-    images = {bell.bxor(s, t) for s in BellLabel for t in BellLabel}
-    _require(len(images) == 16, "BXOR rule is not a bijection")
-    return 16
-
-
-def _check_bxor_matrix_oracle() -> int:
-    regenerated = bell.bxor_table_from_unitaries()
-    for key, val in regenerated.items():
-        _require(bell.bxor(*key) == val, f"BXOR rule mismatch at {key}")
-        _require(bell.BXOR_TABLE[key] == val, f"BXOR table mismatch at {key}")
-    return 16
-
-
-def _check_pauli_maps() -> int:
-    count = 0
-    for axis in PauliAxis:
-        u = bell.unilateral_pauli_unitary(axis)
-        for l in BellLabel:
-            mapped = bell.unilateral_pauli(l, axis)
-            _require(mapped != l, "one-particle pi rotations move every label")
-            _require(bell.unilateral_pauli(mapped, axis) == l, "not an involution")
-            got = u @ bell.label_projector(l).mat @ u.conj().T
-            dev = np.abs(got - bell.label_projector(mapped).mat).max()
-            _require(dev <= 1e-10, f"unilateral {axis} on {l}: deviation {dev}")
-            count += 1
-    return count
-
-
-def _check_bilateral_maps() -> int:
-    count = 0
-    for axis in PauliAxis:
-        u = bell.bilateral_rot_unitary(axis)
-        for l in BellLabel:
-            mapped = bell.bilateral_rot(l, axis)
-            _require(bell.bilateral_rot(mapped, axis) == l, "not an involution")
-            got = u @ bell.label_projector(l).mat @ u.conj().T
-            dev = np.abs(got - bell.label_projector(mapped).mat).max()
-            _require(dev <= 1e-10, f"bilateral {axis} on {l}: deviation {dev}")
-            count += 1
-    _require(
-        all(bell.bilateral_rot(BellLabel.PSI_MINUS, a) == BellLabel.PSI_MINUS for a in PauliAxis),
-        "the singlet must be fixed by every bilateral rotation",
-    )
-    return count
-
-
-def _check_psi_parity_rule() -> int:
-    for s in BellLabel:
-        for t in BellLabel:
-            s2, t2 = bell.bxor(s, t)
-            _require((s2 >= 2) == (s >= 2), "source class must never change")
-            toggled = (t2 >= 2) != (t >= 2)
-            _require(toggled == (s >= 2), "target class toggles exactly on Psi sources")
-    return 32
-
-
-def _check_recurrence_fixed_points() -> int:
-    for f in (0.25, 0.5, 1.0):
-        out, _ = protocols.recurrence_formula(f)
-        _require(out == f, f"fixed point at {f} broken: {out}")
-    return 3
-
-
-def _check_recurrence_enumeration() -> int:
-    count = 0
-    for f in np.linspace(0.55, 0.95, 9):
-        ff, p = protocols.recurrence_formula(float(f))
-        out = protocols.recurrence_step_exact(measures.werner(float(f)), measures.werner(float(f)))
-        _require(abs(out.post_state.fidelity - ff) <= 1e-12, f"post fidelity at {f}")
-        _require(abs(out.p_success - p) <= 1e-12, f"success probability at {f}")
-        count += 2
-    return count
-
-
-def _check_recurrence_matrix_oracle() -> int:
-    count = 0
-    for f1, f2 in ((0.6, 0.6), (0.7, 0.9), (1.0, 1.0)):
-        a = protocols.recurrence_step_exact(measures.werner(f1), measures.werner(f2))
-        b = protocols.density_matrix_oracle_step(measures.werner(f1), measures.werner(f2))
-        _require(abs(a.p_success - b.p_success) <= 1e-10, f"success probability at {f1}, {f2}")
-        _require(np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10, f"post state at {f1}, {f2}")
-        count += 2
-    return count
-
-
-def _check_yield_entropy_identity() -> int:
-    count = 0
-    for f in np.linspace(0.01, 0.99, 25):
-        f = float(f)
-        dev = abs(measures.d0(f) - (1.0 - measures.entropy_bell(measures.werner(f))))
-        _require(dev <= 1e-12, f"D0 vs 1 - S at {f}: deviation {dev}")
-        count += 1
-    return count
-
-
-def _check_werner_mixture_identity() -> int:
-    f = 0.8
-    mix = np.zeros((4, 4), dtype=complex)
-    for psi in qstate.werner_pure_states(f):
-        mix += psi.projector() / 8.0
-    dev = np.abs(mix - bell.to_density(measures.werner(f)).mat).max()
-    _require(dev <= 1e-12, f"eight-state mixture deviates by {dev}")
-    return 1
-
-
-SELFTEST_CHECKS = [
-    ("bxor-table-bijection", _check_bxor_bijection),
-    ("bxor-matrix-oracle", _check_bxor_matrix_oracle),
-    ("unilateral-pauli-maps", _check_pauli_maps),
-    ("bilateral-rotation-maps", _check_bilateral_maps),
-    ("psi-parity-rule", _check_psi_parity_rule),
-    ("recurrence-fixed-points", _check_recurrence_fixed_points),
-    ("recurrence-enumeration-vs-closed-form", _check_recurrence_enumeration),
-    ("recurrence-matrix-oracle", _check_recurrence_matrix_oracle),
-    ("yield-entropy-identity", _check_yield_entropy_identity),
-    ("werner-mixture-identity", _check_werner_mixture_identity),
-]
-
-
 def cmd_selftest(ns) -> int:
-    failures = 0
-    for name, check in SELFTEST_CHECKS:
-        try:
-            count = check()
-        except Exception as exc:  # a failed check must not stop the others
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-        else:
-            print(f"ok   {name} ({count} checks)")
-    if failures:
-        print(f"self-test failed: {failures} of {len(SELFTEST_CHECKS)} suites")
-        return 1
-    print(f"self-test passed: {len(SELFTEST_CHECKS)} suites")
-    return 0
+    from . import selftest
+
+    return selftest.run()
 
 
 def build_parser() -> argparse.ArgumentParser:

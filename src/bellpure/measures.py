@@ -1,12 +1,20 @@
 """Closed-form scalar quantities: binary entropy, the Werner family, the
+two-pair recurrence map on Werner input and its iterated trajectory, the
 breeding yield and its threshold, the formation bound for Werner states, the
 CHSH boundary, the random-axis fidelity relation, and the composite
-recurrence-then-breed yield curve."""
+recurrence-then-breed yield curve.
+
+Everything here is plain float arithmetic. Only werner() loads the array
+layer (bell, and numpy with it), so the closed-form commands start without it.
+"""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bell import BellDiagonal
+if TYPE_CHECKING:
+    from .bell import BellDiagonal
 
 
 def h2(x: float) -> float:
@@ -23,6 +31,8 @@ def werner(f: float) -> BellDiagonal:
     spread evenly over the three triplets."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity {f!r} outside [0, 1]")
+    from .bell import BellDiagonal
+
     g = (1.0 - f) / 3.0
     return BellDiagonal((g, g, g, f))
 
@@ -100,6 +110,74 @@ def parallel_from_fidelity(f: float) -> float:
     return 2.0 * (1.0 - f) / 3.0
 
 
+class NotDistillableError(ValueError):
+    """The recurrence map cannot improve fidelities at or below 1/2."""
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    fidelity: float
+    p_success: float
+    cumulative_yield: float
+
+
+@dataclass(frozen=True)
+class ProtocolTrace:
+    """Per-step record of an iterated recurrence run. cumulative_yield is the
+    surviving-pair count per input pair, prod(p_i / 2)."""
+
+    initial_fidelity: float
+    steps: tuple[TraceStep, ...]
+
+    @property
+    def final_fidelity(self) -> float:
+        return self.steps[-1].fidelity if self.steps else self.initial_fidelity
+
+    @property
+    def cumulative_yield(self) -> float:
+        return self.steps[-1].cumulative_yield if self.steps else 1.0
+
+
+def recurrence_formula(f: float) -> tuple[float, float]:
+    """Closed-form action of one two-pair test on Werner input: returns the
+    output fidelity and the success probability.
+
+    Written with both numerator and denominator scaled by 9 so the fixed
+    points at 1/4, 1/2 and 1 come out exact in floating point.
+    """
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity {f!r} outside [0, 1]")
+    g = 1.0 - f
+    num9 = 9.0 * f * f + g * g
+    den9 = 9.0 * f * f + 6.0 * f * g + 5.0 * g * g
+    return num9 / den9, den9 / 9.0
+
+
+def recurrence_trajectory(
+    f0: float, f_target: float | None = None, max_steps: int = 1000
+) -> ProtocolTrace:
+    """Iterate the closed-form map from f0 until the fidelity reaches
+    f_target (or max_steps runs out), tracking prod(p_i / 2)."""
+    if not 0.0 <= f0 < 1.0:
+        raise ValueError(f"starting fidelity {f0!r} outside [0, 1)")
+    if f0 <= 0.5:
+        raise NotDistillableError("not distillable below F=1/2")
+    if f_target is not None and not 0.0 < f_target < 1.0:
+        raise ValueError("target fidelity must lie in (0, 1)")
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    steps: list[TraceStep] = []
+    f = f0
+    acc = 1.0
+    while len(steps) < max_steps:
+        if f_target is not None and f >= f_target:
+            break
+        f, p = recurrence_formula(f)
+        acc *= 0.5 * p
+        steps.append(TraceStep(f, p, acc))
+    return ProtocolTrace(f0, tuple(steps))
+
+
 #: Most recurrence steps that dr_curve tries before breeding.
 DR_MAX_STEPS = 64
 
@@ -115,9 +193,6 @@ def dr_curve(f: float) -> float:
     terms) and the product only shrinks, so no later step can win."""
     if not 0.5 < f < 1.0:
         raise ValueError(f"dr_curve needs 1/2 < f < 1, got {f!r}")
-    # imported here: protocols layers on top of this module
-    from .protocols import recurrence_formula
-
     best = max(0.0, d0(f))
     cur = f
     acc = 1.0

@@ -1,11 +1,15 @@
 """Pair-sacrifice purification protocols.
 
 Contents: the exact two-pair recurrence step (label-level enumeration plus a
-full density-matrix replay used as an independent oracle), iterated
-trajectories with surviving-pair yield bookkeeping, label-level Monte Carlo
-ensembles, the variable-blocksize variant, and the breeding protocol built on
-random-subset parity tests with a maximum-likelihood decoder that solves the
-parities over GF(2) and searches only the strings that fit them.
+full density-matrix replay used as an independent oracle), label-level Monte
+Carlo ensembles, the variable-blocksize variant, and the breeding protocol
+built on random-subset parity tests with a maximum-likelihood decoder that
+solves the parities over GF(2) and searches only the strings that fit them.
+
+The closed-form map on Werner input (recurrence_formula) and its iterated
+trajectory with surviving-pair yield bookkeeping (recurrence_trajectory,
+ProtocolTrace, TraceStep, NotDistillableError) live in measures, which needs
+no numpy; they are imported here under the same names.
 """
 from __future__ import annotations
 
@@ -16,6 +20,13 @@ import numpy as np
 
 from . import bell, ensemble, measures, qstate, twirl
 from .bell import BellDiagonal, BellLabel, PauliAxis
+from .measures import (  # noqa: F401  (the closed-form map, re-exported here)
+    NotDistillableError,
+    ProtocolTrace,
+    TraceStep,
+    recurrence_formula,
+    recurrence_trajectory,
+)
 
 #: Largest breeding run. The decoder enumerates the 2^(n - rank) strings that
 #: fit the parity tests, up to 2^n when the tests have rank 0, so the cap bounds
@@ -25,10 +36,6 @@ MAX_BREEDING_PAIRS = 20
 #: Largest accepted delta and r_margin. r_margin sets the tests per round,
 #: ceil(n*H + r_margin*sqrt(n)), so the cap bounds each round's subset draw.
 MAX_BREEDING_MARGIN = 100.0
-
-
-class NotDistillableError(ValueError):
-    """The recurrence map cannot improve fidelities at or below 1/2."""
 
 
 class ZeroPriorError(RuntimeError):
@@ -50,45 +57,6 @@ class RecurrenceOutcome:
     post_state: BellDiagonal | None
     p_success: float
     post_state_raw: BellDiagonal | None
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    fidelity: float
-    p_success: float
-    cumulative_yield: float
-
-
-@dataclass(frozen=True)
-class ProtocolTrace:
-    """Per-step record of an iterated recurrence run. cumulative_yield is the
-    surviving-pair count per input pair, prod(p_i / 2)."""
-
-    initial_fidelity: float
-    steps: tuple[TraceStep, ...]
-
-    @property
-    def final_fidelity(self) -> float:
-        return self.steps[-1].fidelity if self.steps else self.initial_fidelity
-
-    @property
-    def cumulative_yield(self) -> float:
-        return self.steps[-1].cumulative_yield if self.steps else 1.0
-
-
-def recurrence_formula(f: float) -> tuple[float, float]:
-    """Closed-form action of one two-pair test on Werner input: returns the
-    output fidelity and the success probability.
-
-    Written with both numerator and denominator scaled by 9 so the fixed
-    points at 1/4, 1/2 and 1 come out exact in floating point.
-    """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity {f!r} outside [0, 1]")
-    g = 1.0 - f
-    num9 = 9.0 * f * f + g * g
-    den9 = 9.0 * f * f + 6.0 * f * g + 5.0 * g * g
-    return num9 / den9, den9 / 9.0
 
 
 _Y_IMAGE = bell.unilateral_pauli(bell.LABELS, PauliAxis.Y)
@@ -145,31 +113,6 @@ def density_matrix_oracle_step(m1: BellDiagonal, m2: BellDiagonal) -> Recurrence
     src = _U_Y.conj().T @ src @ _U_Y
     raw = BellDiagonal(bell.bell_diagonal_part(src))
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
-
-
-def recurrence_trajectory(
-    f0: float, f_target: float | None = None, max_steps: int = 1000
-) -> ProtocolTrace:
-    """Iterate the closed-form map from f0 until the fidelity reaches
-    f_target (or max_steps runs out), tracking prod(p_i / 2)."""
-    if not 0.0 <= f0 < 1.0:
-        raise ValueError(f"starting fidelity {f0!r} outside [0, 1)")
-    if f0 <= 0.5:
-        raise NotDistillableError("not distillable below F=1/2")
-    if f_target is not None and not 0.0 < f_target < 1.0:
-        raise ValueError("target fidelity must lie in (0, 1)")
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
-    steps: list[TraceStep] = []
-    f = f0
-    acc = 1.0
-    while len(steps) < max_steps:
-        if f_target is not None and f >= f_target:
-            break
-        f, p = recurrence_formula(f)
-        acc *= 0.5 * p
-        steps.append(TraceStep(f, p, acc))
-    return ProtocolTrace(f0, tuple(steps))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ TRACE_TOL = 1e-9
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-12
 NORM_TOL = 1e-12
+#: Largest real or imaginary part a DensityMatrix entry may have. A density
+#: matrix's entries have modulus at most 1, and the bound keeps the sums and
+#: differences of its checks far from float overflow.
+MAX_ENTRY = 2.0
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -132,7 +136,7 @@ class DensityMatrix:
     The trace is renormalized when within 1e-9 of 1 (float drift); anything
     further off is rejected as a caller bug, as are matrices that fail the
     Hermiticity (1e-12) or positivity (-1e-10) tolerances, or that hold a
-    non-finite entry.
+    non-finite entry or one with a part beyond MAX_ENTRY.
     """
 
     __slots__ = ("mat",)
@@ -141,8 +145,11 @@ class DensityMatrix:
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
+        largest = np.abs(m.view(float)).max()
+        if not largest <= MAX_ENTRY:  # also true for NaN
+            if not np.isfinite(m).all():
+                raise ValueError("matrix has non-finite entries")
+            raise ValueError(f"matrix entry part {largest:.3g} beyond {MAX_ENTRY:g} in magnitude")
         herm_dev = np.abs(m - m.conj().T).max()
         if herm_dev > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3g})")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,24 @@ class TestRecurrenceCommand:
         _, _, rows = parse_csv(out)
         assert rows[1]["mc_survival"] != ""
         assert [r["mc_fidelity"] for r in rows[2:]] == [""] * 4
+
+    def test_step_that_kept_no_pair_has_empty_cells_and_strict_json(self, capsys):
+        # two pairs, one test, and the target measured anti-parallel: step 1
+        # keeps no pair, so its fidelity and error have no value
+        base = ["recurrence", "0.6", "--steps", "2", "--mc", "2", "--seed", "3"]
+        code, json_text, _ = run(capsys, base + ["--format", "json"])
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(json_text, parse_constant=reject)
+        assert doc["rows"][1][4:] == [None, None, 0.0, 0.0]
+        code, csv_text, _ = run(capsys, base)
+        assert code == 0
+        _, _, rows = parse_csv(csv_text)
+        assert [rows[1][c] for c in ("mc_fidelity", "mc_fidelity_err", "mc_survival")] == ["", "", "0.0"]
+        assert "nan" not in csv_text
 
 
 class TestHeaderContract:
@@ -402,6 +421,49 @@ class TestSelftest:
         assert "FAIL bxor-matrix-oracle" in proc.stdout
 
 
+#: Commands that must run without importing numpy: the closed-form map, the
+#: argument errors caught before any array work, a usage error and --version.
+NUMPY_FREE_RUNS = [
+    (["recurrence", "0.7", "--target", "0.99"], 0),
+    (["recurrence", "0.7", "--steps", "3"], 0),
+    (["curves", "--points", "1"], 2),
+    (["recurrence", "0.7"], 2),
+    (["--version"], 0),
+]
+
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import bellpure.measures
+report = {"measures": "numpy" in sys.modules, "runs": []}
+from bellpure import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    report["runs"].append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    def test_closed_form_and_error_paths_never_import_numpy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(bellpure.__file__).parents[1]))
+        argvs = json.dumps([argv for argv, _ in NUMPY_FREE_RUNS])
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, argvs], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["measures"] is False, "import bellpure.measures loaded numpy"
+        assert report["runs"] == [[code, False] for _, code in NUMPY_FREE_RUNS]
+
+    def test_lazy_exports_resolve(self):
+        assert bellpure.BellLabel is BellLabel
+        assert bellpure.werner is measures.werner
+        assert set(bellpure.__all__) <= set(dir(bellpure))
+        with pytest.raises(AttributeError):
+            bellpure.MeasureParity
+
+
 class TestParsing:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, ["--version"])
@@ -414,3 +476,144 @@ class TestParsing:
     def test_missing_required_group(self, capsys):
         code, _, _ = run(capsys, ["recurrence", "0.7"])
         assert code == 2
+
+
+# --- the CLI boundary as a property -----------------------------------------
+
+#: Strings every float flag draws from, beside hypothesis's own floats.
+ODD_FLOATS = ["nan", "inf", "-inf", "-0.0", "-0.5", "0", "0.25", "0.5", "1", "1.5", "1e308", "abc", ""]
+#: Values rejected before any run starts, by every command that reads a fidelity.
+REJECTED_FIDELITIES = ["nan", "-0.5", "1.5", "inf", "-inf"]
+#: (--f-min, --f-max) pairs that curves rejects before building its grid.
+REJECTED_RANGES = [("nan", "0.9"), ("0.4", "0.9"), ("0.9", "0.6"), ("0.6", "1.0"), ("0.6", "inf")]
+
+_DIAG = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+
+
+def _with_cell(value, i=0, j=0, part=0):
+    m = json.loads(json.dumps(_DIAG))
+    m[i][j][part] = value
+    return m
+
+
+MATRIX_FILES = [
+    json.dumps(_DIAG).encode(),
+    json.dumps(_with_cell(0.5, 0, 1)).encode(),  # not Hermitian
+    json.dumps(_with_cell(-0.25)).encode(),  # trace off
+    json.dumps([[[1.5 if i == j == 0 else -0.5 if i == j == 1 else 0.0, 0.0] for j in range(4)] for i in range(4)]).encode(),
+    json.dumps(_with_cell(float("nan"))).encode(),
+    json.dumps(_with_cell(float("inf"), 1, 2, 1)).encode(),
+    json.dumps(_with_cell(1e308)).encode(),
+    json.dumps([[[1e308, 0.0]] * 4] * 4).encode(),  # Hermitian, with overflowing sums
+    b'{"a": 1}',
+    b'"text"',
+    b"42",
+    b"null",
+    b"",
+    b"[]",
+    json.dumps([[[0.25, 0.0]] * 4] * 3 + [[[0.25, 0.0]] * 3]).encode(),  # ragged
+    b"[" * 100_000,
+    json.dumps([[["0.25", 0.0]] * 4] * 4).encode(),
+    json.dumps([[[True, 0.0]] * 4] * 4).encode(),
+    json.dumps([[[10**400, 0]] * 4] * 4).encode(),
+    b" " * MAX_MATRIX_FILE_BYTES + b"[]",
+    b"\xff\xfe[",
+    b"[[[0.25, 0.0],",
+]
+
+_cell = st.floats(allow_nan=True, allow_infinity=True)
+_drawn_matrix = st.lists(
+    st.lists(st.tuples(_cell, _cell), min_size=4, max_size=4), min_size=4, max_size=4
+).map(lambda m: json.dumps(m).encode())
+
+
+@st.composite
+def boundary_runs(draw):
+    """(argv, input bytes or None) for any subcommand, with odd values in every
+    flag. The placeholders INPUT and OUT stand for paths in a fresh directory.
+    A size at its limit comes only with an input that its command rejects before
+    the run starts, so that no drawn run is large."""
+    floats = (
+        st.sampled_from(ODD_FLOATS + ["0.5000001", "0.7", "0.95", "0.999999"])
+        | st.floats(0.5, 1.0).map(repr)
+        | st.floats().map(repr)
+    )
+
+    def size(name, *small):
+        value = draw(st.sampled_from([-1, 0, *small, SIZE_LIMITS[name], SIZE_LIMITS[name] + 1]))
+        return str(value), value == SIZE_LIMITS[name] and name != "steps"
+
+    def fidelity(rejected):
+        return draw(st.sampled_from(REJECTED_FIDELITIES) if rejected else floats)
+
+    def seed():
+        return ["--seed", str(draw(st.integers(2**64 - 2, 2**64 + 2) | st.sampled_from([-1, 0, 7, 2**63])))]
+
+    command = draw(st.sampled_from(["recurrence", "breed", "curves", "twirl", "selftest", "none"]))
+    data = None
+    if command == "recurrence":
+        mc, heavy = size("mc", 2, 3, 50, 3000)
+        args = ["recurrence", fidelity(heavy)]
+        if draw(st.booleans()):
+            args += ["--target", draw(floats)]
+        else:
+            args += ["--steps", size("steps", 1, 3)[0]]
+        if heavy or draw(st.booleans()):
+            args += ["--mc", mc]
+        args += seed()
+    elif command == "breed":
+        trials, heavy = size("trials", 1, 3)
+        if heavy or draw(st.booleans()):
+            args = ["breed", "--werner", fidelity(heavy)]
+        else:
+            valid = st.sampled_from([["0.7", "0.1", "0.1", "0.1"], ["1", "0", "0", "0"], ["0.25"] * 4])
+            args = ["breed", "--probs", *draw(valid | st.lists(floats, min_size=4, max_size=4))]
+        args += ["--pairs", str(draw(st.sampled_from([-1, 0, 1, 3, 8, 21])))]
+        args += ["--trials", trials] + seed()
+        margins = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.05", "2", "100", "100.5", "abc"])
+        if draw(st.booleans()):
+            args += ["--delta", draw(margins), "--r-margin", draw(margins)]
+    elif command == "curves":
+        points, heavy = size("points", 2, 3, 30)
+        f_min, f_max = draw(st.sampled_from(REJECTED_RANGES)) if heavy else (draw(floats), draw(floats))
+        args = ["curves", "--f-min", f_min, "--f-max", f_max, "--points", points]
+    elif command == "twirl":
+        samples, heavy = size("samples", 1, 2, 1000)
+        if not heavy and draw(st.booleans()):
+            args = ["twirl", "--input", "INPUT"]
+            data = draw(st.sampled_from(MATRIX_FILES) | _drawn_matrix)
+        else:
+            args = ["twirl", "--werner", fidelity(heavy)]
+        if heavy or draw(st.booleans()):
+            args += ["--samples", samples]
+        args += seed()
+    elif command == "selftest":
+        args = ["selftest"]
+    else:
+        args = draw(st.sampled_from([[], ["frobnicate"], ["--bogus"], ["-h"]]))
+    if command not in ("selftest", "none"):
+        args += draw(st.sampled_from([[], ["--format", "json"], ["--format", "xml"], ["--out", "OUT"],
+                                      ["--out", "missing/OUT"]]))
+    return args, data
+
+
+class TestBoundaryProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_runs())
+    def test_exit_code_and_stderr_contract(self, run_spec):
+        args, data = run_spec
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"INPUT": os.path.join(tmp, "in.json"), "OUT": os.path.join(tmp, "out.txt"),
+                     "missing/OUT": os.path.join(tmp, "missing", "out.txt")}
+            if data is not None:
+                Path(paths["INPUT"]).write_bytes(data)
+            argv = [paths.get(a, a) for a in args]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in ((0, 1) if args == ["selftest"] else (0, 2))
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1

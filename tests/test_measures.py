@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, protocols, qstate
+from bellpure import bell, measures, protocols, qstate
 from bellpure.measures import (
     DR_MAX_STEPS,
     chsh_threshold,
@@ -20,7 +20,7 @@ from bellpure.measures import (
     parallel_from_fidelity,
     werner,
 )
-from bellpure.protocols import recurrence_formula
+from bellpure.measures import recurrence_formula
 
 
 class TestH2:
@@ -227,11 +227,15 @@ class TestDrCurve:
             calls += 1
             return recurrence_formula(f)
 
-        monkeypatch.setattr(protocols, "recurrence_formula", counted)
+        monkeypatch.setattr(measures, "recurrence_formula", counted)
         grid = np.linspace(0.505, 0.995, 200)
         for f in grid:
             dr_curve(float(f))
-        assert calls / len(grid) < 16
+        assert 0 < calls / len(grid) < 16
+
+    def test_protocols_reads_the_closed_form_map_from_here(self):
+        for name in ("recurrence_formula", "recurrence_trajectory", "TraceStep", "ProtocolTrace", "NotDistillableError"):
+            assert getattr(protocols, name) is getattr(measures, name)
 
     def test_domain(self):
         with pytest.raises(ValueError):

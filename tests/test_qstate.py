@@ -268,6 +268,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
 
+    @pytest.mark.parametrize("value", [1e308, -1.7976931348623157e308, 2.5, 1e308j])
+    def test_density_rejects_huge_entry_without_overflow(self, value):
+        # Hermitian, so only the bound stops the checks' sums overflowing, which
+        # the suite's warnings-as-errors setting would turn into a crash
+        upper = np.triu(np.ones((4, 4)), 1)
+        m = value * (upper - upper.T) if isinstance(value, complex) else np.full((4, 4), value)
+        with pytest.raises(ValueError, match="beyond 2 in magnitude"):
+            DensityMatrix(m)
+
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
             PureState([1, 1, 1, 1])
