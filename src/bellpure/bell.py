@@ -9,11 +9,11 @@ Every label rule is written once here, as a two-bit integer operation that
 acts on a BellLabel or elementwise on a uint8 label array: one-particle pi
 rotations are XORs (X ^2, Y ^3, Z ^1), the two-particle pi/2 rotations are
 one permutation array per axis, and the bilateral controlled-NOT is
-(s, t) -> (s ^ (t & 1), t ^ (s & 2)). BXOR_TABLE is derived from that rule.
+(s, t) -> (s ^ (t & 1), t ^ (s & 2)).
 
 All maps here drop global phases. The matrix-level unitaries that certify
 every rule are built below from `qstate`; the test suite and the CLI
-self-test conjugate Bell projectors by them and check each table row
+self-test conjugate Bell projectors by them and check each rule's image
 (projectors are insensitive to the dropped phases, so the comparison is
 exact).
 """
@@ -93,11 +93,6 @@ def amp_bit(label):
     Phi states, whose z spins come out parallel. Measuring both spins of a
     pair along z (which consumes it) reads this bit and nothing more."""
     return label >> 1
-
-
-# The bilateral controlled-NOT as a lookup table, certified against the
-# unitaries below by the test suite and the CLI self-test.
-BXOR_TABLE = {(s, t): bxor(s, t) for s in BellLabel for t in BellLabel}
 
 
 class BellDiagonal:

@@ -1,18 +1,23 @@
 """Command-line surface: recurrence traces, breeding summaries, yield curves,
 twirl reports, and a self-test of the package's internal cross-checks.
 
-Output contract: every emission starts with a header embedding the tool
-version and the full run configuration. Floats are rendered with repr (exact
-round trip for doubles) in CSV; JSON carries the same values natively, so the
-two formats agree digit for digit. A float cell with no value (NaN, as from a
-Monte Carlo step that kept no pair) is blank in CSV and null in JSON, like a
-step the Monte Carlo never reached, so the JSON is strict RFC 8259. Exit
-codes: 0 success, 1 internal or self-test failure, 2 invalid input.
+Output contract: every table command builds its rows as dicts and hands them
+to _emit, the one emission path. The first row's keys are the columns. Every
+emission starts with a header embedding the tool version and the full run
+configuration. Floats are rendered with repr (exact round trip for doubles) in
+CSV; JSON carries the same values natively, so the two formats agree digit for
+digit. A float cell with no value (NaN, as from a Monte Carlo step that kept no
+pair) is blank in CSV and null in JSON, like a step the Monte Carlo never
+reached, so the JSON is strict RFC 8259.
+
+Exit codes: 0 success, 1 internal or self-test failure, 2 invalid input. An
+invalid input raises ValueError (or OSError for an unusable path) into main,
+the one exit-2 path, which prints it as a single `error:` line.
 
 Start-up cost: at import this module loads only the standard library and
 measures, which is plain float arithmetic. A command that needs arrays imports
 numpy and the modules built on it (bell, protocols, qstate, twirl) itself;
-`recurrence` and `curves` do so only after their own argument checks. So
+`recurrence` and `curves` do so only after their arguments are checked. So
 `--version`, usage errors, `recurrence` without `--mc` and the argument errors
 of `recurrence` and `curves` never load numpy. The self-test suites live in
 selftest, which only the `selftest` command imports.
@@ -55,38 +60,34 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
-def _render(columns, rows, config, fmt) -> str:
-    if fmt == "csv":
+def _emit(ns, rows) -> int:
+    """Render rows under the config header as ns.format and write them to
+    ns.out, or stdout without one. The columns are the first row's keys."""
+    columns = list(rows[0])
+    config = {k: v for k, v in vars(ns).items() if k not in ("func", "out")}
+    if ns.format == "csv":
         lines = [
             f"# bellpure {__version__}",
             f"# config: {json.dumps(config, sort_keys=True, allow_nan=False)}",
             ",".join(columns),
         ]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        return "\n".join(lines) + "\n"
-    doc = {
-        "tool": "bellpure",
-        "version": __version__,
-        "config": config,
-        "columns": list(columns),
-        "rows": [[_plain(row[c]) for c in columns] for row in rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = {
+            "tool": "bellpure",
+            "version": __version__,
+            "config": config,
+            "columns": columns,
+            "rows": [[_plain(row[c]) for c in columns] for row in rows],
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _config(ns) -> dict:
-    """The run configuration embedded in every header: each parsed argument
-    except the output path."""
-    return {k: v for k, v in vars(ns).items() if k not in ("func", "out")}
+    return 0
 
 
 def _check_sizes(ns) -> None:
@@ -102,18 +103,15 @@ def _add_output_args(p) -> None:
 
 
 def cmd_recurrence(ns) -> int:
-    if ns.f0 <= 0.5:
-        print("error: not distillable below F=1/2", file=sys.stderr)
-        return 2
-    if ns.f0 >= 1.0:
-        print("error: f0 must be below 1", file=sys.stderr)
-        return 2
     if ns.target is not None:
         trace = measures.recurrence_trajectory(ns.f0, f_target=ns.target)
     else:
         trace = measures.recurrence_trajectory(ns.f0, max_steps=ns.steps)
-    columns = ["step", "fidelity", "p_success", "cumulative_yield"]
-    rows = [{"step": 0, "fidelity": ns.f0, "p_success": 1.0, "cumulative_yield": 1.0}]
+    run_mc = bool(ns.mc and trace.steps)
+    # every mc_* cell starts blank, and a step the Monte Carlo never reaches keeps it so
+    mc_columns = ("mc_fidelity", "mc_fidelity_err", "mc_survival", "mc_survival_err")
+    blank = dict.fromkeys(mc_columns) if run_mc else {}
+    rows = [{"step": 0, "fidelity": ns.f0, "p_success": 1.0, "cumulative_yield": 1.0, **blank}]
     for i, st in enumerate(trace.steps, start=1):
         rows.append(
             {
@@ -121,33 +119,23 @@ def cmd_recurrence(ns) -> int:
                 "fidelity": st.fidelity,
                 "p_success": st.p_success,
                 "cumulative_yield": st.cumulative_yield,
+                **blank,
             }
         )
-    if ns.mc and trace.steps:
+    if run_mc:
         from . import protocols
 
-        columns += ["mc_fidelity", "mc_fidelity_err", "mc_survival", "mc_survival_err"]
         mc = protocols.recurrence_mc(ns.f0, ns.mc, len(trace.steps), ns.seed)
-        for row in rows:
-            row.setdefault("mc_fidelity", None)
-            row.setdefault("mc_fidelity_err", None)
-            row.setdefault("mc_survival", None)
-            row.setdefault("mc_survival_err", None)
         for st in mc.steps:
-            rows[st.step].update(
-                mc_fidelity=st.fidelity,
-                mc_fidelity_err=st.fidelity_err,
-                mc_survival=st.survival,
-                mc_survival_err=st.survival_err,
-            )
+            cells = (st.fidelity, st.fidelity_err, st.survival, st.survival_err)
+            rows[st.step].update(zip(mc_columns, cells))
         if mc.truncated:
             print(
                 f"note: Monte Carlo ran out of pairs after step {mc.steps[-1].step};"
                 " later mc_* cells are blank",
                 file=sys.stderr,
             )
-    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
-    return 0
+    return _emit(ns, rows)
 
 
 def cmd_breed(ns) -> int:
@@ -166,42 +154,26 @@ def cmd_breed(ns) -> int:
         r_margin=ns.r_margin,
         seed=ns.seed,
     )
-    columns = [
-        "trials",
-        "pairs",
-        "mean_targets_per_pair",
-        "decode_failure_rate",
-        "residual_error_rate",
-        "mean_net_yield",
-        "predicted_net_yield",
-        "budget_exceeded_rate",
-    ]
-    rows = [
-        {
-            "trials": summary.trials,
-            "pairs": summary.n,
-            "mean_targets_per_pair": summary.mean_targets_per_pair,
-            "decode_failure_rate": summary.decode_failure_rate,
-            "residual_error_rate": summary.residual_error_rate,
-            "mean_net_yield": summary.mean_net_yield,
-            "predicted_net_yield": summary.predicted_net_yield,
-            "budget_exceeded_rate": summary.budget_exceeded_rate,
-        }
-    ]
-    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
-    return 0
+    row = {
+        "trials": summary.trials,
+        "pairs": summary.n,
+        "mean_targets_per_pair": summary.mean_targets_per_pair,
+        "decode_failure_rate": summary.decode_failure_rate,
+        "residual_error_rate": summary.residual_error_rate,
+        "mean_net_yield": summary.mean_net_yield,
+        "predicted_net_yield": summary.predicted_net_yield,
+        "budget_exceeded_rate": summary.budget_exceeded_rate,
+    }
+    return _emit(ns, [row])
 
 
 def cmd_curves(ns) -> int:
     if not (0.5 < ns.f_min < ns.f_max < 1.0):
-        print("error: need 0.5 < f-min < f-max < 1", file=sys.stderr)
-        return 2
+        raise ValueError("need 0.5 < f-min < f-max < 1")
     if ns.points < 2:
-        print("error: need at least 2 points", file=sys.stderr)
-        return 2
+        raise ValueError("need at least 2 points")
     import numpy as np
 
-    columns = ["F", "F_minus_half", "D0", "DR", "E"]
     rows = []
     for f in np.linspace(ns.f_min, ns.f_max, ns.points):
         f = float(f)
@@ -214,8 +186,7 @@ def cmd_curves(ns) -> int:
                 "E": measures.e_formation_werner(f),
             }
         )
-    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
-    return 0
+    return _emit(ns, rows)
 
 
 #: Largest accepted --input file. A 4x4 matrix of [re, im] pairs takes a few
@@ -271,16 +242,6 @@ def cmd_twirl(ns) -> int:
         rho = _load_matrix_file(ns.input)
     else:
         rho = bell.to_density(measures.werner(ns.werner))
-    columns = [
-        "n_samples",
-        "fidelity_in",
-        "fidelity_out",
-        "trace_distance_to_werner",
-        "werner_phi_plus",
-        "werner_phi_minus",
-        "werner_psi_plus",
-        "werner_psi_minus",
-    ]
     target = twirl.exact_twirl(rho)
     target_mat = bell.to_density(target)
     base = {
@@ -313,8 +274,7 @@ def cmd_twirl(ns) -> int:
                     **base,
                 }
             )
-    _write(_render(columns, rows, _config(ns), ns.format), ns.out)
-    return 0
+    return _emit(ns, rows)
 
 
 def cmd_selftest(ns) -> int:
@@ -384,10 +344,7 @@ def main(argv=None) -> int:
     try:
         _check_sizes(ns)
         return ns.func(ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

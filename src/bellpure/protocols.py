@@ -5,11 +5,6 @@ full density-matrix replay used as an independent oracle), label-level Monte
 Carlo ensembles, the variable-blocksize variant, and the breeding protocol
 built on random-subset parity tests with a maximum-likelihood decoder that
 solves the parities over GF(2) and searches only the strings that fit them.
-
-The closed-form map on Werner input (recurrence_formula) and its iterated
-trajectory with surviving-pair yield bookkeeping (recurrence_trajectory,
-ProtocolTrace, TraceStep, NotDistillableError) live in measures, which needs
-no numpy; they are imported here under the same names.
 """
 from __future__ import annotations
 
@@ -20,13 +15,6 @@ import numpy as np
 
 from . import bell, ensemble, measures, qstate, twirl
 from .bell import BellDiagonal, BellLabel, PauliAxis
-from .measures import (  # noqa: F401  (the closed-form map, re-exported here)
-    NotDistillableError,
-    ProtocolTrace,
-    TraceStep,
-    recurrence_formula,
-    recurrence_trajectory,
-)
 
 #: Largest breeding run. The decoder enumerates the 2^(n - rank) strings that
 #: fit the parity tests, up to 2^n when the tests have rank 0, so the cap bounds
@@ -77,7 +65,7 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     the measured target, the source is kept only when the target's z spins
     come out parallel, the kept pair is rotated back and then re-twirled to
     Werner form. For m1 = m2 = werner(F) the post fidelity and p_success
-    reproduce the closed form of recurrence_formula exactly.
+    reproduce the closed form of measures.recurrence_formula exactly.
     """
     w = np.outer(_apply_y(m1).p, _apply_y(m2).p).ravel()
     s2, t2 = bell.bxor(_SRC, _TGT)
@@ -179,7 +167,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
             n_kept += kept.size
             n_singlets += int(np.count_nonzero(kept == BellLabel.PSI_MINUS))
         n_in = 2 * n_tests
-        f_formula, p_formula = recurrence_formula(f_formula)
+        f_formula, p_formula = measures.recurrence_formula(f_formula)
         if n_kept:
             fid = n_singlets / n_kept
             fid_err = math.sqrt(max(fid * (1.0 - fid), 0.0) / n_kept)

@@ -23,7 +23,7 @@ def test_01_recurrence_closed_form_match():
     for f in np.linspace(0.505, 0.995, 50):
         f = float(f)
         out = protocols.recurrence_step_exact(measures.werner(f), measures.werner(f))
-        ff, p = protocols.recurrence_formula(f)
+        ff, p = measures.recurrence_formula(f)
         assert abs(out.post_state.fidelity - ff) <= 1e-12
         assert abs(out.p_success - p) <= 1e-12
         assert out.p_success > 0.25
@@ -47,18 +47,18 @@ def test_02_label_vs_density_matrix_oracle():
 
 
 def test_03_fixed_points_and_distillability():
-    out_half, _ = protocols.recurrence_formula(0.5)
-    out_one, _ = protocols.recurrence_formula(1.0)
+    out_half, _ = measures.recurrence_formula(0.5)
+    out_one, _ = measures.recurrence_formula(1.0)
     assert out_half == 0.5
     assert out_one == 1.0
     for f in np.linspace(0.505, 0.995, 99):
         f = float(f)
-        out, _ = protocols.recurrence_formula(f)
+        out, _ = measures.recurrence_formula(f)
         assert out > f
     # any fidelity above 1/2 reaches any target below 1 through a strictly
     # increasing trajectory
     for f0, target in ((0.51, 0.9), (0.6, 0.95), (0.75, 0.999)):
-        trace = protocols.recurrence_trajectory(f0, f_target=target, max_steps=10_000)
+        trace = measures.recurrence_trajectory(f0, f_target=target, max_steps=10_000)
         fids = [f0] + [s.fidelity for s in trace.steps]
         assert all(b > a for a, b in zip(fids, fids[1:]))
         assert trace.final_fidelity >= target
@@ -177,7 +177,7 @@ def test_11_chsh_classification():
     assert measures.is_chsh_violating(0.79)
     assert not measures.is_chsh_violating(0.60)
     # the non-violating state still distills
-    trace = protocols.recurrence_trajectory(0.60, f_target=0.95)
+    trace = measures.recurrence_trajectory(0.60, f_target=0.95)
     assert trace.final_fidelity >= 0.95
     assert measures.dr_curve(0.60) > 0.0
     _passed("11 CHSH threshold exact; F=0.6 is non-violating yet distillable")

@@ -75,6 +75,12 @@ class TestRecurrenceCommand:
         assert code == 2
         assert "not distillable below F=1/2" in err
 
+    @pytest.mark.parametrize("f0", ["1.0", "-0.1"])
+    def test_f0_outside_unit_interval_exits_2_with_one_error_line(self, capsys, f0):
+        code, out, err = run(capsys, ["recurrence", f0, "--steps", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: starting fidelity {float(f0)!r} outside [0, 1)\n"
+
     def test_target_already_met_gives_trivial_trace(self, capsys):
         code, out, _ = run(capsys, ["recurrence", "0.99", "--target", "0.95"])
         assert code == 0
@@ -174,12 +180,27 @@ class TestHeaderContract:
             cells = ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in json_row]
             assert [csv_row[c] for c in columns] == cells
 
-    def test_out_writes_file(self, tmp_path, capsys):
-        path = tmp_path / "trace.csv"
-        code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", "1", "--out", str(path)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["recurrence", "0.7", "--steps", "2"],
+            ["recurrence", "0.7", "--steps", "2", "--mc", "1000", "--seed", "3"],
+            ["breed", "--werner", "0.95", "--pairs", "6", "--trials", "3", "--seed", "1"],
+            ["curves", "--points", "5"],
+            ["twirl", "--werner", "0.8", "--samples", "200", "--seed", "2"],
+        ],
+        ids=["recurrence", "recurrence_mc", "breed", "curves", "twirl"],
+    )
+    def test_out_writes_file(self, tmp_path, capsys, args, fmt):
+        args = args + ["--format", fmt]
+        code, stdout, _ = run(capsys, args)
+        assert code == 0
+        path = tmp_path / "out"
+        code, out, _ = run(capsys, args + ["--out", str(path)])
         assert code == 0
         assert out == ""
-        assert "# bellpure" in path.read_text()
+        assert path.read_bytes() == stdout.encode()
 
 
 class TestGoldenOutputs:
@@ -390,14 +411,6 @@ class TestSelftest:
         assert code == 0
         assert "self-test passed" in out
 
-    def test_corrupted_bxor_table_fails(self, capsys, monkeypatch):
-        broken = dict(bell.BXOR_TABLE)
-        broken[(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)] = (BellLabel.PSI_MINUS, BellLabel.PHI_PLUS)
-        monkeypatch.setattr(bell, "BXOR_TABLE", broken)
-        code, out, _ = run(capsys, ["selftest"])
-        assert code == 1
-        assert "FAIL" in out
-
     def test_corrupted_bxor_rule_fails(self, capsys, monkeypatch):
         # drop the sign kick-back into the source: still a bijection
         monkeypatch.setattr(bell, "bxor", lambda s, t: (s, t ^ (s & 2)))
@@ -422,11 +435,14 @@ class TestSelftest:
 
 
 #: Commands that must run without importing numpy: the closed-form map, the
-#: argument errors caught before any array work, a usage error and --version.
+#: argument errors caught before any array work (the f0 range among them, which
+#: measures.recurrence_trajectory checks), a usage error and --version.
 NUMPY_FREE_RUNS = [
     (["recurrence", "0.7", "--target", "0.99"], 0),
     (["recurrence", "0.7", "--steps", "3"], 0),
     (["curves", "--points", "1"], 2),
+    (["recurrence", "1.0", "--steps", "1"], 2),
+    (["recurrence", "-0.1", "--steps", "1"], 2),
     (["recurrence", "0.7"], 2),
     (["--version"], 0),
 ]
@@ -437,9 +453,11 @@ import bellpure.measures
 report = {"measures": "numpy" in sys.modules, "runs": []}
 from bellpure import cli
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    report["runs"].append([code, "numpy" in sys.modules])
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    report["runs"].append([code, "numpy" in sys.modules, errors])
 print(json.dumps(report))
 """
 
@@ -454,7 +472,9 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["measures"] is False, "import bellpure.measures loaded numpy"
-        assert report["runs"] == [[code, False] for _, code in NUMPY_FREE_RUNS]
+        assert [run[:2] for run in report["runs"]] == [[code, False] for _, code in NUMPY_FREE_RUNS]
+        for (argv, code), (_, _, errors) in zip(NUMPY_FREE_RUNS, report["runs"]):
+            assert len(errors) == (code == 2), (argv, errors)
 
     def test_lazy_exports_resolve(self):
         assert bellpure.BellLabel is BellLabel

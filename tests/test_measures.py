@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, measures, protocols, qstate
+from bellpure import bell, measures, qstate
 from bellpure.measures import (
     DR_MAX_STEPS,
     chsh_threshold,
@@ -232,10 +232,6 @@ class TestDrCurve:
         for f in grid:
             dr_curve(float(f))
         assert 0 < calls / len(grid) < 16
-
-    def test_protocols_reads_the_closed_form_map_from_here(self):
-        for name in ("recurrence_formula", "recurrence_trajectory", "TraceStep", "ProtocolTrace", "NotDistillableError"):
-            assert getattr(protocols, name) is getattr(measures, name)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, protocols
 from bellpure.bell import BellDiagonal, BellLabel
+from bellpure.measures import NotDistillableError, recurrence_formula, recurrence_trajectory
 from bellpure.protocols import (
-    NotDistillableError,
     breeding_mc,
     breeding_trials,
     density_matrix_oracle_step,
     parity_bound_check,
-    recurrence_formula,
     recurrence_mc,
     recurrence_step_exact,
-    recurrence_trajectory,
     variable_block_mc,
 )
 

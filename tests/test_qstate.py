@@ -137,6 +137,13 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(m)
 
+    @pytest.mark.parametrize("upper, lower", [(1e308, -1e308), (1e308j, 1e308j)])
+    def test_rejects_non_hermitian_pair_whose_difference_overflows(self, upper, lower):
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1], m[1, 0] = upper, lower
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(m)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_rejects_non_finite_entry(self, entry):
         m = np.eye(4, dtype=complex) / 4
