@@ -145,18 +145,22 @@ def map_distribution(d: BellDiagonal, image) -> BellDiagonal:
     return BellDiagonal(out)
 
 
+#: Read-only 4x4 projectors onto the Bell states, in Bell order.
+_PROJECTORS = np.array([np.outer(v, v.conj()) for v in qstate.BELL_BASIS])
+_PROJECTORS.setflags(write=False)
+
+
 def label_projector(label: BellLabel) -> qstate.DensityMatrix:
     """Projector onto one Bell state."""
-    v = qstate.BELL_BASIS[BellLabel(label)]
-    return qstate.DensityMatrix(np.outer(v, v.conj()))
+    return qstate.DensityMatrix(_PROJECTORS[BellLabel(label)])
 
 
 def to_density(d: BellDiagonal) -> qstate.DensityMatrix:
-    """Density matrix of a Bell-diagonal distribution."""
+    """Density matrix of a Bell-diagonal distribution: the projectors weighted
+    by d.p, added to zeros in Bell order. DensityMatrix checks the sum once."""
     m = np.zeros((4, 4), dtype=complex)
-    for l in BellLabel:
-        v = qstate.BELL_BASIS[l]
-        m += d.p[l] * np.outer(v, v.conj())
+    for p_l, proj in zip(d.p, _PROJECTORS):
+        m += p_l * proj
     return qstate.DensityMatrix(m)
 
 

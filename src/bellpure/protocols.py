@@ -47,14 +47,12 @@ class RecurrenceOutcome:
     post_state_raw: BellDiagonal | None
 
 
+#: The one-particle y rotation's label image. It is an involution, so pushing
+#: a distribution p through it gives p[_Y_IMAGE].
 _Y_IMAGE = bell.unilateral_pauli(bell.LABELS, PauliAxis.Y)
 
 #: Every (source, target) label pair, source-major.
 _SRC, _TGT = (a.ravel() for a in np.indices((4, 4), dtype=np.uint8))
-
-
-def _apply_y(d: BellDiagonal) -> BellDiagonal:
-    return bell.map_distribution(d, _Y_IMAGE)
 
 
 def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutcome:
@@ -66,15 +64,18 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     come out parallel, the kept pair is rotated back and then re-twirled to
     Werner form. For m1 = m2 = werner(F) the post fidelity and p_success
     reproduce the closed form of measures.recurrence_formula exactly.
+
+    The inputs are checked where they were built, so the step works on their
+    probability arrays and builds only the two BellDiagonals it returns.
     """
-    w = np.outer(_apply_y(m1).p, _apply_y(m2).p).ravel()
+    w = np.outer(m1.p[_Y_IMAGE], m2.p[_Y_IMAGE]).ravel()
     s2, t2 = bell.bxor(_SRC, _TGT)
     parallel = bell.amp_bit(t2) == 0
     post = np.bincount(s2[parallel], weights=w[parallel], minlength=4)
     p_success = float(post.sum())
     if p_success <= 0.0:
         return RecurrenceOutcome(None, 0.0, None)
-    raw = _apply_y(BellDiagonal(post / p_success))
+    raw = BellDiagonal((post / p_success)[_Y_IMAGE])
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
 
 

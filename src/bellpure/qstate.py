@@ -1,6 +1,5 @@
-"""Exact two-qubit state core: 4x4 density matrices, local unitary action,
-partial trace, Hermitian spectra (numpy's eigvalsh), entropies, and the Bell
-basis.
+"""Exact two-qubit state core: 4x4 density matrices, partial trace, Hermitian
+spectra (numpy's eigvalsh), entropies, and the Bell basis.
 
 Conventions, fixed package-wide:
 
@@ -22,7 +21,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-10
-UNITARY_TOL = 1e-12
 NORM_TOL = 1e-12
 #: Largest real or imaginary part a DensityMatrix entry may have. A density
 #: matrix's entries have modulus at most 1, and the bound keeps the sums and
@@ -86,21 +84,6 @@ def as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def _check_unitary(u, what: str = "matrix") -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {u.shape}")
-    dev = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if dev > UNITARY_TOL:
-        raise ValueError(f"{what} is not unitary (deviation {dev:.3g})")
-    return u
-
-
-def bilateral(u_a, u_b) -> np.ndarray:
-    """Joint 4x4 action of party A applying u_a and party B applying u_b."""
-    return np.kron(_check_unitary(u_a, "u_a"), _check_unitary(u_b, "u_b"))
-
-
 def eig_hermitian(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending (numpy's
     eigvalsh). Raises ValueError for a non-square, non-finite or
@@ -160,15 +143,12 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} too far from 1")
         m = m / tr
-        low = float(eig_hermitian(m).min())
+        # m is square, finite and Hermitian by now: eigvalsh needs no re-check
+        low = float(np.linalg.eigvalsh(m).min())
         if low < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {low:.3g}")
         m.setflags(write=False)
         self.mat = m
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         return bool(np.abs(self.mat - as_matrix(other)).max() <= tol)
@@ -193,15 +173,6 @@ class PureState:
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amps, self.amps.conj())
-
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector())
-
-
-def conjugate(rho, u) -> DensityMatrix:
-    """u rho u-dagger for a unitary u; spectrum and trace are preserved."""
-    u = _check_unitary(u, "u")
-    return DensityMatrix(u @ as_matrix(rho) @ u.conj().T)
 
 
 def partial_trace(rho, party: str) -> DensityMatrix:

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellpure import bell, measures, qstate
@@ -16,6 +18,14 @@ from bellpure.bell import (
 )
 
 L = BellLabel
+
+#: Every involutive permutation of the four labels as an image array: the
+#: identity, six swaps and three double swaps (the y rotation's among them).
+INVOLUTIONS = [
+    np.array(img, dtype=np.uint8)
+    for img in itertools.permutations(range(4))
+    if all(img[img[l]] == l for l in range(4))
+]
 
 
 class TestUnilateralPauli:
@@ -206,6 +216,20 @@ class TestMapDistribution:
         d = BellDiagonal([0.1, 0.2, 0.3, 0.4])
         got = map_distribution(d, bilateral_rot(bell.LABELS, PauliAxis.Y))
         assert got.allclose([0.1, 0.3, 0.2, 0.4])
+
+    def test_involutions_cover_the_y_image(self):
+        assert len(INVOLUTIONS) == 10
+        assert any(np.array_equal(img, unilateral_pauli(bell.LABELS, PauliAxis.Y)) for img in INVOLUTIONS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=4, max_size=4))
+    def test_property_involution_push_is_indexing(self, w):
+        # pushing through an involution is indexing by it, bit for bit, which
+        # recurrence_step_exact relies on for its y rotations
+        assume(sum(w) > 0.0)
+        d = BellDiagonal(np.array(w) / sum(w))
+        for img in INVOLUTIONS:
+            assert map_distribution(d, img).p.tobytes() == d.p[img].tobytes()
 
     def test_rejects_non_bijection(self):
         for image in ([0, 0, 0, 0], [0, 1, 2], [[0, 1], [2, 3]]):

@@ -1,17 +1,19 @@
-"""The Monte Carlo kernels' output bytes, pinned by sha256 digest.
+"""The Monte Carlo kernels' and the exact layer's output bytes, pinned by
+sha256 digest.
 
 The digests were recorded before the kernels' inner loops were last rewritten
 for speed, so any rewrite must keep every draw, its order and every summation
 order. Sizes sit on either side of the chunk (ensemble.CHUNK) and batch
-(twirl.TWIRL_BATCH) boundaries, where a reordering would first show.
+(twirl.TWIRL_BATCH) boundaries, where a reordering would first show. The
+exact layer's digest was recorded before its checks were cut to one per value.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
-from bellpure import measures, protocols, qstate, twirl
-from bellpure.bell import BellDiagonal
+from bellpure import bell, measures, protocols, qstate, twirl
+from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.ensemble import CHUNK, _sample_labels, stream
 from bellpure.twirl import TWIRL_BATCH
 
@@ -69,6 +71,36 @@ def _variable_block(k):
     return _digest(stats)
 
 
+def _exact_states():
+    """Werner states and seeded Dirichlet draws, three in four of the draws
+    with one to three weights set to zero."""
+    rng = np.random.default_rng(25)
+    states = [measures.werner(f) for f in (0.0, 0.25, 0.5, 0.7, 0.93, 1.0)]
+    for i in range(200):
+        p = rng.dirichlet(np.ones(4))
+        p[rng.permutation(4)[: i % 4]] = 0.0
+        states.append(BellDiagonal(p / p.sum()))
+    return states
+
+
+def _exact_layer():
+    states = _exact_states()
+    parts = [bell.to_density(d).mat for d in states]
+    parts += [bell.label_projector(l).mat for l in BellLabel]
+    pairs = [(d, d) for d in states[:6]] + list(zip(states, states[1:] + states[:1]))
+    # the singlet as source of a Phi+ target: the target never reads parallel
+    pairs.append((BellDiagonal([0, 0, 0, 1]), BellDiagonal([1, 0, 0, 0])))
+    successes = []
+    for m1, m2 in pairs:
+        out = protocols.recurrence_step_exact(m1, m2)
+        successes.append(out.p_success)
+        parts += [out.p_success] + [
+            None if d is None else d.p for d in (out.post_state, out.post_state_raw)
+        ]
+    assert min(successes) == 0.0 < max(successes)
+    return _digest(*parts)
+
+
 CASES = {
     **{
         f"sample_labels-{name}-{n}": (lambda name=name, n=n: _sampler(name, n))
@@ -79,6 +111,7 @@ CASES = {
     "recurrence_mc-0.8-1e7-4": lambda: _digest(protocols.recurrence_mc(0.8, 10**7, 4, seed=5)),
     **{f"variable_block_mc-k{k}": (lambda k=k: _variable_block(k)) for k in BLOCK_FIDELITIES},
     **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
+    "exact_layer": _exact_layer,
 }
 
 DIGESTS = {
@@ -102,6 +135,7 @@ DIGESTS = {
     "sampled_twirl-200000": "0f71a4be48c9a16ff3a8bfe8cc8c2c878dd7b9d39dc07f2268b87a8b423943da",
     "sampled_twirl-200001": "e4c5cd73afd68c8183c5887641f15383999d04f5e3b1642e4d3042871c137ff7",
     "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
+    "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
 }
 
 
