@@ -16,10 +16,12 @@ the one exit-2 path, which prints it as a single `error:` line.
 
 Start-up cost: at import this module loads only the standard library and
 measures, which is plain float arithmetic. A command that needs arrays imports
-numpy and the modules built on it (bell, protocols, qstate, twirl) itself;
-`recurrence` and `curves` do so only after their arguments are checked. So
-`--version`, usage errors, `recurrence` without `--mc` and the argument errors
-of `recurrence` and `curves` never load numpy. The self-test suites live in
+numpy and the modules built on it (bell, protocols, qstate, twirl) itself, and
+only after its input is checked. `curves` builds its grid in plain floats
+(_grid, equal to np.linspace), and `twirl --input` rejects a malformed or
+non-finite matrix file before numpy loads. So `--version`, usage errors,
+`recurrence` without `--mc`, `curves`, the argument errors of `recurrence` and
+a rejected `twirl --input` file never load numpy. The self-test suites live in
 selftest, which only the `selftest` command imports.
 """
 from __future__ import annotations
@@ -167,16 +169,22 @@ def cmd_breed(ns) -> int:
     return _emit(ns, [row])
 
 
+def _grid(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced points from start to stop, bit for bit those of
+    np.linspace(start, stop, n): start + i * step, then the last set to stop."""
+    step = (stop - start) / (n - 1)
+    points = [start + i * step for i in range(n)]
+    points[-1] = stop
+    return points
+
+
 def cmd_curves(ns) -> int:
     if not (0.5 < ns.f_min < ns.f_max < 1.0):
         raise ValueError("need 0.5 < f-min < f-max < 1")
     if ns.points < 2:
         raise ValueError("need at least 2 points")
-    import numpy as np
-
     rows = []
-    for f in np.linspace(ns.f_min, ns.f_max, ns.points):
-        f = float(f)
+    for f in _grid(ns.f_min, ns.f_max, ns.points):
         rows.append(
             {
                 "F": f,
@@ -225,6 +233,9 @@ def _load_matrix_file(path: str) -> qstate.DensityMatrix:
         raise ValueError("matrix file is not valid JSON") from None
     if not _is_matrix_json(data):
         raise ValueError("matrix file must hold 4 rows of 4 [re, im] pairs of numbers")
+    # DensityMatrix's first check on a 4x4 matrix, made before numpy loads
+    if not all(math.isfinite(x) for row in data for cell in row for x in cell):
+        raise ValueError("matrix has non-finite entries")
     import numpy as np
 
     from . import qstate
@@ -235,12 +246,11 @@ def _load_matrix_file(path: str) -> qstate.DensityMatrix:
 
 
 def cmd_twirl(ns) -> int:
+    rho = None if ns.input is None else _load_matrix_file(ns.input)
     from . import bell, qstate, twirl
     from .bell import BellLabel
 
-    if ns.input is not None:
-        rho = _load_matrix_file(ns.input)
-    else:
+    if rho is None:
         rho = bell.to_density(measures.werner(ns.werner))
     target = twirl.exact_twirl(rho)
     target_mat = bell.to_density(target)

@@ -6,12 +6,13 @@ recurrence-then-breed yield curve.
 
 Everything here is plain float arithmetic. Only werner() loads the array
 layer (bell, and numpy with it), so the closed-form commands start without it.
+The trace records are immutable typing.NamedTuples, so importing this module
+loads nothing beyond math and typing (no dataclasses, no inspect).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .bell import BellDiagonal
@@ -114,15 +115,13 @@ class NotDistillableError(ValueError):
     """The recurrence map cannot improve fidelities at or below 1/2."""
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     fidelity: float
     p_success: float
     cumulative_yield: float
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
+class ProtocolTrace(NamedTuple):
     """Per-step record of an iterated recurrence run. cumulative_yield is the
     surviving-pair count per input pair, prod(p_i / 2)."""
 

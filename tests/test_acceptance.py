@@ -10,6 +10,7 @@ import numpy as np
 from bellpure import bell, ensemble, measures, protocols, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.cli import main
+from test_protocols import blocked_round_exact, y_rotated_werner
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -121,6 +122,10 @@ def test_08_variable_blocksize_lowest_order():
     assert stats.k == 10
     assert abs(stats.fidelity - f_target) <= 3 * stats.fidelity_err + 0.1 * eps
     assert abs(stats.discard_fraction - d_target) <= 3 * stats.discard_err + 0.1 * eps
+    # the exact round, with no lowest-order slack
+    fid, discard = blocked_round_exact(y_rotated_werner(0.99), stats.k)
+    assert abs(stats.fidelity - fid) <= 3 * stats.fidelity_err
+    assert abs(stats.discard_fraction - discard) <= 3 * stats.discard_err
     assert elapsed < 60.0
     _passed("08 variable-blocksize fidelity and discard laws at F=0.99, n=1e6")
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,13 +9,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellpure
 from bellpure import bell, measures
 from bellpure.bell import BellLabel
-from bellpure.cli import MAX_MATRIX_FILE_BYTES, SIZE_LIMITS, main
+from bellpure.cli import MAX_MATRIX_FILE_BYTES, SIZE_LIMITS, _grid, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -50,6 +52,21 @@ def cli_runs(draw):
                 "--trials", str(trials), "--seed", seed]
     f_min, f_max = sorted(draw(st.lists(open_unit, min_size=2, max_size=2, unique=True)))
     return ["curves", "--f-min", repr(f_min), "--f-max", repr(f_max), "--points", str(draw(st.integers(2, 30)))]
+
+
+@st.composite
+def grid_specs(draw):
+    """(start, stop, n) as curves accepts them: 1/2 < start < stop < 1, some
+    of them 1 ulp apart, and 2 <= n <= the --points limit, mostly small."""
+    open_unit = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+    x = draw(open_unit)
+    if draw(st.booleans()):
+        up = math.nextafter(x, 1.0)
+        start, stop = (x, up) if up < 1.0 else (math.nextafter(x, 0.5), x)
+    else:
+        start, stop = sorted((x, draw(open_unit.filter(lambda y: y != x))))
+    n = draw(st.integers(2, 64) | st.integers(2, SIZE_LIMITS["points"]))
+    return start, stop, n
 
 
 def parse_csv(text):
@@ -270,6 +287,15 @@ class TestCurvesCommand:
         assert code == 2
         assert "f-min" in err
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid_specs())
+    @example((0.505, 0.995, 200))  # the default grid
+    @example((0.5000000000000001, 0.9999999999999999, 10**5))
+    @example((0.75, math.nextafter(0.75, 1.0), 2))
+    def test_grid_equals_numpy_linspace_bit_for_bit(self, spec):
+        start, stop, n = spec
+        assert _grid(start, stop, n) == np.linspace(start, stop, n).tolist()
+
 
 class TestTwirlCommand:
     def test_werner_input_reports_invariance(self, capsys):
@@ -434,12 +460,27 @@ class TestSelftest:
         assert "FAIL bxor-matrix-oracle" in proc.stdout
 
 
+#: Matrix files, each a valid diagonal state but for one non-finite cell, and
+#: the line every one of them must be rejected with.
+_DIAG_TEXT = json.dumps([[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)])
+NON_FINITE_FILES = {
+    "nan_re.json": _DIAG_TEXT.replace("[0.25,", "[NaN,", 1),
+    "inf_im.json": _DIAG_TEXT.replace("0.0]", "Infinity]", 1),
+    "1e400.json": _DIAG_TEXT.replace("[0.0,", "[1e400,", 1),  # json reads 1e400 as inf
+}
+NON_FINITE_ERROR = "error: matrix has non-finite entries"
+
 #: Commands that must run without importing numpy: the closed-form map, the
-#: argument errors caught before any array work (the f0 range among them, which
-#: measures.recurrence_trajectory checks), a usage error and --version.
+#: yield curves, the argument errors caught before any array work (the f0 range
+#: among them, which measures.recurrence_trajectory checks), a non-finite
+#: matrix file, a usage error and --version. The startup test runs them in a
+#: directory that holds NON_FINITE_FILES.
 NUMPY_FREE_RUNS = [
     (["recurrence", "0.7", "--target", "0.99"], 0),
     (["recurrence", "0.7", "--steps", "3"], 0),
+    (["curves"], 0),
+    (["curves", "--points", "2", "--format", "json"], 0),
+    *((["twirl", "--input", name], 2) for name in NON_FINITE_FILES),
     (["curves", "--points", "1"], 2),
     (["recurrence", "1.0", "--steps", "1"], 2),
     (["recurrence", "-0.1", "--steps", "1"], 2),
@@ -452,6 +493,7 @@ import contextlib, io, json, sys
 import bellpure.measures
 report = {"measures": "numpy" in sys.modules, "runs": []}
 from bellpure import cli
+report["dataclasses"] = "dataclasses" in sys.modules
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -463,18 +505,24 @@ print(json.dumps(report))
 
 
 class TestStartup:
-    def test_closed_form_and_error_paths_never_import_numpy(self):
+    def test_closed_form_and_error_paths_never_import_numpy(self, tmp_path):
+        for name, text in NON_FINITE_FILES.items():
+            (tmp_path / name).write_text(text)
         env = dict(os.environ, PYTHONPATH=str(Path(bellpure.__file__).parents[1]))
         argvs = json.dumps([argv for argv, _ in NUMPY_FREE_RUNS])
         proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_SCRIPT, argvs], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", _STARTUP_SCRIPT, argvs],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["measures"] is False, "import bellpure.measures loaded numpy"
+        assert report["dataclasses"] is False, "import bellpure.cli loaded dataclasses"
         assert [run[:2] for run in report["runs"]] == [[code, False] for _, code in NUMPY_FREE_RUNS]
         for (argv, code), (_, _, errors) in zip(NUMPY_FREE_RUNS, report["runs"]):
             assert len(errors) == (code == 2), (argv, errors)
+            if argv[0] == "twirl":
+                assert errors == [NON_FINITE_ERROR], argv
 
     def test_lazy_exports_resolve(self):
         assert bellpure.BellLabel is BellLabel

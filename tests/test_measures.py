@@ -238,3 +238,87 @@ class TestDrCurve:
             dr_curve(0.5)
         with pytest.raises(ValueError):
             dr_curve(1.0)
+
+
+class TestTraceRecords:
+    def test_fields_cannot_be_assigned(self):
+        trace = measures.recurrence_trajectory(0.7, max_steps=2)
+        with pytest.raises(AttributeError):
+            trace.steps[0].fidelity = 0.9
+        with pytest.raises(AttributeError):
+            trace.initial_fidelity = 0.9
+        with pytest.raises(AttributeError):
+            trace.steps = ()
+
+    def test_summary_properties(self):
+        trace = measures.recurrence_trajectory(0.7, max_steps=3)
+        f, acc = 0.7, 1.0
+        for _ in range(3):
+            f, p = recurrence_formula(f)
+            acc *= 0.5 * p
+        assert trace.final_fidelity == f == trace.steps[-1].fidelity
+        assert trace.cumulative_yield == acc == trace.steps[-1].cumulative_yield
+
+    def test_summary_properties_of_an_empty_trace(self):
+        trace = measures.recurrence_trajectory(0.99, f_target=0.95)
+        assert trace.steps == ()
+        assert trace.final_fidelity == 0.99
+        assert trace.cumulative_yield == 1.0
+        assert measures.ProtocolTrace(0.6, ()).final_fidelity == 0.6
+
+    def test_one_record_class_each(self):
+        from bellpure import protocols
+
+        trace = measures.recurrence_trajectory(0.7, max_steps=1)
+        assert type(trace) is measures.ProtocolTrace
+        assert type(trace.steps[0]) is measures.TraceStep
+        # protocols defines no record of its own; if it names one, it is this one
+        for name in ("TraceStep", "ProtocolTrace"):
+            assert getattr(protocols, name, getattr(measures, name)) is getattr(measures, name)
+
+
+#: Bad input for each public constructor, with the words its message carries.
+_BAD_BELL = [
+    ([math.nan, 0.0, 0.0, 1.0], "finite"),
+    ([math.inf, 0.0, 0.0, 0.0], "finite"),
+    ([-0.1, 0.1, 0.5, 0.5], "out of range"),
+    ([0.3, 0.3, 0.3, 0.3], "sum to"),
+    ([0.5, 0.5], "expected 4"),
+    ([[0.25] * 4] * 2, "expected 4"),
+]
+
+
+def _diag(*d):
+    return np.diag(np.array(d, dtype=complex))
+
+
+_BAD_DENSITY = [
+    (_diag(0.25, 0.25, 0.25, math.nan), "non-finite"),
+    (_diag(0.25, 0.25, complex(0.25, math.inf), 0.25), "non-finite"),
+    (_diag(0.5, 0.5, 0.25, -0.25), "negative eigenvalue"),
+    (_diag(0.5, 0.5, 0.5, 0.5), "trace"),
+    (np.eye(3) / 3, "expected a 2x2 or 4x4"),
+    (np.full(4, 0.25), "expected a 2x2 or 4x4"),
+]
+
+
+class TestConstructorGuard:
+    """Each public constructor rejects bad input with ValueError, so that a
+    cheaper check cannot loosen one unnoticed."""
+
+    @pytest.mark.parametrize("p, words", _BAD_BELL, ids=["nan", "inf", "negative", "unnormalised", "short", "two_rows"])
+    def test_bell_diagonal(self, p, words):
+        with pytest.raises(ValueError, match=words):
+            bell.BellDiagonal(p)
+
+    @pytest.mark.parametrize("m, words", _BAD_DENSITY, ids=["nan", "inf", "negative", "unnormalised", "3x3", "vector"])
+    def test_density_matrix(self, m, words):
+        with pytest.raises(ValueError, match=words):
+            qstate.DensityMatrix(m)
+
+    # a fidelity is a scalar, so it has no shape to get wrong; above 1 it
+    # would put negative weight on the triplets
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_werner(self, f):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            measures.werner(f)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, protocols
-from bellpure.bell import BellDiagonal, BellLabel
+from bellpure.bell import BellDiagonal, BellLabel, PauliAxis
 from bellpure.measures import NotDistillableError, recurrence_formula, recurrence_trajectory
 from bellpure.protocols import (
     breeding_mc,
@@ -224,6 +224,74 @@ def _chain_block_reference(sources, target):
     return keep, out_sources
 
 
+def _even_parity(r, m):
+    """Probability that m i.i.d. bits, each 1 with probability r, XOR to 0."""
+    return (1.0 + (1.0 - 2.0 * r) ** m) / 2.0
+
+
+def blocked_round_exact(q, k):
+    """Closed form of variable_block_mc's round, in O(16) float operations:
+    (fidelity of a kept pair, fraction of blocks discarded) for i.i.d. pairs
+    with label distribution q after the y rotation, k sources per block.
+
+    A block of k sources and one target passes when its k + 1 amp bits
+    (probability r each) have even parity. A kept source of label a ends with
+    label a ^ (t & 1), t the target's label, and the y rotation back and the
+    twirl leave it a singlet exactly when that label is Phi+ (0). The block
+    then passes when a's and t's amp bits and those of the other k - 1
+    sources have even parity."""
+    r = q[BellLabel.PSI_PLUS] + q[BellLabel.PSI_MINUS]
+    p_pass = _even_parity(r, k + 1)
+    rest = _even_parity(r, k - 1)
+    hit = 0.0
+    for a, t in itertools.product(range(4), repeat=2):
+        if a ^ (t & 1) == BellLabel.PHI_PLUS:
+            hit += q[a] * q[t] * (rest if (a >> 1) == (t >> 1) else 1.0 - rest)
+    return hit / p_pass, 1.0 - p_pass
+
+
+def blocked_fidelity_sigma(q, k, n_blocks):
+    """Standard error of variable_block_mc's fidelity, a ratio over n_blocks
+    i.i.d. blocks, from the exact moments of a block's singlet count S (0 for
+    a discarded block) and kept-pair count M (k or 0): sqrt(E[(S - F M)^2] /
+    n_blocks) / E[M], where E[(S - F M)^2] = E[S^2] - F^2 E[M^2] as F is
+    E[S] / E[M]. Two kept sources are both singlets when both have label
+    t & 1, so the other k - 2 amp bits must match t's."""
+    fid, discard = blocked_round_exact(q, k)
+    p_pass = 1.0 - discard
+    r = q[BellLabel.PSI_PLUS] + q[BellLabel.PSI_MINUS]
+    pair = 0.0
+    if k > 1:
+        rest = _even_parity(r, k - 2)
+        pair = sum(q[t] * q[t & 1] ** 2 * (rest if t >> 1 == 0 else 1.0 - rest) for t in range(4))
+    s_sq = k * fid * p_pass + k * (k - 1) * pair
+    resid_sq = s_sq - (k * fid) ** 2 * p_pass
+    return math.sqrt(max(resid_sq, 0.0) / n_blocks) / (k * p_pass)
+
+
+def _blocked_round_enumerated(q, k):
+    """(fidelity, discard, blocked_fidelity_sigma for one block) by summing
+    over all 4^(k+1) labelings of a block, run through the scalar label
+    algebra and the y rotation back."""
+    kept = hits = hits_sq = 0.0
+    for combo in itertools.product(list(BellLabel), repeat=k + 1):
+        weight = math.prod(q[l] for l in combo)
+        keep, out = _chain_block_reference(list(combo[:k]), combo[k])
+        if keep:
+            singlets = sum(bell.unilateral_pauli(s, PauliAxis.Y) == BellLabel.PSI_MINUS for s in out)
+            kept += weight
+            hits += weight * singlets
+            hits_sq += weight * singlets**2
+    fid = hits / (k * kept)
+    resid_sq = hits_sq - 2.0 * fid * k * hits + (fid * k) ** 2 * kept
+    return fid, 1.0 - kept, math.sqrt(max(resid_sq, 0.0)) / (k * kept)
+
+
+def y_rotated_werner(f):
+    """Label distribution of a Werner pair after variable_block_mc's y rotation."""
+    return measures.werner(f).p[bell.unilateral_pauli(bell.LABELS, PauliAxis.Y)]
+
+
 class TestVariableBlockMC:
     def test_block_rule_matches_label_algebra_exhaustively(self):
         # every label combination for block sizes 1..3
@@ -262,6 +330,50 @@ class TestVariableBlockMC:
     def test_rejects_underfilled_block(self):
         with pytest.raises(ValueError):
             variable_block_mc(0.99, 5, seed=0)
+
+    def test_exact_form_matches_label_enumeration(self):
+        rng = np.random.default_rng(17)
+        dists = [y_rotated_werner(f) for f in (0.55, 0.75, 0.9, 1.0)]
+        dists += [rng.dirichlet(np.ones(4)) for _ in range(4)] + [np.array([0.5, 0.0, 0.5, 0.0])]
+        for q in dists:
+            for k in (1, 2, 3):
+                exact = (*blocked_round_exact(q, k), blocked_fidelity_sigma(q, k, 1))
+                assert exact == pytest.approx(_blocked_round_enumerated(q, k), abs=1e-12)
+
+    def test_exact_form_at_k_1_is_the_two_pair_step(self):
+        for f in (0.55, 0.7, 0.9):
+            fid, discard = blocked_round_exact(y_rotated_werner(f), 1)
+            f_out, p = recurrence_formula(f)
+            assert fid == pytest.approx(f_out, abs=1e-14)
+            assert 1.0 - discard == pytest.approx(p, abs=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.5, 1.0 - 1e-6, exclude_min=True) | st.just(1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_exact_form_holds_monte_carlo_to_5_sigma(self, f, seed):
+        stats = variable_block_mc(f, 40_000, seed=seed)
+        q = y_rotated_werner(f)
+        fid, discard = blocked_round_exact(q, stats.k)
+        # a reported error is a sample estimate, which is small when a run
+        # happens to see few failing blocks (0 when it sees none), so each is
+        # floored by the error the exact moments predict
+        fid_sigma = max(stats.fidelity_err, blocked_fidelity_sigma(q, stats.k, stats.n_blocks))
+        discard_sigma = max(stats.discard_err, math.sqrt(discard * (1.0 - discard) / stats.n_blocks))
+        assert abs(stats.fidelity - fid) <= 5 * fid_sigma
+        assert abs(stats.discard_fraction - discard) <= 5 * discard_sigma
+
+    @pytest.mark.parametrize(
+        "f, k, f_out",
+        [(0.60, 2, 0.550), (0.75, 2, 0.750), (0.80, 2, 0.812), (0.99, 10, 0.9927)],
+    )
+    def test_block_rule_helps_only_above_three_quarters(self, f, k, f_out):
+        stats = variable_block_mc(f, 3 * (k + 1), seed=0)
+        assert stats.k == k
+        fid, _ = blocked_round_exact(y_rotated_werner(f), k)
+        assert round(fid, 4 if f == 0.99 else 3) == f_out
+        assert (fid > f) == (f > 0.75)
 
     def test_deterministic(self):
         assert variable_block_mc(0.9, 5000, seed=7) == variable_block_mc(0.9, 5000, seed=7)
