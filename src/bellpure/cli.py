@@ -20,9 +20,10 @@ numpy and the modules built on it (bell, protocols, qstate, twirl) itself, and
 only after its input is checked. `curves` builds its grid in plain floats
 (_grid, equal to np.linspace), and `twirl --input` rejects a malformed or
 non-finite matrix file before numpy loads. So `--version`, usage errors,
-`recurrence` without `--mc`, `curves`, the argument errors of `recurrence` and
-a rejected `twirl --input` file never load numpy. The self-test suites live in
-selftest, which only the `selftest` command imports.
+`recurrence` without `--mc`, `curves`, the argument errors of `recurrence`, a
+`--werner` fidelity outside [0, 1] and a rejected `twirl --input` file never
+load numpy. The self-test suites live in selftest, which only the `selftest`
+command imports.
 """
 from __future__ import annotations
 
@@ -141,12 +142,11 @@ def cmd_recurrence(ns) -> int:
 
 
 def cmd_breed(ns) -> int:
+    w = None if ns.werner is None else measures.werner(ns.werner)
     from . import protocols
     from .bell import BellDiagonal
 
-    if ns.werner is not None:
-        w = measures.werner(ns.werner)
-    else:
+    if w is None:
         w = BellDiagonal(ns.probs)
     summary, _ = protocols.breeding_trials(
         w,
@@ -246,12 +246,12 @@ def _load_matrix_file(path: str) -> qstate.DensityMatrix:
 
 
 def cmd_twirl(ns) -> int:
-    rho = None if ns.input is None else _load_matrix_file(ns.input)
+    rho = measures.werner(ns.werner) if ns.input is None else _load_matrix_file(ns.input)
     from . import bell, qstate, twirl
     from .bell import BellLabel
 
-    if rho is None:
-        rho = bell.to_density(measures.werner(ns.werner))
+    if ns.input is None:
+        rho = bell.to_density(rho)
     target = twirl.exact_twirl(rho)
     target_mat = bell.to_density(target)
     base = {

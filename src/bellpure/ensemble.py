@@ -7,16 +7,17 @@ the pair (seed, stream_id) with a zero counter. Distinct ids give provably
 non-overlapping streams; independent trial t of a seeded run draws from
 substream (seed, t).
 
-Chunk invariance: the label sampler, twirl.twirl_labels and
-protocols.recurrence_mc draw and process at most CHUNK labels or tests at a
-time, so recurrence_mc's working memory is its uint8 label ensemble (one byte
-per pair) plus one chunk of temporaries. Their output does not depend on
-CHUNK, because these draws return the same values whether made whole or in
-pieces: ``random(n)``, ``normal`` and ``integers(0, k, size=n)`` at the
-default int64 dtype. A narrower dtype breaks this:
-``integers(0, 6, size=n, dtype=np.uint8)`` draws other values than the int64
-call, and split into pieces it draws other values again, so the kernels keep
-the int64 draw. The test suite pins chunk invariance.
+Chunk invariance: the label sampler, twirl.twirl_labels and the purification
+round behind protocols.recurrence_mc and variable_block_mc process at most
+CHUNK labels or blocks at a time, so their working memory is the uint8 label
+ensemble (one byte per pair) plus one chunk of blocks; only variable_block_mc
+at F = 1, whose one block holds the whole run, is unbounded. Their output does
+not depend on CHUNK, because these draws return the same values whether made
+whole or in pieces: ``random(n)``, ``normal`` and ``integers(0, k, size=n)``
+at the default int64 dtype. A narrower dtype breaks this: ``integers(0, 6,
+size=n, dtype=np.uint8)`` draws other values than the int64 call, and split
+into pieces it draws other values again, so the kernels keep the int64 draw.
+The test suite pins chunk invariance.
 """
 from __future__ import annotations
 

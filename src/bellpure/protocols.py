@@ -126,16 +126,40 @@ class MCTrace:
     truncated: bool
 
 
-def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
-    """Label-level Monte Carlo of the recurrence.
+def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, int, int]:
+    """One round of blocks, each of k sources chained into one measured target,
+    over the first n_blocks * (k + 1) labels, one ensemble.chunks(n_blocks)
+    piece at a time. Kept sources, rotated back and re-twirled, go in order to
+    the front of labels, behind every block still to be read. Returns the
+    kept-block count and the sums S1 and S2 of s_b and s_b**2 over the kept
+    blocks, where s_b counts a kept block's singlets."""
+    n_kept = s1 = s2 = 0
+    for lo, hi in ensemble.chunks(n_blocks):
+        blocks = labels[(k + 1) * lo : (k + 1) * hi].reshape(-1, k + 1)
+        blocks = bell.unilateral_pauli(blocks, PauliAxis.Y)  # to mostly-Phi+ form
+        # the chain acts on the target like one controlled-NOT from the XOR of
+        # the sources, and on each source like its own controlled-NOT
+        tgt = bell.bxor(np.bitwise_xor.reduce(blocks[:, :k], axis=1), blocks[:, k])[1]
+        keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
+        srcs = bell.bxor(blocks[:, :k].compress(keep, axis=0), tgt.compress(keep)[:, None])[0]
+        kept = twirl.twirl_labels(bell.unilateral_pauli(srcs.reshape(-1), PauliAxis.Y), rng)
+        labels[k * n_kept : k * n_kept + kept.size] = kept
+        n_kept += srcs.shape[0]
+        # singlets per kept block, in the narrowest type that holds k, to save memory
+        hits = kept.reshape(-1, k) == BellLabel.PSI_MINUS
+        s_b = np.einsum("ij->i", hits, dtype=np.min_scalar_type(k))
+        s1 += int(s_b.sum())
+        s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
+    return n_kept, s1, s2
 
-    Samples a Werner ensemble and consumes pairs two at a time in ensemble
-    order (first as source, second as measured target); kept sources are
-    rotated back and individually re-twirled. An odd leftover pair in any
-    round is dropped. Empirical fidelity and survival carry binomial standard
-    errors; the matching closed-form values ride along for comparison. The
-    trace is flagged truncated when the ensemble runs out of pairs early.
-    """
+
+def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
+    """Label-level Monte Carlo of the recurrence: each step is one
+    _purify_round with k = 1, each pair in ensemble order a source and the
+    next its measured target; an odd leftover pair is dropped. Empirical
+    fidelity and survival carry binomial standard errors; the matching
+    closed-form values ride along for comparison. The trace is flagged
+    truncated when the ensemble runs out of pairs early."""
     if n_pairs < 2:
         raise ValueError("need at least two pairs")
     if not 0.0 <= f0 <= 1.0:
@@ -148,25 +172,12 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
     f_formula = f0
     out: list[MCStep] = []
     truncated = False
-    for k in range(1, steps + 1):
+    for step in range(1, steps + 1):
         if n_live < 2:
             truncated = True
             break
         n_tests = n_live // 2
-        # Each chunk of tests writes its kept sources to the front of labels,
-        # behind every pair still to be read, so one buffer serves all steps.
-        n_kept = 0
-        n_singlets = 0
-        for lo, hi in ensemble.chunks(n_tests):
-            # one-particle y: to mostly-Phi+ form
-            pairs = bell.unilateral_pauli(labels[2 * lo : 2 * hi].reshape(-1, 2), PauliAxis.Y)
-            src, tgt = bell.bxor(pairs[:, 0], pairs[:, 1])
-            keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
-            kept = bell.unilateral_pauli(src[keep], PauliAxis.Y)  # back to mostly-Psi- form
-            kept = twirl.twirl_labels(kept, rng)
-            labels[n_kept : n_kept + kept.size] = kept
-            n_kept += kept.size
-            n_singlets += int(np.count_nonzero(kept == BellLabel.PSI_MINUS))
+        n_kept, n_singlets, _ = _purify_round(labels, n_tests, 1, rng)
         n_in = 2 * n_tests
         f_formula, p_formula = measures.recurrence_formula(f_formula)
         if n_kept:
@@ -178,7 +189,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
         surv = n_kept / n_in
         surv_err = 0.5 * math.sqrt(max(keep_rate * (1.0 - keep_rate), 0.0) / n_tests)
         out.append(
-            MCStep(k, n_in, n_kept, fid, fid_err, surv, surv_err, f_formula, p_formula)
+            MCStep(step, n_in, n_kept, fid, fid_err, surv, surv_err, f_formula, p_formula)
         )
         n_live = n_kept
     return MCTrace(f0, n_pairs, seed, tuple(out), truncated)
@@ -189,7 +200,13 @@ class VariableBlockStats:
     """One blocked purification round. discard_fraction counts pairs lost to
     failed parity tests (the block-failure rate); measured targets are
     tallied separately in target_fraction, and total_loss_fraction combines
-    both as 1 - kept/used."""
+    both as 1 - kept/used.
+
+    fidelity_err is the block-clustered ratio estimator's standard error over
+    the run's own kept blocks: sqrt(sum (s_b - fidelity*k)**2) / (k*n) over the
+    n kept blocks, s_b counting a block's singlets. It reads low when few
+    blocks fail, is exactly 0 when every kept block holds the same count, and
+    the tests floor it with the exact-moment blocked_fidelity_sigma."""
 
     f0: float
     n_pairs: int
@@ -205,15 +222,11 @@ class VariableBlockStats:
 
 
 def variable_block_mc(f0: float, n_pairs: int, seed: int) -> VariableBlockStats:
-    """Blocked recurrence round: rotate everything to mostly-Phi+ form, chain
-    k = max(1, round(1/sqrt(1-F))) source pairs into one measured target per
-    block, keep or discard each block's sources wholesale on the target's
-    parity, rotate back, and re-twirl the kept pairs.
-
-    Cross-pair correlations inside a kept block survive in the ensemble; only
-    the per-pair marginal fidelity is reported (with a block-clustered
-    standard error). At f0 = 1 a single all-pass block is used.
-    """
+    """Blocked recurrence round: one _purify_round with k = max(1,
+    round(1/sqrt(1-F))) source pairs per measured target, so each block's
+    sources are kept or discarded wholesale. Cross-pair correlations inside a
+    kept block survive in the ensemble; only the per-pair marginal fidelity is
+    reported. At f0 = 1 a single all-pass block holds the whole run."""
     if not 0.5 < f0 <= 1.0:
         raise ValueError(f"need 1/2 < f0 <= 1, got {f0!r}")
     if f0 < 1.0:
@@ -226,26 +239,12 @@ def variable_block_mc(f0: float, n_pairs: int, seed: int) -> VariableBlockStats:
     n_blocks = n_pairs // (k + 1)
     n_used = n_blocks * (k + 1)
     labels = ensemble._sample_labels(rng, measures.werner(f0), n_used)
-    labels = bell.unilateral_pauli(labels.reshape(n_blocks, k + 1), PauliAxis.Y)
-    srcs = labels[:, :k]
-    # the chain acts on the target like one controlled-NOT from the XOR of
-    # the sources, and on each source like its own controlled-NOT
-    _, tgt = bell.bxor(np.bitwise_xor.reduce(srcs, axis=1), labels[:, k])
-    keep = bell.amp_bit(tgt) == 0
-    n_keep_blocks = int(keep.sum())
-    kept_blocks, _ = bell.bxor(srcs[keep], tgt[keep, None])
-    kept = bell.unilateral_pauli(kept_blocks, PauliAxis.Y).reshape(-1)
-    kept = twirl.twirl_labels(kept, rng)
-    n_kept = int(kept.size)
+    n_keep_blocks, s1, s2 = _purify_round(labels, n_blocks, k, rng)
+    n_kept = n_keep_blocks * k
     if n_kept:
-        hits = kept.reshape(n_keep_blocks, k) == BellLabel.PSI_MINUS
-        fid = float(hits.mean())
-        # ratio-estimator standard error over i.i.d. blocks
-        s_b = np.zeros(n_blocks)
-        s_b[keep] = hits.sum(axis=1)
-        m_b = np.where(keep, k, 0)
-        resid = s_b - fid * m_b
-        fid_err = float(np.sqrt((resid**2).sum()) / m_b.sum())
+        fid = s1 / n_kept
+        # n * sum_b (s_b - fid*k)**2 = n*S2 - S1**2, an exact integer
+        fid_err = math.sqrt((n_keep_blocks * s2 - s1 * s1) / n_keep_blocks) / n_kept
     else:
         fid, fid_err = float("nan"), float("nan")
     dfrac = 1.0 - n_keep_blocks / n_blocks

@@ -485,6 +485,8 @@ NUMPY_FREE_RUNS = [
     (["recurrence", "1.0", "--steps", "1"], 2),
     (["recurrence", "-0.1", "--steps", "1"], 2),
     (["recurrence", "0.7"], 2),
+    (["twirl", "--werner", "1.5"], 2),
+    (["breed", "--werner", "1.5", "--pairs", "4"], 2),
     (["--version"], 0),
 ]
 
@@ -521,8 +523,10 @@ class TestStartup:
         assert [run[:2] for run in report["runs"]] == [[code, False] for _, code in NUMPY_FREE_RUNS]
         for (argv, code), (_, _, errors) in zip(NUMPY_FREE_RUNS, report["runs"]):
             assert len(errors) == (code == 2), (argv, errors)
-            if argv[0] == "twirl":
+            if argv[:2] == ["twirl", "--input"]:
                 assert errors == [NON_FINITE_ERROR], argv
+            if "--werner" in argv:
+                assert errors == ["error: fidelity 1.5 outside [0, 1]"], argv
 
     def test_lazy_exports_resolve(self):
         assert bellpure.BellLabel is BellLabel

@@ -241,12 +241,18 @@ def _traced_peak_mib(fn, *args):
 
 
 class TestBoundedMemory:
-    """Working memory is the uint8 ensemble plus one chunk (recurrence) or one
-    reused batch buffer (sampled twirl), not a multiple of the run size."""
+    """Working memory is the uint8 ensemble plus one chunk (recurrence, blocked
+    round) or one reused batch buffer (sampled twirl), not a multiple of the
+    run size."""
 
     def test_recurrence_mc_at_1e7_pairs(self):
         # 10 MB of labels plus one chunk; drawing all pairs at once takes ~230 MiB
         assert _traced_peak_mib(protocols.recurrence_mc, 0.8, 10**7, 4, 5) < 48
+
+    def test_variable_block_mc_at_1e7_pairs(self):
+        # 10 MB of labels plus one chunk of blocks (about 32 MiB at k = 2);
+        # whole-run arrays took ~135 MiB
+        assert _traced_peak_mib(protocols.variable_block_mc, 0.75, 10**7, 5) < 48
 
     def test_sampled_twirl_at_1e6_rotations(self):
         # one 25.6 MB batch buffer; a fresh array per batch takes ~55 MiB

@@ -6,6 +6,13 @@ for speed, so any rewrite must keep every draw, its order and every summation
 order. Sizes sit on either side of the chunk (ensemble.CHUNK) and batch
 (twirl.TWIRL_BATCH) boundaries, where a reordering would first show. The
 exact layer's digest was recorded before its checks were cut to one per value.
+
+The variable_block_mc-k2 and -k4 digests were recorded again when the blocked
+round began to run in chunks of blocks. Its fidelity_err is now formed from
+the integer block moments sum(s_b) and sum(s_b**2) instead of a float64 sum of
+squared residuals over every block, which moved the last bit of fidelity_err
+(each new value is the nearer to the exact one) and no other field. The k3
+digest, whose fidelity_err held, was left as it was.
 """
 import hashlib
 
@@ -127,9 +134,9 @@ DIGESTS = {
     "twirl_labels-7": "8069fb90fa6775e6344dc855393e6002a470283f053707901478278a28e51e4d",
     "twirl_labels-3145733": "bfc6d5e657525f927e164237372a791e5f298a9405666da7022cd5e3d4a42b3e",
     "recurrence_mc-0.8-1e7-4": "8ee8909574abb956ef2a895a12855bd19d54f25318cc080202f5e24d3967bf6f",
-    "variable_block_mc-k2": "78791ecdf18fa6822db0186d006a68456ac7142b225f66bf9813312741203111",
+    "variable_block_mc-k2": "0f4429436abfa0690641a000097e881a7f53480494206dad91bc7e2cee95e846",
     "variable_block_mc-k3": "a9c3a6bf5460c9dcdc98a67cac6b380c03189365e87d7676e08efed8e75cd641",
-    "variable_block_mc-k4": "ea271be6b198d22269b13cba672216b1ec40731d06a5929ca13daf3625351819",
+    "variable_block_mc-k4": "2d8ce97185264bf056a9e132d3014081a7ee612c5176600160a18a9f43785e93",
     "sampled_twirl-1": "fe4362221932104b82de4c8d4e81c3847b65bde547cb3628e35b6f9a09b55db1",
     "sampled_twirl-199999": "b0f908fa8e1cad9aed5bbfb2fd7c87b2edc8a2b269504859c3c8fafbc989aced",
     "sampled_twirl-200000": "0f71a4be48c9a16ff3a8bfe8cc8c2c878dd7b9d39dc07f2268b87a8b423943da",

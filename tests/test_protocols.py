@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, ensemble, measures, protocols
+from bellpure import bell, ensemble, measures, protocols, twirl
 from bellpure.bell import BellDiagonal, BellLabel, PauliAxis
 from bellpure.measures import NotDistillableError, recurrence_formula, recurrence_trajectory
 from bellpure.protocols import (
@@ -287,6 +287,28 @@ def _blocked_round_enumerated(q, k):
     return fid, 1.0 - kept, math.sqrt(max(resid_sq, 0.0)) / (k * kept)
 
 
+def _blocked_round_whole_run(f0, n_pairs, seed):
+    """variable_block_mc's round on whole-run arrays, as it ran before it was
+    chunked: (n_kept_pairs, fidelity, fidelity_err), the error summing float64
+    squared residuals over every block."""
+    k = max(1, round((1.0 - f0) ** -0.5)) if f0 < 1.0 else n_pairs - 1
+    rng = ensemble.stream(seed)
+    n_blocks = n_pairs // (k + 1)
+    labels = ensemble._sample_labels(rng, measures.werner(f0), n_blocks * (k + 1))
+    labels = bell.unilateral_pauli(labels.reshape(n_blocks, k + 1), PauliAxis.Y)
+    srcs = labels[:, :k]
+    _, tgt = bell.bxor(np.bitwise_xor.reduce(srcs, axis=1), labels[:, k])
+    keep = bell.amp_bit(tgt) == 0
+    kept, _ = bell.bxor(srcs[keep], tgt[keep, None])
+    kept = twirl.twirl_labels(bell.unilateral_pauli(kept, PauliAxis.Y).reshape(-1), rng)
+    hits = kept.reshape(-1, k) == BellLabel.PSI_MINUS
+    fid = float(hits.mean())
+    s_b = np.zeros(n_blocks)
+    s_b[keep] = hits.sum(axis=1)
+    m_b = np.where(keep, k, 0)
+    return kept.size, fid, float(np.sqrt(((s_b - fid * m_b) ** 2).sum()) / m_b.sum())
+
+
 def y_rotated_werner(f):
     """Label distribution of a Werner pair after variable_block_mc's y rotation."""
     return measures.werner(f).p[bell.unilateral_pauli(bell.LABELS, PauliAxis.Y)]
@@ -377,6 +399,17 @@ class TestVariableBlockMC:
 
     def test_deterministic(self):
         assert variable_block_mc(0.9, 5000, seed=7) == variable_block_mc(0.9, 5000, seed=7)
+
+    @pytest.mark.parametrize("f", [0.55, 0.75, 0.9, 0.94, 0.99, 1.0])
+    @pytest.mark.parametrize("n_pairs", [300, 20_001])
+    def test_chunked_round_matches_whole_run_arrays(self, monkeypatch, f, n_pairs):
+        # the integer moments give the residual sum exactly, where the float64
+        # sum over blocks rounds at each step
+        n_kept, fid, fid_err = _blocked_round_whole_run(f, n_pairs, seed=41)
+        monkeypatch.setattr(ensemble, "CHUNK", 7)
+        stats = variable_block_mc(f, n_pairs, seed=41)
+        assert (stats.n_kept_pairs, stats.fidelity) == (n_kept, fid)
+        assert stats.fidelity_err == pytest.approx(fid_err, rel=1e-12, abs=1e-15)
 
 
 def _scalar_chain_parity(labels, mask):
