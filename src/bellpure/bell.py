@@ -106,14 +106,16 @@ class BellDiagonal:
         v = np.array(p, dtype=float).reshape(-1)
         if v.shape != (4,):
             raise ValueError("expected 4 probabilities")
-        if not np.isfinite(v).all():
-            raise ValueError(f"probabilities must be finite: {v.tolist()}")
-        if v.min() < -1e-12 or v.max() > 1.0 + 1e-12:
+        lo, hi = v.min(), v.max()
+        if not (-1e-12 <= lo and hi <= 1.0 + 1e-12):  # also true for NaN
+            if not np.isfinite(v).all():
+                raise ValueError(f"probabilities must be finite: {v.tolist()}")
             raise ValueError(f"probabilities out of range: {v.tolist()}")
         s = float(v.sum())
         if abs(s - 1.0) > self.SUM_TOL:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
-        v = np.clip(v, 0.0, 1.0)
+        if lo <= 0.0 or hi > 1.0:  # zeros included, so clip alone settles a -0.0
+            v = np.clip(v, 0.0, 1.0)
         v.setflags(write=False)
         self.p = v
 
@@ -157,17 +159,15 @@ def label_projector(label: BellLabel) -> qstate.DensityMatrix:
 
 def to_density(d: BellDiagonal) -> qstate.DensityMatrix:
     """Density matrix of a Bell-diagonal distribution: the projectors weighted
-    by d.p, added to zeros in Bell order. DensityMatrix checks the sum once."""
-    m = np.zeros((4, 4), dtype=complex)
-    for p_l, proj in zip(d.p, _PROJECTORS):
-        m += p_l * proj
-    return qstate.DensityMatrix(m)
+    by d.p and added in Bell order, plus 0.0 so that no entry is -0.0.
+    DensityMatrix checks the sum once."""
+    return qstate.DensityMatrix((d.p[:, None, None] * _PROJECTORS).sum(axis=0) + 0.0)
 
 
 def bell_diagonal_part(mat) -> np.ndarray:
     """Diagonal of a two-qubit state in the Bell basis (length-4 real vector)."""
-    m = qstate.as_matrix(mat)
-    return np.array([float(np.real(v.conj() @ m @ v)) for v in qstate.BELL_BASIS])
+    b = qstate.BELL_BASIS
+    return (b.conj()[:, None, :] @ qstate.as_matrix(mat) @ b[:, :, None]).reshape(4).real
 
 
 # matrix-level counterparts used for certification and the density-matrix

@@ -21,9 +21,9 @@ only after its input is checked. `curves` builds its grid in plain floats
 (_grid, equal to np.linspace), and `twirl --input` rejects a malformed or
 non-finite matrix file before numpy loads. So `--version`, usage errors,
 `recurrence` without `--mc`, `curves`, the argument errors of `recurrence`, a
-`--werner` fidelity outside [0, 1] and a rejected `twirl --input` file never
-load numpy. The self-test suites live in selftest, which only the `selftest`
-command imports.
+`--werner` fidelity outside [0, 1], `breed`'s size and margin errors and a
+rejected `twirl --input` file never load numpy. The self-test suites live in
+selftest, which only the `selftest` command imports.
 """
 from __future__ import annotations
 
@@ -142,6 +142,7 @@ def cmd_recurrence(ns) -> int:
 
 
 def cmd_breed(ns) -> int:
+    measures.check_breeding_args(ns.pairs, ns.delta, ns.r_margin)
     w = None if ns.werner is None else measures.werner(ns.werner)
     from . import protocols
     from .bell import BellDiagonal

@@ -1,8 +1,8 @@
 """Closed-form scalar quantities: binary entropy, the Werner family, the
 two-pair recurrence map on Werner input and its iterated trajectory, the
-breeding yield and its threshold, the formation bound for Werner states, the
-CHSH boundary, the random-axis fidelity relation, and the composite
-recurrence-then-breed yield curve.
+breeding yield, its threshold and the caps on a breeding run's arguments, the
+formation bound for Werner states, the CHSH boundary, the random-axis fidelity
+relation, and the composite recurrence-then-breed yield curve.
 
 Everything here is plain float arithmetic. Only werner() loads the array
 layer (bell, and numpy with it), so the closed-form commands start without it.
@@ -76,6 +76,29 @@ def d0_threshold() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+#: Largest breeding run. The decoder enumerates the 2^(n - rank) strings that
+#: fit the parity tests, up to 2^n when the tests have rank 0, so the cap bounds
+#: its memory.
+MAX_BREEDING_PAIRS = 20
+
+#: Largest accepted delta and r_margin. r_margin sets the tests per round,
+#: ceil(n*H + r_margin*sqrt(n)), so the cap bounds each round's subset draw.
+MAX_BREEDING_MARGIN = 100.0
+
+
+def check_breeding_args(n: int, delta: float, r_margin: float) -> None:
+    """Raise ValueError unless a breeding run's arguments lie within the caps."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > MAX_BREEDING_PAIRS:
+        raise ValueError(
+            f"breeding handles at most {MAX_BREEDING_PAIRS} pairs,"
+            " which bounds the decoder's search"
+        )
+    if not (0.0 <= delta <= MAX_BREEDING_MARGIN and 0.0 <= r_margin <= MAX_BREEDING_MARGIN):
+        raise ValueError(f"delta and r_margin must lie in [0, {MAX_BREEDING_MARGIN:g}]")
 
 
 def e_formation_werner(f: float) -> float:

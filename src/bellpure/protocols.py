@@ -16,15 +16,6 @@ import numpy as np
 from . import bell, ensemble, measures, qstate, twirl
 from .bell import BellDiagonal, BellLabel, PauliAxis
 
-#: Largest breeding run. The decoder enumerates the 2^(n - rank) strings that
-#: fit the parity tests, up to 2^n when the tests have rank 0, so the cap bounds
-#: its memory.
-MAX_BREEDING_PAIRS = 20
-
-#: Largest accepted delta and r_margin. r_margin sets the tests per round,
-#: ceil(n*H + r_margin*sqrt(n)), so the cap bounds each round's subset draw.
-MAX_BREEDING_MARGIN = 100.0
-
 
 class ZeroPriorError(RuntimeError):
     """Every string that fits the parity tests has zero prior probability.
@@ -80,7 +71,8 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
 
 
 # density_matrix_oracle_step's fixed operators: the y rotation of one pair, of
-# both pairs, and the projector onto parallel z spins of the target pair.
+# both pairs, and the projector onto parallel z spins of the target pair. Both
+# rotations and bell.BXOR_UNITARY are Hermitian, so each is its own adjoint.
 _U_Y = np.kron(qstate.SIGMA_Y, qstate.ID2)
 _U_Y2 = np.kron(_U_Y, _U_Y)
 _TARGET_PARALLEL = np.kron(np.eye(4), np.diag([1.0, 0.0, 0.0, 1.0])).astype(complex)
@@ -91,15 +83,16 @@ def density_matrix_oracle_step(m1: BellDiagonal, m2: BellDiagonal) -> Recurrence
     level: explicit one-particle y rotations, the joint bilateral
     controlled-NOT, and a projective z x z measurement of the target pair.
     Serves as an independent verification path for the label algebra."""
-    rho = np.kron(bell.to_density(m1).mat, bell.to_density(m2).mat)
-    rho = _U_Y2 @ rho @ _U_Y2.conj().T
-    rho = bell.BXOR_UNITARY @ rho @ bell.BXOR_UNITARY.conj().T
+    a, b = bell.to_density(m1).mat, bell.to_density(m2).mat
+    rho = (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)  # np.kron(a, b)
+    rho = _U_Y2 @ rho @ _U_Y2
+    rho = bell.BXOR_UNITARY @ rho @ bell.BXOR_UNITARY
     sel = _TARGET_PARALLEL @ rho @ _TARGET_PARALLEL
     p_success = float(np.trace(sel).real)
     if p_success <= 0.0:
         return RecurrenceOutcome(None, 0.0, None)
     src = np.einsum("ikjk->ij", (sel / p_success).reshape(4, 4, 4, 4))
-    src = _U_Y.conj().T @ src @ _U_Y
+    src = _U_Y @ src @ _U_Y
     raw = BellDiagonal(bell.bell_diagonal_part(src))
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
 
@@ -139,15 +132,16 @@ def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, 
         blocks = bell.unilateral_pauli(blocks, PauliAxis.Y)  # to mostly-Phi+ form
         # the chain acts on the target like one controlled-NOT from the XOR of
         # the sources, and on each source like its own controlled-NOT
-        tgt = bell.bxor(np.bitwise_xor.reduce(blocks[:, :k], axis=1), blocks[:, k])[1]
+        cols = np.ascontiguousarray(blocks.T)  # reducing along short rows is slow
+        tgt = bell.bxor(np.bitwise_xor.reduce(cols[:k], axis=0), cols[k])[1]
         keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
         srcs = bell.bxor(blocks[:, :k].compress(keep, axis=0), tgt.compress(keep)[:, None])[0]
         kept = twirl.twirl_labels(bell.unilateral_pauli(srcs.reshape(-1), PauliAxis.Y), rng)
         labels[k * n_kept : k * n_kept + kept.size] = kept
         n_kept += srcs.shape[0]
         # singlets per kept block, in the narrowest type that holds k, to save memory
-        hits = kept.reshape(-1, k) == BellLabel.PSI_MINUS
-        s_b = np.einsum("ij->i", hits, dtype=np.min_scalar_type(k))
+        hits = np.ascontiguousarray(kept.reshape(-1, k).T) == BellLabel.PSI_MINUS
+        s_b = hits.sum(axis=0, dtype=np.min_scalar_type(k))
         s1 += int(s_b.sum())
         s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
     return n_kept, s1, s2
@@ -456,15 +450,7 @@ def breeding_mc(
     prepurified Phi+ target; n*(S+delta) targets are provisioned and overruns
     are reported via budget_exceeded, not raised.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > MAX_BREEDING_PAIRS:
-        raise ValueError(
-            f"breeding handles at most {MAX_BREEDING_PAIRS} pairs,"
-            " which bounds the decoder's search"
-        )
-    if not (0.0 <= delta <= MAX_BREEDING_MARGIN and 0.0 <= r_margin <= MAX_BREEDING_MARGIN):
-        raise ValueError(f"delta and r_margin must lie in [0, {MAX_BREEDING_MARGIN:g}]")
+    measures.check_breeding_args(n, delta, r_margin)
     p = w.p
     rng = ensemble.stream(seed, stream_id)
     labels = ensemble._sample_labels(rng, w, n)

@@ -87,8 +87,10 @@ def as_matrix(x) -> np.ndarray:
 def eig_hermitian(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending (numpy's
     eigvalsh). Raises ValueError for a non-square, non-finite or
-    non-Hermitian matrix."""
-    a = as_matrix(m)
+    non-Hermitian array; a DensityMatrix, valid by construction, skips the checks."""
+    if isinstance(m, DensityMatrix):
+        return np.linalg.eigvalsh(m.mat)[::-1]
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -135,10 +137,11 @@ class DensityMatrix:
             if not np.isfinite(m).all():
                 raise ValueError("matrix has non-finite entries")
             raise ValueError(f"matrix entry part {largest:.3g} beyond {MAX_ENTRY:g} in magnitude")
-        herm_dev = np.abs(m - m.conj().T).max()
+        adj = m.conj().T
+        herm_dev = np.abs(m - adj).max()
         if herm_dev > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm_dev:.3g})")
-        m = (m + m.conj().T) / 2.0
+        m = (m + adj) / 2.0
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} too far from 1")

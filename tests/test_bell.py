@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,119 @@ class TestBellDiagonal:
         d = measures.werner(0.7)
         with pytest.raises(ValueError):
             d.p[0] = 1.0
+
+
+class _ReferenceBellDiagonal:
+    """BellDiagonal.__init__ as it stood before its checks were cut to one min
+    and one max, kept verbatim as the reference."""
+
+    SUM_TOL = 1e-9
+
+    def __init__(self, p):
+        v = np.array(p, dtype=float).reshape(-1)
+        if v.shape != (4,):
+            raise ValueError("expected 4 probabilities")
+        if not np.isfinite(v).all():
+            raise ValueError(f"probabilities must be finite: {v.tolist()}")
+        if v.min() < -1e-12 or v.max() > 1.0 + 1e-12:
+            raise ValueError(f"probabilities out of range: {v.tolist()}")
+        s = float(v.sum())
+        if abs(s - 1.0) > self.SUM_TOL:
+            raise ValueError(f"probabilities sum to {s!r}, not 1")
+        v = np.clip(v, 0.0, 1.0)
+        v.setflags(write=False)
+        self.p = v
+
+
+def _reference_to_density(d: BellDiagonal) -> qstate.DensityMatrix:
+    """to_density as it stood before its loop became one broadcast sum."""
+    m = np.zeros((4, 4), dtype=complex)
+    for p_l, proj in zip(d.p, bell._PROJECTORS):
+        m += p_l * proj
+    return qstate.DensityMatrix(m)
+
+
+#: Entries at the edges of every BellDiagonal check: non-finite, signed zeros,
+#: subnormals and the range tolerance's bounds and their neighbours.
+_EDGE_ENTRIES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -1e-12, math.nextafter(-1e-12, -1.0), 1.0, 1.0 + 1e-12, math.nextafter(1.0 + 1e-12, 2.0),
+]
+_ENTRY = st.one_of(
+    st.sampled_from(_EDGE_ENTRIES),
+    st.floats(-2e-12, 1.0 + 2e-12),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+#: Offsets of the sum from 1: exact, at the tolerance and just past it.
+_SUM_OFFSETS = [0.0, 1e-9, -1e-9, 0.999e-9, -0.999e-9, 1.001e-9, -1.001e-9]
+
+
+@st.composite
+def probability_inputs(draw):
+    """Raw BellDiagonal input: four edge or random entries, most often with
+    the last one set to bring the sum to 1, or to 1 +- 1e-9 and thereabouts;
+    sometimes a vector of the wrong length."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(_ENTRY, max_size=6))
+    head = draw(st.lists(_ENTRY, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        return [*head, draw(_ENTRY)]
+    # plain float arithmetic: an inf or NaN in head makes the last entry NaN
+    return [*head, 1.0 - (head[0] + head[1] + head[2]) + draw(st.sampled_from(_SUM_OFFSETS))]
+
+
+#: Valid entries before normalising: signed zeros, subnormals and the range
+#: tolerance's lower bound among them.
+_VALID_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1e-12, 1e-300]),
+    st.floats(0.0, 1.0),
+)
+
+
+def _bytes_or_message(make, arg, field):
+    """The bytes of make(arg)'s field, or the message of its ValueError."""
+    try:
+        return getattr(make(arg), field).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestAgainstReference:
+    """BellDiagonal and to_density against their verbatim earlier forms: the
+    same accepted inputs, the same ValueError messages, and the same bytes,
+    signed zeros included."""
+
+    @staticmethod
+    def _check(p):
+        want = _bytes_or_message(_ReferenceBellDiagonal, p, "p")
+        assert _bytes_or_message(BellDiagonal, p, "p") == want
+        if not isinstance(want, str):
+            d = BellDiagonal(p)
+            want = _bytes_or_message(_reference_to_density, d, "mat")
+            assert _bytes_or_message(to_density, d, "mat") == want
+
+    @settings(max_examples=1500, deadline=None)
+    @given(probability_inputs())
+    def test_edge_and_random_inputs(self, p):
+        self._check(p)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_VALID_ENTRY, min_size=4, max_size=4), st.sampled_from(_SUM_OFFSETS))
+    def test_normalised_inputs(self, w, offset):
+        total = sum(w)
+        assume(total > 0.0)
+        p = [x / total for x in w]
+        p[0] += offset
+        self._check(p)
+
+    def test_edge_vectors(self):
+        # each edge entry in each position, the rest filling the sum to 1 or
+        # to 1 plus an offset
+        for edge, pos, offset in itertools.product(_EDGE_ENTRIES, range(4), _SUM_OFFSETS):
+            p = [(1.0 - edge) / 3.0 if math.isfinite(edge) else 0.25] * 4
+            p[pos] = edge
+            p[(pos + 1) % 4] += offset
+            self._check(p)
 
 
 class TestMapDistribution:

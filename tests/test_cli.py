@@ -470,11 +470,22 @@ NON_FINITE_FILES = {
 }
 NON_FINITE_ERROR = "error: matrix has non-finite entries"
 
+_MARGIN_ERROR = "error: delta and r_margin must lie in [0, 100]"
+#: breed runs whose only fault is their size or a margin, each with its one
+#: error line.
+BREED_ARGUMENT_ERRORS = {
+    ("breed", "--werner", "0.95", "--pairs", "21", "--trials", "1"):
+        "error: breeding handles at most 20 pairs, which bounds the decoder's search",
+    ("breed", "--werner", "0.95", "--pairs", "4", "--delta", "-1"): _MARGIN_ERROR,
+    ("breed", "--probs", "1", "0", "0", "0", "--pairs", "4", "--r-margin", "101"): _MARGIN_ERROR,
+}
+
 #: Commands that must run without importing numpy: the closed-form map, the
 #: yield curves, the argument errors caught before any array work (the f0 range
-#: among them, which measures.recurrence_trajectory checks), a non-finite
-#: matrix file, a usage error and --version. The startup test runs them in a
-#: directory that holds NON_FINITE_FILES.
+#: among them, which measures.recurrence_trajectory checks, and breed's size and
+#: margins, which measures.check_breeding_args checks), a non-finite matrix
+#: file, a usage error and --version. The startup test runs them in a directory
+#: that holds NON_FINITE_FILES.
 NUMPY_FREE_RUNS = [
     (["recurrence", "0.7", "--target", "0.99"], 0),
     (["recurrence", "0.7", "--steps", "3"], 0),
@@ -487,6 +498,7 @@ NUMPY_FREE_RUNS = [
     (["recurrence", "0.7"], 2),
     (["twirl", "--werner", "1.5"], 2),
     (["breed", "--werner", "1.5", "--pairs", "4"], 2),
+    *((list(argv), 2) for argv in BREED_ARGUMENT_ERRORS),
     (["--version"], 0),
 ]
 
@@ -525,8 +537,10 @@ class TestStartup:
             assert len(errors) == (code == 2), (argv, errors)
             if argv[:2] == ["twirl", "--input"]:
                 assert errors == [NON_FINITE_ERROR], argv
-            if "--werner" in argv:
+            if "--werner" in argv and "1.5" in argv:
                 assert errors == ["error: fidelity 1.5 outside [0, 1]"], argv
+            if tuple(argv) in BREED_ARGUMENT_ERRORS:
+                assert errors == [BREED_ARGUMENT_ERRORS[tuple(argv)]], argv
 
     def test_lazy_exports_resolve(self):
         assert bellpure.BellLabel is BellLabel

@@ -6,6 +6,11 @@ for speed, so any rewrite must keep every draw, its order and every summation
 order. Sizes sit on either side of the chunk (ensemble.CHUNK) and batch
 (twirl.TWIRL_BATCH) boundaries, where a reordering would first show. The
 exact layer's digest was recorded before its checks were cut to one per value.
+The oracle_step digest covers density_matrix_oracle_step over the exact
+layer's pairs, the zero-success pair among them; it was recorded before the
+state constructors, to_density and the oracle's products were rewritten for
+speed, so those rewrites keep every bit of p_success, post_state.p and
+post_state_raw.p.
 
 The variable_block_mc-k2 and -k4 digests were recorded again when the blocked
 round began to run in chunks of blocks. Its fidelity_err is now formed from
@@ -90,22 +95,36 @@ def _exact_states():
     return states
 
 
-def _exact_layer():
+def _exact_pairs():
     states = _exact_states()
-    parts = [bell.to_density(d).mat for d in states]
-    parts += [bell.label_projector(l).mat for l in BellLabel]
     pairs = [(d, d) for d in states[:6]] + list(zip(states, states[1:] + states[:1]))
     # the singlet as source of a Phi+ target: the target never reads parallel
     pairs.append((BellDiagonal([0, 0, 0, 1]), BellDiagonal([1, 0, 0, 0])))
-    successes = []
+    return states, pairs
+
+
+def _step_parts(step, pairs):
+    """p_success, post_state.p and post_state_raw.p of step over the pairs."""
+    parts, successes = [], []
     for m1, m2 in pairs:
-        out = protocols.recurrence_step_exact(m1, m2)
+        out = step(m1, m2)
         successes.append(out.p_success)
         parts += [out.p_success] + [
             None if d is None else d.p for d in (out.post_state, out.post_state_raw)
         ]
     assert min(successes) == 0.0 < max(successes)
-    return _digest(*parts)
+    return parts
+
+
+def _exact_layer():
+    states, pairs = _exact_pairs()
+    parts = [bell.to_density(d).mat for d in states]
+    parts += [bell.label_projector(l).mat for l in BellLabel]
+    return _digest(*parts, *_step_parts(protocols.recurrence_step_exact, pairs))
+
+
+def _oracle_step():
+    return _digest(*_step_parts(protocols.density_matrix_oracle_step, _exact_pairs()[1]))
 
 
 CASES = {
@@ -119,6 +138,7 @@ CASES = {
     **{f"variable_block_mc-k{k}": (lambda k=k: _variable_block(k)) for k in BLOCK_FIDELITIES},
     **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
     "exact_layer": _exact_layer,
+    "oracle_step": _oracle_step,
 }
 
 DIGESTS = {
@@ -143,6 +163,7 @@ DIGESTS = {
     "sampled_twirl-200001": "e4c5cd73afd68c8183c5887641f15383999d04f5e3b1642e4d3042871c137ff7",
     "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
     "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
+    "oracle_step": "c79d0e99fa78ed7b8c32a78076170d40d0042baa51fe49e7f6e2ecbf29507be9",
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, ensemble, measures, protocols, twirl
+from bellpure import bell, ensemble, measures, protocols, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel, PauliAxis
 from bellpure.measures import NotDistillableError, recurrence_formula, recurrence_trajectory
 from bellpure.protocols import (
@@ -143,6 +144,43 @@ class TestDensityMatrixOracle:
         if a.post_state is not None:
             assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
             assert np.abs(a.post_state_raw.p - b.post_state_raw.p).max() <= 1e-10
+
+
+    def test_fixed_operators_are_their_own_adjoints(self):
+        # the step multiplies by each on both sides, standing for its adjoint
+        for u in (protocols._U_Y, protocols._U_Y2, bell.BXOR_UNITARY):
+            assert np.array_equal(u, u.conj().T)
+
+
+class TestWorkCounts:
+    """Each state is checked once, where it is built: the exact step and its
+    oracle build only the states they need, so a re-validation creeping back
+    fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for owner, attr, name in (
+            (BellDiagonal, "__init__", "BellDiagonal"),
+            (qstate.DensityMatrix, "__init__", "DensityMatrix"),
+            (np.linalg, "eigvalsh", "eigvalsh"),
+        ):
+            def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    PAIR = (measures.werner(0.7), BellDiagonal([0.1, 0.2, 0.3, 0.4]))
+
+    def test_exact_step_builds_two_bell_diagonals(self, calls):
+        recurrence_step_exact(*self.PAIR)
+        assert calls == {"BellDiagonal": 2}
+
+    def test_oracle_step_builds_two_of_each_state(self, calls):
+        density_matrix_oracle_step(*self.PAIR)
+        assert calls == {"DensityMatrix": 2, "BellDiagonal": 2, "eigvalsh": 2}
 
 
 class TestRecurrenceTrajectory:
@@ -676,10 +714,10 @@ class TestBreeding:
         r = breeding_mc(
             measures.werner(0.95),
             5,
-            delta=protocols.MAX_BREEDING_MARGIN,
-            r_margin=protocols.MAX_BREEDING_MARGIN,
+            delta=measures.MAX_BREEDING_MARGIN,
+            r_margin=measures.MAX_BREEDING_MARGIN,
         )
-        assert r.targets_consumed >= 2 * protocols.MAX_BREEDING_MARGIN * math.sqrt(5)
+        assert r.targets_consumed >= 2 * measures.MAX_BREEDING_MARGIN * math.sqrt(5)
 
 
 class TestParityBound:

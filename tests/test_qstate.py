@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -168,6 +169,24 @@ class TestEntropy:
     def test_threshold_werner_is_one_bit(self):
         s = von_neumann_entropy(bell.to_density(measures.werner(0.8107)))
         assert abs(s - 1.0) <= 1e-3
+
+
+    def test_density_matrix_spectrum_is_one_eigvalsh_call(self, monkeypatch):
+        # a DensityMatrix is square, finite and Hermitian by construction; a
+        # raw array of the same entries still takes every check
+        d = random_density(np.random.default_rng(3))
+        calls = Counter()
+        for owner, attr in ((np, "isfinite"), (np, "abs"), (np.linalg, "eigvalsh")):
+            def counted(*args, _fn=getattr(owner, attr), _name=attr, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        s = von_neumann_entropy(d)
+        assert calls == {"eigvalsh": 1}
+        calls.clear()
+        assert von_neumann_entropy(d.mat) == s
+        assert calls == {"eigvalsh": 1, "isfinite": 1, "abs": 1}
 
 
 class TestFidelitySinglet:
