@@ -273,12 +273,14 @@ class ParityTest:
 class BreedingResult:
     """Outcome of one breeding run. decode_correct_* report whether the
     applied corrections matched the truth; ties are flagged separately and
-    always count as failures (never silently resolved). A round whose every
-    parity-consistent string has zero prior decodes nothing and counts as
-    incorrect. residual_error_pairs is zero exactly when both decodes were
-    correct. coset_dim_* is the decoder's search size in each round: the
-    parity-consistent strings number 2^coset_dim, with coset_dim = n minus the
-    rank of that round's tests."""
+    always count as failures (never silently resolved). zero_prior_* flags a
+    round whose every parity-consistent string has zero prior: it corrects
+    nothing, counts as incorrect and is no tie (only round 2, after a round-1
+    misdecode, can meet one). residual_error_pairs is zero exactly when both
+    decodes were correct. coset_dim_* is the decoder's search size in each
+    round: 2^coset_dim parity-consistent strings, with coset_dim = n minus the
+    rank of that round's tests. subset_masks and parities hold the tests of
+    both rounds in order; bit i of a mask selects pair i."""
 
     n: int
     targets_consumed: int
@@ -292,7 +294,18 @@ class BreedingResult:
     budget_exceeded: bool
     coset_dim_round1: int
     coset_dim_round2: int
-    parity_tests: tuple[ParityTest, ...] = ()
+    zero_prior_round1: bool
+    zero_prior_round2: bool
+    subset_masks: tuple[int, ...]
+    parities: tuple[int, ...]
+
+    @property
+    def parity_tests(self) -> tuple[ParityTest, ...]:
+        """One ParityTest per test, built when read."""
+        return tuple(
+            ParityTest(tuple(i for i in range(self.n) if mask >> i & 1), par, t)
+            for t, (mask, par) in enumerate(zip(self.subset_masks, self.parities))
+        )
 
     @property
     def decode_failed(self) -> bool:
@@ -445,10 +458,9 @@ def breeding_mc(
     rotations. Round 2 repeats the scheme for the sign string (sized by the
     conditional sign entropy) after a two-particle y rotation converts
     leftover Phi- pairs into Psi+, fixing hits with one-particle x rotations.
-    A round-1 misdecode can leave round 2 with no string of non-zero prior;
-    round 2 then fails and corrects nothing. Every test consumes one
-    prepurified Phi+ target; n*(S+delta) targets are provisioned and overruns
-    are reported via budget_exceeded, not raised.
+    A round-1 misdecode can leave round 2 with no string of non-zero prior
+    (zero_prior_round2). Every test consumes one prepurified Phi+ target;
+    n*(S+delta) targets are provisioned, and overruns set budget_exceeded.
     """
     measures.check_breeding_args(n, delta, r_margin)
     p = w.p
@@ -469,29 +481,24 @@ def breeding_mc(
 
     full = (1 << n) - 1
     weights = 1 << np.arange(n)
-    tests: list[ParityTest] = []
 
     def run_tests(current_labels, count):
         # one row per test: the same draws as count successive subset_mask calls
         bits = rng.integers(0, 2, size=(count, n))
-        parities = _bxor_parity(current_labels, bits).tolist()
-        for row, par in zip(bits.tolist(), parities):
-            subset = tuple(i for i, b in enumerate(row) if b)
-            tests.append(ParityTest(subset, par, len(tests)))
-        return (bits @ weights).tolist(), parities
+        return (bits @ weights).tolist(), _bxor_parity(current_labels, bits).tolist()
 
     def decode(masks, parities, groups, truth):
-        """(decoded, correct, tie, coset_dim) of one round."""
+        """(decoded, correct, tie, coset_dim, zero_prior) of one round."""
         try:
             decoded, n_consistent, tie = _ml_decode(n, masks, parities, groups)
         except ZeroPriorError as exc:
-            return 0, False, False, exc.n_consistent.bit_length() - 1
-        return decoded, decoded == truth, tie, n_consistent.bit_length() - 1
+            return 0, False, False, exc.n_consistent.bit_length() - 1, True
+        return decoded, decoded == truth, tie, n_consistent.bit_length() - 1, False
 
     r1 = int(math.ceil(n * h_class + r_margin * math.sqrt(n)))
     x_true = ensemble.pack_bits(bell.amp_bit(labels))
     masks1, pars1 = run_tests(labels, r1)
-    x_hat, correct1, tie1, dim1 = decode(masks1, pars1, [(full, p_psi)], x_true)
+    x_hat, correct1, tie1, dim1, zero1 = decode(masks1, pars1, [(full, p_psi)], x_true)
 
     # one-particle y on every decoded Psi
     labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
@@ -501,7 +508,7 @@ def breeding_mc(
     y_true = ensemble.pack_bits(bell.amp_bit(labels))
     masks2, pars2 = run_tests(labels, r2)
     groups = [(full & ~x_hat, sign_given_phi), (x_hat, sign_given_psi)]
-    y_hat, correct2, tie2, dim2 = decode(masks2, pars2, groups, y_true)
+    y_hat, correct2, tie2, dim2, zero2 = decode(masks2, pars2, groups, y_true)
 
     # one-particle x on every decoded Psi+
     labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
@@ -522,7 +529,10 @@ def breeding_mc(
         budget_exceeded=targets > provisioned,
         coset_dim_round1=dim1,
         coset_dim_round2=dim2,
-        parity_tests=tuple(tests),
+        zero_prior_round1=zero1,
+        zero_prior_round2=zero2,
+        subset_masks=tuple(masks1 + masks2),
+        parities=tuple(pars1 + pars2),
     )
 
 

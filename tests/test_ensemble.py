@@ -259,6 +259,11 @@ class TestBoundedMemory:
         rho = bell.to_density(measures.werner(0.8))
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 45
 
+    def test_breeding_trials_keep_tests_as_integers(self):
+        # about 0.8 MiB: two tuples of ints per trial. A ParityTest record per
+        # test took ~3.0 MiB here, ~0.6 GiB at breed's cap of 10^5 trials
+        assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
+
     def test_random_axis_parallel_prob_at_the_cap(self):
         # about 61 MiB; a (4, n) stack of per-label correlations took ~108 MiB
         peak = _traced_peak_mib(random_axis_parallel_prob, measures.werner(0.8), MAX_AXIS_TRIALS, 1)

@@ -18,6 +18,13 @@ the integer block moments sum(s_b) and sum(s_b**2) instead of a float64 sum of
 squared residuals over every block, which moved the last bit of fidelity_err
 (each new value is the nearer to the exact one) and no other field. The k3
 digest, whose fidelity_err held, was left as it was.
+
+The breeding digests cover breeding_trials' summary, every named field of
+each BreedingResult and each derived ParityTest's (subset, parity_observed,
+target_consumed); they were recorded before the runs stopped building a
+ParityTest per test and began to keep each test as the decoder's integer
+mask. The [0.6, 0, 0.2, 0.2] run at zero margin reaches the round whose every
+parity-consistent string has zero prior (49 of its 300 trials).
 """
 import hashlib
 
@@ -127,6 +134,34 @@ def _oracle_step():
     return _digest(*_step_parts(protocols.density_matrix_oracle_step, _exact_pairs()[1]))
 
 
+BREEDING_RUNS = {
+    "werner-n12": (measures.werner(0.95), 12, 200, 2.0, 0),
+    "werner-n20": (measures.werner(0.95), 20, 10, 2.0, 0),
+    "zero_prior-n8": (BellDiagonal([0.6, 0.0, 0.2, 0.2]), 8, 300, 0.0, 5),
+}
+SUMMARY_FIELDS = (
+    "trials", "n", "delta", "r_margin", "mean_targets_per_pair", "decode_failure_rate",
+    "residual_error_rate", "mean_net_yield", "predicted_net_yield", "budget_exceeded_rate",
+)
+RESULT_FIELDS = (
+    "n", "targets_consumed", "decode_correct_round1", "decode_correct_round2", "tie_round1",
+    "tie_round2", "residual_error_pairs", "net_yield", "provisioned_targets",
+    "budget_exceeded", "coset_dim_round1", "coset_dim_round2",
+)
+
+
+def _breeding(name):
+    """Fields named one by one, so that a field added later leaves the digest
+    alone."""
+    w, n, trials, r_margin, seed = BREEDING_RUNS[name]
+    summary, results = protocols.breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
+    parts = [getattr(summary, f) for f in SUMMARY_FIELDS]
+    for r in results:
+        parts += [getattr(r, f) for f in RESULT_FIELDS]
+        parts += [(t.subset, t.parity_observed, t.target_consumed) for t in r.parity_tests]
+    return _digest(*parts)
+
+
 CASES = {
     **{
         f"sample_labels-{name}-{n}": (lambda name=name, n=n: _sampler(name, n))
@@ -139,6 +174,7 @@ CASES = {
     **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
     "exact_layer": _exact_layer,
     "oracle_step": _oracle_step,
+    **{f"breeding-{name}": (lambda name=name: _breeding(name)) for name in BREEDING_RUNS},
 }
 
 DIGESTS = {
@@ -164,6 +200,9 @@ DIGESTS = {
     "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
     "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
     "oracle_step": "c79d0e99fa78ed7b8c32a78076170d40d0042baa51fe49e7f6e2ecbf29507be9",
+    "breeding-werner-n12": "35e69871a1c704ece8d167cf7a49ca691b01eed7c4b3f37c0d0c0a605a01e7e9",
+    "breeding-werner-n20": "9f30dd8b2520ea9007d277d2ed5cbc098929b9e97f9128c5d0d0f289913f086b",
+    "breeding-zero_prior-n8": "31b0b792bf5af1a0b66a6fcb4a11ee50ad434e1f5fac31d9fed0f806897238e2",
 }
 
 

@@ -155,7 +155,8 @@ class TestDensityMatrixOracle:
 class TestWorkCounts:
     """Each state is checked once, where it is built: the exact step and its
     oracle build only the states they need, so a re-validation creeping back
-    fails here."""
+    fails here. A breeding run keeps its tests as integers and builds no
+    per-test record until one is read."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -164,6 +165,7 @@ class TestWorkCounts:
             (BellDiagonal, "__init__", "BellDiagonal"),
             (qstate.DensityMatrix, "__init__", "DensityMatrix"),
             (np.linalg, "eigvalsh", "eigvalsh"),
+            (protocols.ParityTest, "__init__", "ParityTest"),
         ):
             def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
                 calls[_name] += 1
@@ -181,6 +183,12 @@ class TestWorkCounts:
     def test_oracle_step_builds_two_of_each_state(self, calls):
         density_matrix_oracle_step(*self.PAIR)
         assert calls == {"DensityMatrix": 2, "BellDiagonal": 2, "eigvalsh": 2}
+
+    def test_breeding_builds_no_parity_test_records(self, calls):
+        _, results = breeding_trials(self.PAIR[0], 12, 5, seed=3)
+        assert calls == {}
+        # reading the records builds them
+        assert sum(len(r.parity_tests) for r in results) == calls["ParityTest"] > 0
 
 
 class TestRecurrenceTrajectory:
@@ -596,7 +604,50 @@ class TestMLDecode:
         assert results[316].tie_round2 and results[748].tie_round2
 
 
+def _reference_parity_tests(rounds):
+    """The parity test records as breeding_mc once built them while it ran:
+    one ParityTest per row of each round's (count, n) subset matrix, with the
+    row's parity and the running target index."""
+    tests = []
+    for bits, parities in rounds:
+        for row, par in zip(bits.tolist(), parities):
+            subset = tuple(i for i, b in enumerate(row) if b)
+            tests.append(protocols.ParityTest(subset, par, len(tests)))
+    return tuple(tests)
+
+
+BREEDING_STATES = (
+    measures.werner(0.95),
+    measures.werner(0.8),
+    BellDiagonal([0.6, 0.0, 0.2, 0.2]),
+    BellDiagonal([1.0, 0.0, 0.0, 0.0]),
+)
+
+
 class TestBreeding:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(BREEDING_STATES),
+        st.integers(1, 20),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 50),
+        st.floats(0.0, 4.0),
+    )
+    def test_parity_tests_match_the_per_test_construction(self, w, n, seed, sid, r_margin):
+        rounds = []
+        bxor_parity = protocols._bxor_parity
+
+        def recording(labels, bits):
+            parities = bxor_parity(labels, bits)
+            rounds.append((bits, parities.tolist()))
+            return parities
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "_bxor_parity", recording)
+            r = breeding_mc(w, n, r_margin=r_margin, seed=seed, stream_id=sid)
+        assert len(rounds) == 2
+        assert r.parity_tests == _reference_parity_tests(rounds)
+
     def test_point_mass_phi_plus_trivially_clean(self):
         w = BellDiagonal([1, 0, 0, 0])
         r = breeding_mc(w, 12, r_margin=2.0, seed=4)
@@ -673,6 +724,27 @@ class TestBreeding:
         assert r.decode_failed
         assert r.residual_error_pairs > 0
         assert r.net_yield == (r.n - r.residual_error_pairs - r.targets_consumed) / r.n
+
+    def test_zero_prior_round_is_flagged_and_corrects_nothing(self, monkeypatch):
+        # at zero margin, 49 of these 300 trials misdecode round 1 so that
+        # round 2 has no string of non-zero prior
+        corrections = []
+        mask_bits = protocols._mask_bits
+
+        def recording(mask, n):
+            corrections.append(mask)
+            return mask_bits(mask, n)
+
+        monkeypatch.setattr(protocols, "_mask_bits", recording)
+        _, results = breeding_trials(BellDiagonal([0.6, 0.0, 0.2, 0.2]), 8, 300, r_margin=0.0, seed=5)
+        assert len(corrections) == 2 * len(results)
+        # round 1's true string always fits its tests and has non-zero prior
+        assert not any(r.zero_prior_round1 for r in results)
+        assert sum(r.zero_prior_round2 for r in results) == 49
+        for r, y_hat in zip(results, corrections[1::2]):
+            if r.zero_prior_round2:
+                assert not r.decode_correct_round2 and not r.tie_round2
+                assert y_hat == 0 and r.decode_failed
 
     def test_subsets_follow_the_subset_mask_stream(self):
         # each round draws its subsets in one call; they must be the draws
