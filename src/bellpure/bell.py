@@ -100,7 +100,10 @@ class BellDiagonal:
 
     __slots__ = ("p",)
 
-    SUM_TOL = 1e-9
+    #: Far below qstate.TRACE_TOL: to_density's trace, a few ulps from the
+    #: sum, always passes, and the renormalising oracle step moves p_success
+    #: by at most 2 * SUM_TOL.
+    SUM_TOL = 1e-11
 
     def __init__(self, p):
         v = np.array(p, dtype=float).reshape(-1)
@@ -114,8 +117,9 @@ class BellDiagonal:
         s = float(v.sum())
         if abs(s - 1.0) > self.SUM_TOL:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
-        if lo <= 0.0 or hi > 1.0:  # zeros included, so clip alone settles a -0.0
+        if lo <= 0.0 or hi > 1.0:  # zeros included, as clip keeps a -0.0
             v = np.clip(v, 0.0, 1.0)
+            v += 0.0
         v.setflags(write=False)
         self.p = v
 

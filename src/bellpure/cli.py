@@ -18,9 +18,11 @@ Start-up cost: at import this module loads only the standard library and
 measures, which is plain float arithmetic. A command that needs arrays imports
 numpy and the modules built on it (bell, protocols, qstate, twirl) itself, and
 only after its input is checked. `curves` builds its grid in plain floats
-(_grid, equal to np.linspace), and `twirl --input` rejects a malformed or
-non-finite matrix file before numpy loads. So `--version`, usage errors,
-`recurrence` without `--mc`, `curves`, the argument errors of `recurrence`, a
+(_grid, equal to np.linspace), `twirl --werner` builds its report from
+measures.werner_weights (a Werner state is its own twirl), and `twirl --input`
+rejects a malformed or non-finite matrix file before numpy loads. So
+`--version`, usage errors, `recurrence` without `--mc`, `curves`, `twirl
+--werner` without `--samples`, the argument errors of `recurrence`, a
 `--werner` fidelity outside [0, 1], `breed`'s size and margin errors and a
 rejected `twirl --input` file never load numpy. The self-test suites live in
 selftest, which only the `selftest` command imports.
@@ -246,45 +248,38 @@ def _load_matrix_file(path: str) -> qstate.DensityMatrix:
     return qstate.DensityMatrix(np.array(data, dtype=float).view(complex)[..., 0])
 
 
-def cmd_twirl(ns) -> int:
-    rho = measures.werner(ns.werner) if ns.input is None else _load_matrix_file(ns.input)
-    from . import bell, qstate, twirl
-    from .bell import BellLabel
+#: The twirl report's columns; the Werner weights come last, in Bell order.
+_TWIRL_COLUMNS = (
+    "n_samples", "fidelity_in", "fidelity_out", "trace_distance_to_werner",
+    "werner_phi_plus", "werner_phi_minus", "werner_psi_plus", "werner_psi_minus",
+)
 
+
+def cmd_twirl(ns) -> int:
     if ns.input is None:
-        rho = bell.to_density(rho)
-    target = twirl.exact_twirl(rho)
-    target_mat = bell.to_density(target)
-    base = {
-        "werner_phi_plus": target[BellLabel.PHI_PLUS],
-        "werner_phi_minus": target[BellLabel.PHI_MINUS],
-        "werner_psi_plus": target[BellLabel.PSI_PLUS],
-        "werner_psi_minus": target[BellLabel.PSI_MINUS],
-    }
-    fid_in = qstate.fidelity_singlet(rho)
-    rows = [
-        {
-            "n_samples": 0,
-            "fidelity_in": fid_in,
-            "fidelity_out": target.fidelity,
-            "trace_distance_to_werner": twirl.trace_distance(rho, target_mat),
-            **base,
-        }
-    ]
+        # a Werner state is its own twirl, so its report is exact in plain floats
+        weights = measures.werner_weights(ns.werner)
+        fid_in, distance = weights[3], 0.0
+    else:
+        rho = _load_matrix_file(ns.input)
+        from . import bell, qstate, twirl
+
+        target = twirl.exact_twirl(rho)
+        weights = target.p.tolist()
+        fid_in = qstate.fidelity_singlet(rho)
+        distance = twirl.trace_distance(rho, bell.to_density(target))
+    cells = [(0, weights[3], distance)]  # n_samples, fidelity_out, trace distance
     if ns.samples:
+        from . import bell, twirl
+
+        if ns.input is None:
+            rho = bell.to_density(measures.werner(fid_in))
         checkpoints = [m for m in (100, 1000, 10_000, 100_000) if m < ns.samples]
         checkpoints.append(ns.samples)
         for sid, m in enumerate(checkpoints):
             _, rep = twirl.sampled_twirl(rho, m, ns.seed, stream_id=sid)
-            rows.append(
-                {
-                    "n_samples": m,
-                    "fidelity_in": rep.fidelity_in,
-                    "fidelity_out": rep.fidelity_out,
-                    "trace_distance_to_werner": rep.trace_distance_to_werner,
-                    **base,
-                }
-            )
+            cells.append((m, rep.fidelity_out, rep.trace_distance_to_werner))
+    rows = [dict(zip(_TWIRL_COLUMNS, (m, fid_in, out, dist, *weights))) for m, out, dist in cells]
     return _emit(ns, rows)
 
 

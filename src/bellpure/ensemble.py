@@ -22,7 +22,7 @@ The test suite pins chunk invariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ def run_sharded(task, n_shards: int) -> list:
     return [task(i) for i in range(n_shards)]
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(NamedTuple):
     mean: float
     std_error: float
     n: int

@@ -5,7 +5,8 @@ formation bound for Werner states, the CHSH boundary, the random-axis fidelity
 relation, and the composite recurrence-then-breed yield curve.
 
 Everything here is plain float arithmetic. Only werner() loads the array
-layer (bell, and numpy with it), so the closed-form commands start without it.
+layer (bell, and numpy with it); werner_weights() gives the same state as
+plain floats, so the closed-form commands start without it.
 The trace records are immutable typing.NamedTuples, so importing this module
 loads nothing beyond math and typing (no dataclasses, no inspect).
 """
@@ -27,15 +28,22 @@ def h2(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def werner(f: float) -> BellDiagonal:
-    """Bell-diagonal state with weight f on the singlet and the remainder
-    spread evenly over the three triplets."""
+def werner_weights(f: float) -> tuple[float, float, float, float]:
+    """Bell-order weights (g, g, g, f), g = (1 - f)/3, of the Werner state:
+    weight f on the singlet and the remainder spread evenly over the three
+    triplets. A -0.0 reads as 0.0."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity {f!r} outside [0, 1]")
+    g = (1.0 - f) / 3.0
+    return (g, g, g, f + 0.0)
+
+
+def werner(f: float) -> BellDiagonal:
+    """The Werner state of werner_weights(f) as a BellDiagonal."""
+    weights = werner_weights(f)  # checked before numpy loads
     from .bell import BellDiagonal
 
-    g = (1.0 - f) / 3.0
-    return BellDiagonal((g, g, g, f))
+    return BellDiagonal(weights)
 
 
 def entropy_bell(d: BellDiagonal) -> float:

@@ -9,7 +9,7 @@ solves the parities over GF(2) and searches only the strings that fit them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class ZeroPriorError(RuntimeError):
         self.n_consistent = n_consistent
 
 
-@dataclass(frozen=True)
-class RecurrenceOutcome:
+class RecurrenceOutcome(NamedTuple):
     """One two-pair test: the kept source pair in Werner form after the
     re-twirl, the probability that the target measured parallel, and the kept
     pair's raw distribution before the re-twirl. post_state is None when
@@ -97,8 +96,7 @@ def density_matrix_oracle_step(m1: BellDiagonal, m2: BellDiagonal) -> Recurrence
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
 
 
-@dataclass(frozen=True)
-class MCStep:
+class MCStep(NamedTuple):
     step: int
     n_input: int
     n_kept: int
@@ -110,8 +108,7 @@ class MCStep:
     p_success_formula: float
 
 
-@dataclass(frozen=True)
-class MCTrace:
+class MCTrace(NamedTuple):
     f0: float
     n_pairs: int
     seed: int
@@ -189,8 +186,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
     return MCTrace(f0, n_pairs, seed, tuple(out), truncated)
 
 
-@dataclass(frozen=True)
-class VariableBlockStats:
+class VariableBlockStats(NamedTuple):
     """One blocked purification round. discard_fraction counts pairs lost to
     failed parity tests (the block-failure rate); measured targets are
     tallied separately in target_fraction, and total_loss_fraction combines
@@ -258,8 +254,7 @@ def variable_block_mc(f0: float, n_pairs: int, seed: int) -> VariableBlockStats:
     )
 
 
-@dataclass(frozen=True)
-class ParityTest:
+class ParityTest(NamedTuple):
     """One subset parity measurement: the tested pair indices, the parity read
     off the consumed target (1 = odd Psi count in the subset), and the index
     of the prepurified target spent on it."""
@@ -269,8 +264,7 @@ class ParityTest:
     target_consumed: int
 
 
-@dataclass(frozen=True)
-class BreedingResult:
+class BreedingResult(NamedTuple):
     """Outcome of one breeding run. decode_correct_* report whether the
     applied corrections matched the truth; ties are flagged separately and
     always count as failures (never silently resolved). zero_prior_* flags a
@@ -536,8 +530,7 @@ def breeding_mc(
     )
 
 
-@dataclass(frozen=True)
-class BreedingSummary:
+class BreedingSummary(NamedTuple):
     trials: int
     n: int
     delta: float

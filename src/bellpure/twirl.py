@@ -4,7 +4,7 @@ rotations, and the discrete twirl that equalizes the triplet weights of a
 Bell-diagonal state."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ TWIRL_PERMS = np.stack([bell.LABELS, _X, _Y, _Z, _X[_Z], _Z[_X]])
 TWIRL_PERMS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class TwirlReport:
+class TwirlReport(NamedTuple):
     n_samples: int
     trace_distance_to_werner: float
     fidelity_in: float

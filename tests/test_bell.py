@@ -196,6 +196,18 @@ class TestBellDiagonal:
     def test_fidelity_reads_singlet_weight(self):
         assert measures.werner(0.8).fidelity == 0.8
 
+    def test_negative_zero_reads_as_zero(self):
+        a, b = BellDiagonal([-0.0, 0.5, 0.5, 0.0]), BellDiagonal([0.0, 0.5, 0.5, 0.0])
+        assert a.p.tobytes() == b.p.tobytes()
+        assert repr(a) == repr(b) == "BellDiagonal([0.0, 0.5, 0.5, 0.0])"
+        assert measures.werner(-0.0).p.tobytes() == measures.werner(0.0).p.tobytes()
+
+    def test_sum_tolerance_is_within_the_trace_tolerance(self):
+        with pytest.raises(ValueError, match="sum to"):
+            BellDiagonal([1 / 3, 1 / 3 + 1e-9, 1 / 3, 0.0])
+        # the largest accepted excess still makes a density matrix
+        to_density(BellDiagonal([1 / 3, 1 / 3 + 0.999 * BellDiagonal.SUM_TOL, 1 / 3, 0.0]))
+
     def test_immutable(self):
         d = measures.werner(0.7)
         with pytest.raises(ValueError):
@@ -204,9 +216,11 @@ class TestBellDiagonal:
 
 class _ReferenceBellDiagonal:
     """BellDiagonal.__init__ as it stood before its checks were cut to one min
-    and one max, kept verbatim as the reference."""
+    and one max, kept verbatim as the reference but for two later rules: the
+    sum tolerance is 1e-11, below the trace tolerance of to_density, and a
+    -0.0 entry reads as 0.0."""
 
-    SUM_TOL = 1e-9
+    SUM_TOL = 1e-11
 
     def __init__(self, p):
         v = np.array(p, dtype=float).reshape(-1)
@@ -219,7 +233,7 @@ class _ReferenceBellDiagonal:
         s = float(v.sum())
         if abs(s - 1.0) > self.SUM_TOL:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
-        v = np.clip(v, 0.0, 1.0)
+        v = np.clip(v, 0.0, 1.0) + 0.0
         v.setflags(write=False)
         self.p = v
 
@@ -243,14 +257,18 @@ _ENTRY = st.one_of(
     st.floats(-2e-12, 1.0 + 2e-12),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-#: Offsets of the sum from 1: exact, at the tolerance and just past it.
-_SUM_OFFSETS = [0.0, 1e-9, -1e-9, 0.999e-9, -0.999e-9, 1.001e-9, -1.001e-9]
+#: Offsets of the sum from 1: exact, at the sum and trace tolerances and just
+#: inside and past each.
+_SUM_OFFSETS = [
+    0.0, 1e-9, -1e-9, 0.999e-9, -0.999e-9, 1.001e-9, -1.001e-9,
+    1e-11, -1e-11, 0.999e-11, -0.999e-11, 1.001e-11, -1.001e-11,
+]
 
 
 @st.composite
 def probability_inputs(draw):
     """Raw BellDiagonal input: four edge or random entries, most often with
-    the last one set to bring the sum to 1, or to 1 +- 1e-9 and thereabouts;
+    the last one set to bring the sum to 1, or near 1 +- 1e-9 or 1 +- 1e-11;
     sometimes a vector of the wrong length."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.lists(_ENTRY, max_size=6))

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellpure
-from bellpure import bell, measures
+from bellpure import bell, measures, qstate, twirl
 from bellpure.bell import BellLabel
 from bellpure.cli import MAX_MATRIX_FILE_BYTES, SIZE_LIMITS, _grid, main
 
@@ -297,7 +297,54 @@ class TestCurvesCommand:
         assert _grid(start, stop, n) == np.linspace(start, stop, n).tolist()
 
 
+#: The twirl report's float columns.
+TWIRL_FLOAT_COLUMNS = [
+    "fidelity_in", "fidelity_out", "trace_distance_to_werner",
+    "werner_phi_plus", "werner_phi_minus", "werner_psi_plus", "werner_psi_minus",
+]
+
+
+def check_werner_row_against_matrix_path(f):
+    """Row 0 of `twirl --werner f`, which is built in plain floats, against
+    the exact twirl of the state's density matrix."""
+    _, _, rows = parse_csv(emit(["twirl", "--werner", repr(f)]))
+    rho = bell.to_density(measures.werner(f))
+    target = twirl.exact_twirl(rho)
+    want = {
+        "fidelity_in": qstate.fidelity_singlet(rho),
+        "fidelity_out": target.fidelity,
+        "trace_distance_to_werner": twirl.trace_distance(rho, bell.to_density(target)),
+        **dict(zip(TWIRL_FLOAT_COLUMNS[3:], target.p.tolist())),
+    }
+    for c in TWIRL_FLOAT_COLUMNS:
+        assert abs(float(rows[0][c]) - want[c]) <= 1e-12, (f, c)
+
+
 class TestTwirlCommand:
+    @pytest.mark.parametrize("f", [0.0, -0.0, 0.93, 1.0, 0.25, 0.9, 1 / 3])
+    def test_werner_rows_are_exact(self, f):
+        # a Werner state is its own twirl: row 0 and every row's fidelity_in
+        # and Werner weights are exact, with no -0.0 and nothing above 1
+        _, _, rows = parse_csv(emit(["twirl", "--werner", repr(f), "--samples", "100"]))
+        g = (1.0 - f) / 3.0
+        for i, row in enumerate(rows):
+            exact = TWIRL_FLOAT_COLUMNS if i == 0 else ["fidelity_in", *TWIRL_FLOAT_COLUMNS[3:]]
+            vals = {c: float(row[c]) for c in exact}
+            assert all(0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0 for v in vals.values())
+            assert vals["fidelity_in"] == f
+            assert [vals[c] for c in TWIRL_FLOAT_COLUMNS[3:]] == [g, g, g, f]
+        assert float(rows[0]["fidelity_out"]) == f
+        assert rows[0]["trace_distance_to_werner"] == "0.0"
+
+    def test_werner_row_matches_the_matrix_path_on_a_grid(self):
+        for f in np.linspace(0.0, 1.0, 101).tolist():
+            check_werner_row_against_matrix_path(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_werner_row_matches_the_matrix_path(self, f):
+        check_werner_row_against_matrix_path(f)
+
     def test_werner_input_reports_invariance(self, capsys):
         code, out, _ = run(capsys, ["twirl", "--werner", "0.25"])
         assert code == 0
@@ -480,8 +527,9 @@ BREED_ARGUMENT_ERRORS = {
     ("breed", "--probs", "1", "0", "0", "0", "--pairs", "4", "--r-margin", "101"): _MARGIN_ERROR,
 }
 
-#: Commands that must run without importing numpy: the closed-form map, the
-#: yield curves, the argument errors caught before any array work (the f0 range
+#: Commands that must run without importing numpy or dataclasses: the
+#: closed-form map, the yield curves, the Werner twirl report (--out among
+#: them), the argument errors caught before any array work (the f0 range
 #: among them, which measures.recurrence_trajectory checks, and breed's size and
 #: margins, which measures.check_breeding_args checks), a non-finite matrix
 #: file, a usage error and --version. The startup test runs them in a directory
@@ -497,6 +545,12 @@ NUMPY_FREE_RUNS = [
     (["recurrence", "-0.1", "--steps", "1"], 2),
     (["recurrence", "0.7"], 2),
     (["twirl", "--werner", "1.5"], 2),
+    (["twirl", "--werner", "0"], 0),
+    (["twirl", "--werner", "0.93"], 0),
+    (["twirl", "--werner", "1"], 0),
+    (["twirl", "--werner", "-0.0"], 0),
+    (["twirl", "--werner", "0.93", "--format", "json"], 0),
+    (["twirl", "--werner", "0.5", "--out", "twirl.csv"], 0),
     (["breed", "--werner", "1.5", "--pairs", "4"], 2),
     *((list(argv), 2) for argv in BREED_ARGUMENT_ERRORS),
     (["--version"], 0),
@@ -513,7 +567,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
-    report["runs"].append([code, "numpy" in sys.modules, errors])
+    report["runs"].append([code, "numpy" in sys.modules, "dataclasses" in sys.modules, errors])
 print(json.dumps(report))
 """
 
@@ -532,8 +586,10 @@ class TestStartup:
         report = json.loads(proc.stdout)
         assert report["measures"] is False, "import bellpure.measures loaded numpy"
         assert report["dataclasses"] is False, "import bellpure.cli loaded dataclasses"
-        assert [run[:2] for run in report["runs"]] == [[code, False] for _, code in NUMPY_FREE_RUNS]
-        for (argv, code), (_, _, errors) in zip(NUMPY_FREE_RUNS, report["runs"]):
+        assert [run[:3] for run in report["runs"]] == [[code, False, False] for _, code in NUMPY_FREE_RUNS]
+        assert (tmp_path / "twirl.csv").read_text().endswith("\n0,0.5,0.5,0.0,"
+                                                           + ",".join([repr(1 / 6)] * 3) + ",0.5\n")
+        for (argv, code), (_, _, _, errors) in zip(NUMPY_FREE_RUNS, report["runs"]):
             assert len(errors) == (code == 2), (argv, errors)
             if argv[:2] == ["twirl", "--input"]:
                 assert errors == [NON_FINITE_ERROR], argv

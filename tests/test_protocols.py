@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellpure import bell, ensemble, measures, protocols, qstate, twirl
@@ -145,6 +145,39 @@ class TestDensityMatrixOracle:
             assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
             assert np.abs(a.post_state_raw.p - b.post_state_raw.p).max() <= 1e-10
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        pos=st.integers(0, 3),
+        offset=st.one_of(
+            st.sampled_from([1e-9, 0.999e-9, 1e-11, 0.999e-11, 1.001e-11]).flatmap(
+                lambda x: st.sampled_from([x, -x])
+            ),
+            st.floats(-2e-9, 2e-9),
+        ),
+        partner=st.floats(0.0, 1.0),
+    )
+    @example(w=[1.0, 1.0, 1.0, 0.0], pos=1, offset=1e-9, partner=0.7)
+    def test_property_every_accepted_sum_passes_the_oracle(self, w, pos, offset, partner):
+        """Vectors whose sum misses 1 by about the tolerance: every one that
+        BellDiagonal accepts makes a density matrix, and the oracle step
+        replays the exact step on it."""
+        assume(sum(w) > 0.0)
+        p = [x / sum(w) for x in w]
+        p[pos] += offset
+        try:
+            m1 = BellDiagonal(p)
+        except ValueError:
+            return
+        bell.to_density(m1)
+        for pair in ((m1, m1), (m1, measures.werner(partner))):
+            a = recurrence_step_exact(*pair)
+            b = density_matrix_oracle_step(*pair)
+            assert abs(a.p_success - b.p_success) <= 1e-10
+            assert (a.post_state is None) == (b.post_state is None)
+            if a.post_state is not None:
+                assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
+                assert np.abs(a.post_state_raw.p - b.post_state_raw.p).max() <= 1e-10
 
     def test_fixed_operators_are_their_own_adjoints(self):
         # the step multiplies by each on both sides, standing for its adjoint
@@ -165,7 +198,7 @@ class TestWorkCounts:
             (BellDiagonal, "__init__", "BellDiagonal"),
             (qstate.DensityMatrix, "__init__", "DensityMatrix"),
             (np.linalg, "eigvalsh", "eigvalsh"),
-            (protocols.ParityTest, "__init__", "ParityTest"),
+            (protocols.ParityTest, "__new__", "ParityTest"),  # a NamedTuple
         ):
             def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
                 calls[_name] += 1
