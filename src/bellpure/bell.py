@@ -11,11 +11,10 @@ rotations are XORs (X ^2, Y ^3, Z ^1), the two-particle pi/2 rotations are
 one permutation array per axis, and the bilateral controlled-NOT is
 (s, t) -> (s ^ (t & 1), t ^ (s & 2)).
 
-All maps here drop global phases. The matrix-level unitaries that certify
-every rule are built below from `qstate`; the test suite and the CLI
-self-test conjugate Bell projectors by them and check each rule's image
-(projectors are insensitive to the dropped phases, so the comparison is
-exact).
+All maps here drop global phases. `bellpure selftest` certifies each rule
+against the matrix algebra: it conjugates the Bell projectors (products of
+two for the bilateral controlled-NOT, BXOR_UNITARY below) by each rule's
+unitary and names the image, which the dropped phases cannot change.
 """
 from __future__ import annotations
 
@@ -128,9 +127,6 @@ class BellDiagonal:
         """Weight on the singlet Psi-."""
         return float(self.p[BellLabel.PSI_MINUS])
 
-    def __getitem__(self, label) -> float:
-        return float(self.p[BellLabel(label)])
-
     def allclose(self, other, tol: float = 1e-12) -> bool:
         q = other.p if isinstance(other, BellDiagonal) else np.asarray(other, float)
         return bool(np.abs(self.p - q).max() <= tol)
@@ -174,20 +170,6 @@ def bell_diagonal_part(mat) -> np.ndarray:
     return (b.conj()[:, None, :] @ qstate.as_matrix(mat) @ b[:, :, None]).reshape(4).real
 
 
-# matrix-level counterparts used for certification and the density-matrix
-# protocol oracle
-
-def unilateral_pauli_unitary(axis: PauliAxis) -> np.ndarray:
-    """4x4 unitary of the one-particle pi rotation (applied on party A's spin)."""
-    return np.kron(qstate.pauli(axis.value), qstate.ID2)
-
-
-def bilateral_rot_unitary(axis: PauliAxis) -> np.ndarray:
-    """4x4 unitary of the two-particle pi/2 rotation."""
-    r = qstate.rotation_half_pi(axis.value)
-    return np.kron(r, r)
-
-
 #: 16x16 read-only unitary of the bilateral controlled-NOT on two pairs, qubit
 #: order (A_source, B_source, A_target, B_target): kron(U_XOR, U_XOR), whose
 #: order is (A_source, A_target, B_source, B_target), with the middle two swapped.
@@ -199,19 +181,3 @@ BXOR_UNITARY.setflags(write=False)
 def bxor_unitary() -> np.ndarray:
     """The read-only BXOR_UNITARY."""
     return BXOR_UNITARY
-
-
-def bxor_table_from_unitaries() -> dict:
-    """Regenerate the BXOR lookup from the matrix algebra by conjugating every
-    product of Bell projectors and identifying the image."""
-    u = bxor_unitary()
-    projs = [label_projector(l).mat for l in BellLabel]
-    prods = {(s, t): np.kron(projs[s], projs[t]) for s in BellLabel for t in BellLabel}
-    out = {}
-    for st, prod in prods.items():
-        mapped = u @ prod @ u.conj().T
-        hits = [st2 for st2, prod2 in prods.items() if np.abs(mapped - prod2).max() <= 1e-10]
-        if len(hits) != 1:
-            raise RuntimeError(f"BXOR image of {st} is not a Bell product")
-        out[st] = hits[0]
-    return out

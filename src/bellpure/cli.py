@@ -262,11 +262,11 @@ def cmd_twirl(ns) -> int:
         fid_in, distance = weights[3], 0.0
     else:
         rho = _load_matrix_file(ns.input)
-        from . import bell, qstate, twirl
+        from . import bell, twirl
 
         target = twirl.exact_twirl(rho)
         weights = target.p.tolist()
-        fid_in = qstate.fidelity_singlet(rho)
+        fid_in = weights[3]  # the singlet fidelity, clamped to [0, 1]
         distance = twirl.trace_distance(rho, bell.to_density(target))
     cells = [(0, weights[3], distance)]  # n_samples, fidelity_out, trace distance
     if ns.samples:

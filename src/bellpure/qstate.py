@@ -34,8 +34,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _m in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.setflags(write=False)
 
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
 _RT2 = math.sqrt(0.5)
 
 #: Rows are Phi+, Phi-, Psi+, Psi- in the computational order above.
@@ -62,19 +60,6 @@ U_XOR = np.array(
     dtype=complex,
 )
 U_XOR.setflags(write=False)
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Pauli matrix for axis "x", "y" or "z"."""
-    try:
-        return _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"unknown axis {axis!r}") from None
-
-
-def rotation_half_pi(axis: str) -> np.ndarray:
-    """pi/2 spin rotation about the given axis, exp(-i pi/4 sigma_axis)."""
-    return _RT2 * (ID2 - 1j * pauli(axis))
 
 
 def as_matrix(x) -> np.ndarray:

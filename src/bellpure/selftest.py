@@ -25,38 +25,56 @@ def _check_bxor_bijection() -> int:
     return 16
 
 
+def _images(u, projectors) -> list[int]:
+    """For each projector P, the index of the one projector equal to
+    u P u-dagger to within 1e-10. Projectors are blind to the global phases
+    that the label rules drop, so the comparison is exact."""
+    out = []
+    for i, p in enumerate(projectors):
+        mapped = u @ p @ u.conj().T
+        hits = [j for j, q in enumerate(projectors) if np.abs(mapped - q).max() <= 1e-10]
+        _require(len(hits) == 1, f"image of projector {i} is {len(hits)} projectors, not one")
+        out.append(hits[0])
+    return out
+
+
+#: The Bell projectors in Bell order, and the Pauli matrix of each axis.
+_PROJECTORS = [bell.label_projector(l).mat for l in BellLabel]
+_SIGMA = {PauliAxis.X: qstate.SIGMA_X, PauliAxis.Y: qstate.SIGMA_Y, PauliAxis.Z: qstate.SIGMA_Z}
+
+
 def _check_bxor_matrix_oracle() -> int:
-    regenerated = bell.bxor_table_from_unitaries()
-    for key, val in regenerated.items():
-        _require(bell.bxor(*key) == val, f"BXOR rule mismatch at {key}")
+    products = [np.kron(a, b) for a in _PROJECTORS for b in _PROJECTORS]  # index 4*s + t
+    images = _images(bell.BXOR_UNITARY, products)
+    for s in BellLabel:
+        for t in BellLabel:
+            want = divmod(images[4 * s + t], 4)
+            _require(bell.bxor(s, t) == want, f"BXOR rule mismatch at {(s, t)}")
     return 16
 
 
 def _check_pauli_maps() -> int:
     count = 0
-    for axis in PauliAxis:
-        u = bell.unilateral_pauli_unitary(axis)
+    for axis, sigma in _SIGMA.items():
+        images = _images(np.kron(sigma, qstate.ID2), _PROJECTORS)  # pi rotation of A's spin
         for l in BellLabel:
             mapped = bell.unilateral_pauli(l, axis)
             _require(mapped != l, "one-particle pi rotations move every label")
             _require(bell.unilateral_pauli(mapped, axis) == l, "not an involution")
-            got = u @ bell.label_projector(l).mat @ u.conj().T
-            dev = np.abs(got - bell.label_projector(mapped).mat).max()
-            _require(dev <= 1e-10, f"unilateral {axis} on {l}: deviation {dev}")
+            _require(mapped == images[l], f"unilateral {axis} on {l}: matrix image {images[l]}")
             count += 1
     return count
 
 
 def _check_bilateral_maps() -> int:
     count = 0
-    for axis in PauliAxis:
-        u = bell.bilateral_rot_unitary(axis)
+    for axis, sigma in _SIGMA.items():
+        r = np.sqrt(0.5) * (qstate.ID2 - 1j * sigma)  # exp(-i pi/4 sigma), on each spin
+        images = _images(np.kron(r, r), _PROJECTORS)
         for l in BellLabel:
             mapped = bell.bilateral_rot(l, axis)
             _require(bell.bilateral_rot(mapped, axis) == l, "not an involution")
-            got = u @ bell.label_projector(l).mat @ u.conj().T
-            dev = np.abs(got - bell.label_projector(mapped).mat).max()
-            _require(dev <= 1e-10, f"bilateral {axis} on {l}: deviation {dev}")
+            _require(mapped == images[l], f"bilateral {axis} on {l}: matrix image {images[l]}")
             count += 1
     _require(
         all(bell.bilateral_rot(BellLabel.PSI_MINUS, a) == BellLabel.PSI_MINUS for a in PauliAxis),

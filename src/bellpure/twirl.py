@@ -38,7 +38,8 @@ def trace_distance(a, b) -> float:
 
 
 def exact_twirl(rho) -> BellDiagonal:
-    """Project a state to Werner form at its own singlet fidelity. Idempotent."""
+    """Project a state to Werner form at its own singlet fidelity, clamped to
+    [0, 1]: round-off can carry it a few ulps past either end. Idempotent."""
     f = qstate.fidelity_singlet(rho)
     if not -1e-12 <= f <= 1.0 + 1e-12:
         raise ValueError(f"singlet fidelity {f!r} outside [0, 1]")
@@ -60,7 +61,8 @@ def sampled_twirl(
     """Average u rho u-dagger over n random bilateral rotations u = r (x) r,
     with r Haar-uniform in SU(2): r = sum_i q_i A_i for a normalized Gaussian
     quaternion q and A = (I, -i sx, -i sy, -i sz). The report carries the
-    trace distance between the average and the exact Werner target.
+    trace distance between the average and the exact Werner target, and the
+    singlet fidelities in and out as exact_twirl reads them.
 
     Fourth-moment identity: with K_(4i+j) = kron(A_i, A_j) and P_n,(4i+j) =
     q_i q_j for draw n, u_n = sum_a P_na K_a, so sum_n u_n rho u_n-dagger =
@@ -71,7 +73,7 @@ def sampled_twirl(
     if n < 1:
         raise ValueError("need at least one sample")
     mat = qstate.as_matrix(rho)
-    fid_in = qstate.fidelity_singlet(mat)
+    target = exact_twirl(mat)
     rng = ensemble.stream(seed, stream_id)
     gram = np.zeros((16, 16))
     buf = np.empty((min(n, TWIRL_BATCH), 4, 4))
@@ -90,12 +92,11 @@ def sampled_twirl(
         gram += p.T @ p
         left -= m
     avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n
-    target = bell.to_density(exact_twirl(mat))
     report = TwirlReport(
         n_samples=n,
-        trace_distance_to_werner=trace_distance(avg, target.mat),
-        fidelity_in=fid_in,
-        fidelity_out=qstate.fidelity_singlet(avg),
+        trace_distance_to_werner=trace_distance(avg, bell.to_density(target)),
+        fidelity_in=target.fidelity,
+        fidelity_out=exact_twirl(avg).fidelity,
     )
     return qstate.DensityMatrix(avg), report
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, measures, qstate
+from bellpure import bell, measures, qstate, selftest
 from bellpure.bell import (
     BellDiagonal,
     BellLabel,
@@ -91,9 +91,6 @@ class TestBxor:
                 _, t2 = bxor(s, t)
                 assert ((t2 >= 2) != (t >= 2)) == (s >= 2)
 
-    def test_table_matches_matrix_algebra(self):
-        assert bell.bxor_table_from_unitaries() == {(s, t): bell.bxor(s, t) for s in L for t in L}
-
     @settings(max_examples=100, deadline=None)
     @given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=64))
     def test_vectorized_rule_matches_scalar_rule(self, pairs):
@@ -141,22 +138,32 @@ class TestOnePairRulesOnArrays:
                 bxor(bad, L.PHI_PLUS)
 
 
-class TestLabelMatrixEquivalence:
-    def test_unilateral_maps_match_projector_conjugation(self):
-        for axis in PauliAxis:
-            u = bell.unilateral_pauli_unitary(axis)
-            for l in L:
-                got = u @ bell.label_projector(l).mat @ u.conj().T
-                want = bell.label_projector(unilateral_pauli(l, axis)).mat
-                assert np.abs(got - want).max() <= 1e-10
+#: The number of assertions each self-test suite makes, as `bellpure selftest`
+#: prints it.
+SELFTEST_COUNTS = {
+    "bxor-table-bijection": 16,
+    "bxor-matrix-oracle": 16,
+    "unilateral-pauli-maps": 12,
+    "bilateral-rotation-maps": 12,
+    "psi-parity-rule": 32,
+    "recurrence-fixed-points": 3,
+    "recurrence-enumeration-vs-closed-form": 18,
+    "recurrence-matrix-oracle": 6,
+    "yield-entropy-identity": 25,
+    "werner-mixture-identity": 1,
+}
 
-    def test_bilateral_maps_match_projector_conjugation(self):
-        for axis in PauliAxis:
-            u = bell.bilateral_rot_unitary(axis)
-            for l in L:
-                got = u @ bell.label_projector(l).mat @ u.conj().T
-                want = bell.label_projector(bilateral_rot(l, axis)).mat
-                assert np.abs(got - want).max() <= 1e-10
+
+class TestLabelMatrixEquivalence:
+    """Every label rule against the matrix algebra, through the self-test's
+    suites: each conjugates the Bell projectors by the rule's unitary."""
+
+    def test_every_suite_is_counted(self):
+        assert [name for name, _ in selftest.CHECKS] == list(SELFTEST_COUNTS)
+
+    @pytest.mark.parametrize("name,check", selftest.CHECKS, ids=[n for n, _ in selftest.CHECKS])
+    def test_suite_makes_its_stated_count(self, name, check):
+        assert check() == SELFTEST_COUNTS[name]
 
 
 class TestMeasureZ:

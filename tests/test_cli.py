@@ -320,6 +320,15 @@ def check_werner_row_against_matrix_path(f):
         assert abs(float(rows[0][c]) - want[c]) <= 1e-12, (f, c)
 
 
+def write_singlet_file(directory):
+    """The singlet projector as a `twirl --input` file, [re, im] per entry."""
+    v = bell.label_projector(BellLabel.PSI_MINUS).mat
+    data = [[[float(v[i, j].real), float(v[i, j].imag)] for j in range(4)] for i in range(4)]
+    path = directory / "singlet.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestTwirlCommand:
     @pytest.mark.parametrize("f", [0.0, -0.0, 0.93, 1.0, 0.25, 0.9, 1 / 3])
     def test_werner_rows_are_exact(self, f):
@@ -353,15 +362,29 @@ class TestTwirlCommand:
         assert abs(float(rows[0]["werner_psi_minus"]) - 0.25) <= 1e-12
 
     def test_matrix_file_input(self, tmp_path, capsys):
-        v = bell.label_projector(BellLabel.PSI_MINUS).mat
-        data = [[[float(v[i, j].real), float(v[i, j].imag)] for j in range(4)] for i in range(4)]
-        path = tmp_path / "singlet.json"
-        path.write_text(json.dumps(data))
+        path = write_singlet_file(tmp_path)
         code, out, _ = run(capsys, ["twirl", "--input", str(path)])
         assert code == 0
         _, _, rows = parse_csv(out)
         assert abs(float(rows[0]["fidelity_in"]) - 1.0) <= 1e-12
         assert abs(float(rows[0]["werner_psi_minus"]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["0", "1", "singlet_file"])
+    def test_reported_fidelities_stay_in_the_unit_interval(self, tmp_path, case):
+        # the matrix round trip puts a singlet fidelity a few ulps outside
+        # [0, 1]; each reported one is clamped
+        if case == "singlet_file":
+            source = ["--input", str(write_singlet_file(tmp_path))]
+        else:
+            source = ["--werner", case]
+        _, _, rows = parse_csv(emit(["twirl", *source, "--samples", "1000"]))
+        assert [r["n_samples"] for r in rows] == ["0", "100", "1000"]
+        for row in rows:
+            for c in ("fidelity_in", "fidelity_out"):
+                v = float(row[c])
+                assert 0.0 <= v <= 1.0 and math.copysign(1.0, v) == 1.0, (row["n_samples"], c, row[c])
+        if case == "singlet_file":
+            assert {(r["fidelity_in"], r["fidelity_out"]) for r in rows} == {("1.0", "1.0")}
 
     def test_sampled_convergence_rows(self, capsys):
         code, out, _ = run(capsys, ["twirl", "--werner", "0.7", "--samples", "2000", "--seed", "1"])
@@ -478,6 +501,10 @@ class TestBreedCommand:
         assert float(rows[0]["decode_failure_rate"]) > 0.0
 
 
+#: Each axis with x and z exchanged.
+_SWAP_X_Z = {bell.PauliAxis.X: bell.PauliAxis.Z, bell.PauliAxis.Y: bell.PauliAxis.Y, bell.PauliAxis.Z: bell.PauliAxis.X}
+
+
 class TestSelftest:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run(capsys, ["selftest"])
@@ -491,6 +518,24 @@ class TestSelftest:
         assert code == 1
         assert "FAIL bxor-matrix-oracle" in out
         assert "ok   bxor-table-bijection" in out
+
+    @pytest.mark.parametrize(
+        "rule,wrong,suite",
+        [
+            # each rule with its x and z images exchanged: still involutions,
+            # fixed-point-free for one particle and fixing the singlet for two
+            ("unilateral_pauli", lambda l, axis: BellLabel(l ^ bell.PAULI_XOR[_SWAP_X_Z[axis]]),
+             "unilateral-pauli-maps"),
+            ("bilateral_rot", lambda l, axis: BellLabel(bell.BILATERAL_PERM[_SWAP_X_Z[axis]][l]),
+             "bilateral-rotation-maps"),
+        ],
+        ids=["unilateral_pauli", "bilateral_rot"],
+    )
+    def test_corrupted_one_pair_rule_fails_its_own_suite(self, capsys, monkeypatch, rule, wrong, suite):
+        monkeypatch.setattr(bell, rule, wrong)
+        code, out, _ = run(capsys, ["selftest"])
+        assert code == 1
+        assert [l.split(":")[0] for l in out.splitlines() if l.startswith("FAIL")] == [f"FAIL {suite}"]
 
     def test_checks_survive_optimized_interpreter(self):
         # python -O strips assert statements; the self-test must still fail

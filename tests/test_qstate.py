@@ -18,7 +18,6 @@ from bellpure.qstate import (
     entanglement_pure,
     fidelity_singlet,
     partial_trace,
-    rotation_half_pi,
     von_neumann_entropy,
     werner_pure_states,
 )
@@ -49,7 +48,7 @@ class TestBilateral:
         assert rho.allclose(bell.label_projector(BellLabel.PHI_MINUS).mat, tol=1e-12)
 
     def test_bilateral_x_rotation_maps_phi_plus_to_psi_plus(self):
-        r = rotation_half_pi("x")
+        r = math.sqrt(0.5) * (ID2 - 1j * SIGMA_X)  # exp(-i pi/4 sigma_x)
         rho = rotated(bell.label_projector(BellLabel.PHI_PLUS), np.kron(r, r))
         assert rho.allclose(bell.label_projector(BellLabel.PSI_PLUS).mat, tol=1e-12)
 
