@@ -132,16 +132,18 @@ def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, 
         cols = np.ascontiguousarray(blocks.T)  # reducing along short rows is slow
         tgt = bell.bxor(np.bitwise_xor.reduce(cols[:k], axis=0), cols[k])[1]
         keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
-        srcs = bell.bxor(blocks[:, :k].compress(keep, axis=0), tgt.compress(keep)[:, None])[0]
-        kept = twirl.twirl_labels(bell.unilateral_pauli(srcs.reshape(-1), PauliAxis.Y), rng)
+        srcs = bell.bxor(cols[:k], tgt)[0].compress(keep, axis=1)
+        # back to block order, so that twirl_labels draws as it always has
+        kept = twirl.twirl_labels(bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y), rng)
         labels[k * n_kept : k * n_kept + kept.size] = kept
-        n_kept += srcs.shape[0]
-        # singlets per kept block, in the narrowest type that holds k, to save memory
-        hits = np.ascontiguousarray(kept.reshape(-1, k).T) == BellLabel.PSI_MINUS
-        s_b = hits.sum(axis=0, dtype=np.min_scalar_type(k))
-        s1 += int(s_b.sum())
-        s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
-    return n_kept, s1, s2
+        n_kept += srcs.shape[1]
+        hits = kept == BellLabel.PSI_MINUS
+        s1 += int(np.count_nonzero(hits))
+        if k > 1:  # at k = 1 each s_b is 0 or 1, so S2 == S1
+            # singlets per kept block, in the narrowest type that holds k, to save memory
+            s_b = np.ascontiguousarray(hits.reshape(-1, k).T).sum(axis=0, dtype=np.min_scalar_type(k))
+            s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
+    return n_kept, s1, s2 if k > 1 else s1
 
 
 def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:

@@ -53,6 +53,9 @@ TWIRL_BATCH = 200_000
 _A = np.stack([qstate.ID2, -1j * qstate.SIGMA_X, -1j * qstate.SIGMA_Y, -1j * qstate.SIGMA_Z])
 _K = np.einsum("iab,jcd->ijacbd", _A, _A).reshape(16, 4, 4)  # K[4i+j] = kron(A_i, A_j)
 _K.setflags(write=False)
+_PAIRS = [(i, j) for i in range(4) for j in range(i, 4)]  # the 10 distinct q_i q_j
+#: _GRAM16[4i+j] is the row of q_i q_j among the 10 distinct products
+_GRAM16 = np.array([_PAIRS.index((min(a, b), max(a, b))) for a in range(4) for b in range(4)])
 
 
 def sampled_twirl(
@@ -67,30 +70,36 @@ def sampled_twirl(
     Fourth-moment identity: with K_(4i+j) = kron(A_i, A_j) and P_n,(4i+j) =
     q_i q_j for draw n, u_n = sum_a P_na K_a, so sum_n u_n rho u_n-dagger =
     sum_ab G_ab K_a rho K_b-dagger with the real 16x16 Gram matrix G = P^T P.
-    The average depends on the seeded draws only through G, summed one batch
-    of TWIRL_BATCH draws at a time in one reused buffer.
+    The average depends on the seeded draws only through G, whose entries are
+    those of the 10x10 Gram of P's 10 distinct columns (i <= j). That is
+    summed one batch of TWIRL_BATCH draws at a time in one reused buffer, q
+    transposed in rows 0-3 and the products in rows 4-13. The bytes equal
+    those of the 16x16 P^T P while the BLAS sums each entry in the same order.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     mat = qstate.as_matrix(rho)
     target = exact_twirl(mat)
     rng = ensemble.stream(seed, stream_id)
-    gram = np.zeros((16, 16))
-    buf = np.empty((min(n, TWIRL_BATCH), 4, 4))
-    scratch = buf.reshape(-1)  # holds the row norms until the einsum fills buf
+    g10 = np.zeros((10, 10))
+    flat = np.empty(14 * min(n, TWIRL_BATCH))
     left = n
     while left > 0:
         m = min(TWIRL_BATCH, left)
-        q = rng.normal(size=(m, 4))
+        q, p10 = np.vsplit(flat[: 14 * m].reshape(14, m), [4])
+        # normal()'s values, drawn into rows 10-13 in (m, 4) order; q takes them transposed
+        q[...] = rng.standard_normal(out=flat[10 * m : 14 * m].reshape(m, 4)).T
         # ((q0^2 + q1^2) + q2^2) + q3^2: linalg.norm's add.reduce order
-        norm, sq = scratch[:m], scratch[m : 2 * m]
-        np.square(q[:, 0], out=norm)
+        norm, sq = p10[:2]
+        np.square(q[0], out=norm)
         for i in (1, 2, 3):
-            norm += np.square(q[:, i], out=sq)
-        q /= np.sqrt(norm, out=norm)[:, None]
-        p = np.einsum("ni,nj->nij", q, q, out=buf[:m]).reshape(m, 16)
-        gram += p.T @ p
+            norm += np.square(q[i], out=sq)
+        q /= np.sqrt(norm, out=norm)
+        for i, r in zip(range(4), (0, 4, 7, 9)):  # q_i q_j for j >= i, in _PAIRS order
+            np.multiply(q[i:], q[i], out=p10[r : r + 4 - i])
+        g10 += p10 @ p10.T
         left -= m
+    gram = g10[np.ix_(_GRAM16, _GRAM16)]
     avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n
     report = TwirlReport(
         n_samples=n,
@@ -130,11 +139,15 @@ def convergence_table(
 ) -> list[tuple[int, float]]:
     """Mean trace distance between the sampled and exact twirl at each sample
     size, averaged over reps independent substreams of the seed."""
+    sizes = list(sample_sizes)
+    for v in (reps, *sizes):
+        if int(v) != v or v < 1:
+            raise ValueError(f"reps and sample sizes must be whole numbers >= 1, got {v!r}")
     rows = []
     sid = 0
-    for n in sample_sizes:
+    for n in sizes:
         total = 0.0
-        for _ in range(reps):
+        for _ in range(int(reps)):
             _, rep = sampled_twirl(rho, int(n), seed, stream_id=sid)
             total += rep.trace_distance_to_werner
             sid += 1

@@ -255,9 +255,11 @@ class TestBoundedMemory:
         assert _traced_peak_mib(protocols.variable_block_mc, 0.75, 10**7, 5) < 48
 
     def test_sampled_twirl_at_1e6_rotations(self):
-        # one 25.6 MB batch buffer; a fresh array per batch takes ~55 MiB
+        # one (14, 200000) float64 batch buffer, about 21.4 MiB, into which each
+        # batch is drawn; a (m, 4, 4) product buffer beside each batch's draw
+        # took ~37 MiB, and a fresh array per batch ~55 MiB
         rho = bell.to_density(measures.werner(0.8))
-        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 45
+        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 32
 
     def test_breeding_trials_keep_tests_as_integers(self):
         # about 0.8 MiB: two tuples of ints per trial. A ParityTest record per

@@ -12,6 +12,11 @@ state constructors, to_density and the oracle's products were rewritten for
 speed, so those rewrites keep every bit of p_success, post_state.p and
 post_state_raw.p.
 
+The sampled_twirl digests were kept through the rewrite that sums the Gram
+of the 10 distinct quaternion products, not of all 16, and draws each batch
+into the kernel's one buffer; so were the recurrence_mc and variable_block_mc
+digests through the purification round's single compaction per chunk.
+
 The variable_block_mc-k2 and -k4 digests were recorded again when the blocked
 round began to run in chunks of blocks. Its fidelity_err is now formed from
 the integer block moments sum(s_b) and sum(s_b**2) instead of a float64 sum of

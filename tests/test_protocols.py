@@ -291,6 +291,18 @@ class TestRecurrenceMC:
         with pytest.raises(ValueError):
             recurrence_mc(0.7, 1, 1, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_purify_round_returns_python_int_moments_of_its_kept_blocks(self, k):
+        # the MCStep and VariableBlockStats digests hash repr, where a numpy
+        # integer reads differently from an int of the same value
+        labels = ensemble._sample_labels(ensemble.stream(8), measures.werner(0.8), 999 * (k + 1))
+        out = protocols._purify_round(labels, 999, k, ensemble.stream(9))
+        assert [type(v) for v in out] == [int, int, int]
+        n_kept, s1, s2 = out
+        # the kept blocks sit in order at the front of labels
+        s_b = (labels[: n_kept * k].reshape(-1, k) == BellLabel.PSI_MINUS).sum(axis=1)
+        assert (s1, s2) == (int(s_b.sum()), int((s_b**2).sum()))
+
 
 def _chain_block_reference(sources, target):
     """Reference implementation of one block using the scalar label algebra."""

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, ensemble, measures, qstate
+from bellpure import bell, ensemble, measures, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.twirl import (
     TWIRL_BATCH,
     TWIRL_PERMS,
+    convergence_table,
     discrete_twirl,
     exact_twirl,
     sampled_twirl,
@@ -138,6 +139,44 @@ class TestSampledTwirl:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sampled_twirl(np.eye(4) / 4, 0, seed=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 4097, TWIRL_BATCH])
+    def test_ten_column_gram_expands_to_the_full_gram_bit_for_bit(self, m):
+        # the kernel's layout: the 10 products in rows 4-13 of a (14, m) buffer
+        q = np.random.default_rng(m).normal(size=(m, 4))
+        buf = np.zeros((14, m))
+        for r, (i, j) in enumerate(twirl._PAIRS):
+            buf[4 + r] = q[:, i] * q[:, j]
+        g10 = buf[4:] @ buf[4:].T
+        p = np.einsum("ni,nj->nij", q, q).reshape(m, 16)
+        assert np.array_equal(g10[np.ix_(twirl._GRAM16, twirl._GRAM16)], p.T @ p), (
+            "the 10x10 Gram, expanded, differs from the 16x16 p.T @ p: sampled_twirl's "
+            "output bytes assume the BLAS sums each Gram entry in the same order in both"
+        )
+
+
+class TestConvergenceTable:
+    def test_mean_distance_per_size(self):
+        rho = bell.label_projector(BellLabel.PHI_PLUS)
+        rows = convergence_table(rho, [10, 100.0], reps=2, seed=4)
+        assert [n for n, _ in rows] == [10, 100]
+        # reps substreams per size, numbered on across sizes
+        d = [
+            sampled_twirl(rho, n, 4, stream_id=sid)[1].trace_distance_to_werner
+            for sid, n in enumerate([10, 10, 100, 100])
+        ]
+        assert rows[0][1] == (d[0] + d[1]) / 2
+        assert rows[1][1] == (d[2] + d[3]) / 2
+
+    @pytest.mark.parametrize("reps", [0, -1, 1.5])
+    def test_rejects_reps_that_are_not_a_positive_whole_number(self, reps):
+        with pytest.raises(ValueError, match=f"got {reps!r}$"):
+            convergence_table(np.eye(4) / 4, [10], reps=reps)
+
+    @pytest.mark.parametrize("size", [10.7, 0, 0.5])
+    def test_rejects_sizes_that_are_not_positive_whole_numbers(self, size):
+        with pytest.raises(ValueError, match=f"got {size!r}$"):
+            convergence_table(np.eye(4) / 4, [100, size], reps=1)
 
 
 class TestDiscreteTwirl:
