@@ -51,7 +51,8 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
 
 def run_sharded(task, n_shards: int) -> list:
-    """Run task(shard_index) for every shard, returning results in shard order."""
+    """Run task(shard_index) for every shard, returning results in shard order.
+    No kernel calls it; benchmarks/tracing.py wraps it by name."""
     return [task(i) for i in range(n_shards)]
 
 

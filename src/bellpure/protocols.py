@@ -313,21 +313,24 @@ class BreedingResult(NamedTuple):
         )
 
 
-def _mask_bits(mask: int, n: int) -> np.ndarray:
-    """Bits 0..n-1 of an integer mask, as a boolean array."""
-    return ((mask >> np.arange(n)) & 1).astype(bool)
+def _mask_bits(mask, n: int) -> np.ndarray:
+    """Bits 0..n-1 of an integer mask, as a boolean array; an array of masks
+    gives one row of bits per mask."""
+    return ((np.asarray(mask)[..., None] >> np.arange(n)) & 1).astype(bool)
 
 
 def _bxor_parity(labels: np.ndarray, bits: np.ndarray):
     """Chain the selected pairs as sources into one fresh Phi+ target and
-    z-measure it (consuming the target). bits selects the subset; a 2-D bits
-    array holds one subset per row and gives one parity per row.
+    z-measure it (consuming the target). bits selects the subset along the
+    last axis; a 2-D bits array holds one subset per row and gives one parity
+    per row. With a leading trial axis on both, (T, n) labels and (T, r, n)
+    bits give the (T, r) parities of each trial's own subsets.
 
     By the bxor rule the chain acts on the target like one controlled-NOT
     from the XOR of the sources. A Phi+ target's sign bit is 0, so no source
     is altered, and its amp bit 0 is toggled by the sources' XORed amp bit:
     the subset's Psi-count parity, which the measurement reports."""
-    return (bits.astype(np.int64) @ bell.amp_bit(labels)) & 1
+    return np.matmul(bits, bell.amp_bit(labels)[..., None])[..., 0] & 1
 
 
 def _parity_coset(n: int, masks, parity_bits) -> tuple[int, list[int]]:
@@ -437,6 +440,110 @@ def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
     return int(best.min()), n_consistent, bool(best.size > 1)
 
 
+#: Most test bits one chunk of breeding trials holds at once. As int64 that is
+#: 64 KiB, below malloc's mmap threshold, so each chunk reuses heap memory the
+#: last one freed. A trial with more test bits runs alone.
+BREEDING_CHUNK = 1 << 13
+
+
+def _decode(n, masks, parities, groups, truth) -> tuple[int, bool, bool, int, bool]:
+    """(decoded, correct, tie, coset_dim, zero_prior) of one breeding round; a
+    round with no string of non-zero prior decodes to 0."""
+    try:
+        decoded, n_consistent, tie = _ml_decode(n, masks, parities, groups)
+    except ZeroPriorError as exc:
+        return 0, False, False, exc.n_consistent.bit_length() - 1, True
+    return decoded, decoded == truth, tie, n_consistent.bit_length() - 1, False
+
+
+def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids):
+    """breeding_mc on each stream id, in order, one chunk of trials at a time.
+
+    A trial's own work is its stream's draws and its two decodes. Every other
+    step runs once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits,
+    and what is the same for every trial runs once per call."""
+    measures.check_breeding_args(n, delta, r_margin)
+    p = w.p
+    p_psi = float(p[2] + p[3])
+    p_phi = float(p[0] + p[1])
+    sign_given_phi = float(p[1] / p_phi) if p_phi > 0.0 else 0.5
+    # after the y fix, a former Psi+ carries the flipped sign bit
+    sign_given_psi = float(p[2] / p_psi) if p_psi > 0.0 else 0.5
+    h_class = measures.h2(p_psi)
+    h_sign = 0.0
+    if p_phi > 0.0:
+        h_sign += p_phi * measures.h2(sign_given_phi)
+    if p_psi > 0.0:
+        h_sign += p_psi * measures.h2(sign_given_psi)
+    r1 = int(math.ceil(n * h_class + r_margin * math.sqrt(n)))
+    r2 = int(math.ceil(n * h_sign + r_margin * math.sqrt(n)))
+    targets = r1 + r2
+    provisioned = int(math.ceil(n * (measures.entropy_bell(w) + delta)))
+    full = (1 << n) - 1
+    weights = 1 << np.arange(n)
+    cdf = p.cumsum()
+    # trials per chunk; a trial with no tests still holds its n uniforms
+    per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
+
+    results: list[BreedingResult] = []
+    for lo in range(0, len(stream_ids), per_chunk):
+        ids = stream_ids[lo : lo + per_chunk]
+        u = np.empty((len(ids), n))
+        bits = np.empty((len(ids), targets, n), dtype=np.int64)
+        for i, t in enumerate(ids):
+            # a trial's draws: its labels' uniforms, then round 1's subsets,
+            # then round 2's (a decode draws nothing, so they can come first)
+            rng = ensemble.stream(seed, t)
+            rng.random(out=u[i])
+            bits[i] = rng.integers(0, 2, size=(targets, n))
+        labels = ensemble._labels_from_uniforms(cdf, u, np.empty(u.shape, dtype=np.uint8))
+        masks = (bits @ weights).tolist()
+
+        x_true = (bell.amp_bit(labels) @ weights).tolist()
+        pars1 = _bxor_parity(labels, bits[:, :r1]).tolist()
+        round1 = [
+            _decode(n, m[:r1], par, [(full, p_psi)], x) for m, par, x in zip(masks, pars1, x_true)
+        ]
+        x_hat = [d[0] for d in round1]
+        # one-particle y on every decoded Psi
+        labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
+        labels = bell.bilateral_rot(labels, PauliAxis.Y)  # leftover sign errors become Psi+
+
+        y_true = (bell.amp_bit(labels) @ weights).tolist()
+        pars2 = _bxor_parity(labels, bits[:, r1:]).tolist()
+        round2 = [
+            _decode(n, m[r1:], par, [(full & ~x, sign_given_phi), (x, sign_given_psi)], y)
+            for m, par, x, y in zip(masks, pars2, x_hat, y_true)
+        ]
+        y_hat = [d[0] for d in round2]
+        # one-particle x on every decoded Psi+
+        labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
+        residual = np.count_nonzero(labels != BellLabel.PHI_PLUS, axis=1).tolist()
+
+        for m, par1, par2, d1, d2, res in zip(masks, pars1, pars2, round1, round2, residual):
+            results.append(
+                BreedingResult(
+                    n=n,
+                    targets_consumed=targets,
+                    decode_correct_round1=d1[1],
+                    decode_correct_round2=d2[1],
+                    tie_round1=d1[2],
+                    tie_round2=d2[2],
+                    residual_error_pairs=res,
+                    net_yield=(n - res - targets) / n,
+                    provisioned_targets=provisioned,
+                    budget_exceeded=targets > provisioned,
+                    coset_dim_round1=d1[3],
+                    coset_dim_round2=d2[3],
+                    zero_prior_round1=d1[4],
+                    zero_prior_round2=d2[4],
+                    subset_masks=tuple(m),
+                    parities=tuple(par1 + par2),
+                )
+            )
+    return results
+
+
 def breeding_mc(
     w: BellDiagonal,
     n: int,
@@ -458,78 +565,7 @@ def breeding_mc(
     (zero_prior_round2). Every test consumes one prepurified Phi+ target;
     n*(S+delta) targets are provisioned, and overruns set budget_exceeded.
     """
-    measures.check_breeding_args(n, delta, r_margin)
-    p = w.p
-    rng = ensemble.stream(seed, stream_id)
-    labels = ensemble._sample_labels(rng, w, n)
-
-    p_psi = float(p[2] + p[3])
-    p_phi = float(p[0] + p[1])
-    sign_given_phi = float(p[1] / p_phi) if p_phi > 0.0 else 0.5
-    # after the y fix, a former Psi+ carries the flipped sign bit
-    sign_given_psi = float(p[2] / p_psi) if p_psi > 0.0 else 0.5
-    h_class = measures.h2(p_psi)
-    h_sign = 0.0
-    if p_phi > 0.0:
-        h_sign += p_phi * measures.h2(sign_given_phi)
-    if p_psi > 0.0:
-        h_sign += p_psi * measures.h2(sign_given_psi)
-
-    full = (1 << n) - 1
-    weights = 1 << np.arange(n)
-
-    def run_tests(current_labels, count):
-        # one row per test: the same draws as count successive subset_mask calls
-        bits = rng.integers(0, 2, size=(count, n))
-        return (bits @ weights).tolist(), _bxor_parity(current_labels, bits).tolist()
-
-    def decode(masks, parities, groups, truth):
-        """(decoded, correct, tie, coset_dim, zero_prior) of one round."""
-        try:
-            decoded, n_consistent, tie = _ml_decode(n, masks, parities, groups)
-        except ZeroPriorError as exc:
-            return 0, False, False, exc.n_consistent.bit_length() - 1, True
-        return decoded, decoded == truth, tie, n_consistent.bit_length() - 1, False
-
-    r1 = int(math.ceil(n * h_class + r_margin * math.sqrt(n)))
-    x_true = ensemble.pack_bits(bell.amp_bit(labels))
-    masks1, pars1 = run_tests(labels, r1)
-    x_hat, correct1, tie1, dim1, zero1 = decode(masks1, pars1, [(full, p_psi)], x_true)
-
-    # one-particle y on every decoded Psi
-    labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
-    labels = bell.bilateral_rot(labels, PauliAxis.Y)  # leftover sign errors become Psi+
-
-    r2 = int(math.ceil(n * h_sign + r_margin * math.sqrt(n)))
-    y_true = ensemble.pack_bits(bell.amp_bit(labels))
-    masks2, pars2 = run_tests(labels, r2)
-    groups = [(full & ~x_hat, sign_given_phi), (x_hat, sign_given_psi)]
-    y_hat, correct2, tie2, dim2, zero2 = decode(masks2, pars2, groups, y_true)
-
-    # one-particle x on every decoded Psi+
-    labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
-    residual = int((labels != BellLabel.PHI_PLUS).sum())
-
-    targets = r1 + r2
-    provisioned = int(math.ceil(n * (measures.entropy_bell(w) + delta)))
-    return BreedingResult(
-        n=n,
-        targets_consumed=targets,
-        decode_correct_round1=correct1,
-        decode_correct_round2=correct2,
-        tie_round1=tie1,
-        tie_round2=tie2,
-        residual_error_pairs=residual,
-        net_yield=(n - residual - targets) / n,
-        provisioned_targets=provisioned,
-        budget_exceeded=targets > provisioned,
-        coset_dim_round1=dim1,
-        coset_dim_round2=dim2,
-        zero_prior_round1=zero1,
-        zero_prior_round2=zero2,
-        subset_masks=tuple(masks1 + masks2),
-        parities=tuple(pars1 + pars2),
-    )
+    return _breed(w, n, delta, r_margin, seed, [stream_id])[0]
 
 
 class BreedingSummary(NamedTuple):
@@ -557,9 +593,7 @@ def breeding_trials(
     (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t)."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    results = ensemble.run_sharded(
-        lambda t: breeding_mc(w, n, delta, r_margin, seed=seed, stream_id=t), trials
-    )
+    results = _breed(w, n, delta, r_margin, seed, range(trials))
     summary = BreedingSummary(
         trials=trials,
         n=n,

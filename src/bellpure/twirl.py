@@ -76,8 +76,9 @@ def sampled_twirl(
     transposed in rows 0-3 and the products in rows 4-13. The bytes equal
     those of the 16x16 P^T P while the BLAS sums each entry in the same order.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not (n >= 1 and n % 1 == 0):  # also false for NaN and infinity
+        raise ValueError(f"n must be a whole number >= 1, got {n!r}")
+    n = int(n)
     mat = qstate.as_matrix(rho)
     target = exact_twirl(mat)
     rng = ensemble.stream(seed, stream_id)

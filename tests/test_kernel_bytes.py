@@ -29,7 +29,9 @@ each BreedingResult and each derived ParityTest's (subset, parity_observed,
 target_consumed); they were recorded before the runs stopped building a
 ParityTest per test and began to keep each test as the decoder's integer
 mask. The [0.6, 0, 0.2, 0.2] run at zero margin reaches the round whose every
-parity-consistent string has zero prior (49 of its 300 trials).
+parity-consistent string has zero prior (49 of its 300 trials). The
+two_groups-n14 and werner-n20-margin100 digests, over every result field, were
+recorded before breeding_trials began to run its trials in chunks.
 """
 import hashlib
 
@@ -155,15 +157,31 @@ RESULT_FIELDS = (
 )
 
 
+#: Runs pinned over every result field, the zero-prior flags and the raw
+#: masks and parities included. The first scores two round-2 groups
+#: (sign_given_phi 1/3, sign_given_psi 3/17), so that _exact_best runs; in the
+#: second one trial's test bits alone (903 tests of 20 bits) fill more than a
+#: chunk of trials may hold.
+FULL_BREEDING_RUNS = {
+    "two_groups-n14": (BellDiagonal([0.1, 0.05, 0.15, 0.7]), 14, 400, 2.0, 11),
+    "werner-n20-margin100": (measures.werner(0.95), 20, 3, 100.0, 12),
+}
+FULL_RESULT_FIELDS = RESULT_FIELDS + (
+    "zero_prior_round1", "zero_prior_round2", "subset_masks", "parities",
+)
+
+
 def _breeding(name):
     """Fields named one by one, so that a field added later leaves the digest
     alone."""
-    w, n, trials, r_margin, seed = BREEDING_RUNS[name]
+    full = name in FULL_BREEDING_RUNS
+    w, n, trials, r_margin, seed = (FULL_BREEDING_RUNS if full else BREEDING_RUNS)[name]
     summary, results = protocols.breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
     parts = [getattr(summary, f) for f in SUMMARY_FIELDS]
     for r in results:
-        parts += [getattr(r, f) for f in RESULT_FIELDS]
-        parts += [(t.subset, t.parity_observed, t.target_consumed) for t in r.parity_tests]
+        parts += [getattr(r, f) for f in (FULL_RESULT_FIELDS if full else RESULT_FIELDS)]
+        if not full:
+            parts += [(t.subset, t.parity_observed, t.target_consumed) for t in r.parity_tests]
     return _digest(*parts)
 
 
@@ -179,7 +197,10 @@ CASES = {
     **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
     "exact_layer": _exact_layer,
     "oracle_step": _oracle_step,
-    **{f"breeding-{name}": (lambda name=name: _breeding(name)) for name in BREEDING_RUNS},
+    **{
+        f"breeding-{name}": (lambda name=name: _breeding(name))
+        for name in (*BREEDING_RUNS, *FULL_BREEDING_RUNS)
+    },
 }
 
 DIGESTS = {
@@ -208,6 +229,8 @@ DIGESTS = {
     "breeding-werner-n12": "35e69871a1c704ece8d167cf7a49ca691b01eed7c4b3f37c0d0c0a605a01e7e9",
     "breeding-werner-n20": "9f30dd8b2520ea9007d277d2ed5cbc098929b9e97f9128c5d0d0f289913f086b",
     "breeding-zero_prior-n8": "31b0b792bf5af1a0b66a6fcb4a11ee50ad434e1f5fac31d9fed0f806897238e2",
+    "breeding-two_groups-n14": "449cf7b4a3b620b5d5dea5328cebd7404eb3cda648b8e2fecfe78fab03936412",
+    "breeding-werner-n20-margin100": "fdbe68bd5a462aed228ad3240a6418caeb99ece3e97e5cf424820e8c62c7ed1b",
 }
 
 

@@ -189,7 +189,8 @@ class TestWorkCounts:
     """Each state is checked once, where it is built: the exact step and its
     oracle build only the states they need, so a re-validation creeping back
     fails here. A breeding run keeps its tests as integers and builds no
-    per-test record until one is read."""
+    per-test record until one is read, and it runs the tests of a whole chunk
+    of trials in one call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -222,6 +223,22 @@ class TestWorkCounts:
         assert calls == {}
         # reading the records builds them
         assert sum(len(r.parity_tests) for r in results) == calls["ParityTest"] > 0
+
+    def test_breeding_runs_its_tests_once_per_chunk_of_trials(self, monkeypatch):
+        sizes = []  # trials per _bxor_parity call
+        bxor_parity = protocols._bxor_parity
+
+        def counted(labels, bits):
+            sizes.append(len(labels))
+            return bxor_parity(labels, bits)
+
+        monkeypatch.setattr(protocols, "_bxor_parity", counted)
+        _, results = breeding_trials(measures.werner(0.95), 12, 600, seed=3)
+        per_chunk = protocols.BREEDING_CHUNK // (results[0].targets_consumed * 12)
+        assert per_chunk > 1
+        chunk_sizes = [min(per_chunk, 600 - lo) for lo in range(0, 600, per_chunk)]
+        # each chunk's two rounds, not each trial's
+        assert sizes == [size for size in chunk_sizes for _ in range(2)]
 
 
 class TestRecurrenceTrajectory:
@@ -532,6 +549,16 @@ class TestBxorParityHelper:
             assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
 
 
+    def test_one_row_of_parities_per_trial(self):
+        rng = np.random.default_rng(8)
+        labels = ensemble._sample_labels(rng, measures.werner(0.7), 5 * 9).reshape(5, 9)
+        masks = rng.integers(0, 1 << 9, size=(5, 40))
+        bits = protocols._mask_bits(masks, 9)
+        assert bits.shape == (5, 40, 9)
+        assert protocols._bxor_parity(labels, bits).tolist() == [
+            [_scalar_chain_parity(row, int(m)) for m in trial] for row, trial in zip(labels, masks)
+        ]
+
     def test_one_parity_per_row_of_a_subset_matrix(self):
         rng = np.random.default_rng(7)
         labels = ensemble._sample_labels(rng, measures.werner(0.7), 9)
@@ -683,8 +710,10 @@ class TestBreeding:
         bxor_parity = protocols._bxor_parity
 
         def recording(labels, bits):
+            # one trial: (1, n) labels and its (1, tests, n) subset bits
+            assert labels.shape == (1, n) and bits.shape[::2] == (1, n)
             parities = bxor_parity(labels, bits)
-            rounds.append((bits, parities.tolist()))
+            rounds.append((bits[0], parities[0].tolist()))
             return parities
 
         with pytest.MonkeyPatch.context() as mp:
@@ -759,6 +788,29 @@ class TestBreeding:
         _, results = breeding_trials(w, 10, 24, seed=6)
         assert results == [breeding_mc(w, 10, seed=6, stream_id=t) for t in range(24)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(BREEDING_STATES),
+        st.integers(1, 20),
+        st.floats(0.0, 4.0),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+    )
+    @example(BellDiagonal([1.0, 0.0, 0.0, 0.0]), 20, 0.0, 0, 9)  # no tests at all
+    def test_trials_do_not_depend_on_the_chunk_size(self, w, n, r_margin, seed, trials):
+        # like ensemble.CHUNK: any chunk of trials gives the same results and
+        # summary, each trial equal to its own breeding_mc run
+        summary, results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
+        assert results == [
+            breeding_mc(w, n, r_margin=r_margin, seed=seed, stream_id=t) for t in range(trials)
+        ]
+        per_trial = max(results[0].targets_consumed, 1) * n
+        for per_chunk in (1, 2, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocols, "BREEDING_CHUNK", per_chunk * per_trial)
+                chunked = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
+            assert chunked == (summary, results)
+
     def test_round2_with_no_prior_candidate_fails_without_raising(self):
         # round 1 misdecodes a pair, and the round-2 prior then gives the
         # true sign string zero probability
@@ -773,20 +825,21 @@ class TestBreeding:
     def test_zero_prior_round_is_flagged_and_corrects_nothing(self, monkeypatch):
         # at zero margin, 49 of these 300 trials misdecode round 1 so that
         # round 2 has no string of non-zero prior
-        corrections = []
+        corrections = []  # each chunk's round-1 masks, then its round-2 masks
         mask_bits = protocols._mask_bits
 
-        def recording(mask, n):
-            corrections.append(mask)
-            return mask_bits(mask, n)
+        def recording(masks, n):
+            corrections.append(list(masks))
+            return mask_bits(masks, n)
 
         monkeypatch.setattr(protocols, "_mask_bits", recording)
         _, results = breeding_trials(BellDiagonal([0.6, 0.0, 0.2, 0.2]), 8, 300, r_margin=0.0, seed=5)
-        assert len(corrections) == 2 * len(results)
+        x_hats, y_hats = (sum(corrections[i::2], []) for i in (0, 1))
+        assert len(x_hats) == len(y_hats) == len(results)
         # round 1's true string always fits its tests and has non-zero prior
         assert not any(r.zero_prior_round1 for r in results)
         assert sum(r.zero_prior_round2 for r in results) == 49
-        for r, y_hat in zip(results, corrections[1::2]):
+        for r, y_hat in zip(results, y_hats):
             if r.zero_prior_round2:
                 assert not r.decode_correct_round2 and not r.tie_round2
                 assert y_hat == 0 and r.decode_failed

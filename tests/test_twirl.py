@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -139,6 +141,17 @@ class TestSampledTwirl:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sampled_twirl(np.eye(4) / 4, 0, seed=0)
+
+    @pytest.mark.parametrize("n", [10.5, 0.5, -1, math.nan, math.inf])
+    def test_rejects_sample_counts_that_are_not_whole_numbers(self, n):
+        with pytest.raises(ValueError, match=rf"n must be a whole number >= 1, got {n!r}$"):
+            sampled_twirl(np.eye(4) / 4, n, seed=0)
+
+    def test_whole_float_sample_count_runs_as_its_integer(self):
+        rho = bell.to_density(BellDiagonal([0.1, 0.2, 0.3, 0.4]))
+        a, ra = sampled_twirl(rho, 10.0, seed=4)
+        b, rb = sampled_twirl(rho, 10, seed=4)
+        assert np.array_equal(a.mat, b.mat) and ra == rb and type(ra.n_samples) is int
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 4097, TWIRL_BATCH])
     def test_ten_column_gram_expands_to_the_full_gram_bit_for_bit(self, m):
