@@ -5,7 +5,8 @@ Stream contract (stable across versions): ``stream(seed, stream_id)`` is a
 numpy Generator over the Philox4x64-10 counter-based bit generator keyed by
 the pair (seed, stream_id) with a zero counter. Distinct ids give provably
 non-overlapping streams; independent trial t of a seeded run draws from
-substream (seed, t).
+substream (seed, t). ``rekey(rng, seed, stream_id)`` turns a generator made
+by stream into stream(seed, stream_id), drawing the same values.
 
 Chunk invariance: the label sampler, twirl.twirl_labels and the purification
 round behind protocols.recurrence_mc and variable_block_mc process at most
@@ -40,14 +41,36 @@ def chunks(n: int):
         yield lo, min(lo + step, n)
 
 
-def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Independent random stream for (seed, stream_id); see module docstring."""
+def _key(seed: int, stream_id: int) -> np.ndarray:
+    """The Philox key of stream (seed, stream_id), both checked to fit 64 bits."""
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if not 0 <= int(stream_id) < 2**64:
         raise ValueError("stream_id must fit in an unsigned 64-bit integer")
-    key = np.array([seed, stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([seed, stream_id], dtype=np.uint64)
+
+
+def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """Independent random stream for (seed, stream_id); see module docstring."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id)))
+
+
+_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng: np.random.Generator, seed: int, stream_id: int) -> None:
+    """Restart rng, a generator made by stream, as stream(seed, stream_id):
+    the new key, a zero counter, no buffered block and no buffered 32-bit
+    half. It then draws what a new stream would, without the cost of building
+    one (Philox(key=...) first seeds itself from OS entropy it then drops)."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_BLOCK, "key": _key(seed, stream_id)},
+        "buffer": _ZERO_BLOCK,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def run_sharded(task, n_shards: int) -> list:

@@ -333,45 +333,14 @@ def _bxor_parity(labels: np.ndarray, bits: np.ndarray):
     return np.matmul(bits, bell.amp_bit(labels)[..., None])[..., 0] & 1
 
 
-def _parity_coset(n: int, masks, parity_bits) -> tuple[int, list[int]]:
-    """Solve subset parities over GF(2).
-
-    The n-bit strings x with popcount(x & mask) % 2 == bit for every test are
-    exactly x0 ^ (any XOR of basis vectors): an affine coset of dimension
-    len(basis) = n - rank. Returns (x0, basis); raises RuntimeError when the
-    parities contradict each other."""
-    rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row mask, parity)
-    for mask, bit in zip(masks, parity_bits):
-        while mask:
-            lead = mask.bit_length() - 1
-            if lead not in rows:
-                rows[lead] = (mask, bit)
-                break
-            row, row_bit = rows[lead]
-            mask ^= row
-            bit ^= row_bit
-        if not mask and bit:
-            raise RuntimeError("no parity-consistent candidate")
-    leads = sorted(rows)
-
-    def back_substitute(x: int, use_parity: bool) -> int:
-        # a row's other bits all lie below its leading bit, so ascending
-        # leads see every bit they depend on already fixed
-        for lead in leads:
-            row, bit = rows[lead]
-            if ((x & row).bit_count() + (bit if use_parity else 0)) & 1:
-                x |= 1 << lead
-        return x
-
-    x0 = back_substitute(0, True)
-    basis = [back_substitute(1 << free, False) for free in range(n) if free not in rows]
-    return x0, basis
-
-
-#: With several scored groups, candidates whose float score lies within this
-#: fraction of the score's bound of the best are re-ranked exactly; the float
-#: sums err by far less.
+#: Candidates whose float score lies within this fraction of the score's bound
+#: of the best are near the top; when their per-group one-counts differ, they
+#: are re-ranked exactly. The float sums err by far less.
 _DECODE_RTOL = 1e-9
+
+#: Most candidate strings the decoder holds at once, over all the rows it
+#: scores together; a row whose coset holds more is scored alone.
+DECODE_CHUNK = 1 << 16
 
 
 def _exact_best(cands: np.ndarray, score: np.ndarray, groups) -> np.ndarray:
@@ -386,7 +355,7 @@ def _exact_best(cands: np.ndarray, score: np.ndarray, groups) -> np.ndarray:
     log_odds = [math.log2(p / (1.0 - p)) for _, p in groups]
     scale = sum(int(mask).bit_count() * abs(l) for (mask, _), l in zip(groups, log_odds))
     cands = cands[score >= score.max() - _DECODE_RTOL * scale]
-    counts = np.stack([np.bitwise_count(cands & np.uint64(mask)) for mask, _ in groups], axis=1)
+    counts = np.stack([np.bitwise_count(cands & np.uint32(mask)) for mask, _ in groups], axis=1)
     vecs, inv = np.unique(counts, axis=0, return_inverse=True)
     terms = [(*p.as_integer_ratio(), int(mask).bit_count()) for mask, p in groups]
     priors = [
@@ -397,47 +366,136 @@ def _exact_best(cands: np.ndarray, score: np.ndarray, groups) -> np.ndarray:
     return cands[np.array([prior == top for prior in priors])[inv.reshape(-1)]]
 
 
-def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
-    """Maximum-likelihood decode of an n-bit string from subset parities.
+def _reduce_parities(n: int, masks: np.ndarray, parities: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination over GF(2) of each row's parity tests, all
+    rows at once. Returns the (T, n) reduced pivot rows, each test packed as
+    mask << 1 | parity: column b holds the test whose leading bit is b, with
+    no other leading bit set, or 0 when no test leads at b. Raises
+    RuntimeError when a row's parities contradict each other."""
+    work = np.zeros((len(masks), n + masks.shape[1]), dtype=np.int64)
+    pivots, tests = work[:, :n], work[:, n:]
+    if not tests.size:
+        return pivots
+    tests[:] = masks << 1 | parities
+    for b in range(n - 1, -1, -1):
+        # a test not yet taken holds no mask bit above b, so the largest
+        # leads at b if any test does; XORing it into every test and pivot
+        # holding bit b clears that bit there, itself included
+        lead = tests.max(axis=1)
+        lead *= lead >> b + 1
+        work ^= (work >> b + 1 & 1) * lead[:, None]
+        pivots[:, b] = lead
+    if tests.any():  # a test reduced to parity 1 on the empty subset
+        raise RuntimeError("no parity-consistent candidate")
+    return pivots
 
-    Only the 2^(n - rank) parity-consistent strings of _parity_coset are
-    scored, built by doubling over the coset basis. prior_groups is a list of
-    (position_mask, p_one) pairs partitioning the positions; within a group
-    each bit is independently 1 with probability p_one. Candidates carrying
-    zero prior are discarded (ZeroPriorError when none is left); the survivor
-    with the largest prior wins, smallest value first among exact ties. Priors
-    are ranked by float log-odds sums; with more than one scored group, those
-    near the top are re-ranked exactly (_exact_best), so a tie is never lost
-    to rounding. Returns (decoded, n_consistent, tie)."""
-    x0, basis = _parity_coset(n, masks, parity_bits)
-    cands = np.array([x0], dtype=np.uint64)
-    for v in basis:
-        cands = np.concatenate([cands, cands ^ np.uint64(v)])
-    n_consistent = int(cands.size)
-    for mask, p in prior_groups:
-        if mask == 0:
-            continue
-        m = np.uint64(mask)
-        if p <= 0.0:
-            cands = cands[np.bitwise_count(cands & m) == 0]
-        elif p >= 1.0:
-            cands = cands[np.bitwise_count(cands & m) == np.bitwise_count(m)]
-    if cands.size == 0:
-        raise ZeroPriorError(n_consistent)
-    score = np.zeros(cands.size)
-    scored = []
-    for mask, p in prior_groups:
-        if mask == 0 or p <= 0.0 or p >= 1.0 or p == 0.5:
-            continue
-        scored.append((mask, p))
-        ones = np.bitwise_count(cands & np.uint64(mask)).astype(np.float64)
-        score += ones * math.log2(p / (1.0 - p))
-    if len(scored) > 1:
-        best = _exact_best(cands, score, scored)
+
+def _ml_decode_rows(n, masks, parities, group_masks, probs):
+    """Maximum-likelihood decode of many n-bit strings, one per row, each
+    from its own subset parities and prior; _ml_decode states the rule.
+
+    masks and parities are (T, r) integer arrays; a zero mask with parity 0
+    tests nothing, so rows with fewer tests are padded with it. Row t's prior
+    groups are (group_masks[t, g], probs[g]). All rows are reduced at once
+    (_reduce_parities); then the rows of each coset dimension d are scored
+    together as a (rows, 2^d) array of candidates, a slice of rows at a time,
+    so at most max(2^d, DECODE_CHUNK) candidates are held. Returns the
+    arrays (decoded, coset_dim, tie, zero_prior); a row whose every
+    parity-consistent string has zero prior decodes to 0 and is no tie."""
+    pivots = _reduce_parities(n, np.asarray(masks), np.asarray(parities))
+    group_masks = np.asarray(group_masks).astype(np.uint32)
+    leads = pivots != 0
+    dims = n - np.count_nonzero(leads, axis=1)
+    bit = np.arange(n)
+    weights = 1 << bit
+    # with every free bit 0, each leading bit is its pivot's parity
+    x0 = ((pivots & 1) @ weights).astype(np.uint32)
+    # column f: bit f, and every leading bit whose pivot holds bit f; for a
+    # free f, the basis vector whose only free bit is f
+    spans = 1 << bit | (pivots[:, None, :] >> bit[:, None] + 1 & 1) @ weights
+    spans = spans.astype(np.uint32)
+    decoded = np.zeros(len(dims), dtype=np.int64)
+    count = np.zeros(len(dims), dtype=np.int64)  # strings of the top prior
+    order = dims.argsort(kind="stable")
+    ends = np.bincount(dims, minlength=n + 1).cumsum().tolist()
+    for d, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        step = max(1, DECODE_CHUNK >> d)
+        for part in (order[i : min(i + step, hi)] for i in range(lo, hi, step)):
+            basis = spans[part][~leads[part]].reshape(len(part), d)  # ascending free bits
+            cands = np.empty((len(part), 1 << d), dtype=np.uint32)
+            cands[:, 0] = x0[part]
+            for j in range(d):  # double the coset spanned so far
+                np.bitwise_xor(cands[:, : 1 << j], basis[:, j, None], out=cands[:, 1 << j : 2 << j])
+            decoded[part], count[part] = _best_in_cosets(cands, group_masks[part], probs)
+    return decoded, dims, count > 1, count == 0
+
+
+def _best_in_cosets(cands, group_masks, probs):
+    """(smallest, count) of each row's strings of largest non-zero prior, over
+    its row of candidates, the row's prior groups being (group_masks[:, g],
+    probs[g]). A row whose every string has zero prior gives (0, 0)."""
+    valid = None  # built only when some p is 0 or 1
+    for g, p in enumerate(probs):
+        if p <= 0.0 or p >= 1.0:  # then a 1 where p = 0, or a 0 where p = 1, has zero prior
+            m = group_masks[:, g, None]
+            ok = np.bitwise_count(cands & m) == (0 if p <= 0.0 else np.bitwise_count(m))
+            valid = ok if valid is None else valid & ok
+    scored = [
+        (g, math.log2(p / (1.0 - p))) for g, p in enumerate(probs) if 0.0 < p < 1.0 and p != 0.5
+    ]
+    exact = []
+    if not scored:
+        best = np.ones(cands.shape, dtype=bool) if valid is None else valid
     else:
-        # one term k * log-odds: its rounding keeps the order of the counts k
-        best = cands[score == score.max()]
-    return int(best.min()), n_consistent, bool(best.size > 1)
+        score = np.zeros(cands.shape)
+        code = np.zeros(cands.shape, dtype=np.int32) if len(scored) > 1 else None
+        for g, l in scored:
+            ones = np.bitwise_count(cands & group_masks[:, g, None])
+            score += ones * l
+            if code is not None:  # the vector of one-counts as one int
+                code = code * 32 + ones
+        scale = sum(np.bitwise_count(group_masks[:, g]) * abs(l) for g, l in scored)
+        if valid is not None:
+            score[~valid] = -np.inf
+        best = score >= (score.max(axis=1) - _DECODE_RTOL * scale)[:, None]
+        if valid is not None:
+            best &= valid
+        if code is not None:
+            # a near-top set of one count vector is the top set, as all its
+            # strings share one prior; any other is ranked exactly
+            top_code = np.take_along_axis(code, score.argmax(axis=1)[:, None], axis=1)
+            for i in np.flatnonzero((best & (code != top_code)).any(axis=1)).tolist():
+                groups = [(int(group_masks[i, g]), probs[g]) for g, _ in scored]
+                exact.append((i, _exact_best(cands[i], score[i], groups)))
+    smallest = np.where(best, cands, np.uint32(2**32 - 1)).min(axis=1)
+    count = np.count_nonzero(best, axis=1)
+    for i, top_set in exact:
+        smallest[i], count[i] = top_set.min(), top_set.size
+    smallest[count == 0] = 0
+    return smallest, count
+
+
+def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
+    """Maximum-likelihood decode of an n-bit string from subset parities: the
+    one-row call of _ml_decode_rows.
+
+    Only the 2^(n - rank) strings that fit the parities are scored: the coset
+    x0 ^ span(basis) that Gauss-Jordan elimination over GF(2) gives
+    (RuntimeError when the parities contradict each other). prior_groups is a
+    list of (position_mask, p_one) pairs partitioning the positions; within a
+    group each bit is independently 1 with probability p_one. Candidates
+    carrying zero prior are discarded (ZeroPriorError when none is left); the
+    survivor with the largest prior wins, smallest value first among exact
+    ties. Priors are ranked by float log-odds sums; when the strings near the
+    top differ in their per-group one-counts, they are re-ranked exactly
+    (_exact_best), so a tie is never lost to rounding. Returns (decoded,
+    n_consistent, tie)."""
+    decoded, dims, tie, zero_prior = _ml_decode_rows(
+        n, [masks], [parity_bits], [[mask for mask, _ in prior_groups]], [p for _, p in prior_groups]
+    )
+    if zero_prior[0]:
+        raise ZeroPriorError(1 << int(dims[0]))
+    return int(decoded[0]), 1 << int(dims[0]), bool(tie[0])
 
 
 #: Most test bits one chunk of breeding trials holds at once. As int64 that is
@@ -446,22 +504,14 @@ def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
 BREEDING_CHUNK = 1 << 13
 
 
-def _decode(n, masks, parities, groups, truth) -> tuple[int, bool, bool, int, bool]:
-    """(decoded, correct, tie, coset_dim, zero_prior) of one breeding round; a
-    round with no string of non-zero prior decodes to 0."""
-    try:
-        decoded, n_consistent, tie = _ml_decode(n, masks, parities, groups)
-    except ZeroPriorError as exc:
-        return 0, False, False, exc.n_consistent.bit_length() - 1, True
-    return decoded, decoded == truth, tie, n_consistent.bit_length() - 1, False
-
-
 def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids):
     """breeding_mc on each stream id, in order, one chunk of trials at a time.
 
-    A trial's own work is its stream's draws and its two decodes. Every other
-    step runs once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits,
-    and what is the same for every trial runs once per call."""
+    A trial's own work is its stream's draws; one generator is re-keyed to
+    each trial's stream. Every other step runs once per chunk, on (T, n)
+    labels and (T, r1 + r2, n) test bits, each round's decodes in one
+    _ml_decode_rows call; and what is the same for every trial runs once per
+    call."""
     measures.check_breeding_args(n, delta, r_margin)
     p = w.p
     p_psi = float(p[2] + p[3])
@@ -484,6 +534,7 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     cdf = p.cumsum()
     # trials per chunk; a trial with no tests still holds its n uniforms
     per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
+    rng = ensemble.stream(seed)
 
     results: list[BreedingResult] = []
     for lo in range(0, len(stream_ids), per_chunk):
@@ -493,52 +544,57 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
         for i, t in enumerate(ids):
             # a trial's draws: its labels' uniforms, then round 1's subsets,
             # then round 2's (a decode draws nothing, so they can come first)
-            rng = ensemble.stream(seed, t)
+            ensemble.rekey(rng, seed, t)
             rng.random(out=u[i])
             bits[i] = rng.integers(0, 2, size=(targets, n))
         labels = ensemble._labels_from_uniforms(cdf, u, np.empty(u.shape, dtype=np.uint8))
-        masks = (bits @ weights).tolist()
+        masks = bits @ weights
 
-        x_true = (bell.amp_bit(labels) @ weights).tolist()
-        pars1 = _bxor_parity(labels, bits[:, :r1]).tolist()
-        round1 = [
-            _decode(n, m[:r1], par, [(full, p_psi)], x) for m, par, x in zip(masks, pars1, x_true)
-        ]
-        x_hat = [d[0] for d in round1]
+        x_true = bell.amp_bit(labels) @ weights
+        pars1 = _bxor_parity(labels, bits[:, :r1])
+        x_hat, dim1, tie1, zero1 = _ml_decode_rows(
+            n, masks[:, :r1], pars1, np.full((len(ids), 1), full), [p_psi]
+        )
         # one-particle y on every decoded Psi
         labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
         labels = bell.bilateral_rot(labels, PauliAxis.Y)  # leftover sign errors become Psi+
 
-        y_true = (bell.amp_bit(labels) @ weights).tolist()
-        pars2 = _bxor_parity(labels, bits[:, r1:]).tolist()
-        round2 = [
-            _decode(n, m[r1:], par, [(full & ~x, sign_given_phi), (x, sign_given_psi)], y)
-            for m, par, x, y in zip(masks, pars2, x_hat, y_true)
-        ]
-        y_hat = [d[0] for d in round2]
+        y_true = bell.amp_bit(labels) @ weights
+        pars2 = _bxor_parity(labels, bits[:, r1:])
+        y_hat, dim2, tie2, zero2 = _ml_decode_rows(
+            n, masks[:, r1:], pars2, np.stack([full & ~x_hat, x_hat], axis=1),
+            [sign_given_phi, sign_given_psi],
+        )
         # one-particle x on every decoded Psi+
         labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
         residual = np.count_nonzero(labels != BellLabel.PHI_PLUS, axis=1).tolist()
 
-        for m, par1, par2, d1, d2, res in zip(masks, pars1, pars2, round1, round2, residual):
+        # a round with no string of non-zero prior decodes to 0 and fails
+        correct1 = (x_hat == x_true) & ~zero1
+        correct2 = (y_hat == y_true) & ~zero2
+        for m, pars, ok1, ok2, t1, t2, res, d1, d2, z1, z2 in zip(
+            masks.tolist(), np.concatenate([pars1, pars2], axis=1).tolist(), correct1.tolist(),
+            correct2.tolist(), tie1.tolist(), tie2.tolist(), residual, dim1.tolist(),
+            dim2.tolist(), zero1.tolist(), zero2.tolist(),
+        ):
             results.append(
                 BreedingResult(
                     n=n,
                     targets_consumed=targets,
-                    decode_correct_round1=d1[1],
-                    decode_correct_round2=d2[1],
-                    tie_round1=d1[2],
-                    tie_round2=d2[2],
+                    decode_correct_round1=ok1,
+                    decode_correct_round2=ok2,
+                    tie_round1=t1,
+                    tie_round2=t2,
                     residual_error_pairs=res,
                     net_yield=(n - res - targets) / n,
                     provisioned_targets=provisioned,
                     budget_exceeded=targets > provisioned,
-                    coset_dim_round1=d1[3],
-                    coset_dim_round2=d2[3],
-                    zero_prior_round1=d1[4],
-                    zero_prior_round2=d2[4],
+                    coset_dim_round1=d1,
+                    coset_dim_round2=d2,
+                    zero_prior_round1=z1,
+                    zero_prior_round2=z2,
                     subset_masks=tuple(m),
-                    parities=tuple(par1 + par2),
+                    parities=tuple(pars),
                 )
             )
     return results

@@ -643,6 +643,23 @@ class TestStartup:
             if tuple(argv) in BREED_ARGUMENT_ERRORS:
                 assert errors == [BREED_ARGUMENT_ERRORS[tuple(argv)]], argv
 
+    def test_breed_never_imports_numpy_ma(self):
+        # in numpy 2.4 a 1-D np.unique imports numpy.ma, about 15 ms of a fresh process
+        env = dict(os.environ, PYTHONPATH=str(Path(bellpure.__file__).parents[1]))
+        argv = ["breed", "--werner", "0.95", "--pairs", "8", "--trials", "40"]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bellpure", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "numpy" in imported and "bellpure.protocols" in imported
+        assert not {name for name in imported if name.split(".")[:2] == ["numpy", "ma"]}
+
     def test_lazy_exports_resolve(self):
         assert bellpure.BellLabel is BellLabel
         assert bellpure.werner is measures.werner

@@ -39,6 +39,31 @@ class TestStream:
         with pytest.raises(ValueError):
             stream(2**64)
 
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_rekey_range_validation(self, seed, stream_id):
+        with pytest.raises(ValueError, match="must fit in an unsigned 64-bit integer"):
+            ensemble.rekey(stream(1), seed, stream_id)
+        if seed == 0:  # breeding re-keys one generator to each stream id
+            with pytest.raises(ValueError, match="stream_id must fit"):
+                protocols.breeding_mc(measures.werner(0.95), 5, stream_id=stream_id)
+
+    def test_rekeyed_generator_draws_like_a_new_stream(self):
+        rng = stream(5, 0)
+        rng.random(3)  # a part-used Philox block
+        rng.integers(0, 2, size=3)  # three 32-bit halves: one is left buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        for seed, stream_id in ((7, 9), (0, 2**64 - 1), (2**64 - 1, 0)):
+            ensemble.rekey(rng, seed, stream_id)
+            fresh = stream(seed, stream_id)
+            for draw in (
+                lambda g: g.random(5),
+                lambda g: g.integers(0, 2, size=(3, 5)),
+                lambda g: g.standard_normal(4),
+                lambda g: g.integers(0, 2, size=1),  # leaves a half buffered again
+            ):
+                assert np.array_equal(draw(rng), draw(fresh))
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+
 
 class TestSampleEnsemble:
     def test_point_mass_constant(self):
@@ -265,6 +290,15 @@ class TestBoundedMemory:
         # about 0.8 MiB: two tuples of ints per trial. A ParityTest record per
         # test took ~3.0 MiB here, ~0.6 GiB at breed's cap of 10^5 trials
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
+
+    def test_breeding_scores_a_whole_space_one_row_at_a_time(self):
+        # no tests at all, so each round of each trial scores all 2^20
+        # strings: about 9.7 MiB, one row's candidates at a time. The 8 rows
+        # at once took ~290 MiB, and a chunk of 409 such trials would take GBs
+        def run():
+            protocols.breeding_trials(BellDiagonal([1, 0, 0, 0]), 20, 8, r_margin=0.0)
+
+        assert _traced_peak_mib(run) < 27
 
     def test_random_axis_parallel_prob_at_the_cap(self):
         # about 61 MiB; a (4, n) stack of per-label correlations took ~108 MiB

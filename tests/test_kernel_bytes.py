@@ -31,7 +31,10 @@ ParityTest per test and began to keep each test as the decoder's integer
 mask. The [0.6, 0, 0.2, 0.2] run at zero margin reaches the round whose every
 parity-consistent string has zero prior (49 of its 300 trials). The
 two_groups-n14 and werner-n20-margin100 digests, over every result field, were
-recorded before breeding_trials began to run its trials in chunks.
+recorded before breeding_trials began to run its trials in chunks. The
+rank0-n20 digest, whose runs have no tests at all so that every round decodes
+over all 2^20 strings, was recorded before the decoder began to solve and
+score a chunk's trials together.
 """
 import hashlib
 
@@ -161,10 +164,12 @@ RESULT_FIELDS = (
 #: masks and parities included. The first scores two round-2 groups
 #: (sign_given_phi 1/3, sign_given_psi 3/17), so that _exact_best runs; in the
 #: second one trial's test bits alone (903 tests of 20 bits) fill more than a
-#: chunk of trials may hold.
+#: chunk of trials may hold; the third runs no test, so each round scores the
+#: whole space of 2^20 strings.
 FULL_BREEDING_RUNS = {
     "two_groups-n14": (BellDiagonal([0.1, 0.05, 0.15, 0.7]), 14, 400, 2.0, 11),
     "werner-n20-margin100": (measures.werner(0.95), 20, 3, 100.0, 12),
+    "rank0-n20": (BellDiagonal([1, 0, 0, 0]), 20, 3, 0.0, 13),
 }
 FULL_RESULT_FIELDS = RESULT_FIELDS + (
     "zero_prior_round1", "zero_prior_round2", "subset_masks", "parities",
@@ -230,6 +235,7 @@ DIGESTS = {
     "breeding-werner-n20": "9f30dd8b2520ea9007d277d2ed5cbc098929b9e97f9128c5d0d0f289913f086b",
     "breeding-zero_prior-n8": "31b0b792bf5af1a0b66a6fcb4a11ee50ad434e1f5fac31d9fed0f806897238e2",
     "breeding-two_groups-n14": "449cf7b4a3b620b5d5dea5328cebd7404eb3cda648b8e2fecfe78fab03936412",
+    "breeding-rank0-n20": "9295149aabec29608d0b692870050069b28afda0164bbb894e347c1ca63e2337",
     "breeding-werner-n20-margin100": "fdbe68bd5a462aed228ad3240a6418caeb99ece3e97e5cf424820e8c62c7ed1b",
 }
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -223,6 +224,20 @@ class TestWorkCounts:
         assert calls == {}
         # reading the records builds them
         assert sum(len(r.parity_tests) for r in results) == calls["ParityTest"] > 0
+
+    def test_breeding_builds_one_generator_per_call(self, monkeypatch):
+        # a new Philox draws OS entropy before its key replaces it, so a
+        # generator per trial made 600 of these calls
+        calls = []
+        urandom = random._urandom
+
+        def counted(size):
+            calls.append(size)
+            return urandom(size)
+
+        monkeypatch.setattr(random, "_urandom", counted)
+        breeding_trials(measures.werner(0.95), 12, 600)
+        assert len(calls) <= 1
 
     def test_breeding_runs_its_tests_once_per_chunk_of_trials(self, monkeypatch):
         sizes = []  # trials per _bxor_parity call
@@ -630,6 +645,46 @@ def decode_instances(draw):
     return n, masks, parity_bits, groups
 
 
+@st.composite
+def decode_batches(draw):
+    """1-12 decode instances that share n and the group probabilities, each
+    with its own tests (none, or up to 2n of any rank), parities of its own
+    hidden string and its own split of the positions into the groups.
+    Returns (n, probs, [(masks, parities, group_masks)])."""
+    n = draw(st.integers(1, 14))
+    base = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    priors = (
+        st.sampled_from([0.0, 0.5, 1.0])
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([base, 1.0 - base, math.nextafter(1.0 - base, 0.5)])
+    )
+    probs = draw(st.lists(priors, min_size=1, max_size=3))
+    instances = []
+    for _ in range(draw(st.integers(1, 12))):
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n))
+        x = draw(st.integers(0, (1 << n) - 1))
+        owner = draw(st.lists(st.integers(0, len(probs) - 1), min_size=n, max_size=n))
+        instances.append((
+            masks,
+            [(m & x).bit_count() & 1 for m in masks],
+            [sum(1 << i for i in range(n) if owner[i] == g) for g in range(len(probs))],
+        ))
+    return n, probs, instances
+
+
+def _batch_rows(n, masks, parities, group_masks, probs, out):
+    """Each row of one _ml_decode_rows call as (instance, outcome), in the
+    argument and result forms of _exhaustive_decode."""
+    group_masks = np.asarray(group_masks, dtype=np.int64)
+    for t, (decoded, dim, tie, zero_prior) in enumerate(zip(*(a.tolist() for a in out))):
+        groups = list(zip(group_masks[t].tolist(), probs))
+        instance = (n, np.asarray(masks)[t].tolist(), np.asarray(parities)[t].tolist(), groups)
+        if zero_prior:
+            yield instance, ("raised", "no candidate with non-zero prior")
+        else:
+            yield instance, (decoded, 1 << dim, tie)
+
+
 class TestMLDecode:
     @settings(max_examples=300, deadline=None)
     @given(decode_instances())
@@ -662,18 +717,53 @@ class TestMLDecode:
         # breed --probs 0.6 0.2 0.05 0.15 --pairs 12 --trials 2000 --seed 7:
         # both round-2 groups have p = 0.25, so strings of one total weight
         # tie exactly; float log-odds sums resolved two of these silently
-        calls = []
-        decode = protocols._ml_decode
+        rows = []  # (instance, outcome) of every row the decoder solves
+        decode_rows = protocols._ml_decode_rows
 
-        def recording_decode(*args):
-            calls.append(args)
-            return decode(*args)
+        def recording(n, masks, parities, group_masks, probs):
+            out = decode_rows(n, masks, parities, group_masks, probs)
+            rows.extend(_batch_rows(n, masks, parities, group_masks, probs, out))
+            return out
 
-        monkeypatch.setattr(protocols, "_ml_decode", recording_decode)
+        monkeypatch.setattr(protocols, "_ml_decode_rows", recording)
         _, results = breeding_trials(BellDiagonal([0.6, 0.2, 0.05, 0.15]), 12, 2000, seed=7)
-        assert len(calls) == 4000
-        assert [a for a in calls if _outcome(decode, *a) != _outcome(_exhaustive_decode, *a)] == []
+        assert len(rows) == 4000
+        assert [r for r in rows if r[1] != _outcome(_exhaustive_decode, *r[0])] == []
         assert results[316].tie_round2 and results[748].tie_round2
+
+    @settings(max_examples=150, deadline=None)
+    @given(decode_batches())
+    def test_no_row_depends_on_its_batch(self, batch):
+        n, probs, instances = batch
+        r = max(len(masks) for masks, _, _ in instances)
+        # a zero mask with parity 0 tests nothing, so it pads the shorter rows
+        masks, parities = (
+            np.array([row[i] + [0] * (r - len(row[i])) for row in instances], dtype=np.int64)
+            .reshape(len(instances), r)
+            for i in (0, 1)
+        )
+        group_masks = [row[2] for row in instances]
+        out = protocols._ml_decode_rows(n, masks, parities, group_masks, probs)
+        solved = list(_batch_rows(n, masks, parities, group_masks, probs, out))
+        assert [outcome for _, outcome in solved] == [
+            _outcome(_exhaustive_decode, n, m, par, list(zip(gm, probs)))
+            for m, par, gm in instances
+        ]
+        # nor on the slice of rows it is scored in
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocols, "DECODE_CHUNK", 4)
+            sliced = protocols._ml_decode_rows(n, masks, parities, group_masks, probs)
+        assert all(np.array_equal(a, b) for a, b in zip(out, sliced))
+
+    def test_one_contradictory_row_fails_the_batch(self):
+        # the third test of row 1 is the sum of its first two, at the wrong parity
+        masks = np.array([[0b0011, 0b0110, 0b0101], [0b0011, 0b0110, 0b0101], [0b0001, 0, 0]])
+        parities = np.array([[0, 1, 1], [1, 1, 1], [1, 0, 0]])
+        groups = [[0b1111]] * 3
+        with pytest.raises(RuntimeError, match="no parity-consistent candidate"):
+            protocols._ml_decode_rows(4, masks, parities, groups, [0.1])
+        decoded, dims, _, _ = protocols._ml_decode_rows(4, masks[::2], parities[::2], groups[:2], [0.1])
+        assert decoded.tolist() == [0b0100, 0b0001] and dims.tolist() == [2, 3]
 
 
 def _reference_parity_tests(rounds):
