@@ -8,6 +8,14 @@ non-overlapping streams; independent trial t of a seeded run draws from
 substream (seed, t). ``rekey(rng, seed, stream_id)`` turns a generator made
 by stream into stream(seed, stream_id), drawing the same values.
 
+The contract covers raw words too: right after a rekey, ``random(n)`` then
+``integers(0, 2, size=m)`` take raw_words(n, m) = n + ceil(m / 2) words of
+``bit_generator.random_raw``, and decode_raw recovers both draws. Uniform i
+is (word_i >> 11) * 2**-53 (numpy's next_double); bit j is bit 31 of 32-bit
+half j of the words after those, low half first (numpy's never-rejecting
+Lemire path for integers(0, 2) at int64); an odd m leaves a half unused.
+decode_raw reads the halves by value, so the host's byte order does not matter.
+
 Chunk invariance: the label sampler, twirl.twirl_labels and the purification
 round behind protocols.recurrence_mc and variable_block_mc process at most
 CHUNK labels or blocks at a time, so their working memory is the uint8 label
@@ -41,21 +49,20 @@ def chunks(n: int):
         yield lo, min(lo + step, n)
 
 
-def _key(seed: int, stream_id: int) -> np.ndarray:
-    """The Philox key of stream (seed, stream_id), both checked to fit 64 bits."""
-    if not 0 <= int(seed) < 2**64:
+def _key(seed: int, stream_id: int) -> list[int]:
+    """The Philox key of stream (seed, stream_id), both ints checked to fit 64 bits."""
+    seed, stream_id = int(seed), int(stream_id)
+    if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not 0 <= int(stream_id) < 2**64:
+    if not 0 <= stream_id < 2**64:
         raise ValueError("stream_id must fit in an unsigned 64-bit integer")
-    return np.array([seed, stream_id], dtype=np.uint64)
+    return [seed, stream_id]
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Independent random stream for (seed, stream_id); see module docstring."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id)))
-
-
-_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
+    key = np.array(_key(seed, stream_id), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rekey(rng: np.random.Generator, seed: int, stream_id: int) -> None:
@@ -65,12 +72,26 @@ def rekey(rng: np.random.Generator, seed: int, stream_id: int) -> None:
     one (Philox(key=...) first seeds itself from OS entropy it then drops)."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_BLOCK, "key": _key(seed, stream_id)},
-        "buffer": _ZERO_BLOCK,
+        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, stream_id)},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def raw_words(n_uniforms: int, n_bits: int) -> int:
+    """Raw words that random(n_uniforms), integers(0, 2, size=n_bits) take."""
+    return n_uniforms + (n_bits + 1) // 2
+
+
+def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, n_uniforms) float64 uniforms and (rows, n_bits) uint8 bits
+    that each row of raw words, drawn right after a rekey, stands for."""
+    uniforms = (words[:, :n_uniforms] >> np.uint64(11)) * 2.0**-53
+    # byte 3 of each little-endian 32-bit half holds the half's bit 31 as bit 7
+    data = words[:, n_uniforms:].astype("<u8", copy=False).view(np.uint8)
+    return uniforms, data[:, 3::4][:, :n_bits] >> 7
 
 
 def run_sharded(task, n_shards: int) -> list:

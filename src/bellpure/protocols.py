@@ -17,15 +17,6 @@ from . import bell, ensemble, measures, qstate, twirl
 from .bell import BellDiagonal, BellLabel, PauliAxis
 
 
-class ZeroPriorError(RuntimeError):
-    """Every string that fits the parity tests has zero prior probability.
-    n_consistent counts the strings that fit."""
-
-    def __init__(self, n_consistent: int):
-        super().__init__("no candidate with non-zero prior")
-        self.n_consistent = n_consistent
-
-
 class RecurrenceOutcome(NamedTuple):
     """One two-pair test: the kept source pair in Werner form after the
     re-twirl, the probability that the target measured parallel, and the kept
@@ -392,16 +383,23 @@ def _reduce_parities(n: int, masks: np.ndarray, parities: np.ndarray) -> np.ndar
 
 def _ml_decode_rows(n, masks, parities, group_masks, probs):
     """Maximum-likelihood decode of many n-bit strings, one per row, each
-    from its own subset parities and prior; _ml_decode states the rule.
+    from its own subset parities and prior.
 
-    masks and parities are (T, r) integer arrays; a zero mask with parity 0
-    tests nothing, so rows with fewer tests are padded with it. Row t's prior
-    groups are (group_masks[t, g], probs[g]). All rows are reduced at once
-    (_reduce_parities); then the rows of each coset dimension d are scored
-    together as a (rows, 2^d) array of candidates, a slice of rows at a time,
-    so at most max(2^d, DECODE_CHUNK) candidates are held. Returns the
-    arrays (decoded, coset_dim, tie, zero_prior); a row whose every
-    parity-consistent string has zero prior decodes to 0 and is no tie."""
+    Only the 2^(n - rank) strings that fit a row's parities are scored: the
+    coset that Gauss-Jordan elimination over GF(2) gives (RuntimeError when
+    a row's parities contradict each other). Row t's prior groups
+    (group_masks[t, g], probs[g]) partition the positions; in a group each
+    bit is independently 1 with probability probs[g]. Of the strings with
+    non-zero prior, the likeliest wins, smallest value first among exact ties.
+    Priors are ranked by float log-odds sums, and re-ranked exactly where the
+    strings near the top differ in their per-group one-counts (_exact_best),
+    so a tie is never lost to rounding. masks and parities are (T, r); a zero
+    mask with parity 0 tests nothing, so rows with fewer tests are padded with
+    it. All rows are reduced at once (_reduce_parities), then the rows of each
+    coset dimension d are scored as a (rows, 2^d) array of candidates, a slice
+    of rows at a time, so at most max(2^d, DECODE_CHUNK) candidates are held.
+    Returns the arrays (decoded, coset_dim, tie, zero_prior); a row whose
+    every parity-consistent string has zero prior decodes to 0, no tie."""
     pivots = _reduce_parities(n, np.asarray(masks), np.asarray(parities))
     group_masks = np.asarray(group_masks).astype(np.uint32)
     leads = pivots != 0
@@ -412,8 +410,9 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
     x0 = ((pivots & 1) @ weights).astype(np.uint32)
     # column f: bit f, and every leading bit whose pivot holds bit f; for a
     # free f, the basis vector whose only free bit is f
-    spans = 1 << bit | (pivots[:, None, :] >> bit[:, None] + 1 & 1) @ weights
-    spans = spans.astype(np.uint32)
+    spans = pivots[:, None, :] >> bit[:, None] + 1
+    spans &= 1
+    spans = (1 << bit | spans @ weights).astype(np.uint32)
     decoded = np.zeros(len(dims), dtype=np.int64)
     count = np.zeros(len(dims), dtype=np.int64)  # strings of the top prior
     order = dims.argsort(kind="stable")
@@ -475,43 +474,21 @@ def _best_in_cosets(cands, group_masks, probs):
     return smallest, count
 
 
-def _ml_decode(n, masks, parity_bits, prior_groups) -> tuple[int, int, bool]:
-    """Maximum-likelihood decode of an n-bit string from subset parities: the
-    one-row call of _ml_decode_rows.
-
-    Only the 2^(n - rank) strings that fit the parities are scored: the coset
-    x0 ^ span(basis) that Gauss-Jordan elimination over GF(2) gives
-    (RuntimeError when the parities contradict each other). prior_groups is a
-    list of (position_mask, p_one) pairs partitioning the positions; within a
-    group each bit is independently 1 with probability p_one. Candidates
-    carrying zero prior are discarded (ZeroPriorError when none is left); the
-    survivor with the largest prior wins, smallest value first among exact
-    ties. Priors are ranked by float log-odds sums; when the strings near the
-    top differ in their per-group one-counts, they are re-ranked exactly
-    (_exact_best), so a tie is never lost to rounding. Returns (decoded,
-    n_consistent, tie)."""
-    decoded, dims, tie, zero_prior = _ml_decode_rows(
-        n, [masks], [parity_bits], [[mask for mask, _ in prior_groups]], [p for _, p in prior_groups]
-    )
-    if zero_prior[0]:
-        raise ZeroPriorError(1 << int(dims[0]))
-    return int(decoded[0]), 1 << int(dims[0]), bool(tie[0])
-
-
-#: Most test bits one chunk of breeding trials holds at once. As int64 that is
-#: 64 KiB, below malloc's mmap threshold, so each chunk reuses heap memory the
-#: last one freed. A trial with more test bits runs alone.
-BREEDING_CHUNK = 1 << 13
+#: Most test bits one chunk of breeding trials holds at once: 5 bytes a test bit
+#: of raw words and uint8 bits, and 8 more while the masks' product casts the
+#: bits to int64, about 420 KiB in all. A trial with more test bits runs alone.
+BREEDING_CHUNK = 1 << 15
 
 
 def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids):
     """breeding_mc on each stream id, in order, one chunk of trials at a time.
 
-    A trial's own work is its stream's draws; one generator is re-keyed to
-    each trial's stream. Every other step runs once per chunk, on (T, n)
-    labels and (T, r1 + r2, n) test bits, each round's decodes in one
-    _ml_decode_rows call; and what is the same for every trial runs once per
-    call."""
+    A trial's own work is one random_raw call for all of its stream's words;
+    one generator is re-keyed to each trial's stream, and ensemble.decode_raw
+    turns a chunk's words into its uniforms and test bits. Every other step
+    runs once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits, each
+    round's decodes in one _ml_decode_rows call; and what is the same for
+    every trial runs once per call."""
     measures.check_breeding_args(n, delta, r_margin)
     p = w.p
     p_psi = float(p[2] + p[3])
@@ -535,18 +512,19 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     # trials per chunk; a trial with no tests still holds its n uniforms
     per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
     rng = ensemble.stream(seed)
+    words = ensemble.raw_words(n, targets * n)
+    raw = np.empty((min(per_chunk, len(stream_ids)), words), dtype=np.uint64)
 
     results: list[BreedingResult] = []
     for lo in range(0, len(stream_ids), per_chunk):
         ids = stream_ids[lo : lo + per_chunk]
-        u = np.empty((len(ids), n))
-        bits = np.empty((len(ids), targets, n), dtype=np.int64)
         for i, t in enumerate(ids):
             # a trial's draws: its labels' uniforms, then round 1's subsets,
             # then round 2's (a decode draws nothing, so they can come first)
             ensemble.rekey(rng, seed, t)
-            rng.random(out=u[i])
-            bits[i] = rng.integers(0, 2, size=(targets, n))
+            raw[i] = rng.bit_generator.random_raw(words)
+        u, bits = ensemble.decode_raw(raw[: len(ids)], n, targets * n)
+        bits = bits.reshape(len(ids), targets, n)
         labels = ensemble._labels_from_uniforms(cdf, u, np.empty(u.shape, dtype=np.uint8))
         masks = bits @ weights
 

@@ -64,6 +64,37 @@ class TestStream:
                 assert np.array_equal(draw(rng), draw(fresh))
             assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        ids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        n=st.sampled_from([1, 20]) | st.integers(1, 20),
+        targets=st.sampled_from([0, 1]) | st.integers(0, 40),  # odd targets * n leaves a half
+        buffered=st.booleans(),
+    )
+    @example(seed=0, ids=[0], n=1, targets=0, buffered=True)
+    @example(seed=3, ids=[1, 2], n=20, targets=3, buffered=True)
+    @example(seed=3, ids=[1], n=7, targets=3, buffered=False)
+    def test_raw_words_decode_like_random_then_integers(self, seed, ids, n, targets, buffered):
+        rng = stream(seed)
+        if buffered:  # a re-key must drop a held 32-bit half
+            rng.integers(0, 2, size=1)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        words = ensemble.raw_words(n, targets * n)
+        raw = np.empty((len(ids), words), dtype=np.uint64)
+        for i, t in enumerate(ids):
+            ensemble.rekey(rng, seed, t)
+            raw[i] = rng.bit_generator.random_raw(words)
+        u, bits = ensemble.decode_raw(raw, n, targets * n)
+        assert u.dtype == np.float64 and bits.dtype == np.uint8
+        for i, t in enumerate(ids):
+            ensemble.rekey(rng, seed, t)
+            assert np.array_equal(u[i], rng.random(n))
+            assert np.array_equal(bits[i].reshape(targets, n), rng.integers(0, 2, size=(targets, n)))
+            # and took raw_words words: 4 per Philox block, less those still buffered
+            state = rng.bit_generator.state
+            assert 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] == words
+
 
 class TestSampleEnsemble:
     def test_point_mass_constant(self):
@@ -287,14 +318,15 @@ class TestBoundedMemory:
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 32
 
     def test_breeding_trials_keep_tests_as_integers(self):
-        # about 0.8 MiB: two tuples of ints per trial. A ParityTest record per
-        # test took ~3.0 MiB here, ~0.6 GiB at breed's cap of 10^5 trials
+        # about 1.9 MiB: 1.5 MiB of results (two tuples of ints per trial) and
+        # one chunk of 2^15 test bits. A ParityTest record per test took
+        # ~3.0 MiB here, ~0.6 GiB at breed's cap of 10^5 trials
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
 
     def test_breeding_scores_a_whole_space_one_row_at_a_time(self):
         # no tests at all, so each round of each trial scores all 2^20
         # strings: about 9.7 MiB, one row's candidates at a time. The 8 rows
-        # at once took ~290 MiB, and a chunk of 409 such trials would take GBs
+        # at once took ~290 MiB, and a chunk of 1638 such trials would take GBs
         def run():
             protocols.breeding_trials(BellDiagonal([1, 0, 0, 0]), 20, 8, r_margin=0.0)
 

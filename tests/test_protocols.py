@@ -190,8 +190,8 @@ class TestWorkCounts:
     """Each state is checked once, where it is built: the exact step and its
     oracle build only the states they need, so a re-validation creeping back
     fails here. A breeding run keeps its tests as integers and builds no
-    per-test record until one is read, and it runs the tests of a whole chunk
-    of trials in one call."""
+    per-test record until one is read. It draws each trial's words with one
+    call, and it runs the tests of a whole chunk of trials in one call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -238,6 +238,38 @@ class TestWorkCounts:
         monkeypatch.setattr(random, "_urandom", counted)
         breeding_trials(measures.werner(0.95), 12, 600)
         assert len(calls) <= 1
+
+    def test_breeding_draws_each_trial_with_one_raw_call(self, monkeypatch):
+        # random and integers each cost numpy's argument handling per call;
+        # one random_raw per trial draws the same words (ensemble.decode_raw)
+        calls = Counter()
+
+        class Counting:
+            """Forwards to obj, counting the calls of its methods by name."""
+
+            def __init__(self, obj):
+                object.__setattr__(self, "_obj", obj)
+
+            def __getattr__(self, name):
+                attr = getattr(self._obj, name)
+                if name == "bit_generator":
+                    return Counting(attr)
+                if not callable(attr):
+                    return attr
+
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return attr(*args, **kwargs)
+
+                return counted
+
+            def __setattr__(self, name, value):  # rekey sets bit_generator.state
+                setattr(self._obj, name, value)
+
+        make_stream = ensemble.stream
+        monkeypatch.setattr(ensemble, "stream", lambda *args: Counting(make_stream(*args)))
+        breeding_trials(measures.werner(0.95), 12, 600)
+        assert calls == {"random_raw": 600}
 
     def test_breeding_runs_its_tests_once_per_chunk_of_trials(self, monkeypatch):
         sizes = []  # trials per _bxor_parity call
@@ -612,6 +644,29 @@ def _exhaustive_decode(n, masks, parity_bits, prior_groups):
     return min(best), n_consistent, len(best) > 1
 
 
+class ZeroPriorError(RuntimeError):
+    """Every string that fits the parity tests has zero prior probability.
+    n_consistent counts the strings that fit."""
+
+    def __init__(self, n_consistent: int):
+        super().__init__("no candidate with non-zero prior")
+        self.n_consistent = n_consistent
+
+
+def _ml_decode(n, masks, parity_bits, prior_groups):
+    """The one-row call of protocols._ml_decode_rows, in the argument and
+    result forms of _exhaustive_decode: prior_groups is a list of
+    (position_mask, p_one) pairs, the result is (decoded, n_consistent, tie),
+    and a row whose every consistent string has zero prior raises
+    ZeroPriorError."""
+    decoded, dims, tie, zero_prior = protocols._ml_decode_rows(
+        n, [masks], [parity_bits], [[mask for mask, _ in prior_groups]], [p for _, p in prior_groups]
+    )
+    if zero_prior[0]:
+        raise ZeroPriorError(1 << int(dims[0]))
+    return int(decoded[0]), 1 << int(dims[0]), bool(tie[0])
+
+
 def _outcome(decoder, *args):
     try:
         return decoder(*args)
@@ -689,16 +744,16 @@ class TestMLDecode:
     @settings(max_examples=300, deadline=None)
     @given(decode_instances())
     def test_matches_exhaustive_scan(self, instance):
-        assert _outcome(protocols._ml_decode, *instance) == _outcome(_exhaustive_decode, *instance)
+        assert _outcome(_ml_decode, *instance) == _outcome(_exhaustive_decode, *instance)
 
     def test_inconsistent_parities_raise(self):
         with pytest.raises(RuntimeError, match="no parity-consistent candidate"):
-            protocols._ml_decode(4, [0b0011, 0b0110, 0b0101], [1, 1, 1], [(0b1111, 0.1)])
+            _ml_decode(4, [0b0011, 0b0110, 0b0101], [1, 1, 1], [(0b1111, 0.1)])
 
     def test_zero_prior_error_counts_consistent_strings(self):
         # bit 0 must be 1, but the prior forbids every 1
-        with pytest.raises(protocols.ZeroPriorError, match="no candidate with non-zero prior") as exc:
-            protocols._ml_decode(3, [0b001], [1], [(0b111, 0.0)])
+        with pytest.raises(ZeroPriorError, match="no candidate with non-zero prior") as exc:
+            _ml_decode(3, [0b001], [1], [(0b111, 0.0)])
         assert exc.value.n_consistent == 4
         assert isinstance(exc.value, RuntimeError)
 
@@ -710,7 +765,7 @@ class TestMLDecode:
         masks = [1 << b for b in range(2, 8)] + [0b11, 0b1 << 1 | 0b1 << 8, 0b11 << 8]
         parities = [(m & x0).bit_count() & 1 for m in masks]
         groups = [(0b0000011111, 0.25), (0b1111100000, 0.25)]
-        assert protocols._ml_decode(10, masks, parities, groups) == (x1, 2, True)
+        assert _ml_decode(10, masks, parities, groups) == (x1, 2, True)
         assert _exhaustive_decode(10, masks, parities, groups) == (x1, 2, True)
 
     def test_breed_probs_run_decodes_like_the_exact_reference(self, monkeypatch):
