@@ -161,10 +161,13 @@ def random_axis_parallel_prob(d: BellDiagonal, n_trials: int, seed: int) -> Esti
     probability for the axis in closed form, then sample the outcome once.
     Sampling the outcome from the exact per-trial probability halves the
     variance of sampling both spins while staying unbiased. Raises ValueError
-    for n_trials outside [1, MAX_AXIS_TRIALS].
+    unless n_trials is a whole number in [1, MAX_AXIS_TRIALS].
     """
-    if not 1 <= n_trials <= MAX_AXIS_TRIALS:
-        raise ValueError(f"n_trials must lie in [1, {MAX_AXIS_TRIALS}], got {n_trials!r}")
+    if not (1 <= n_trials <= MAX_AXIS_TRIALS and n_trials % 1 == 0):
+        raise ValueError(
+            f"n_trials must be a whole number in [1, {MAX_AXIS_TRIALS}], got {n_trials!r}"
+        )
+    n_trials = int(n_trials)
     rng = stream(seed)
     axes = rng.normal(size=(n_trials, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)

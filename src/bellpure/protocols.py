@@ -8,6 +8,8 @@ solves the parities over GF(2) and searches only the strings that fit them.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -324,37 +326,31 @@ def _bxor_parity(labels: np.ndarray, bits: np.ndarray):
     return np.matmul(bits, bell.amp_bit(labels)[..., None])[..., 0] & 1
 
 
-#: Candidates whose float score lies within this fraction of the score's bound
-#: of the best are near the top; when their per-group one-counts differ, they
-#: are re-ranked exactly. The float sums err by far less.
-_DECODE_RTOL = 1e-9
-
 #: Most candidate strings the decoder holds at once, over all the rows it
 #: scores together; a row whose coset holds more is scored alone.
 DECODE_CHUNK = 1 << 16
 
 
-def _exact_best(cands: np.ndarray, score: np.ndarray, groups) -> np.ndarray:
-    """The candidates of largest prior, compared exactly.
+@functools.lru_cache(maxsize=32)
+def _prior_ranks(n: int, probs: tuple[float, ...]) -> np.ndarray:
+    """The exact rank of every prior an n-bit string can have in one row.
 
-    Float log-odds sums over several groups can round equal priors apart, or
-    unequal ones together. So the candidates near the best float score are
-    ranked by their distinct vectors of per-group one-counts k_g (at most 121
-    for two groups at n = 20), each scored with the integer
-    prod_g a_g^k_g (b_g - a_g)^(size_g - k_g), where a_g / b_g is the float
-    p_g's exact ratio: the prior times the constant prod_g b_g^size_g."""
-    log_odds = [math.log2(p / (1.0 - p)) for _, p in groups]
-    scale = sum(int(mask).bit_count() * abs(l) for (mask, _), l in zip(groups, log_odds))
-    cands = cands[score >= score.max() - _DECODE_RTOL * scale]
-    counts = np.stack([np.bitwise_count(cands & np.uint32(mask)) for mask, _ in groups], axis=1)
-    vecs, inv = np.unique(counts, axis=0, return_inverse=True)
-    terms = [(*p.as_integer_ratio(), int(mask).bit_count()) for mask, p in groups]
-    priors = [
-        math.prod(a**k * (b - a) ** (size - k) for (a, b, size), k in zip(terms, vec.tolist()))
-        for vec in vecs
-    ]
-    top = max(priors)
-    return cands[np.array([prior == top for prior in priors])[inv.reshape(-1)]]
+    With a_g / b_g the float probs[g]'s exact ratio, let k_g count the
+    string's ones in group g, or its zeros where probs[g] > 1/2, which swaps
+    a_g with b_g - a_g. The prior is then a positive constant of the row times
+    the integer prod_g a_g^k_g (b_g - a_g)^(n - k_g), zero exactly where the
+    prior is. Entry k of the (n + 1,) * G table is that integer's dense rank
+    over all k, or -1 where it is 0, so ranks compare as the priors do."""
+    factors = []
+    for p in probs:
+        a, b = p.as_integer_ratio()
+        a = min(a, b - a)  # the zeros' ratio where p > 1/2
+        factors.append([a**k * (b - a) ** (n - k) for k in range(n + 1)])
+    priors = np.array([math.prod(f) for f in itertools.product(*factors)], dtype=object)
+    distinct, rank = np.unique(priors, return_inverse=True)
+    rank = (rank - (distinct[0] == 0)).astype(np.int32).reshape((n + 1,) * len(probs))
+    rank.setflags(write=False)  # the cache hands this one array to every caller
+    return rank
 
 
 def _reduce_parities(n: int, masks: np.ndarray, parities: np.ndarray) -> np.ndarray:
@@ -391,17 +387,18 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
     (group_masks[t, g], probs[g]) partition the positions; in a group each
     bit is independently 1 with probability probs[g]. Of the strings with
     non-zero prior, the likeliest wins, smallest value first among exact ties.
-    Priors are ranked by float log-odds sums, and re-ranked exactly where the
-    strings near the top differ in their per-group one-counts (_exact_best),
-    so a tie is never lost to rounding. masks and parities are (T, r); a zero
-    mask with parity 0 tests nothing, so rows with fewer tests are padded with
-    it. All rows are reduced at once (_reduce_parities), then the rows of each
-    coset dimension d are scored as a (rows, 2^d) array of candidates, a slice
-    of rows at a time, so at most max(2^d, DECODE_CHUNK) candidates are held.
+    Priors are compared exactly, by the rank of each string's per-group counts
+    in one table per (n, probs) (_prior_ranks), so a tie is never lost to
+    rounding. masks and parities are (T, r); a zero mask with parity 0 tests
+    nothing, so rows with fewer tests are padded with it. All rows are reduced
+    at once (_reduce_parities), then the rows of each coset dimension d are
+    scored as a (rows, 2^d) array of candidates, a slice of rows at a time, so
+    at most max(2^d, DECODE_CHUNK) candidates are held.
     Returns the arrays (decoded, coset_dim, tie, zero_prior); a row whose
     every parity-consistent string has zero prior decodes to 0, no tie."""
     pivots = _reduce_parities(n, np.asarray(masks), np.asarray(parities))
     group_masks = np.asarray(group_masks).astype(np.uint32)
+    ranks = _prior_ranks(n, tuple(probs))
     leads = pivots != 0
     dims = n - np.count_nonzero(leads, axis=1)
     bit = np.arange(n)
@@ -425,53 +422,31 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
             cands[:, 0] = x0[part]
             for j in range(d):  # double the coset spanned so far
                 np.bitwise_xor(cands[:, : 1 << j], basis[:, j, None], out=cands[:, 1 << j : 2 << j])
-            decoded[part], count[part] = _best_in_cosets(cands, group_masks[part], probs)
+            decoded[part], count[part] = _best_in_cosets(cands, group_masks[part], probs, ranks)
     return decoded, dims, count > 1, count == 0
 
 
-def _best_in_cosets(cands, group_masks, probs):
+def _best_in_cosets(cands, group_masks, probs, ranks):
     """(smallest, count) of each row's strings of largest non-zero prior, over
     its row of candidates, the row's prior groups being (group_masks[:, g],
-    probs[g]). A row whose every string has zero prior gives (0, 0)."""
-    valid = None  # built only when some p is 0 or 1
-    for g, p in enumerate(probs):
-        if p <= 0.0 or p >= 1.0:  # then a 1 where p = 0, or a 0 where p = 1, has zero prior
-            m = group_masks[:, g, None]
-            ok = np.bitwise_count(cands & m) == (0 if p <= 0.0 else np.bitwise_count(m))
-            valid = ok if valid is None else valid & ok
-    scored = [
-        (g, math.log2(p / (1.0 - p))) for g, p in enumerate(probs) if 0.0 < p < 1.0 and p != 0.5
+    probs[g]) and ranks their _prior_ranks table. A row whose every string has
+    zero prior gives (0, 0)."""
+    counts = [
+        np.bitwise_count((cands if p <= 0.5 else ~cands) & group_masks[:, g, None])
+        for g, p in enumerate(probs)
     ]
-    exact = []
-    if not scored:
-        best = np.ones(cands.shape, dtype=bool) if valid is None else valid
-    else:
-        score = np.zeros(cands.shape)
-        code = np.zeros(cands.shape, dtype=np.int32) if len(scored) > 1 else None
-        for g, l in scored:
-            ones = np.bitwise_count(cands & group_masks[:, g, None])
-            score += ones * l
-            if code is not None:  # the vector of one-counts as one int
-                code = code * 32 + ones
-        scale = sum(np.bitwise_count(group_masks[:, g]) * abs(l) for g, l in scored)
-        if valid is not None:
-            score[~valid] = -np.inf
-        best = score >= (score.max(axis=1) - _DECODE_RTOL * scale)[:, None]
-        if valid is not None:
-            best &= valid
-        if code is not None:
-            # a near-top set of one count vector is the top set, as all its
-            # strings share one prior; any other is ranked exactly
-            top_code = np.take_along_axis(code, score.argmax(axis=1)[:, None], axis=1)
-            for i in np.flatnonzero((best & (code != top_code)).any(axis=1)).tolist():
-                groups = [(int(group_masks[i, g]), probs[g]) for g, _ in scored]
-                exact.append((i, _exact_best(cands[i], score[i], groups)))
+    key = counts[0].astype(np.intp)  # the counts as one mixed-radix index into ranks
+    for k in counts[1:]:
+        key *= ranks.shape[0]
+        key += k
+    rank = ranks.take(key)
+    top = rank.max(axis=1)
+    best = rank == top[:, None]
+    zero = top < 0  # every string has rank -1, zero prior
+    best[zero] = False
     smallest = np.where(best, cands, np.uint32(2**32 - 1)).min(axis=1)
-    count = np.count_nonzero(best, axis=1)
-    for i, top_set in exact:
-        smallest[i], count[i] = top_set.min(), top_set.size
-    smallest[count == 0] = 0
-    return smallest, count
+    smallest[zero] = 0
+    return smallest, np.count_nonzero(best, axis=1)
 
 
 #: Most test bits one chunk of breeding trials holds at once: 5 bytes a test bit

@@ -142,7 +142,7 @@ def convergence_table(
     size, averaged over reps independent substreams of the seed."""
     sizes = list(sample_sizes)
     for v in (reps, *sizes):
-        if int(v) != v or v < 1:
+        if not (v >= 1 and v % 1 == 0):  # also false for NaN and infinity
             raise ValueError(f"reps and sample sizes must be whole numbers >= 1, got {v!r}")
     rows = []
     sid = 0

@@ -225,7 +225,7 @@ class TestRandomAxisParallelProb:
         est = random_axis_parallel_prob(d, n, seed=seed)
         assert (est.mean, est.std_error, est.n) == (mean, std_error, n)
 
-    @pytest.mark.parametrize("n", [0, MAX_AXIS_TRIALS + 1])
+    @pytest.mark.parametrize("n", [0, MAX_AXIS_TRIALS + 1, 1.5])
     def test_trial_count_outside_range_rejected(self, n):
         with pytest.raises(ValueError, match="n_trials"):
             random_axis_parallel_prob(measures.werner(0.8), n, seed=1)

@@ -162,7 +162,7 @@ RESULT_FIELDS = (
 
 #: Runs pinned over every result field, the zero-prior flags and the raw
 #: masks and parities included. The first scores two round-2 groups
-#: (sign_given_phi 1/3, sign_given_psi 3/17), so that _exact_best runs; in the
+#: (sign_given_phi 1/3, sign_given_psi 3/17), ranked exactly together; in the
 #: second one trial's test bits alone (903 tests of 20 bits) fill more than a
 #: chunk of trials may hold; the third runs no test, so each round scores the
 #: whole space of 2^20 strings.

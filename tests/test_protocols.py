@@ -271,6 +271,14 @@ class TestWorkCounts:
         breeding_trials(measures.werner(0.95), 12, 600)
         assert calls == {"random_raw": 600}
 
+    def test_breeding_builds_one_prior_table_per_round(self):
+        # one table per (n, probs): building one per chunk and round would
+        # cost a breeding run about 1 ms each at n = 20
+        protocols._prior_ranks.cache_clear()
+        breeding_trials(measures.werner(0.95), 12, 600)
+        info = protocols._prior_ranks.cache_info()
+        assert info.misses <= 2 and info.hits > 0  # several chunks share them
+
     def test_breeding_runs_its_tests_once_per_chunk_of_trials(self, monkeypatch):
         sizes = []  # trials per _bxor_parity call
         bxor_parity = protocols._bxor_parity
@@ -674,6 +682,19 @@ def _outcome(decoder, *args):
         return "raised", str(exc)
 
 
+def _group_probs(draw):
+    """Draws a base p and returns a strategy for the probabilities of prior
+    groups: 0, 1/2, 1, any p, or the base, its complement or the float next to
+    that. Groups at one p, or at complements exact or one float off, make
+    priors tie exactly or nearly, where rounded scores would mislead."""
+    base = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return (
+        st.sampled_from([0.0, 0.5, 1.0])
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([base, 1.0 - base, math.nextafter(1.0 - base, 0.5)])
+    )
+
+
 @st.composite
 def decode_instances(draw):
     n = draw(st.integers(1, 14))
@@ -685,19 +706,21 @@ def decode_instances(draw):
         parity_bits = draw(st.lists(st.integers(0, 1), min_size=len(masks), max_size=len(masks)))
     n_groups = draw(st.integers(1, 3))
     owner = draw(st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n))
-    # groups at one p, or at complements that are exact or one float off,
-    # make priors tie exactly or nearly, where float log-odds sums mislead
-    base = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    related = st.sampled_from([base, 1.0 - base, math.nextafter(1.0 - base, 0.5)])
-    priors = (
-        st.sampled_from([0.0, 0.5, 1.0])
-        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-        | related
-    )
+    priors = _group_probs(draw)
     groups = [
         (sum(1 << i for i in range(n) if owner[i] == g), draw(priors)) for g in range(n_groups)
     ]
     return n, masks, parity_bits, groups
+
+
+@st.composite
+def prior_rank_instances(draw):
+    """(n, probs, sizes): n <= 8 bits, 1-3 group probabilities and each
+    group's size in one row, the sizes summing to at most n."""
+    n = draw(st.integers(1, 8))
+    probs = draw(st.lists(_group_probs(draw), min_size=1, max_size=3))
+    owner = draw(st.lists(st.integers(-1, len(probs) - 1), min_size=n, max_size=n))
+    return n, probs, [owner.count(g) for g in range(len(probs))]
 
 
 @st.composite
@@ -707,13 +730,7 @@ def decode_batches(draw):
     hidden string and its own split of the positions into the groups.
     Returns (n, probs, [(masks, parities, group_masks)])."""
     n = draw(st.integers(1, 14))
-    base = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    priors = (
-        st.sampled_from([0.0, 0.5, 1.0])
-        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-        | st.sampled_from([base, 1.0 - base, math.nextafter(1.0 - base, 0.5)])
-    )
-    probs = draw(st.lists(priors, min_size=1, max_size=3))
+    probs = draw(st.lists(_group_probs(draw), min_size=1, max_size=3))
     instances = []
     for _ in range(draw(st.integers(1, 12))):
         masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n))
@@ -745,6 +762,24 @@ class TestMLDecode:
     @given(decode_instances())
     def test_matches_exhaustive_scan(self, instance):
         assert _outcome(_ml_decode, *instance) == _outcome(_exhaustive_decode, *instance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(prior_rank_instances())
+    def test_prior_ranks_order_counts_as_exact_priors_do(self, instance):
+        n, probs, sizes = instance
+        ranks = protocols._prior_ranks(n, tuple(probs))
+        rows = []  # (exact prior, rank) of each vector of one-counts the row can hold
+        for ones in itertools.product(*(range(s + 1) for s in sizes)):
+            # the table counts a group's zeros where its p > 1/2
+            k = tuple(s - j if p > 0.5 else j for p, s, j in zip(probs, sizes, ones))
+            prior = math.prod(
+                Fraction(p) ** j * (1 - Fraction(p)) ** (s - j)
+                for p, s, j in zip(probs, sizes, ones)
+            )
+            rows.append((prior, int(ranks[k])))
+        for (prior_a, rank_a), (prior_b, rank_b) in itertools.product(rows, repeat=2):
+            assert (prior_a < prior_b) == (rank_a < rank_b)
+        assert [rank == -1 for _, rank in rows] == [prior == 0 for prior, _ in rows]
 
     def test_inconsistent_parities_raise(self):
         with pytest.raises(RuntimeError, match="no parity-consistent candidate"):

@@ -181,12 +181,12 @@ class TestConvergenceTable:
         assert rows[0][1] == (d[0] + d[1]) / 2
         assert rows[1][1] == (d[2] + d[3]) / 2
 
-    @pytest.mark.parametrize("reps", [0, -1, 1.5])
+    @pytest.mark.parametrize("reps", [0, -1, 1.5, math.inf, math.nan])
     def test_rejects_reps_that_are_not_a_positive_whole_number(self, reps):
         with pytest.raises(ValueError, match=f"got {reps!r}$"):
             convergence_table(np.eye(4) / 4, [10], reps=reps)
 
-    @pytest.mark.parametrize("size", [10.7, 0, 0.5])
+    @pytest.mark.parametrize("size", [10.7, 0, 0.5, math.inf, math.nan])
     def test_rejects_sizes_that_are_not_positive_whole_numbers(self, size):
         with pytest.raises(ValueError, match=f"got {size!r}$"):
             convergence_table(np.eye(4) / 4, [100, size], reps=1)
