@@ -9,7 +9,6 @@ solves the parities over GF(2) and searches only the strings that fit them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -332,25 +331,27 @@ DECODE_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=32)
-def _prior_ranks(n: int, probs: tuple[float, ...]) -> np.ndarray:
-    """The exact rank of every prior an n-bit string can have in one row.
+def _prior_ranks(n: int, probs: tuple[float, ...]) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """(ranks, flips): the exact rank of every prior an n-bit string can have
+    in one row, and which groups count zeros.
 
-    With a_g / b_g the float probs[g]'s exact ratio, let k_g count the
-    string's ones in group g, or its zeros where probs[g] > 1/2, which swaps
+    With a_g / b_g the float probs[g]'s exact ratio, let k_g count the string's
+    ones in group g, or its zeros where flips[g] (probs[g] > 1/2), which swaps
     a_g with b_g - a_g. The prior is then a positive constant of the row times
     the integer prod_g a_g^k_g (b_g - a_g)^(n - k_g), zero exactly where the
-    prior is. Entry k of the (n + 1,) * G table is that integer's dense rank
-    over all k, or -1 where it is 0, so ranks compare as the priors do."""
-    factors = []
+    prior is. Entry k of the (n + 1,) * G table ranks is that integer's dense
+    rank over all k, or -1 where it is 0, so ranks compare as the priors do."""
+    k = np.arange(n + 1, dtype=object)  # Python integers, so no product is ever rounded
+    priors, flips = np.ones((), dtype=object), []
     for p in probs:
         a, b = p.as_integer_ratio()
-        a = min(a, b - a)  # the zeros' ratio where p > 1/2
-        factors.append([a**k * (b - a) ** (n - k) for k in range(n + 1)])
-    priors = np.array([math.prod(f) for f in itertools.product(*factors)], dtype=object)
+        flips.append(b - a < a)  # p > 1/2: count zeros, whose ratio is (b - a) / b
+        a = min(a, b - a)
+        priors = np.multiply.outer(priors, a**k * (b - a) ** (n - k))
     distinct, rank = np.unique(priors, return_inverse=True)
-    rank = (rank - (distinct[0] == 0)).astype(np.int32).reshape((n + 1,) * len(probs))
+    rank = (rank - (distinct[0] == 0)).astype(np.int32).reshape(priors.shape)
     rank.setflags(write=False)  # the cache hands this one array to every caller
-    return rank
+    return rank, tuple(flips)
 
 
 def _reduce_parities(n: int, masks: np.ndarray, parities: np.ndarray) -> np.ndarray:
@@ -398,7 +399,7 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
     every parity-consistent string has zero prior decodes to 0, no tie."""
     pivots = _reduce_parities(n, np.asarray(masks), np.asarray(parities))
     group_masks = np.asarray(group_masks).astype(np.uint32)
-    ranks = _prior_ranks(n, tuple(probs))
+    ranks, flips = _prior_ranks(n, tuple(probs))
     leads = pivots != 0
     dims = n - np.count_nonzero(leads, axis=1)
     bit = np.arange(n)
@@ -422,31 +423,29 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
             cands[:, 0] = x0[part]
             for j in range(d):  # double the coset spanned so far
                 np.bitwise_xor(cands[:, : 1 << j], basis[:, j, None], out=cands[:, 1 << j : 2 << j])
-            decoded[part], count[part] = _best_in_cosets(cands, group_masks[part], probs, ranks)
+            decoded[part], count[part] = _best_in_cosets(cands, group_masks[part], ranks, flips)
     return decoded, dims, count > 1, count == 0
 
 
-def _best_in_cosets(cands, group_masks, probs, ranks):
+def _best_in_cosets(cands, group_masks, ranks, flips):
     """(smallest, count) of each row's strings of largest non-zero prior, over
-    its row of candidates, the row's prior groups being (group_masks[:, g],
-    probs[g]) and ranks their _prior_ranks table. A row whose every string has
-    zero prior gives (0, 0)."""
+    its row of candidates, the row's prior groups being group_masks[:, g] and
+    (ranks, flips) their _prior_ranks. A row whose every string has zero
+    prior gives (0, 0)."""
     counts = [
-        np.bitwise_count((cands if p <= 0.5 else ~cands) & group_masks[:, g, None])
-        for g, p in enumerate(probs)
+        np.bitwise_count((~cands if flip else cands) & group_masks[:, g, None])
+        for g, flip in enumerate(flips)
     ]
     key = counts[0].astype(np.intp)  # the counts as one mixed-radix index into ranks
     for k in counts[1:]:
         key *= ranks.shape[0]
         key += k
     rank = ranks.take(key)
-    top = rank.max(axis=1)
-    best = rank == top[:, None]
-    zero = top < 0  # every string has rank -1, zero prior
-    best[zero] = False
+    # with the top clipped at rank 0, a row of zero priors (all rank -1) has no best string
+    best = rank == np.maximum(rank.max(axis=1), 0)[:, None]
+    count = np.count_nonzero(best, axis=1)
     smallest = np.where(best, cands, np.uint32(2**32 - 1)).min(axis=1)
-    smallest[zero] = 0
-    return smallest, np.count_nonzero(best, axis=1)
+    return np.where(count > 0, smallest, 0), count
 
 
 #: Most test bits one chunk of breeding trials holds at once: 5 bytes a test bit
