@@ -34,7 +34,10 @@ two_groups-n14 and werner-n20-margin100 digests, over every result field, were
 recorded before breeding_trials began to run its trials in chunks. The
 rank0-n20 digest, whose runs have no tests at all so that every round decodes
 over all 2^20 strings, was recorded before the decoder began to solve and
-score a chunk's trials together.
+score a chunk's trials together. The werner-n12-600 digest, over every result
+field, was recorded while its 600 trials ran in five chunks of at most 143,
+before a chunk grew to 2^16 test bits; its summary means run over more than
+128 trials, where np.mean sums in pairwise blocks.
 """
 import hashlib
 
@@ -165,11 +168,12 @@ RESULT_FIELDS = (
 #: (sign_given_phi 1/3, sign_given_psi 3/17), ranked exactly together; in the
 #: second one trial's test bits alone (903 tests of 20 bits) fill more than a
 #: chunk of trials may hold; the third runs no test, so each round scores the
-#: whole space of 2^20 strings.
+#: whole space of 2^20 strings; the fourth spans several chunks of trials.
 FULL_BREEDING_RUNS = {
     "two_groups-n14": (BellDiagonal([0.1, 0.05, 0.15, 0.7]), 14, 400, 2.0, 11),
     "werner-n20-margin100": (measures.werner(0.95), 20, 3, 100.0, 12),
     "rank0-n20": (BellDiagonal([1, 0, 0, 0]), 20, 3, 0.0, 13),
+    "werner-n12-600": (measures.werner(0.95), 12, 600, 2.0, 14),
 }
 FULL_RESULT_FIELDS = RESULT_FIELDS + (
     "zero_prior_round1", "zero_prior_round2", "subset_masks", "parities",
@@ -237,6 +241,7 @@ DIGESTS = {
     "breeding-two_groups-n14": "449cf7b4a3b620b5d5dea5328cebd7404eb3cda648b8e2fecfe78fab03936412",
     "breeding-rank0-n20": "9295149aabec29608d0b692870050069b28afda0164bbb894e347c1ca63e2337",
     "breeding-werner-n20-margin100": "fdbe68bd5a462aed228ad3240a6418caeb99ece3e97e5cf424820e8c62c7ed1b",
+    "breeding-werner-n12-600": "5ef0b25aadb015fa5a3d3e3ff7bea1dd04e6e65c47fed01c902b37c6317af0c4",
 }
 
 
