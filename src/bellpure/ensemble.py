@@ -5,10 +5,10 @@ Stream contract (stable across versions): ``stream(seed, stream_id)`` is a
 numpy Generator over the Philox4x64-10 counter-based bit generator keyed by
 the pair (seed, stream_id) with a zero counter. Distinct ids give provably
 non-overlapping streams; independent trial t of a seeded run draws from
-substream (seed, t). ``rekey(rng, seed, stream_id)`` turns a generator made
-by stream into stream(seed, stream_id), drawing the same values.
+substream (seed, t). ``substreams(seed, stream_ids)`` yields stream(seed, t)
+for each id in turn as one generator re-keyed to each, drawing the same values.
 
-The contract covers raw words too: right after a rekey, ``random(n)`` then
+The contract covers raw words too: right after a re-key, ``random(n)`` then
 ``integers(0, 2, size=m)`` take raw_words(n, m) = n + ceil(m / 2) words of
 ``bit_generator.random_raw``, and decode_raw recovers both draws. Uniform i
 is (word_i >> 11) * 2**-53 (numpy's next_double); bit j is bit 31 of 32-bit
@@ -31,6 +31,7 @@ The test suite pins chunk invariance.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -65,19 +66,34 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rekey(rng: np.random.Generator, seed: int, stream_id: int) -> None:
-    """Restart rng, a generator made by stream, as stream(seed, stream_id):
-    the new key, a zero counter, no buffered block and no buffered 32-bit
-    half. It then draws what a new stream would, without the cost of building
-    one (Philox(key=...) first seeds itself from OS entropy it then drops)."""
-    rng.bit_generator.state = {
+def substreams(seed: int, stream_ids) -> Iterator[np.random.Generator]:
+    """stream(seed, t) for each id t in stream_ids, in order, as one generator
+    re-keyed at each step: the new key, a zero counter, no buffered block and no
+    buffered 32-bit half. It then draws what a new stream would, without the
+    cost of building one (Philox(key=...) first seeds itself from OS entropy it
+    then drops). The call checks the seed and the ids' range once; a step only
+    sets the stream id in one prepared Philox state and loads that state."""
+    rng = stream(seed)
+    if stream_ids:
+        _key(seed, min(stream_ids))
+        _key(seed, max(stream_ids))
+    state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, stream_id)},
+        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, 0)},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    key, bit_generator = state["state"]["key"], rng.bit_generator
+
+    def rekeyed():
+        for t in stream_ids:
+            key[1] = int(t)
+            bit_generator.state = state
+            yield rng
+
+    return rekeyed()
 
 
 def raw_words(n_uniforms: int, n_bits: int) -> int:
@@ -87,7 +103,7 @@ def raw_words(n_uniforms: int, n_bits: int) -> int:
 
 def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The (rows, n_uniforms) float64 uniforms and (rows, n_bits) uint8 bits
-    that each row of raw words, drawn right after a rekey, stands for."""
+    that each row of raw words, drawn right after a re-key, stands for."""
     uniforms = (words[:, :n_uniforms] >> np.uint64(11)) * 2.0**-53
     # byte 3 of each little-endian 32-bit half holds the half's bit 31 as bit 7
     data = words[:, n_uniforms:].astype("<u8", copy=False).view(np.uint8)

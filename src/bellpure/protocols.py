@@ -33,8 +33,13 @@ class RecurrenceOutcome(NamedTuple):
 #: a distribution p through it gives p[_Y_IMAGE].
 _Y_IMAGE = bell.unilateral_pauli(bell.LABELS, PauliAxis.Y)
 
-#: Every (source, target) label pair, source-major.
-_SRC, _TGT = (a.ravel() for a in np.indices((4, 4), dtype=np.uint8))
+#: Of every (source, target) label pair, source-major: the indices of those
+#: whose target reads parallel z spins after the bilateral controlled-NOT, and
+#: the source label each of them leaves.
+_S2, _T2 = bell.bxor(*(a.ravel() for a in np.indices((4, 4), dtype=np.uint8)))
+_PARALLEL = np.flatnonzero(bell.amp_bit(_T2) == 0)
+_KEPT = _S2[_PARALLEL]
+del _S2, _T2
 
 
 def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutcome:
@@ -51,9 +56,7 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     probability arrays and builds only the two BellDiagonals it returns.
     """
     w = np.outer(m1.p[_Y_IMAGE], m2.p[_Y_IMAGE]).ravel()
-    s2, t2 = bell.bxor(_SRC, _TGT)
-    parallel = bell.amp_bit(t2) == 0
-    post = np.bincount(s2[parallel], weights=w[parallel], minlength=4)
+    post = np.bincount(_KEPT, weights=w[_PARALLEL], minlength=4)
     p_success = float(post.sum())
     if p_success <= 0.0:
         return RecurrenceOutcome(None, 0.0, None)
@@ -448,19 +451,23 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
     return np.where(count > 0, smallest, 0), count
 
 
-#: Most test bits one chunk of breeding trials holds at once: 5 bytes a test bit
-#: of raw words and uint8 bits, and 8 more while the masks' product casts the
-#: bits to int64, about 420 KiB in all. A trial with more test bits runs alone.
-BREEDING_CHUNK = 1 << 15
+#: Most test bits one chunk of breeding trials holds at once: 4 bytes a test bit
+#: of raw words, about 260 KiB, freed once decoded into one byte a test bit and
+#: before the decoder scores its candidates (up to DECODE_CHUNK of them). Each
+#: chunk pays a decoder call per round, at much the same cost whatever its size,
+#: so chunks are as large as a 500-trial n = 20 run's 2 MiB memory bound allows
+#: (2^17 exceeds it). A trial with more test bits runs alone.
+BREEDING_CHUNK = 1 << 16
 
 
 def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids):
     """breeding_mc on each stream id, in order, one chunk of trials at a time.
 
-    A trial's own work is one random_raw call for all of its stream's words;
-    one generator is re-keyed to each trial's stream, and ensemble.decode_raw
-    turns a chunk's words into its uniforms and test bits. Every other step
-    runs once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits, each
+    A trial's own work is one random_raw call for all of its stream's words,
+    on the one generator that ensemble.substreams re-keys to each trial's
+    stream, and the building of its result record; ensemble.decode_raw turns
+    a chunk's words into its uniforms and test bits. Every other step runs
+    once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits, each
     round's decodes in one _ml_decode_rows call; and what is the same for
     every trial runs once per call."""
     measures.check_breeding_args(n, delta, r_margin)
@@ -480,32 +487,33 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     r2 = int(math.ceil(n * h_sign + r_margin * math.sqrt(n)))
     targets = r1 + r2
     provisioned = int(math.ceil(n * (measures.entropy_bell(w) + delta)))
+    exceeded = targets > provisioned
     full = (1 << n) - 1
     weights = 1 << np.arange(n)
     cdf = p.cumsum()
     # trials per chunk; a trial with no tests still holds its n uniforms
     per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
-    rng = ensemble.stream(seed)
+    streams = ensemble.substreams(seed, stream_ids)
     words = ensemble.raw_words(n, targets * n)
-    raw = np.empty((min(per_chunk, len(stream_ids)), words), dtype=np.uint64)
 
     results: list[BreedingResult] = []
     for lo in range(0, len(stream_ids), per_chunk):
-        ids = stream_ids[lo : lo + per_chunk]
-        for i, t in enumerate(ids):
-            # a trial's draws: its labels' uniforms, then round 1's subsets,
-            # then round 2's (a decode draws nothing, so they can come first)
-            ensemble.rekey(rng, seed, t)
+        size = min(per_chunk, len(stream_ids) - lo)
+        # a trial's draws: its labels' uniforms, then round 1's subsets, then
+        # round 2's (a decode draws nothing, so they can come first)
+        raw = np.empty((size, words), dtype=np.uint64)
+        for i, rng in zip(range(size), streams):
             raw[i] = rng.bit_generator.random_raw(words)
-        u, bits = ensemble.decode_raw(raw[: len(ids)], n, targets * n)
-        bits = bits.reshape(len(ids), targets, n)
+        u, bits = ensemble.decode_raw(raw, n, targets * n)
+        del raw  # 8 bytes a word: gone before the decodes take their memory
+        bits = bits.reshape(size, targets, n)
         labels = ensemble._labels_from_uniforms(cdf, u, np.empty(u.shape, dtype=np.uint8))
         masks = bits @ weights
 
         x_true = bell.amp_bit(labels) @ weights
         pars1 = _bxor_parity(labels, bits[:, :r1])
         x_hat, dim1, tie1, zero1 = _ml_decode_rows(
-            n, masks[:, :r1], pars1, np.full((len(ids), 1), full), [p_psi]
+            n, masks[:, :r1], pars1, np.full((size, 1), full), [p_psi]
         )
         # one-particle y on every decoded Psi
         labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
@@ -529,26 +537,11 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
             correct2.tolist(), tie1.tolist(), tie2.tolist(), residual, dim1.tolist(),
             dim2.tolist(), zero1.tolist(), zero2.tolist(),
         ):
-            results.append(
-                BreedingResult(
-                    n=n,
-                    targets_consumed=targets,
-                    decode_correct_round1=ok1,
-                    decode_correct_round2=ok2,
-                    tie_round1=t1,
-                    tie_round2=t2,
-                    residual_error_pairs=res,
-                    net_yield=(n - res - targets) / n,
-                    provisioned_targets=provisioned,
-                    budget_exceeded=targets > provisioned,
-                    coset_dim_round1=d1,
-                    coset_dim_round2=d2,
-                    zero_prior_round1=z1,
-                    zero_prior_round2=z2,
-                    subset_masks=tuple(m),
-                    parities=tuple(pars),
-                )
-            )
+            # positional, in field order: keywords cost more than the rest of the record
+            results.append(BreedingResult(
+                n, targets, ok1, ok2, t1, t2, res, (n - res - targets) / n, provisioned,
+                exceeded, d1, d2, z1, z2, tuple(m), tuple(pars),
+            ))
     return results
 
 

@@ -41,28 +41,23 @@ class TestStream:
 
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_rekey_range_validation(self, seed, stream_id):
+        # the call checks every id once, before any step, wherever it sits
         with pytest.raises(ValueError, match="must fit in an unsigned 64-bit integer"):
-            ensemble.rekey(stream(1), seed, stream_id)
-        if seed == 0:  # breeding re-keys one generator to each stream id
-            with pytest.raises(ValueError, match="stream_id must fit"):
-                protocols.breeding_mc(measures.werner(0.95), 5, stream_id=stream_id)
+            ensemble.substreams(seed, [3, stream_id, 5])
 
     def test_rekeyed_generator_draws_like_a_new_stream(self):
-        rng = stream(5, 0)
-        rng.random(3)  # a part-used Philox block
-        rng.integers(0, 2, size=3)  # three 32-bit halves: one is left buffered
-        assert rng.bit_generator.state["has_uint32"] == 1
-        for seed, stream_id in ((7, 9), (0, 2**64 - 1), (2**64 - 1, 0)):
-            ensemble.rekey(rng, seed, stream_id)
-            fresh = stream(seed, stream_id)
-            for draw in (
-                lambda g: g.random(5),
-                lambda g: g.integers(0, 2, size=(3, 5)),
-                lambda g: g.standard_normal(4),
-                lambda g: g.integers(0, 2, size=1),  # leaves a half buffered again
-            ):
-                assert np.array_equal(draw(rng), draw(fresh))
-            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        for seed, ids in ((7, [9, 0, 2**64 - 1, 9]), (2**64 - 1, [0, 1])):
+            for stream_id, rng in zip(ids, ensemble.substreams(seed, ids), strict=True):
+                fresh = stream(seed, stream_id)
+                for draw in (
+                    lambda g: g.random(5),  # a part-used Philox block
+                    lambda g: g.integers(0, 2, size=(3, 5)),
+                    lambda g: g.standard_normal(4),
+                    lambda g: g.integers(0, 2, size=2),  # leaves a 32-bit half buffered
+                ):
+                    assert np.array_equal(draw(rng), draw(fresh))
+                assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+                assert rng.bit_generator.state["has_uint32"] == 1  # for the next re-key to drop
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -76,19 +71,16 @@ class TestStream:
     @example(seed=3, ids=[1, 2], n=20, targets=3, buffered=True)
     @example(seed=3, ids=[1], n=7, targets=3, buffered=False)
     def test_raw_words_decode_like_random_then_integers(self, seed, ids, n, targets, buffered):
-        rng = stream(seed)
-        if buffered:  # a re-key must drop a held 32-bit half
-            rng.integers(0, 2, size=1)
-            assert rng.bit_generator.state["has_uint32"] == 1
         words = ensemble.raw_words(n, targets * n)
         raw = np.empty((len(ids), words), dtype=np.uint64)
-        for i, t in enumerate(ids):
-            ensemble.rekey(rng, seed, t)
+        for i, rng in enumerate(ensemble.substreams(seed, ids)):
             raw[i] = rng.bit_generator.random_raw(words)
+            if buffered:  # the next re-key must drop a held 32-bit half
+                rng.integers(0, 2, size=1)
+                assert rng.bit_generator.state["has_uint32"] == 1
         u, bits = ensemble.decode_raw(raw, n, targets * n)
         assert u.dtype == np.float64 and bits.dtype == np.uint8
-        for i, t in enumerate(ids):
-            ensemble.rekey(rng, seed, t)
+        for i, rng in enumerate(ensemble.substreams(seed, ids)):
             assert np.array_equal(u[i], rng.random(n))
             assert np.array_equal(bits[i].reshape(targets, n), rng.integers(0, 2, size=(targets, n)))
             # and took raw_words words: 4 per Philox block, less those still buffered
@@ -318,9 +310,11 @@ class TestBoundedMemory:
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 32
 
     def test_breeding_trials_keep_tests_as_integers(self):
-        # about 1.9 MiB: 1.5 MiB of results (two tuples of ints per trial) and
-        # one chunk of 2^15 test bits. A ParityTest record per test took
-        # ~3.0 MiB here, ~0.6 GiB at breed's cap of 10^5 trials
+        # about 1.2 MiB: 0.76 MiB of results (two tuples of ints per trial)
+        # and one chunk of 2^16 test bits with its decodes; about 1.8 MiB when
+        # this is the process's first use of numpy.random, whose import it
+        # then traces too. A ParityTest record per test took ~3.0 MiB here,
+        # ~0.6 GiB at breed's cap of 10^5 trials
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
 
     def test_breeding_scores_a_whole_space_one_row_at_a_time(self):

@@ -263,7 +263,7 @@ class TestWorkCounts:
 
                 return counted
 
-            def __setattr__(self, name, value):  # rekey sets bit_generator.state
+            def __setattr__(self, name, value):  # substreams sets bit_generator.state
                 setattr(self._obj, name, value)
 
         make_stream = ensemble.stream
@@ -876,6 +876,71 @@ BREEDING_STATES = (
 )
 
 
+def _popcount(a):
+    return np.bitwise_count(np.asarray(a, dtype=np.uint64)).astype(np.intp)
+
+
+def _exact_prior_ranks(n, q_out, q_in):
+    """(2^n, 2^n) ranks: entry [g, c] ranks the exact prior of the n-bit string
+    c when each bit outside mask g is 1 with probability q_out and each bit
+    inside it with q_in, in Fraction arithmetic on the floats' exact values;
+    -1 marks a zero prior. Strings of one prior share a rank."""
+    a, b = Fraction(q_out), Fraction(q_in)
+    priors = {
+        (k_out, k_in, m): a**k_out * (1 - a) ** (n - m - k_out) * b**k_in * (1 - b) ** (m - k_in)
+        for m in range(n + 1)
+        for k_out in range(n - m + 1)
+        for k_in in range(m + 1)
+    }
+    rank = {p: i for i, p in enumerate(sorted(set(priors.values()) - {0}))}
+    table = np.full((n + 1,) * 3, -1)
+    for key, p in priors.items():
+        table[key] = rank.get(p, -1)
+    s = np.arange(1 << n)
+    g, c = s[:, None], s[None, :]
+    return table[_popcount(c & ~g & (1 << n) - 1), _popcount(c & g), _popcount(g)]
+
+
+def _brute_force_decode(n, masks, ranks):
+    """Maximum-likelihood decode of every n-bit string c from its parities on
+    masks, under each prior row g of ranks, by comparing c with every string:
+    (decoded, tie, zero_prior), each indexed [g, c]. As in _ml_decode_rows, the
+    smallest string of top prior wins, and a row whose every fitting string has
+    zero prior decodes to 0."""
+    s = np.arange(1 << n)
+    par = _popcount(s[:, None] & np.asarray(masks, dtype=np.int64)) & 1
+    fits = (par[:, None] == par[None, :]).all(axis=2)  # [c, c']: same parities
+    cand = np.where(fits, ranks[:, None, :], -2)
+    top = cand.max(axis=2)
+    best = (cand == top[..., None]) & (top >= 0)[..., None]
+    return best.argmax(axis=2), best.sum(axis=2) > 1, top < 0
+
+
+def _sign_prob(p, psi):
+    """P(the sign bit reads 1 | class), for a pair of class Psi (psi) or Phi
+    whose class round 1 decoded correctly, from the label rules; 1/2 for a
+    class of zero weight, as breeding takes it."""
+    fixed = bell.unilateral_pauli(bell.LABELS, PauliAxis.Y) if psi else bell.LABELS
+    flips = bell.amp_bit(bell.bilateral_rot(fixed, PauliAxis.Y)).tolist()
+    cls = [l for l in range(4) if bell.amp_bit(l) == psi]
+    weight = sum(float(p[l]) for l in cls)
+    return sum(float(p[l]) for l in cls if flips[l]) / weight if weight > 0.0 else 0.5
+
+
+def _count_distribution(pmfs):
+    """The distribution of a sum of independent counts, each given by its pmf."""
+    out = np.ones(1)
+    for pmf in pmfs:
+        out = np.convolve(out, pmf)
+    return out
+
+
+#: The normal deviate that an observed count may not pass in either tail. The
+#: tails are read from the count's exact distribution, since a normal one
+#: misjudges a handful of rare failures.
+RATE_Z = 5.0
+
+
 class TestBreeding:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1049,6 +1114,75 @@ class TestBreeding:
                 parities = [test.parity_observed for test in tests]
                 _, n_consistent, _ = _exhaustive_decode(n, masks, parities, [])
                 assert n_consistent == 2**dim
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(BREEDING_STATES),
+        st.integers(1, 5),
+        st.floats(0.0, 3.0),
+        st.integers(0, 2**32 - 1),
+        st.integers(10, 60),
+    )
+    @example(BellDiagonal([0.6, 0.0, 0.2, 0.2]), 5, 0.0, 5, 60)  # zero-prior round 2s
+    @example(measures.werner(0.8), 5, 0.5, 1, 60)  # many failures and ties
+    def test_rates_match_the_exact_rates_of_the_drawn_tests(self, w, n, r_margin, seed, trials):
+        # Given a trial's tests, the chance that it succeeds and its residual
+        # count's distribution follow exactly from the 4^n label strings, each
+        # decoded by brute force in both rounds, a tie counting as a failure.
+        # The tie and zero-prior flags follow from the parities alone.
+        p = w.p
+        labels = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1).T  # every string
+        prior = p[labels].prod(axis=1)
+        weights = 1 << np.arange(n)
+        x = bell.amp_bit(labels) @ weights
+        fixed = bell.unilateral_pauli(labels, PauliAxis.Y)
+        p_psi = sum(float(p[l]) for l in range(4) if bell.amp_bit(l))
+        ranks1 = _exact_prior_ranks(n, p_psi, p_psi)[:1]
+        ranks2 = _exact_prior_ranks(n, _sign_prob(p, False), _sign_prob(p, True))
+        r1 = math.ceil(n * measures.h2(p_psi) + r_margin * math.sqrt(n))
+        summary, results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
+        successes, residuals = [], []
+        for r in results:
+            masks = np.array(r.subset_masks, dtype=np.int64)
+            dec1, tie1, zero1 = (a[0] for a in _brute_force_decode(n, masks[:r1], ranks1))
+            dec2, tie2, zero2 = _brute_force_decode(n, masks[r1:], ranks2)
+            x_hat = dec1[x]
+            after1 = bell.bilateral_rot(np.where(protocols._mask_bits(x_hat, n), fixed, labels), PauliAxis.Y)
+            y = bell.amp_bit(after1) @ weights
+            y_hat = dec2[x_hat, y]
+            after2 = np.where(protocols._mask_bits(y_hat, n), bell.unilateral_pauli(after1, PauliAxis.X), after1)
+            ok = (x_hat == x) & ~tie1[x] & ~zero1[x] & (y_hat == y) & ~tie2[x_hat, y] & ~zero2[x_hat, y]
+            residual = np.count_nonzero(after2 != BellLabel.PHI_PLUS, axis=1)
+            successes.append([1 - prior @ ok, prior @ ok])
+            residuals.append(np.bincount(residual, weights=prior, minlength=n + 1))
+            # the observed parities pick out a string that fits them in each round
+            par = np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1
+            fits = (par == np.array(r.parities)[:, None])
+            c1, c2 = fits[:r1].all(axis=0).argmax(), fits[r1:].all(axis=0).argmax()
+            assert (r.tie_round1, r.zero_prior_round1) == (tie1[c1], zero1[c1])
+            assert (r.tie_round2, r.zero_prior_round2) == (tie2[dec1[c1], c2], zero2[dec1[c1], c2])
+        # the counts behind the rates that breed emits
+        tail = 0.5 * math.erfc(RATE_Z / math.sqrt(2))
+        for pmfs, count in (
+            (successes, trials * (1 - summary.decode_failure_rate)),
+            (residuals, trials * n * summary.residual_error_rate),
+        ):
+            observed = round(count)
+            assert count == pytest.approx(observed)
+            dist = _count_distribution(pmfs)
+            assert dist[: observed + 1].sum() >= tail and dist[observed:].sum() >= tail
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"stream_id": -1}, {"stream_id": 2**64}, {"seed": -1}, {"seed": 2**64}]
+    )
+    def test_seed_and_stream_id_must_fit_64_bits(self, kwargs):
+        # the range is checked once per call, not where each trial is re-keyed
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must fit in an unsigned 64-bit integer"):
+            breeding_mc(measures.werner(0.95), 5, **kwargs)
+        if name == "seed":
+            with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+                breeding_trials(measures.werner(0.95), 5, 3, **kwargs)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
