@@ -456,7 +456,8 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
 #: before the decoder scores its candidates (up to DECODE_CHUNK of them). Each
 #: chunk pays a decoder call per round, at much the same cost whatever its size,
 #: so chunks are as large as a 500-trial n = 20 run's 2 MiB memory bound allows
-#: (2^17 exceeds it). A trial with more test bits runs alone.
+#: (2^17 exceeds it when the run is its process's first use of numpy.random).
+#: A trial with more test bits runs alone.
 BREEDING_CHUNK = 1 << 16
 
 

@@ -1147,17 +1147,20 @@ class TestBreeding:
             dec1, tie1, zero1 = (a[0] for a in _brute_force_decode(n, masks[:r1], ranks1))
             dec2, tie2, zero2 = _brute_force_decode(n, masks[r1:], ranks2)
             x_hat = dec1[x]
-            after1 = bell.bilateral_rot(np.where(protocols._mask_bits(x_hat, n), fixed, labels), PauliAxis.Y)
+            after1 = np.where(protocols._mask_bits(x_hat, n), fixed, labels)
+            after1 = bell.bilateral_rot(after1, PauliAxis.Y)
             y = bell.amp_bit(after1) @ weights
             y_hat = dec2[x_hat, y]
-            after2 = np.where(protocols._mask_bits(y_hat, n), bell.unilateral_pauli(after1, PauliAxis.X), after1)
-            ok = (x_hat == x) & ~tie1[x] & ~zero1[x] & (y_hat == y) & ~tie2[x_hat, y] & ~zero2[x_hat, y]
+            after2 = bell.unilateral_pauli(after1, PauliAxis.X)
+            after2 = np.where(protocols._mask_bits(y_hat, n), after2, after1)
+            ok = (x_hat == x) & ~tie1[x] & ~zero1[x]
+            ok &= (y_hat == y) & ~tie2[x_hat, y] & ~zero2[x_hat, y]
             residual = np.count_nonzero(after2 != BellLabel.PHI_PLUS, axis=1)
             successes.append([1 - prior @ ok, prior @ ok])
             residuals.append(np.bincount(residual, weights=prior, minlength=n + 1))
             # the observed parities pick out a string that fits them in each round
-            par = np.bitwise_count(masks[:, None] & np.arange(1 << n)) & 1
-            fits = (par == np.array(r.parities)[:, None])
+            par = _popcount(masks[:, None] & np.arange(1 << n)) & 1
+            fits = par == np.array(r.parities)[:, None]
             c1, c2 = fits[:r1].all(axis=0).argmax(), fits[r1:].all(axis=0).argmax()
             assert (r.tie_round1, r.zero_prior_round1) == (tie1[c1], zero1[c1])
             assert (r.tie_round2, r.zero_prior_round2) == (tie2[dec1[c1], c2], zero2[dec1[c1], c2])
