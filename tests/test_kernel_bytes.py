@@ -38,6 +38,12 @@ score a chunk's trials together. The werner-n12-600 digest, over every result
 field, was recorded while its 600 trials ran in five chunks of at most 143,
 before a chunk grew to 2^16 test bits; its summary means run over more than
 128 trials, where np.mean sums in pairwise blocks.
+
+The sample_labels digests at CHUNK // 2 - 1, CHUNK // 2 + 1 and
+CHUNK + CHUNK // 2 + 3, and the random_axis_parallel_prob digest, whose label
+draw starts mid-block after the ziggurat normals, were recorded while the
+sampler drew its uniforms serially in pieces of CHUNK, before it began to
+draw pieces of CHUNK // 2 on two threads.
 """
 import hashlib
 
@@ -46,7 +52,7 @@ import pytest
 
 from bellpure import bell, measures, protocols, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel
-from bellpure.ensemble import CHUNK, _sample_labels, stream
+from bellpure.ensemble import CHUNK, MAX_AXIS_TRIALS, _sample_labels, random_axis_parallel_prob, stream
 from bellpure.twirl import TWIRL_BATCH
 
 
@@ -65,7 +71,9 @@ SAMPLER_INPUTS = {
     "skewed": BellDiagonal([0.822, 0.028, 0.073, 0.077]),
     "point_mass": BellDiagonal([0.0, 0.0, 1.0, 0.0]),
 }
-SAMPLER_SIZES = (CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5)
+SAMPLER_SIZES = (
+    CHUNK // 2 - 1, CHUNK // 2 + 1, CHUNK - 1, CHUNK + 1, CHUNK + CHUNK // 2 + 3, 3 * CHUNK + 5,
+)
 
 # the sampled twirl's input: a fixed state with complex coherences, far from
 # Werner form
@@ -84,6 +92,12 @@ def _sampler(name, n):
     labels = _sample_labels(rng, SAMPLER_INPUTS[name], n)
     # the next draw pins how many uniforms the sampler consumed
     return _digest(labels, rng.random(1))
+
+
+def _axis_parallel():
+    # the one sampler call in the library that starts mid-block, after the
+    # ziggurat normals of the axes; at the cap it spans more than one piece
+    return _digest(random_axis_parallel_prob(SAMPLER_INPUTS["skewed"], MAX_AXIS_TRIALS, 26))
 
 
 def _twirl_labels(n):
@@ -200,6 +214,7 @@ CASES = {
         for name in SAMPLER_INPUTS
         for n in SAMPLER_SIZES
     },
+    "random_axis_parallel_prob": _axis_parallel,
     **{f"twirl_labels-{n}": (lambda n=n: _twirl_labels(n)) for n in (7, 3 * CHUNK + 5)},
     "recurrence_mc-0.8-1e7-4": lambda: _digest(protocols.recurrence_mc(0.8, 10**7, 4, seed=5)),
     **{f"variable_block_mc-k{k}": (lambda k=k: _variable_block(k)) for k in BLOCK_FIDELITIES},
@@ -213,15 +228,25 @@ CASES = {
 }
 
 DIGESTS = {
+    "sample_labels-werner-524287": "71b49b1b8ed6f974a03e1bdd8f08a00d05902c110b6f28294f3b3cf267b4e157",
+    "sample_labels-werner-524289": "8a0261ac13fa7e56d5895a63d6b29ebba47069b5be0d1abda520624e80f374f2",
     "sample_labels-werner-1048575": "c5398241d0db0eb21c9a937db1fcc9cfb8007168220c2f3c6719df9cbbbbd3d9",
     "sample_labels-werner-1048577": "eb662c91de06fe1737a226b68be98a9285ad3d7553f41e958345c50d1f2cf9b9",
+    "sample_labels-werner-1572867": "042e8ea29315dfd4ca657a4fe08eea5e12b72f1d47d1182c872d7d398d0b8a5e",
     "sample_labels-werner-3145733": "54d85039e395c56f4b2f53b316d03de2b4d0aa7414d347ceec8dae4c29eff9c3",
+    "sample_labels-skewed-524287": "6742b7915f02b8c0570d6c249f6c74dc90183acbfeaa9645ec8ff0c734140f25",
+    "sample_labels-skewed-524289": "d02361915f820985ea71ed96edb630e8f26266217e094b2b85127fa73c789802",
     "sample_labels-skewed-1048575": "2c6ce1aca422b0f4ca6dd8304549c2d28fd8a2a675ca1ab9c0c17c6589adaa5e",
     "sample_labels-skewed-1048577": "7986b43626c6c758db108c7bf631634993bf4d36af1cf9176a34171ac8d99ac8",
+    "sample_labels-skewed-1572867": "9688c732ec8227ce77834392c9bc11f28db8c9e5661ea8c764bb8bea5b01b009",
     "sample_labels-skewed-3145733": "d408fd894a43749e2aadc1e038c4e47efe3aa862725c140c5f8e5ad8cbd6879b",
+    "sample_labels-point_mass-524287": "8fc3c692f504865a3c9098541afeb58ea5f2b3ef80f7921503b6f775301e847a",
+    "sample_labels-point_mass-524289": "c2b594501cb39e09b25458a1a77e8a4e6213d97f24575417ed9fb2e8bdafb007",
     "sample_labels-point_mass-1048575": "0530e94fbd35be07a5634e010bec1c09556772a350a6b1154579ad480c443563",
     "sample_labels-point_mass-1048577": "98989f9fb542b63f8d0d0be2801f33d1fea2a5dc000636efd3468f3b3e12548e",
+    "sample_labels-point_mass-1572867": "788c2e6163c01fd4a37c88d3694539234a1422a48b0e8a7defe473d38bb29401",
     "sample_labels-point_mass-3145733": "55029ed68eefa9333356496d7913875dcf29de1161169fbef116ae3576434c10",
+    "random_axis_parallel_prob": "b51625541bafd118c2369909088249049c1d3ab5c7523395c2efc62b2dbdf5f5",
     "twirl_labels-7": "8069fb90fa6775e6344dc855393e6002a470283f053707901478278a28e51e4d",
     "twirl_labels-3145733": "bfc6d5e657525f927e164237372a791e5f298a9405666da7022cd5e3d4a42b3e",
     "recurrence_mc-0.8-1e7-4": "8ee8909574abb956ef2a895a12855bd19d54f25318cc080202f5e24d3967bf6f",
