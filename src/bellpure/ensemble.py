@@ -18,8 +18,9 @@ decode_raw reads the halves by value, so the host's byte order does not matter.
 
 Chunk invariance: the label sampler, twirl.twirl_labels and the purification
 round behind protocols.recurrence_mc and variable_block_mc process at most
-CHUNK labels or blocks at a time, so their working memory is the uint8 label
-ensemble (one byte per pair) plus one chunk of blocks; only variable_block_mc
+CHUNK labels or blocks at a time (the sampler a piece of CHUNK // 2 on each of
+its two threads), so their working memory is the uint8 label ensemble (one
+byte per pair) plus one chunk of blocks; only variable_block_mc
 at F = 1, whose one block holds the whole run, is unbounded. Their output does
 not depend on CHUNK, because these draws return the same values whether made
 whole or in pieces: ``random(n)``, ``normal`` and ``integers(0, k, size=n)``
@@ -27,10 +28,18 @@ at the default int64 dtype. A narrower dtype breaks this: ``integers(0, 6,
 size=n, dtype=np.uint8)`` draws other values than the int64 call, and split
 into pieces it draws other values again, so the kernels keep the int64 draw.
 The test suite pins chunk invariance.
+
+Positioned draws: Philox is counter-based, and ``random(n)`` takes exactly n
+raw words, one per double (it neither reads nor sets the buffered 32-bit
+half). So the part of a draw that starts w words in can be drawn on a
+generator of its own placed w words ahead, and it draws the serial values.
+The label sampler draws its pieces so on DRAW_THREADS threads (run_sharded)
+and leaves the caller's generator where the serial draw would.
 """
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -41,6 +50,9 @@ from .bell import BellDiagonal, BellLabel
 
 #: Largest number of entries a Monte Carlo kernel draws or processes at once.
 CHUNK = 1 << 20
+
+#: Threads that draw the label sampler's uniforms, the calling thread included.
+DRAW_THREADS = 2
 
 
 def chunks(n: int):
@@ -111,9 +123,28 @@ def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndar
 
 
 def run_sharded(task, n_shards: int) -> list:
-    """Run task(shard_index) for every shard, returning results in shard order.
-    No kernel calls it; benchmarks/tracing.py wraps it by name."""
-    return [task(i) for i in range(n_shards)]
+    """Run task(shard_index) for every shard, shard 0 on the calling thread and
+    each other shard on a thread of its own, and return the results in shard
+    order once all have ended. An exception raised by a shard is raised here;
+    the first in shard order, if several shards raise."""
+    results, errors = [None] * n_shards, [None] * n_shards
+
+    def run(i):
+        try:
+            results[i] = task(i)
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, n_shards)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 class EstimateWithError(NamedTuple):
@@ -131,9 +162,35 @@ def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np
     return out
 
 
+def _ahead(state: dict, words: int, bit_generator: np.random.Philox) -> None:
+    """Load into bit_generator the Philox state that the state dict reaches
+    after drawing words (>= 1) more raw words: the 256-bit counter of the block
+    that holds the last of them, that block buffered and the position past it.
+    The buffered 32-bit half is kept, as random(n) neither reads nor sets it."""
+    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
+    # the last word's index in the stream, whose word 0 is block 1's first
+    block, pos = divmod(4 * counter + state["buffer_pos"] - 5 + words, 4)
+    bit_generator.state = {
+        **state,
+        "state": {
+            "counter": [(block >> (64 * i)) & (2**64 - 1) for i in range(4)],
+            "key": state["state"]["key"],
+        },
+        "buffer_pos": 4,
+    }
+    bit_generator.random_raw(pos + 1)
+
+
 def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
     """n i.i.d. label draws by inverse CDF on the 4-vector (uint8 array),
-    one chunk of uniforms at a time.
+    drawn in pieces of CHUNK // 2 uniforms on DRAW_THREADS threads.
+
+    Piece k is drawn on a Philox generator placed at its first word, piece 0
+    on rng itself, and rng is then left in the state a serial rng.random(n)
+    leaves; so the labels and every later draw are those of the serial draw,
+    whichever thread drew which piece. Each thread holds one piece's uniforms
+    at a time. A run of one piece, or an rng on another bit generator, is
+    drawn serially on rng and starts no thread.
 
     A uniform u maps to the count of the cdf's first three entries that are
     <= u, written in place by three compares. That is the integer
@@ -143,8 +200,34 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     is the cap at 3. On 4 entries the compares cost less than the search."""
     cdf = d.p.cumsum()
     out = np.empty(n, dtype=np.uint8)
-    for lo, hi in chunks(n):
-        _labels_from_uniforms(cdf, rng.random(hi - lo), out[lo:hi])
+    piece = CHUNK // 2
+    bounds = [(lo, min(lo + piece, n)) for lo in range(0, n, piece)]
+    if len(bounds) <= 1 or not isinstance(rng.bit_generator, np.random.Philox):
+        for lo, hi in bounds:
+            _labels_from_uniforms(cdf, rng.random(hi - lo), out[lo:hi])
+        return out
+    # the generators and buffers are made on the calling thread, so that the
+    # threads only draw and compare: a buffer freed on a thread of its own
+    # would stay resident in that thread's malloc arena
+    start, gens = rng.bit_generator.state, [rng]
+    for lo, _ in bounds[1:]:
+        gens.append(np.random.Generator(np.random.Philox()))
+        _ahead(start, lo, gens[-1].bit_generator)
+    threads = min(DRAW_THREADS, len(bounds))
+    uniforms = np.empty((threads, piece))
+    # each thread takes the next piece off a shared stack, so that a thread
+    # that gets less of the cpu draws fewer pieces; list.pop is atomic, and
+    # below the pieces lies one None per thread, at which it stops
+    todo = [None] * threads + list(range(len(bounds)))[::-1]
+
+    def draw(shard):
+        for k in iter(todo.pop, None):
+            lo, hi = bounds[k]
+            u = gens[k].random(out=uniforms[shard, : hi - lo])
+            _labels_from_uniforms(cdf, u, out[lo:hi])
+
+    run_sharded(draw, threads)
+    _ahead(start, n, rng.bit_generator)
     return out
 
 

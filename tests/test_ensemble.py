@@ -1,4 +1,7 @@
+import importlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -117,6 +120,136 @@ class TestSampleEnsemble:
     def test_zero_probability_labels_never_drawn(self):
         labels = _sample_labels(stream(3), BellDiagonal([0.5, 0.0, 0.0, 0.5]), 100_000)
         assert not np.isin(labels, [1, 2]).any()
+
+
+#: A skewed label distribution with every label drawn.
+_SKEWED = BellDiagonal([0.822, 0.028, 0.073, 0.077])
+
+
+def _serial_labels(rng, n):
+    """The labels of one serial random(n) on rng."""
+    return _labels_from_uniforms(_SKEWED.p.cumsum(), rng.random(n), np.empty(n, dtype=np.uint8))
+
+
+def _plain_state(rng):
+    """The Philox state as plain ints: counter, key, buffer and both positions."""
+    s = rng.bit_generator.state
+    words = [[int(v) for v in a] for a in (s["state"]["counter"], s["state"]["key"], s["buffer"])]
+    return words, s["buffer_pos"], s["has_uint32"], s["uinteger"]
+
+
+class TestParallelDraw:
+    """The sampler draws pieces of CHUNK // 2 uniforms on DRAW_THREADS threads,
+    each piece on a Philox generator placed at its first word. It must draw
+    what one serial random(n) draws and leave rng where that draw leaves it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        skip=st.integers(0, 8),
+        half=st.booleans(),
+        chunk=st.integers(2, 16),
+        n=st.integers(0, 70),
+    )
+    @example(seed=0, stream_id=0, skip=0, half=False, chunk=8, n=0)
+    @example(seed=1, stream_id=2, skip=3, half=True, chunk=8, n=4)  # one piece, nothing split
+    @example(seed=1, stream_id=2, skip=3, half=True, chunk=9, n=70)  # pieces of 4 words
+    @example(seed=1, stream_id=2, skip=1, half=False, chunk=2, n=9)  # pieces of 1 word
+    def test_draws_and_leaves_rng_as_one_serial_draw(self, seed, stream_id, skip, half, chunk, n):
+        rng, ref = stream(seed, stream_id), stream(seed, stream_id)
+        for g in (rng, ref):
+            g.bit_generator.random_raw(skip)
+            if half:  # a buffered 32-bit half, which random(n) must keep
+                g.integers(0, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "CHUNK", chunk)
+            labels = _sample_labels(rng, _SKEWED, n)
+        assert np.array_equal(labels, _serial_labels(ref, n))
+        assert _plain_state(rng) == _plain_state(ref)
+
+    @pytest.mark.parametrize("counter", [2**64 - 3, 2**128 - 2, 2**192 - 5, 2**256 - 3])
+    def test_pieces_carry_across_counter_words(self, monkeypatch, counter):
+        # the 256-bit counter carries from one 64-bit word to the next, and
+        # wraps at 2^256, inside the run
+        rng, ref = (np.random.Generator(np.random.Philox(counter=counter, key=[7, 9])) for _ in range(2))
+        monkeypatch.setattr(ensemble, "CHUNK", 10)
+        assert np.array_equal(_sample_labels(rng, _SKEWED, 57), _serial_labels(ref, 57))
+        assert _plain_state(rng) == _plain_state(ref)
+
+    def test_more_threads_than_cores_draw_each_piece_once(self, monkeypatch):
+        # the threads share one stack of pieces; a piece lost or drawn twice
+        # leaves unwritten labels or draws its generator's next words
+        monkeypatch.setattr(ensemble, "CHUNK", 6)
+        monkeypatch.setattr(ensemble, "DRAW_THREADS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                rng, ref = stream(seed), stream(seed)
+                assert np.array_equal(_sample_labels(rng, _SKEWED, 3000), _serial_labels(ref, 3000))
+                assert _plain_state(rng) == _plain_state(ref)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started while the test runs."""
+        threads, start = [], threading.Thread.start
+
+        def counted(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return threads
+
+    def test_one_piece_starts_no_thread(self, monkeypatch, started):
+        monkeypatch.setattr(ensemble, "CHUNK", 8)
+        for n in (0, 1, 4):
+            _sample_labels(stream(1), _SKEWED, n)
+        # a generator on another bit generator is drawn serially, in pieces
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(_sample_labels(rng, _SKEWED, 40), _serial_labels(ref, 40))
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert started == []
+
+    @pytest.mark.parametrize("n", [5, 12, 13, 400])
+    def test_more_pieces_start_one_thread_less_than_draw_threads(self, monkeypatch, started, n):
+        monkeypatch.setattr(ensemble, "CHUNK", 8)
+        _sample_labels(stream(1), _SKEWED, n)
+        assert len(started) == ensemble.DRAW_THREADS - 1
+        assert not any(t.is_alive() for t in started)
+
+    def test_run_sharded_keeps_shard_order(self):
+        assert ensemble.run_sharded(lambda i: i * i, 4) == [0, 1, 4, 9]
+        # the shards run at once, shard 0 on the calling thread and each other
+        # on a thread of its own: run one after another, the first to wait at
+        # the barrier would time out
+        barrier = threading.Barrier(3)
+
+        def task(i):
+            barrier.wait(timeout=10)
+            return i, threading.get_ident()
+
+        results = ensemble.run_sharded(task, 3)
+        assert [i for i, _ in results] == [0, 1, 2]
+        idents = [ident for _, ident in results]
+        assert idents[0] == threading.get_ident() and len(set(idents)) == 3
+
+    @pytest.mark.parametrize("failing, raised", [({1}, 1), ({0}, 0), ({0, 1}, 0), ({1, 2}, 1)])
+    def test_run_sharded_raises_a_shard_error_in_the_caller(self, failing, raised):
+        ended = []
+
+        def task(i):
+            if i in failing:
+                raise ValueError(f"shard {i} failed")
+            ended.append(i)
+
+        with pytest.raises(ValueError, match=f"shard {raised} failed"):
+            ensemble.run_sharded(task, 3)
+        # every shard has ended before the error is raised
+        assert sorted(ended) == sorted(set(range(3)) - failing)
 
 
 #: A cdf whose last entry rounds below 1, so a uniform can reach it.
@@ -279,7 +412,10 @@ class TestChunkInvariance:
 
 def _traced_peak_mib(fn, *args):
     """Peak memory allocated during one call (tracemalloc sees numpy's
-    buffers; what was live before the call is not traced)."""
+    buffers; what was live before the call is not traced). numpy.random is
+    imported first, so that a call that is the process's first use of it
+    does not trace that import, whatever ran before."""
+    importlib.import_module("numpy.random")
     tracemalloc.start()
     try:
         fn(*args)
@@ -310,11 +446,10 @@ class TestBoundedMemory:
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 32
 
     def test_breeding_trials_keep_tests_as_integers(self):
-        # about 1.2 MiB: 0.76 MiB of results (two tuples of ints per trial)
-        # and one chunk of 2^16 test bits with its decodes; about 1.8 MiB when
-        # this is the process's first use of numpy.random, whose import it
-        # then traces too. A ParityTest record per test took ~3.0 MiB here,
-        # ~0.6 GiB at breed's cap of 10^5 trials
+        # about 1.2 MiB, run alone or in the suite: 0.76 MiB of results (two
+        # tuples of ints per trial) and one chunk of 2^16 test bits with its
+        # decodes. A ParityTest record per test took ~3.0 MiB here, ~0.6 GiB
+        # at breed's cap of 10^5 trials
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
 
     def test_breeding_scores_a_whole_space_one_row_at_a_time(self):
@@ -325,6 +460,12 @@ class TestBoundedMemory:
             protocols.breeding_trials(BellDiagonal([1, 0, 0, 0]), 20, 8, r_margin=0.0)
 
         assert _traced_peak_mib(run) < 27
+
+    def test_sample_labels_holds_one_piece_per_thread(self):
+        # about 12.0 MiB: 3 MiB of labels, one CHUNK // 2 piece of uniforms on
+        # each of the two threads (8 MiB) and its compare; a whole chunk per
+        # thread would read about 20 MiB
+        assert _traced_peak_mib(_sample_labels, stream(1), measures.werner(0.78), 3 * CHUNK + 5) < 14
 
     def test_random_axis_parallel_prob_at_the_cap(self):
         # about 61 MiB; a (4, n) stack of per-label correlations took ~108 MiB
