@@ -215,7 +215,7 @@ class TestParallelDraw:
         assert started == []
 
     @pytest.mark.parametrize("n", [5, 12, 13, 400])
-    def test_more_pieces_start_one_thread_less_than_draw_threads(self, monkeypatch, started, n):
+    def test_more_pieces_start_draw_threads_minus_one(self, monkeypatch, started, n):
         monkeypatch.setattr(ensemble, "CHUNK", 8)
         _sample_labels(stream(1), _SKEWED, n)
         assert len(started) == ensemble.DRAW_THREADS - 1
