@@ -44,6 +44,13 @@ CHUNK + CHUNK // 2 + 3, and the random_axis_parallel_prob digest, whose label
 draw starts mid-block after the ziggurat normals, were recorded while the
 sampler drew its uniforms serially in pieces of CHUNK, before it began to
 draw pieces of CHUNK // 2 on two threads.
+
+The recurrence_mc digests at 2 * PIECE +- 2 and 4 * PIECE +- 2 pairs (one and
+two pieces of two-pair tests, a test short and a test over), the
+variable_block_mc-k2 digests at PIECE +- 1 blocks and the purify_round
+digests, whose next draw pins how many twirl indices the round took, were
+recorded before the purification round began to run as a two-stage pipeline
+over pieces of PIECE = CHUNK // 8 blocks, while it ran serially in chunks.
 """
 import hashlib
 
@@ -115,6 +122,19 @@ def _variable_block(k):
     stats = protocols.variable_block_mc(BLOCK_FIDELITIES[k], 10**6, seed=24 + k)
     assert stats.k == k
     return _digest(stats)
+
+
+#: The purification round's piece: the blocks that one of its stages handles at
+#: a time.
+PIECE = CHUNK // 8
+
+
+def _purify_round(n_blocks, k):
+    rng = stream(27, n_blocks)
+    labels = _sample_labels(rng, SAMPLER_INPUTS["skewed"], n_blocks * (k + 1))
+    n_kept, s1, s2 = protocols._purify_round(labels, n_blocks, k, rng)
+    # the next draw pins how many twirl indices the round drew
+    return _digest(labels[: n_kept * k], (n_kept, s1, s2), rng.random(1))
 
 
 def _exact_states():
@@ -218,6 +238,15 @@ CASES = {
     **{f"twirl_labels-{n}": (lambda n=n: _twirl_labels(n)) for n in (7, 3 * CHUNK + 5)},
     "recurrence_mc-0.8-1e7-4": lambda: _digest(protocols.recurrence_mc(0.8, 10**7, 4, seed=5)),
     **{f"variable_block_mc-k{k}": (lambda k=k: _variable_block(k)) for k in BLOCK_FIDELITIES},
+    **{
+        f"recurrence_mc-0.8-{2 * n}-3": (lambda n=n: _digest(protocols.recurrence_mc(0.8, 2 * n, 3, seed=28)))
+        for n in (PIECE - 1, PIECE + 1, 2 * PIECE - 1, 2 * PIECE + 1)
+    },
+    **{
+        f"variable_block_mc-k2-{n}": (lambda n=n: _digest(protocols.variable_block_mc(0.75, 3 * n, seed=29)))
+        for n in (PIECE - 1, PIECE + 1)
+    },
+    **{f"purify_round-k{k}": (lambda k=k: _purify_round(2 * PIECE + 5, k)) for k in (1, 3)},
     **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
     "exact_layer": _exact_layer,
     "oracle_step": _oracle_step,
@@ -253,6 +282,14 @@ DIGESTS = {
     "variable_block_mc-k2": "0f4429436abfa0690641a000097e881a7f53480494206dad91bc7e2cee95e846",
     "variable_block_mc-k3": "a9c3a6bf5460c9dcdc98a67cac6b380c03189365e87d7676e08efed8e75cd641",
     "variable_block_mc-k4": "2d8ce97185264bf056a9e132d3014081a7ee612c5176600160a18a9f43785e93",
+    "recurrence_mc-0.8-262142-3": "ac30e943095987ee5a6572f8e49c8b3c711098fcd09ecd9fbdcb47f124cb9fd7",
+    "recurrence_mc-0.8-262146-3": "4ff3cb30b38544f91b9a5d0af6add74558ce0dd5305647fa7588dce318b32a91",
+    "recurrence_mc-0.8-524286-3": "fd8e170a432c99635af11756e7bdd71d9526a964c82f84e63a618195163034a6",
+    "recurrence_mc-0.8-524290-3": "e94c09cb449b8a15afca71003eeed86f89eaef009d4870baf6e0b0ce497b6a48",
+    "variable_block_mc-k2-131071": "c5a3625ac6ad4194a48c6b288b431ec869ad8c0a7561617025eccf6f22fce57c",
+    "variable_block_mc-k2-131073": "256ea8dd79c8c18e5c3687eab76c1d547f9b6f9618765cbf7f2d625b6273a4e7",
+    "purify_round-k1": "2b738cc28959b3fe14391fcce1407b09b22b78cc1d57287336038dc73170abd1",
+    "purify_round-k3": "07fd2e02ad4ca068675066e97070f839b97f01491733e2e9db952046f1ab4274",
     "sampled_twirl-1": "fe4362221932104b82de4c8d4e81c3847b65bde547cb3628e35b6f9a09b55db1",
     "sampled_twirl-199999": "b0f908fa8e1cad9aed5bbfb2fd7c87b2edc8a2b269504859c3c8fafbc989aced",
     "sampled_twirl-200000": "0f71a4be48c9a16ff3a8bfe8cc8c2c878dd7b9d39dc07f2268b87a8b423943da",
