@@ -18,10 +18,13 @@ decode_raw reads the halves by value, so the host's byte order does not matter.
 
 Chunk invariance: the label sampler, twirl.twirl_labels and the purification
 round behind protocols.recurrence_mc and variable_block_mc process at most
-CHUNK labels or blocks at a time (the sampler a piece of CHUNK // 2 on each of
-its two threads), so their working memory is the uint8 label ensemble (one
-byte per pair) plus one chunk of blocks; only variable_block_mc
-at F = 1, whose one block holds the whole run, is unbounded. Their output does
+CHUNK labels or blocks at a time: the sampler a piece of CHUNK // 2 on each of
+its two threads, the round pieces of CHUNK // 8 blocks through a two-stage
+pipeline (pipelined), which tests and compacts a piece on a worker thread
+while the calling thread twirls an earlier one in order. So their working
+memory is the uint8 label ensemble (one byte per pair) plus a few pieces; only
+variable_block_mc at F = 1, whose one block holds the whole run, is
+unbounded. Their output does
 not depend on CHUNK, because these draws return the same values whether made
 whole or in pieces: ``random(n)``, ``normal`` and ``integers(0, k, size=n)``
 at the default int64 dtype. A narrower dtype breaks this: ``integers(0, 6,
@@ -39,6 +42,7 @@ and leaves the caller's generator where the serial draw would.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -147,18 +151,54 @@ def run_sharded(task, n_shards: int) -> list:
     return results
 
 
+def pipelined(front, items):
+    """Yield front(item) for each item in order, computed on one worker thread
+    at most two items ahead of the caller. An exception raised by front is
+    raised here. Closing the generator (contextlib.closing), as when the
+    caller raises, stops the worker; the worker has ended when the generator
+    has. A single item is computed on the calling thread, with no thread."""
+    if len(items) <= 1:
+        yield from map(front, items)
+        return
+    ready, stop = queue.Queue(maxsize=2), threading.Event()
+
+    def work():
+        try:
+            for item in items:
+                if stop.is_set():
+                    return
+                ready.put(front(item))
+        except BaseException as exc:
+            ready.put(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        for _ in items:
+            out = ready.get()
+            if isinstance(out, BaseException):
+                raise out
+            yield out
+    finally:
+        stop.set()
+        while not ready.empty():  # a worker blocked on a full queue puts once more
+            ready.get_nowait()
+        worker.join()
+
+
 class EstimateWithError(NamedTuple):
     mean: float
     std_error: float
     n: int
 
 
-def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, hits=None) -> np.ndarray:
     """Write into out, for each uniform u, the count of cdf[0], cdf[1] and
-    cdf[2] that are <= u: its label under the non-decreasing 4-entry cdf."""
+    cdf[2] that are <= u: its label under the non-decreasing 4-entry cdf. The
+    last two compares go through the bool array hits, if one is given."""
     np.greater_equal(u, cdf[0], out=out)
-    out += u >= cdf[1]
-    out += u >= cdf[2]
+    out += np.greater_equal(u, cdf[1], out=hits)
+    out += np.greater_equal(u, cdf[2], out=hits)
     return out
 
 
@@ -206,15 +246,16 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
         for lo, hi in bounds:
             _labels_from_uniforms(cdf, rng.random(hi - lo), out[lo:hi])
         return out
-    # the generators and buffers are made on the calling thread, so that the
-    # threads only draw and compare: a buffer freed on a thread of its own
-    # would stay resident in that thread's malloc arena
+    # the generators and buffers (the uniforms and the compares' bools) are
+    # made on the calling thread, so that the threads only draw and compare: a
+    # buffer freed on a thread of its own would stay resident in that thread's
+    # malloc arena
     start, gens = rng.bit_generator.state, [rng]
     for lo, _ in bounds[1:]:
         gens.append(np.random.Generator(np.random.Philox()))
         _ahead(start, lo, gens[-1].bit_generator)
     threads = min(DRAW_THREADS, len(bounds))
-    uniforms = np.empty((threads, piece))
+    uniforms, hits = np.empty((threads, piece)), np.empty((threads, piece), dtype=bool)
     # each thread takes the next piece off a shared stack, so that a thread
     # that gets less of the cpu draws fewer pieces; list.pop is atomic, and
     # below the pieces lies one None per thread, at which it stops
@@ -224,7 +265,7 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
         for k in iter(todo.pop, None):
             lo, hi = bounds[k]
             u = gens[k].random(out=uniforms[shard, : hi - lo])
-            _labels_from_uniforms(cdf, u, out[lo:hi])
+            _labels_from_uniforms(cdf, u, out[lo:hi], hits[shard, : hi - lo])
 
     run_sharded(draw, threads)
     _ahead(start, n, rng.bit_generator)

@@ -8,6 +8,7 @@ solves the parities over GF(2) and searches only the strings that fit them.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import NamedTuple
@@ -40,6 +41,10 @@ _S2, _T2 = bell.bxor(*(a.ravel() for a in np.indices((4, 4), dtype=np.uint8)))
 _PARALLEL = np.flatnonzero(bell.amp_bit(_T2) == 0)
 _KEPT = _S2[_PARALLEL]
 del _S2, _T2
+
+#: bell.bxor bound at import for _purify_round's worker thread, which a span
+#: wrapper installed later (benchmarks/tracing.py) must not reach.
+_bxor = bell.bxor
 
 
 def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutcome:
@@ -113,32 +118,46 @@ class MCTrace(NamedTuple):
 
 def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, int, int]:
     """One round of blocks, each of k sources chained into one measured target,
-    over the first n_blocks * (k + 1) labels, one ensemble.chunks(n_blocks)
-    piece at a time. Kept sources, rotated back and re-twirled, go in order to
-    the front of labels, behind every block still to be read. Returns the
-    kept-block count and the sums S1 and S2 of s_b and s_b**2 over the kept
-    blocks, where s_b counts a kept block's singlets."""
-    n_kept = s1 = s2 = 0
-    for lo, hi in ensemble.chunks(n_blocks):
+    over the first n_blocks * (k + 1) labels. Kept sources, rotated back and
+    re-twirled, go in order to the front of labels. Returns the kept-block
+    count and the sums S1 and S2 of s_b and s_b**2 over the kept blocks, where
+    s_b counts a kept block's singlets.
+
+    A two-stage pipeline over pieces of CHUNK // 8 blocks (ensemble.pipelined):
+    a worker thread tests and compacts each piece; the calling thread twirls
+    the pieces' kept sources in order, so rng draws as in a serial round,
+    writes them and counts their singlets. Piece j's kept sources end at
+    k * (blocks kept through j) <= k * hi_j < (k + 1) * hi_j, where piece j + 1
+    starts, so no write reaches a block still to be read."""
+    piece = max(1, ensemble.CHUNK // 8)
+
+    def test_and_compact(bounds):
+        lo, hi = bounds
         blocks = labels[(k + 1) * lo : (k + 1) * hi].reshape(-1, k + 1)
         blocks = bell.unilateral_pauli(blocks, PauliAxis.Y)  # to mostly-Phi+ form
         # the chain acts on the target like one controlled-NOT from the XOR of
         # the sources, and on each source like its own controlled-NOT
         cols = np.ascontiguousarray(blocks.T)  # reducing along short rows is slow
-        tgt = bell.bxor(np.bitwise_xor.reduce(cols[:k], axis=0), cols[k])[1]
+        tgt = _bxor(np.bitwise_xor.reduce(cols[:k], axis=0), cols[k])[1]
         keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
-        srcs = bell.bxor(cols[:k], tgt)[0].compress(keep, axis=1)
+        srcs = _bxor(cols[:k], tgt)[0].compress(keep, axis=1)
         # back to block order, so that twirl_labels draws as it always has
-        kept = twirl.twirl_labels(bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y), rng)
-        labels[k * n_kept : k * n_kept + kept.size] = kept
-        n_kept += srcs.shape[1]
-        hits = kept == BellLabel.PSI_MINUS
-        s1 += int(np.count_nonzero(hits))
-        if k > 1:  # at k = 1 each s_b is 0 or 1, so S2 == S1
-            # singlets per kept block, in the narrowest type that holds k, to save memory
-            s_b = np.ascontiguousarray(hits.reshape(-1, k).T).sum(axis=0, dtype=np.min_scalar_type(k))
-            s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
-    return n_kept, s1, s2 if k > 1 else s1
+        return bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y)
+
+    n_kept = s1 = s2 = 0
+    pieces = [(lo, min(lo + piece, n_blocks)) for lo in range(0, n_blocks, piece)]
+    with contextlib.closing(ensemble.pipelined(test_and_compact, pieces)) as compacted:
+        for pre in compacted:
+            kept = twirl.twirl_labels(pre, rng)
+            labels[n_kept : n_kept + kept.size] = kept
+            n_kept += kept.size
+            hits = kept == BellLabel.PSI_MINUS
+            s1 += int(np.count_nonzero(hits))
+            if k > 1:  # at k = 1 each s_b is 0 or 1, so S2 == S1
+                # singlets per kept block, in the narrowest type that holds k, to save memory
+                s_b = np.ascontiguousarray(hits.reshape(-1, k).T).sum(axis=0, dtype=np.min_scalar_type(k))
+                s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
+    return n_kept // k, s1, s2 if k > 1 else s1
 
 
 def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:

@@ -1,7 +1,9 @@
+import contextlib
 import importlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -192,18 +194,6 @@ class TestParallelDraw:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The threads started while the test runs."""
-        threads, start = [], threading.Thread.start
-
-        def counted(thread):
-            threads.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        return threads
-
     def test_one_piece_starts_no_thread(self, monkeypatch, started):
         monkeypatch.setattr(ensemble, "CHUNK", 8)
         for n in (0, 1, 4):
@@ -252,6 +242,46 @@ class TestParallelDraw:
         assert sorted(ended) == sorted(set(range(3)) - failing)
 
 
+class TestPipelined:
+    """ensemble.pipelined runs its front stage on one worker thread, at most two
+    items ahead of the caller, and yields the results in order."""
+
+    def test_yields_in_order_at_most_two_ahead(self, started):
+        fronts = []
+
+        def front(item):
+            fronts.append(threading.get_ident())
+            return item * item
+
+        got = []
+        for out in ensemble.pipelined(front, list(range(40))):
+            # two results wait in the queue and a third is being made or put
+            assert len(fronts) <= len(got) + 3
+            got.append(out)
+            time.sleep(0.001)  # time for the worker to run ahead, if it could
+        assert got == [i * i for i in range(40)]
+        assert len(started) == 1 and set(fronts) == {started[0].ident}
+        assert not started[0].is_alive()
+
+    def test_one_item_runs_on_the_calling_thread(self, started):
+        assert list(ensemble.pipelined(lambda item: threading.get_ident(), [5])) == [threading.get_ident()]
+        assert list(ensemble.pipelined(lambda item: item, [])) == []
+        assert started == []
+
+    def test_closing_stops_the_worker(self, started, within):
+        fronts = []
+
+        def take_one():
+            with contextlib.closing(ensemble.pipelined(fronts.append, list(range(100)))) as outs:
+                next(outs)
+
+        assert within(30, take_one) is None
+        # the helper's thread, and the worker: it made the first item, two that
+        # filled the queue and at most one more, put once the queue was drained
+        assert len(started) == 2 and not started[1].is_alive()
+        assert len(fronts) <= 4
+
+
 #: A cdf whose last entry rounds below 1, so a uniform can reach it.
 _SHORT_CDF = np.cumsum([0.822, 0.028, 0.073, 0.077])
 
@@ -288,8 +318,11 @@ class TestLabelsFromUniforms:
     @example((_SHORT_CDF, np.array([_SHORT_CDF[3], np.nextafter(_SHORT_CDF[3], 0.0), np.nextafter(1.0, 0.0)])))
     def test_matches_capped_searchsorted(self, case):
         cdf, u = case
-        got = _labels_from_uniforms(cdf, u, np.empty(u.size, dtype=np.uint8))
-        assert np.array_equal(got, self._capped_searchsorted(cdf, u))
+        want = self._capped_searchsorted(cdf, u)
+        assert np.array_equal(_labels_from_uniforms(cdf, u, np.empty(u.size, dtype=np.uint8)), want)
+        # the same through a bool buffer for the compares, whatever it held
+        hits = np.ones(u.size, dtype=bool)
+        assert np.array_equal(_labels_from_uniforms(cdf, u, np.empty(u.size, dtype=np.uint8), hits), want)
 
     def test_uniform_at_a_short_last_entry_caps_at_three(self):
         assert _SHORT_CDF[3] < 1.0
@@ -425,18 +458,26 @@ def _traced_peak_mib(fn, *args):
 
 
 class TestBoundedMemory:
-    """Working memory is the uint8 ensemble plus one chunk (recurrence, blocked
-    round) or one reused batch buffer (sampled twirl), not a multiple of the
-    run size."""
+    """Working memory is the uint8 ensemble plus a few pieces (sampler,
+    recurrence, blocked round) or one reused batch buffer (sampled twirl), not
+    a multiple of the run size."""
 
     def test_recurrence_mc_at_1e7_pairs(self):
-        # 10 MB of labels plus one chunk; drawing all pairs at once takes ~230 MiB
-        assert _traced_peak_mib(protocols.recurrence_mc, 0.8, 10**7, 4, 5) < 48
+        # about 18.6 MiB: 9.5 MiB of labels and the sampler's two pieces of
+        # uniforms, after which each round holds a few pieces of CHUNK // 8
+        # tests. Rounds over whole chunks of 2^20 tests read 26.3 MiB, and
+        # drawing all pairs at once takes ~230 MiB
+        assert _traced_peak_mib(protocols.recurrence_mc, 0.8, 10**7, 4, 5) < 22
 
     def test_variable_block_mc_at_1e7_pairs(self):
-        # 10 MB of labels plus one chunk of blocks (about 32 MiB at k = 2);
-        # whole-run arrays took ~135 MiB
-        assert _traced_peak_mib(protocols.variable_block_mc, 0.75, 10**7, 5) < 48
+        # about 18.6 MiB at k = 2, as for the recurrence: pieces of CHUNK // 8
+        # blocks. Whole chunks of blocks read 35.1 MiB, whole-run arrays ~135
+        assert _traced_peak_mib(protocols.variable_block_mc, 0.75, 10**7, 5) < 24
+
+    def test_variable_block_mc_holds_pieces_of_long_blocks(self):
+        # about 19.1 MiB at k = 4, where a piece's k + 1 label columns and its
+        # int64 twirl indices grow with k: whole chunks of blocks read 52.9 MiB
+        assert _traced_peak_mib(protocols.variable_block_mc, 0.94, 10**7, 5) < 24
 
     def test_sampled_twirl_at_1e6_rotations(self):
         # one (14, 200000) float64 batch buffer, about 21.4 MiB, into which each
@@ -463,8 +504,8 @@ class TestBoundedMemory:
 
     def test_sample_labels_holds_one_piece_per_thread(self):
         # about 12.0 MiB: 3 MiB of labels, one CHUNK // 2 piece of uniforms on
-        # each of the two threads (8 MiB) and its compare; a whole chunk per
-        # thread would read about 20 MiB
+        # each of the two threads (8 MiB) and its bools for the compares (1 MiB);
+        # a whole chunk per thread would read about 20 MiB
         assert _traced_peak_mib(_sample_labels, stream(1), measures.werner(0.78), 3 * CHUNK + 5) < 14
 
     def test_random_axis_parallel_prob_at_the_cap(self):

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -374,6 +376,109 @@ class TestRecurrenceMC:
         # the kept blocks sit in order at the front of labels
         s_b = (labels[: n_kept * k].reshape(-1, k) == BellLabel.PSI_MINUS).sum(axis=1)
         assert (s1, s2) == (int(s_b.sum()), int((s_b**2).sum()))
+
+
+class TestPurifyPipeline:
+    """_purify_round tests and compacts pieces of CHUNK // 8 blocks on a worker
+    thread and twirls them, in piece order, on the calling thread. It must
+    give what a round of one piece gives, start no thread for one piece, and
+    end its worker when either stage fails."""
+
+    @staticmethod
+    def _round(n_blocks, k, seed=3):
+        """The round's counts, the kept labels and the next draw of its rng."""
+        # drawn serially whatever CHUNK is, so that only the round may start a thread
+        labels = ensemble.stream(seed).choice(4, n_blocks * (k + 1), p=[0.7, 0.1, 0.1, 0.1]).astype(np.uint8)
+        rng = ensemble.stream(seed, 1)
+        out = protocols._purify_round(labels, n_blocks, k, rng)
+        return out, labels[: out[0] * k].tobytes(), rng.random(1)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunk=st.integers(1, 48),
+        k=st.integers(1, 4),
+        n_blocks=st.integers(0, 60),
+        seed=st.integers(0, 2**32),
+        switch=st.booleans(),
+    )
+    def test_pieces_match_one_piece(self, chunk, k, n_blocks, seed, switch):
+        expected = self._round(n_blocks, k, seed)
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "CHUNK", chunk)
+            if switch:  # let the threads swap often, inside the stages
+                sys.setswitchinterval(1e-6)
+            try:
+                assert self._round(n_blocks, k, seed) == expected
+            finally:
+                sys.setswitchinterval(interval)
+
+    def test_one_piece_starts_no_thread(self, monkeypatch, started):
+        monkeypatch.setattr(ensemble, "CHUNK", 80)  # pieces of 10 blocks
+        for n_blocks in (0, 1, 10):
+            self._round(n_blocks, 2)
+        assert started == []
+        self._round(11, 2)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_chunk_below_eight_gives_pieces_of_one_block(self, monkeypatch, started):
+        expected = self._round(20, 3)
+        monkeypatch.setattr(ensemble, "CHUNK", 7)
+        assert self._round(20, 3) == expected
+        assert len(started) == 1
+
+    @pytest.fixture
+    def worker_fronts(self, monkeypatch):
+        """The idents of the threads that ran the front stage, and an event
+        set once it has run four times; bell.amp_bit runs once in each."""
+        idents, fourth, amp_bit = [], threading.Event(), bell.amp_bit
+
+        def counted(label):
+            idents.append(threading.get_ident())
+            if len(idents) == 4:
+                fourth.set()
+            return amp_bit(label)
+
+        monkeypatch.setattr(bell, "amp_bit", counted)
+        return idents, fourth
+
+    def test_front_stage_error_is_raised(self, monkeypatch, started, within, worker_fronts):
+        idents, _ = worker_fronts
+        amp_bit = bell.amp_bit
+
+        def failing(label):
+            if len(idents) == 3:
+                raise ValueError("front stage failed")
+            return amp_bit(label)
+
+        monkeypatch.setattr(bell, "amp_bit", failing)
+        monkeypatch.setattr(ensemble, "CHUNK", 8)  # pieces of one block
+        before = threading.active_count()
+        exc = within(30, lambda: self._round(30, 1))
+        assert isinstance(exc, ValueError) and str(exc) == "front stage failed"
+        assert threading.active_count() == before
+        # the helper's thread and the round's worker, which ran every front stage
+        assert len(started) == 2 and set(idents) == {started[1].ident}
+        assert not started[1].is_alive()
+
+    def test_back_stage_error_is_raised_while_the_worker_waits(
+        self, monkeypatch, started, within, worker_fronts
+    ):
+        # the back stage fails on its first piece once the worker has begun a
+        # fourth: two pieces fill the queue, and the fourth cannot be put
+        _, fourth = worker_fronts
+
+        def failing(labels, rng):
+            assert fourth.wait(timeout=10)
+            raise ValueError("back stage failed")
+
+        monkeypatch.setattr(twirl, "twirl_labels", failing)
+        monkeypatch.setattr(ensemble, "CHUNK", 8)
+        before = threading.active_count()
+        exc = within(30, lambda: self._round(30, 1))
+        assert isinstance(exc, ValueError) and str(exc) == "back stage failed"
+        assert threading.active_count() == before
+        assert len(started) == 2 and not started[1].is_alive()
 
 
 def _chain_block_reference(sources, target):
