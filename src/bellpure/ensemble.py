@@ -42,7 +42,6 @@ and leaves the caller's generator where the serial draw would.
 from __future__ import annotations
 
 import math
-import queue
 import threading
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -59,9 +58,10 @@ CHUNK = 1 << 20
 DRAW_THREADS = 2
 
 
-def chunks(n: int):
-    """(lo, hi) bounds that cover range(n) in pieces of at most CHUNK."""
-    step = CHUNK
+def chunks(n: int, step: int | None = None):
+    """(lo, hi) bounds that cover range(n) in pieces of at most step, by
+    default CHUNK."""
+    step = CHUNK if step is None else step
     for lo in range(0, n, step):
         yield lo, min(lo + step, n)
 
@@ -160,29 +160,34 @@ def pipelined(front, items):
     if len(items) <= 1:
         yield from map(front, items)
         return
-    ready, stop = queue.Queue(maxsize=2), threading.Event()
+    done, stop = [], threading.Event()
+    ready, room = threading.Semaphore(0), threading.Semaphore(2)
 
     def work():
         try:
             for item in items:
+                room.acquire()
                 if stop.is_set():
                     return
-                ready.put(front(item))
+                done.append(front(item))
+                ready.release()
         except BaseException as exc:
-            ready.put(exc)
+            done.append(exc)
+            ready.release()
 
     worker = threading.Thread(target=work)
     worker.start()
     try:
         for _ in items:
-            out = ready.get()
+            ready.acquire()
+            out = done.pop(0)
             if isinstance(out, BaseException):
                 raise out
+            room.release()
             yield out
     finally:
         stop.set()
-        while not ready.empty():  # a worker blocked on a full queue puts once more
-            ready.get_nowait()
+        room.release()  # for a worker waiting for room
         worker.join()
 
 
@@ -241,7 +246,7 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     cdf = d.p.cumsum()
     out = np.empty(n, dtype=np.uint8)
     piece = CHUNK // 2
-    bounds = [(lo, min(lo + piece, n)) for lo in range(0, n, piece)]
+    bounds = list(chunks(n, piece))
     if len(bounds) <= 1 or not isinstance(rng.bit_generator, np.random.Philox):
         for lo, hi in bounds:
             _labels_from_uniforms(cdf, rng.random(hi - lo), out[lo:hi])

@@ -129,8 +129,6 @@ def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, 
     writes them and counts their singlets. Piece j's kept sources end at
     k * (blocks kept through j) <= k * hi_j < (k + 1) * hi_j, where piece j + 1
     starts, so no write reaches a block still to be read."""
-    piece = max(1, ensemble.CHUNK // 8)
-
     def test_and_compact(bounds):
         lo, hi = bounds
         blocks = labels[(k + 1) * lo : (k + 1) * hi].reshape(-1, k + 1)
@@ -145,7 +143,7 @@ def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, 
         return bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y)
 
     n_kept = s1 = s2 = 0
-    pieces = [(lo, min(lo + piece, n_blocks)) for lo in range(0, n_blocks, piece)]
+    pieces = list(ensemble.chunks(n_blocks, max(1, ensemble.CHUNK // 8)))
     with contextlib.closing(ensemble.pipelined(test_and_compact, pieces)) as compacted:
         for pre in compacted:
             kept = twirl.twirl_labels(pre, rng)

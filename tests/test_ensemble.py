@@ -255,7 +255,7 @@ class TestPipelined:
 
         got = []
         for out in ensemble.pipelined(front, list(range(40))):
-            # two results wait in the queue and a third is being made or put
+            # the worker has begun at most the two items after this one
             assert len(fronts) <= len(got) + 3
             got.append(out)
             time.sleep(0.001)  # time for the worker to run ahead, if it could
@@ -276,10 +276,10 @@ class TestPipelined:
                 next(outs)
 
         assert within(30, take_one) is None
-        # the helper's thread, and the worker: it made the first item, two that
-        # filled the queue and at most one more, put once the queue was drained
+        # the helper's thread, and the worker, which made the first item and
+        # at most the two after it
         assert len(started) == 2 and not started[1].is_alive()
-        assert len(fronts) <= 4
+        assert len(fronts) <= 3
 
 
 #: A cdf whose last entry rounds below 1, so a uniform can reach it.

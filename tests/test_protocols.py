@@ -430,17 +430,17 @@ class TestPurifyPipeline:
     @pytest.fixture
     def worker_fronts(self, monkeypatch):
         """The idents of the threads that ran the front stage, and an event
-        set once it has run four times; bell.amp_bit runs once in each."""
-        idents, fourth, amp_bit = [], threading.Event(), bell.amp_bit
+        set once it has run three times; bell.amp_bit runs once in each."""
+        idents, third, amp_bit = [], threading.Event(), bell.amp_bit
 
         def counted(label):
             idents.append(threading.get_ident())
-            if len(idents) == 4:
-                fourth.set()
+            if len(idents) == 3:
+                third.set()
             return amp_bit(label)
 
         monkeypatch.setattr(bell, "amp_bit", counted)
-        return idents, fourth
+        return idents, third
 
     def test_front_stage_error_is_raised(self, monkeypatch, started, within, worker_fronts):
         idents, _ = worker_fronts
@@ -465,11 +465,11 @@ class TestPurifyPipeline:
         self, monkeypatch, started, within, worker_fronts
     ):
         # the back stage fails on its first piece once the worker has begun a
-        # fourth: two pieces fill the queue, and the fourth cannot be put
-        _, fourth = worker_fronts
+        # third: with two pieces ahead, the worker then waits for room
+        _, third = worker_fronts
 
         def failing(labels, rng):
-            assert fourth.wait(timeout=10)
+            assert third.wait(timeout=10)
             raise ValueError("back stage failed")
 
         monkeypatch.setattr(twirl, "twirl_labels", failing)
