@@ -51,6 +51,12 @@ variable_block_mc-k2 digests at PIECE +- 1 blocks and the purify_round
 digests, whose next draw pins how many twirl indices the round took, were
 recorded before the purification round began to run as a two-stage pipeline
 over pieces of PIECE = CHUNK // 8 blocks, while it ran serially in chunks.
+
+The sampled_twirl digests at TWIRL_BATCH // 4 - 1, TWIRL_BATCH // 4 + 1 and
+TWIRL_BATCH + TWIRL_BATCH // 4 + 1 rotations (a piece short, a piece over, and
+a batch plus a piece plus one) were recorded while the twirl drew its normals
+serially, one batch at a time, before it began to draw pieces of
+TWIRL_BATCH // 4 on a worker thread.
 """
 import hashlib
 
@@ -88,7 +94,10 @@ _G = np.arange(16.0).reshape(4, 4) + 1j * np.array(
     [[1, -2, 0, 3], [0, 1, 5, -1], [2, 2, -3, 0], [-1, 0, 4, 1]]
 )
 TWIRL_STATE = qstate.DensityMatrix(_G @ _G.conj().T / np.trace(_G @ _G.conj().T).real)
-TWIRL_SIZES = (1, TWIRL_BATCH - 1, TWIRL_BATCH, TWIRL_BATCH + 1, 1_234_567)
+TWIRL_SIZES = (
+    1, TWIRL_BATCH // 4 - 1, TWIRL_BATCH // 4 + 1, TWIRL_BATCH - 1, TWIRL_BATCH, TWIRL_BATCH + 1,
+    TWIRL_BATCH + TWIRL_BATCH // 4 + 1, 1_234_567,
+)
 
 #: Blocked recurrence inputs with block sizes k = 2, 3 and 4.
 BLOCK_FIDELITIES = {2: 0.75, 3: 0.9, 4: 0.94}
@@ -291,9 +300,12 @@ DIGESTS = {
     "purify_round-k1": "2b738cc28959b3fe14391fcce1407b09b22b78cc1d57287336038dc73170abd1",
     "purify_round-k3": "07fd2e02ad4ca068675066e97070f839b97f01491733e2e9db952046f1ab4274",
     "sampled_twirl-1": "fe4362221932104b82de4c8d4e81c3847b65bde547cb3628e35b6f9a09b55db1",
+    "sampled_twirl-49999": "eeda2b7fadb94f31eefc4c9eecc4db9eb065f34b0ef7c62bb1ce4ed22162859e",
+    "sampled_twirl-50001": "b70ad0499058020c2594f4cdd58285fdb428119fc8c8302a4c266f8c14575638",
     "sampled_twirl-199999": "b0f908fa8e1cad9aed5bbfb2fd7c87b2edc8a2b269504859c3c8fafbc989aced",
     "sampled_twirl-200000": "0f71a4be48c9a16ff3a8bfe8cc8c2c878dd7b9d39dc07f2268b87a8b423943da",
     "sampled_twirl-200001": "e4c5cd73afd68c8183c5887641f15383999d04f5e3b1642e4d3042871c137ff7",
+    "sampled_twirl-250001": "0bd4984944364ae9d72f40a4f711317d45dc91626099b9210b797baa25da4b16",
     "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
     "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
     "oracle_step": "c79d0e99fa78ed7b8c32a78076170d40d0042baa51fe49e7f6e2ecbf29507be9",
