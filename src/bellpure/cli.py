@@ -12,7 +12,8 @@ reached, so the JSON is strict RFC 8259.
 
 Exit codes: 0 success, 1 internal or self-test failure, 2 invalid input. An
 invalid input raises ValueError (or OSError for an unusable path) into main,
-the one exit-2 path, which prints it as a single `error:` line.
+the one exit-2 path, which prints it as a single `error:` line. An --out that
+cannot be written is rejected there before the command runs (_check_out).
 
 Start-up cost: at import this module loads only the standard library and
 measures, which is plain float arithmetic. A command that needs arrays imports
@@ -33,6 +34,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -100,6 +102,22 @@ def _check_sizes(ns) -> None:
         value = getattr(ns, name, None)
         if value is not None and value > limit:
             raise ValueError(f"--{name} {value} exceeds the limit of {limit}")
+
+
+def _check_out(ns) -> None:
+    """Reject an --out whose directory is missing or not writable, or that
+    names a directory, before any work. Nothing is opened, so an existing file
+    is not truncated and a rejected run leaves no file."""
+    out = getattr(ns, "out", None)
+    if not out:
+        return
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {out}: directory {folder} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"--out {out}: directory {folder} is not writable")
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out}: is a directory")
 
 
 def _add_output_args(p) -> None:
@@ -349,6 +367,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_sizes(ns)
+        _check_out(ns)
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

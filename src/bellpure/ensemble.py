@@ -24,12 +24,14 @@ pipeline (pipelined), which tests and compacts a piece on a worker thread
 while the calling thread twirls an earlier one in order. So their working
 memory is the uint8 label ensemble (one byte per pair) plus a few pieces; only
 variable_block_mc at F = 1, whose one block holds the whole run, is
-unbounded. Their output does
-not depend on CHUNK, because these draws return the same values whether made
-whole or in pieces: ``random(n)``, ``normal`` and ``integers(0, k, size=n)``
-at the default int64 dtype. A narrower dtype breaks this: ``integers(0, 6,
-size=n, dtype=np.uint8)`` draws other values than the int64 call, and split
-into pieces it draws other values again, so the kernels keep the int64 draw.
+unbounded. twirl.sampled_twirl likewise draws its normals in pieces of
+twirl.TWIRL_PIECE rotations through pipelined. Their output does not depend
+on CHUNK or TWIRL_PIECE, because these draws return the same values whether
+made whole or in pieces: ``random(n)``, ``normal``, ``standard_normal(out=)``
+and ``integers(0, k, size=n)`` at the default int64 dtype. A narrower dtype
+breaks this: ``integers(0, 6, size=n, dtype=np.uint8)`` draws other values
+than the int64 call, and split into pieces it draws other values again, so
+the kernels keep the int64 draw.
 The test suite pins chunk invariance.
 
 Positioned draws: Philox is counter-based, and ``random(n)`` takes exactly n
@@ -38,6 +40,13 @@ half). So the part of a draw that starts w words in can be drawn on a
 generator of its own placed w words ahead, and it draws the serial values.
 The label sampler draws its pieces so on DRAW_THREADS threads (run_sharded)
 and leaves the caller's generator where the serial draw would.
+
+Threads: besides the sampler's, the purification round and the sampled twirl
+each run one worker thread (pipelined) that draws or tests pieces in order, at
+most two ahead of the calling thread; the twirl's worker makes its normal
+draws on the twirl's own generator, and the caller does the rest. A run of one
+piece starts no thread, and every thread has ended when its call returns or
+raises.
 """
 from __future__ import annotations
 

@@ -219,6 +219,36 @@ class TestHeaderContract:
         assert out == ""
         assert path.read_bytes() == stdout.encode()
 
+    @pytest.fixture
+    def no_breeding(self, monkeypatch):
+        from bellpure import protocols
+
+        def fail(*args, **kwargs):
+            raise AssertionError("breeding_trials ran")
+
+        monkeypatch.setattr(protocols, "breeding_trials", fail)
+
+    @pytest.mark.parametrize("unusable", ["missing_directory", "a_directory"])
+    def test_unusable_out_is_rejected_before_any_work(self, tmp_path, capsys, no_breeding, unusable):
+        path, error = {
+            "missing_directory": (tmp_path / "missing" / "x", f"directory {tmp_path / 'missing'} does not exist"),
+            "a_directory": (tmp_path, "is a directory"),
+        }[unusable]
+        args = ["breed", "--werner", "0.95", "--pairs", "20", "--trials", "60000", "--out", str(path)]
+        code, stdout, err = run(capsys, args)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines() == [f"error: --out {path}: {error}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_directory_leaves_its_file_alone(self, tmp_path, capsys, monkeypatch, no_breeding):
+        path = tmp_path / "kept.csv"
+        path.write_text("kept\n")
+        monkeypatch.setattr(os, "access", lambda p, mode: False)
+        code, _, err = run(capsys, ["breed", "--werner", "0.95", "--pairs", "20", "--out", str(path)])
+        assert code == 2
+        assert err.splitlines() == [f"error: --out {path}: directory {tmp_path} is not writable"]
+        assert path.read_text() == "kept\n"
+
 
 class TestGoldenOutputs:
     """Seeded Monte Carlo and breeding emissions, pinned byte for byte."""
@@ -596,6 +626,7 @@ NUMPY_FREE_RUNS = [
     (["twirl", "--werner", "-0.0"], 0),
     (["twirl", "--werner", "0.93", "--format", "json"], 0),
     (["twirl", "--werner", "0.5", "--out", "twirl.csv"], 0),
+    (["curves", "--out", "missing/OUT"], 2),
     (["breed", "--werner", "1.5", "--pairs", "4"], 2),
     *((list(argv), 2) for argv in BREED_ARGUMENT_ERRORS),
     (["--version"], 0),

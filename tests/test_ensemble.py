@@ -405,8 +405,10 @@ class TestChunkInvariance:
             lambda rng, n: rng.random(n),
             lambda rng, n: rng.integers(0, 6, size=n),
             lambda rng, n: rng.normal(size=(n, 4)),
+            # the call that sampled_twirl's worker makes for each piece
+            lambda rng, n: rng.standard_normal(out=np.empty((n, 4))),
         ],
-        ids=["random", "integers", "normal"],
+        ids=["random", "integers", "normal", "standard_normal_out"],
     )
     def test_stream_draws_do_not_depend_on_split(self, draw):
         whole_rng, split_rng = stream(9, 2), stream(9, 2)
@@ -459,8 +461,8 @@ def _traced_peak_mib(fn, *args):
 
 class TestBoundedMemory:
     """Working memory is the uint8 ensemble plus a few pieces (sampler,
-    recurrence, blocked round) or one reused batch buffer (sampled twirl), not
-    a multiple of the run size."""
+    recurrence, blocked round) or one reused batch buffer and a few pieces
+    (sampled twirl), not a multiple of the run size."""
 
     def test_recurrence_mc_at_1e7_pairs(self):
         # about 18.6 MiB: 9.5 MiB of labels and the sampler's two pieces of
@@ -480,11 +482,14 @@ class TestBoundedMemory:
         assert _traced_peak_mib(protocols.variable_block_mc, 0.94, 10**7, 5) < 24
 
     def test_sampled_twirl_at_1e6_rotations(self):
-        # one (14, 200000) float64 batch buffer, about 21.4 MiB, into which each
-        # batch is drawn; a (m, 4, 4) product buffer beside each batch's draw
-        # took ~37 MiB, and a fresh array per batch ~55 MiB
+        # about 19.9 MiB: three (TWIRL_BATCH // 4, 4) float64 pieces of normals
+        # (4.6 MiB) and one (10, TWIRL_BATCH) product buffer (15.3 MiB), whose
+        # first two rows hold each piece's norm before its products. A
+        # (14, TWIRL_BATCH) buffer into which each batch was drawn read 21.4 MiB,
+        # a (m, 4, 4) product buffer beside each batch's draw ~37 MiB, and a
+        # fresh array per batch ~55 MiB
         rho = bell.to_density(measures.werner(0.8))
-        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 32
+        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 24
 
     def test_breeding_trials_keep_tests_as_integers(self):
         # about 1.2 MiB, run alone or in the suite: 0.76 MiB of results (two

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bellpure import bell, ensemble, measures, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.twirl import (
     TWIRL_BATCH,
+    TWIRL_PIECE,
     TWIRL_PERMS,
     convergence_table,
     discrete_twirl,
@@ -155,17 +158,118 @@ class TestSampledTwirl:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 4097, TWIRL_BATCH])
     def test_ten_column_gram_expands_to_the_full_gram_bit_for_bit(self, m):
-        # the kernel's layout: the 10 products in rows 4-13 of a (14, m) buffer
+        # the kernel's layout: the 10 products in the rows of one contiguous
+        # (10, m) batch buffer
         q = np.random.default_rng(m).normal(size=(m, 4))
-        buf = np.zeros((14, m))
+        p10 = np.zeros((10, m))
         for r, (i, j) in enumerate(twirl._PAIRS):
-            buf[4 + r] = q[:, i] * q[:, j]
-        g10 = buf[4:] @ buf[4:].T
+            p10[r] = q[:, i] * q[:, j]
+        g10 = p10 @ p10.T
         p = np.einsum("ni,nj->nij", q, q).reshape(m, 16)
         assert np.array_equal(g10[np.ix_(twirl._GRAM16, twirl._GRAM16)], p.T @ p), (
             "the 10x10 Gram, expanded, differs from the 16x16 p.T @ p: sampled_twirl's "
             "output bytes assume the BLAS sums each Gram entry in the same order in both"
         )
+
+
+#: A state with complex coherences, far from Werner form.
+_G = np.random.default_rng(8).normal(size=(4, 4)) + 1j * np.random.default_rng(9).normal(size=(4, 4))
+_RHO = _G @ _G.conj().T / np.trace(_G @ _G.conj().T).real
+
+
+class TestSampledTwirlPipeline:
+    """sampled_twirl draws pieces of TWIRL_PIECE rotations' normals on one
+    worker thread, while the calling thread normalizes them and sums the Gram."""
+
+    @staticmethod
+    def _run(n):
+        avg, report = sampled_twirl(_RHO, n, seed=14, stream_id=n % 5)
+        return avg.mat.tobytes(), report
+
+    def test_one_piece_starts_no_thread(self, started):
+        for n in (1, TWIRL_PIECE):
+            self._run(n)
+        assert started == []
+
+    def test_three_pieces_start_one_thread(self, started):
+        before = threading.active_count()
+        self._run(2 * TWIRL_PIECE + 1)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
+    class Recorded(list):
+        """Stands in for the twirl's generator: records the (thread ident,
+        buffer address) of each standard_normal draw, and makes that draw fail
+        when it is the fail_at-th."""
+
+        fail_at = None
+
+        def __init__(self, rng):
+            super().__init__()
+            self.rng = rng
+
+        def standard_normal(self, out):
+            self.append((threading.get_ident(), out.__array_interface__["data"][0]))
+            if len(self) == self.fail_at:
+                raise ValueError("draw failed")
+            return self.rng.standard_normal(out=out)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The draws of one sampled_twirl call on pieces of 7 rotations."""
+        made = self.Recorded(ensemble.stream(2, 0))
+        monkeypatch.setattr(ensemble, "stream", lambda seed, stream_id: made)
+        monkeypatch.setattr(twirl, "TWIRL_PIECE", 7)
+        return made
+
+    def test_a_draw_never_fills_the_buffer_of_the_two_before(self, draws):
+        # the worker runs at most two pieces ahead of the caller, so a piece's
+        # buffer is not drawn into again until the caller is done with it
+        sampled_twirl(_RHO, 70, seed=2)
+        addresses = [address for _, address in draws]
+        assert len(addresses) == 10
+        assert all(addresses[j] not in addresses[j + 1 : j + 3] for j in range(10))
+
+    def test_draw_error_is_raised_after_the_worker_ends(self, draws, started, within):
+        draws.fail_at = 3
+        worker_alive = []
+
+        def call():
+            try:
+                sampled_twirl(_RHO, 70, seed=2)
+            except ValueError:
+                worker_alive.append(started[1].is_alive())
+                raise
+
+        before = threading.active_count()
+        exc = within(30, call)
+        assert isinstance(exc, ValueError) and str(exc) == "draw failed"
+        assert worker_alive == [False]
+        assert threading.active_count() == before
+        # the helper's thread and the twirl's worker, which made every draw
+        assert len(draws) == 3 and {ident for ident, _ in draws} == {started[1].ident}
+        assert len(started) == 2
+
+    @pytest.mark.parametrize(
+        "piece, n, switch",
+        [
+            *((7, n, False) for n in (1, 6, 7, 8, 14, 15, 22, 1001)),
+            (7, 1001, True),  # the threads swap often, inside the stages
+            (1, 40, True),
+            # pieces that do not divide a batch, over a batch boundary
+            (30_001, TWIRL_BATCH + TWIRL_PIECE + 1, False),
+        ],
+    )
+    def test_small_piece_matches_default(self, monkeypatch, piece, n, switch):
+        expected = self._run(n)
+        monkeypatch.setattr(twirl, "TWIRL_PIECE", piece)
+        interval = sys.getswitchinterval()
+        if switch:
+            sys.setswitchinterval(1e-6)
+        try:
+            assert self._run(n) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestConvergenceTable:
