@@ -130,21 +130,12 @@ def cmd_recurrence(ns) -> int:
         trace = measures.recurrence_trajectory(ns.f0, f_target=ns.target)
     else:
         trace = measures.recurrence_trajectory(ns.f0, max_steps=ns.steps)
-    run_mc = bool(ns.mc and trace.steps)
+    run_mc = ns.mc is not None and bool(trace.steps)
     # every mc_* cell starts blank, and a step the Monte Carlo never reaches keeps it so
     mc_columns = ("mc_fidelity", "mc_fidelity_err", "mc_survival", "mc_survival_err")
     blank = dict.fromkeys(mc_columns) if run_mc else {}
-    rows = [{"step": 0, "fidelity": ns.f0, "p_success": 1.0, "cumulative_yield": 1.0, **blank}]
-    for i, st in enumerate(trace.steps, start=1):
-        rows.append(
-            {
-                "step": i,
-                "fidelity": st.fidelity,
-                "p_success": st.p_success,
-                "cumulative_yield": st.cumulative_yield,
-                **blank,
-            }
-        )
+    steps = [measures.TraceStep(ns.f0, 1.0, 1.0), *trace.steps]
+    rows = [{"step": i, **st._asdict(), **blank} for i, st in enumerate(steps)]
     if run_mc:
         from . import protocols
 
@@ -287,7 +278,7 @@ def cmd_twirl(ns) -> int:
         fid_in = weights[3]  # the singlet fidelity, clamped to [0, 1]
         distance = twirl.trace_distance(rho, bell.to_density(target))
     cells = [(0, weights[3], distance)]  # n_samples, fidelity_out, trace distance
-    if ns.samples:
+    if ns.samples is not None:
         from . import bell, twirl
 
         if ns.input is None:

@@ -38,8 +38,8 @@ Positioned draws: Philox is counter-based, and ``random(n)`` takes exactly n
 raw words, one per double (it neither reads nor sets the buffered 32-bit
 half). So the part of a draw that starts w words in can be drawn on a
 generator of its own placed w words ahead, and it draws the serial values.
-The label sampler draws its pieces so on DRAW_THREADS threads (run_sharded)
-and leaves the caller's generator where the serial draw would.
+The label sampler draws its pieces so on at most DRAW_THREADS threads
+(run_sharded) and leaves the caller's generator where the serial draw would.
 
 Threads: besides the sampler's, the purification round and the sampled twirl
 each run one worker thread (pipelined) that draws or tests pieces in order, at
@@ -135,16 +135,16 @@ def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndar
     return uniforms, data[:, 3::4][:, :n_bits] >> 7
 
 
-def run_sharded(task, n_shards: int) -> list:
+def run_sharded(task, n_shards: int) -> None:
     """Run task(shard_index) for every shard, shard 0 on the calling thread and
-    each other shard on a thread of its own, and return the results in shard
-    order once all have ended. An exception raised by a shard is raised here;
-    the first in shard order, if several shards raise."""
-    results, errors = [None] * n_shards, [None] * n_shards
+    each other shard on a thread of its own, and return once all have ended.
+    An exception raised by a shard is raised here; the first in shard order,
+    if several shards raise."""
+    errors = [None] * n_shards
 
     def run(i):
         try:
-            results[i] = task(i)
+            task(i)
         except BaseException as exc:
             errors[i] = exc
 
@@ -157,7 +157,6 @@ def run_sharded(task, n_shards: int) -> list:
     for exc in errors:
         if exc is not None:
             raise exc
-    return results
 
 
 def pipelined(front, items):
@@ -237,14 +236,14 @@ def _ahead(state: dict, words: int, bit_generator: np.random.Philox) -> None:
 
 def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
     """n i.i.d. label draws by inverse CDF on the 4-vector (uint8 array),
-    drawn in pieces of CHUNK // 2 uniforms on DRAW_THREADS threads.
+    drawn in pieces of CHUNK // 2 uniforms on at most DRAW_THREADS threads.
 
     Piece k is drawn on a Philox generator placed at its first word, piece 0
     on rng itself, and rng is then left in the state a serial rng.random(n)
     leaves; so the labels and every later draw are those of the serial draw,
     whichever thread drew which piece. Each thread holds one piece's uniforms
-    at a time. A run of one piece, or an rng on another bit generator, is
-    drawn serially on rng and starts no thread.
+    at a time. A run of one piece is drawn on rng by the calling thread alone
+    and starts no thread.
 
     A uniform u maps to the count of the cdf's first three entries that are
     <= u, written in place by three compares. That is the integer
@@ -254,12 +253,7 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     is the cap at 3. On 4 entries the compares cost less than the search."""
     cdf = d.p.cumsum()
     out = np.empty(n, dtype=np.uint8)
-    piece = CHUNK // 2
-    bounds = list(chunks(n, piece))
-    if len(bounds) <= 1 or not isinstance(rng.bit_generator, np.random.Philox):
-        for lo, hi in bounds:
-            _labels_from_uniforms(cdf, rng.random(hi - lo), out[lo:hi])
-        return out
+    bounds = list(chunks(n, CHUNK // 2))
     # the generators and buffers (the uniforms and the compares' bools) are
     # made on the calling thread, so that the threads only draw and compare: a
     # buffer freed on a thread of its own would stay resident in that thread's
@@ -268,7 +262,7 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     for lo, _ in bounds[1:]:
         gens.append(np.random.Generator(np.random.Philox()))
         _ahead(start, lo, gens[-1].bit_generator)
-    threads = min(DRAW_THREADS, len(bounds))
+    threads, piece = max(1, min(DRAW_THREADS, len(bounds))), min(n, CHUNK // 2)
     uniforms, hits = np.empty((threads, piece)), np.empty((threads, piece), dtype=bool)
     # each thread takes the next piece off a shared stack, so that a thread
     # that gets less of the cpu draws fewer pieces; list.pop is atomic, and
@@ -282,7 +276,8 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
             _labels_from_uniforms(cdf, u, out[lo:hi], hits[shard, : hi - lo])
 
     run_sharded(draw, threads)
-    _ahead(start, n, rng.bit_generator)
+    if len(bounds) > 1:
+        _ahead(start, n, rng.bit_generator)
     return out
 
 

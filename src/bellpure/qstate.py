@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from . import measures
+
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -189,10 +191,8 @@ def werner_pure_states(f: float) -> list[PureState]:
     """The eight pure states whose uniform mixture is the Werner state of
     fidelity f: weight f on the singlet, the remainder split over the three
     triplets with all independent sign/phase choices."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity {f!r} outside [0, 1]")
-    a = math.sqrt(f)
-    b = math.sqrt((1.0 - f) / 3.0)
+    g, _, _, f = measures.werner_weights(f)
+    a, b = math.sqrt(f), math.sqrt(g)
     out = []
     for s1, s2, s3 in itertools.product((1.0, -1.0), repeat=3):
         amps = a * BELL_BASIS[3] + b * (

@@ -3,6 +3,16 @@ import threading
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started still running: every
+    thread the package starts has ended when its call returns or raises."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not left, f"threads still running after the test: {left}"
+
+
 @pytest.fixture
 def started(monkeypatch):
     """The threads started while the test runs."""

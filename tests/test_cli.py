@@ -105,6 +105,19 @@ class TestRecurrenceCommand:
         assert len(rows) == 1
         assert float(rows[0]["cumulative_yield"]) == 1.0
 
+    @pytest.mark.parametrize("mc", ["0", "5"])
+    def test_no_step_runs_no_monte_carlo(self, capsys, monkeypatch, mc):
+        from bellpure import protocols
+
+        def fail(*args, **kwargs):
+            raise AssertionError("recurrence_mc ran")
+
+        monkeypatch.setattr(protocols, "recurrence_mc", fail)
+        code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", "0", "--mc", mc])
+        assert code == 0
+        _, columns, rows = parse_csv(out)
+        assert columns == ["step", "fidelity", "p_success", "cumulative_yield"] and len(rows) == 1
+
     def test_mc_columns_and_seed_reproducibility(self, capsys):
         args = ["recurrence", "0.7", "--steps", "1", "--mc", "20000", "--seed", "5"]
         code, out1, _ = run(capsys, args)
@@ -286,6 +299,21 @@ class TestSizeLimits:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"error: --{name} {value} exceeds the limit of {SIZE_LIMITS[name]}"]
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["recurrence", "0.7", "--steps", "2", "--mc", "0"], "error: need at least two pairs"),
+            (["recurrence", "0.7", "--steps", "2", "--mc", "1"], "error: need at least two pairs"),
+            (["twirl", "--werner", "0.7", "--samples", "0"], "error: n must be a whole number >= 1, got 0"),
+            (["twirl", "--werner", "0.7", "--samples", "-3"], "error: n must be a whole number >= 1, got -3"),
+        ],
+    )
+    def test_below_minimum_exits_2_with_one_error_line(self, capsys, args, error):
+        # a Monte Carlo asked for with too few draws is an error, 0 among them
+        code, out, err = run(capsys, args)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [error]
 
     def test_steps_at_limit_accepted(self, capsys):
         code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", str(SIZE_LIMITS["steps"])])

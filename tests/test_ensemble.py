@@ -197,11 +197,9 @@ class TestParallelDraw:
     def test_one_piece_starts_no_thread(self, monkeypatch, started):
         monkeypatch.setattr(ensemble, "CHUNK", 8)
         for n in (0, 1, 4):
-            _sample_labels(stream(1), _SKEWED, n)
-        # a generator on another bit generator is drawn serially, in pieces
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        assert np.array_equal(_sample_labels(rng, _SKEWED, 40), _serial_labels(ref, 40))
-        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+            rng, ref = stream(1), stream(1)
+            assert np.array_equal(_sample_labels(rng, _SKEWED, n), _serial_labels(ref, n))
+            assert _plain_state(rng) == _plain_state(ref)
         assert started == []
 
     @pytest.mark.parametrize("n", [5, 12, 13, 400])
@@ -211,20 +209,16 @@ class TestParallelDraw:
         assert len(started) == ensemble.DRAW_THREADS - 1
         assert not any(t.is_alive() for t in started)
 
-    def test_run_sharded_keeps_shard_order(self):
-        assert ensemble.run_sharded(lambda i: i * i, 4) == [0, 1, 4, 9]
-        # the shards run at once, shard 0 on the calling thread and each other
-        # on a thread of its own: run one after another, the first to wait at
-        # the barrier would time out
-        barrier = threading.Barrier(3)
+    def test_run_sharded_runs_the_shards_at_once(self):
+        # shard 0 on the calling thread and each other on a thread of its own:
+        # run one after another, the first to wait at the barrier would time out
+        barrier, idents = threading.Barrier(3), [None] * 3
 
         def task(i):
             barrier.wait(timeout=10)
-            return i, threading.get_ident()
+            idents[i] = threading.get_ident()
 
-        results = ensemble.run_sharded(task, 3)
-        assert [i for i, _ in results] == [0, 1, 2]
-        idents = [ident for _, ident in results]
+        ensemble.run_sharded(task, 3)
         assert idents[0] == threading.get_ident() and len(set(idents)) == 3
 
     @pytest.mark.parametrize("failing, raised", [({1}, 1), ({0}, 0), ({0, 1}, 0), ({1, 2}, 1)])
@@ -512,6 +506,11 @@ class TestBoundedMemory:
         # each of the two threads (8 MiB) and its bools for the compares (1 MiB);
         # a whole chunk per thread would read about 20 MiB
         assert _traced_peak_mib(_sample_labels, stream(1), measures.werner(0.78), 3 * CHUNK + 5) < 14
+
+    def test_sample_labels_of_one_piece_hold_that_piece_only(self):
+        # about 15 KiB: 1000 labels, uniforms and bools; buffers of a whole
+        # CHUNK // 2 piece would read 4.5 MiB
+        assert _traced_peak_mib(_sample_labels, stream(1), measures.werner(0.7), 1000) < 1 / 16
 
     def test_random_axis_parallel_prob_at_the_cap(self):
         # about 61 MiB; a (4, n) stack of per-label correlations took ~108 MiB
