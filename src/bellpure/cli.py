@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -49,15 +48,9 @@ SIZE_LIMITS = {"steps": 1000, "mc": 10**7, "samples": 10**8, "trials": 10**5, "p
 
 
 def _plain(v):
-    """Reduce numpy scalars and enums to plain ints/floats for emission, and a
-    NaN to None (a cell with no value)."""
-    if isinstance(v, bool) or v is None or isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return None if math.isnan(v) else float(v)
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    return v
+    """A NaN float becomes None, a cell with no value. Every command builds its
+    cells as plain ints, floats and None, so nothing else needs converting."""
+    return None if isinstance(v, float) and math.isnan(v) else v
 
 
 def _fmt(v) -> str:
@@ -154,14 +147,12 @@ def cmd_recurrence(ns) -> int:
 
 def cmd_breed(ns) -> int:
     measures.check_breeding_args(ns.pairs, ns.delta, ns.r_margin)
-    w = None if ns.werner is None else measures.werner(ns.werner)
+    probs = ns.probs if ns.werner is None else measures.werner_weights(ns.werner)
     from . import protocols
     from .bell import BellDiagonal
 
-    if w is None:
-        w = BellDiagonal(ns.probs)
     summary, _ = protocols.breeding_trials(
-        w,
+        BellDiagonal(probs),
         ns.pairs,
         ns.trials,
         delta=ns.delta,

@@ -67,10 +67,8 @@ CHUNK = 1 << 20
 DRAW_THREADS = 2
 
 
-def chunks(n: int, step: int | None = None):
-    """(lo, hi) bounds that cover range(n) in pieces of at most step, by
-    default CHUNK."""
-    step = CHUNK if step is None else step
+def chunks(n: int, step: int):
+    """(lo, hi) bounds that cover range(n) in pieces of at most step."""
     for lo in range(0, n, step):
         yield lo, min(lo + step, n)
 
@@ -281,15 +279,11 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     return out
 
 
-def pack_bits(bits) -> int:
-    """Pack a 0/1 sequence into an integer, element i as bit i."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def subset_mask(rng: np.random.Generator, n: int) -> int:
     """Random subset of n positions packed into an integer bit mask
     (bit i set means position i is in the subset)."""
-    return pack_bits(rng.integers(0, 2, size=n))
+    bits = np.packbits(rng.integers(0, 2, size=n), bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
 
 
 #: Most trials random_axis_parallel_prob accepts. Every trial's axis, label

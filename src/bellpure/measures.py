@@ -194,8 +194,8 @@ def recurrence_trajectory(
         raise NotDistillableError("not distillable below F=1/2")
     if f_target is not None and not 0.0 < f_target < 1.0:
         raise ValueError("target fidelity must lie in (0, 1)")
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+    if not (max_steps >= 0 and max_steps % 1 == 0):  # also false for NaN and infinity
+        raise ValueError(f"max_steps must be a whole number >= 0, got {max_steps!r}")
     steps: list[TraceStep] = []
     f = f0
     acc = 1.0

@@ -167,8 +167,6 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
     truncated when the ensemble runs out of pairs early."""
     if n_pairs < 2:
         raise ValueError("need at least two pairs")
-    if not 0.0 <= f0 <= 1.0:
-        raise ValueError(f"fidelity {f0!r} outside [0, 1]")
     if steps < 1:
         raise ValueError("need at least one step")
     rng = ensemble.stream(seed)
@@ -496,11 +494,7 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     # after the y fix, a former Psi+ carries the flipped sign bit
     sign_given_psi = float(p[2] / p_psi) if p_psi > 0.0 else 0.5
     h_class = measures.h2(p_psi)
-    h_sign = 0.0
-    if p_phi > 0.0:
-        h_sign += p_phi * measures.h2(sign_given_phi)
-    if p_psi > 0.0:
-        h_sign += p_psi * measures.h2(sign_given_psi)
+    h_sign = p_phi * measures.h2(sign_given_phi) + p_psi * measures.h2(sign_given_psi)
     r1 = int(math.ceil(n * h_class + r_margin * math.sqrt(n)))
     r2 = int(math.ceil(n * h_sign + r_margin * math.sqrt(n)))
     targets = r1 + r2

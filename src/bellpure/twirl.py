@@ -150,7 +150,7 @@ def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     drawing one chunk of permutation indices at a time."""
     out = np.empty_like(labels)
     flat = TWIRL_PERMS.ravel()
-    for lo, hi in ensemble.chunks(labels.shape[0]):
+    for lo, hi in ensemble.chunks(labels.shape[0], ensemble.CHUNK):
         # flat index 4 * j + label of TWIRL_PERMS[j, label], built in place
         # on the default-int64 draw
         idx = rng.integers(0, len(TWIRL_PERMS), size=hi - lo)

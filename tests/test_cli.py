@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellpure
-from bellpure import bell, measures, qstate, twirl
+from bellpure import bell, cli, measures, qstate, twirl
 from bellpure.bell import BellLabel
 from bellpure.cli import MAX_MATRIX_FILE_BYTES, SIZE_LIMITS, _grid, main
 
@@ -178,6 +178,35 @@ class TestHeaderContract:
         code, out2, _ = run(capsys, argv)
         assert code == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_emitted_cell_is_an_int_a_float_or_none(self, tmp_path, monkeypatch, fmt):
+        # _plain converts nothing but a NaN, so no numpy scalar may reach _emit
+        state = bell.to_density(bell.BellDiagonal([0.1, 0.2, 0.3, 0.4])).mat
+        (tmp_path / "rho.json").write_text(json.dumps([[[z.real, z.imag] for z in row] for row in state]))
+        argvs = [
+            ["recurrence", "0.7", "--steps", "3", "--mc", "2000"],
+            ["recurrence", "0.7", "--steps", "5", "--mc", "4"],  # a NaN cell, then blank ones
+            ["recurrence", "0.7", "--target", "0.99"],
+            ["breed", "--werner", "0.95", "--pairs", "6", "--trials", "5"],
+            ["breed", "--probs", "0.05", "0.05", "0.1", "0.8", "--pairs", "6", "--trials", "5"],
+            ["curves", "--points", "5"],
+            ["twirl", "--werner", "0.9", "--samples", "200"],
+            ["twirl", "--input", str(tmp_path / "rho.json"), "--samples", "200"],
+        ]
+        emitted, emit_rows = [], cli._emit
+
+        def recording(ns, rows):
+            emitted.append(rows)
+            return emit_rows(ns, rows)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        for argv in argvs:
+            emit(argv + ["--format", fmt])
+        assert len(emitted) == len(argvs)
+        cells = [cell for rows in emitted for row in rows for cell in row.values()]
+        assert {type(cell) for cell in cells} <= {int, float, type(None)}
+        assert any(cell is None for cell in cells) and any(math.isnan(c) for c in cells if type(c) is float)
 
     def test_csv_and_json_carry_identical_numbers(self, capsys):
         base = ["recurrence", "0.8", "--steps", "3", "--mc", "5000", "--seed", "11"]
@@ -676,6 +705,19 @@ print(json.dumps(report))
 """
 
 
+_FOOTPRINT_SCRIPT = """
+import importlib, sys
+import numpy, numpy.random
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+from bellpure import bell, measures, protocols, twirl
+protocols.recurrence_mc(0.8, 3 * 2**19, 2, 0)  # three draw pieces and six round pieces
+twirl.sampled_twirl(bell.to_density(measures.werner(0.8)), 2 * twirl.TWIRL_PIECE + 1, 0)  # three pieces
+print(*sorted(set(sys.modules) - before))
+"""
+
+
 class TestStartup:
     def test_closed_form_and_error_paths_never_import_numpy(self, tmp_path):
         for name, text in NON_FINITE_FILES.items():
@@ -701,6 +743,22 @@ class TestStartup:
                 assert errors == ["error: fidelity 1.5 outside [0, 1]"], argv
             if tuple(argv) in BREED_ARGUMENT_ERRORS:
                 assert errors == [BREED_ARGUMENT_ERRORS[tuple(argv)]], argv
+
+    def test_kernels_load_no_module_beyond_the_known_ones(self):
+        # after numpy, importing every bellpure module and running the threaded
+        # kernels loads only these: a hand-off through concurrent.futures, say,
+        # would also load logging in every process that runs a kernel
+        names = sorted(f"bellpure.{p.stem}" for p in Path(bellpure.__file__).parent.glob("*.py"))
+        env = dict(os.environ, PYTHONPATH=str(Path(bellpure.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, *names],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert set(names) <= loaded
+        known = {"argparse", "gettext", "__future__", "_json"}
+        assert {m for m in loaded if m.split(".")[0] not in ("bellpure", "json") and m not in known} == set()
 
     def test_breed_never_imports_numpy_ma(self):
         # in numpy 2.4 a 1-D np.unique imports numpy.ma, about 15 ms of a fresh process

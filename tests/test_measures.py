@@ -56,6 +56,10 @@ class TestWerner:
     def test_domain(self):
         with pytest.raises(ValueError):
             werner(1.1)
+        for fn in (d0, e_formation_werner):
+            for f in (-0.1, 1.1, math.nan):
+                with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                    fn(f)
 
 
 class TestEntropyBell:
@@ -154,6 +158,9 @@ class TestParallelRelation:
     def test_domain(self):
         with pytest.raises(ValueError):
             fidelity_from_parallel(0.9)
+        for f in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match=r"fidelity .* outside \[0, 1\]"):
+                parallel_from_fidelity(f)
 
 
 def _dr_brute_force(f: float, k_max: int = 64) -> float:

@@ -331,6 +331,10 @@ class TestRecurrenceTrajectory:
             recurrence_trajectory(1.0, f_target=0.9)
         with pytest.raises(ValueError):
             recurrence_trajectory(0.7, f_target=1.0)
+        # a step count is a whole number >= 0; infinity would never return
+        for steps in (-1, float("nan"), 2.5, float("inf")):
+            with pytest.raises(ValueError, match="max_steps must be a whole number"):
+                recurrence_trajectory(0.7, max_steps=steps)
 
 
 class TestRecurrenceMC:
@@ -364,6 +368,12 @@ class TestRecurrenceMC:
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ValueError):
             recurrence_mc(0.7, 1, 1, seed=0)
+        with pytest.raises(ValueError, match="at least one step"):
+            recurrence_mc(0.7, 100, 0, seed=0)
+        # measures.werner checks f0 before any draw
+        for f0 in (float("nan"), -0.1, 1.5):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                recurrence_mc(f0, 100, 1, seed=0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_purify_round_returns_python_int_moments_of_its_kept_blocks(self, k):
@@ -620,6 +630,14 @@ class TestVariableBlockMC:
     def test_rejects_underfilled_block(self):
         with pytest.raises(ValueError):
             variable_block_mc(0.99, 5, seed=0)
+        with pytest.raises(ValueError, match="1/2 < f0 <= 1"):
+            variable_block_mc(0.5, 1000, seed=0)
+
+    def test_no_kept_block_has_no_fidelity(self):
+        stats = variable_block_mc(0.51, 2, seed=1)  # one block of k = 1, which fails
+        assert (stats.n_blocks, stats.n_kept_pairs) == (1, 0)
+        assert math.isnan(stats.fidelity) and math.isnan(stats.fidelity_err)
+        assert stats.discard_fraction == 1.0
 
     def test_exact_form_matches_label_enumeration(self):
         rng = np.random.default_rng(17)
@@ -1127,6 +1145,23 @@ class TestBreeding:
         assert r.provisioned_targets == math.ceil(16 * (measures.entropy_bell(w) + 0.05))
         assert r.budget_exceeded == (r.targets_consumed > r.provisioned_targets)
 
+    def test_round_one_failure_rate_within_union_bound(self):
+        # round 1 fails (a wrong decode or a tie) only when some y != x with
+        # prior(y) >= prior(x) fits all r1 tests, each y with chance 2^-r1: so
+        # its rate is at most E_x[#{y != x : prior(y) >= prior(x)}] * 2^-r1,
+        # computed here exactly from the decoder's float prior
+        w, n, trials, r_margin = measures.werner(0.8), 8, 20_000, 1.0
+        p_psi = float(w.p[2] + w.p[3])
+        r1 = math.ceil(n * measures.h2(p_psi) + r_margin * math.sqrt(n))
+        q = Fraction(p_psi)
+        prior = [q**k * (1 - q) ** (n - k) for k in range(n + 1)]  # of a string with k ones
+        rivals = [sum(math.comb(n, j) for j in range(n + 1) if prior[j] >= prior[k]) - 1 for k in range(n + 1)]
+        bound = float(sum(math.comb(n, k) * prior[k] * rivals[k] for k in range(n + 1)) / 2**r1)
+        _, results = breeding_trials(w, n, trials, r_margin=r_margin, seed=1)
+        rate = sum(not r.decode_correct_round1 or r.tie_round1 for r in results) / trials
+        assert 0.0 < rate <= bound + 3 * math.sqrt(bound * (1 - bound) / trials)
+        assert bound < 0.1  # the margin leaves a bound that says something
+
     def test_margin_improves_failure_rate(self):
         w = measures.werner(0.95)
         lo, _ = breeding_trials(w, 16, 120, r_margin=1.0, seed=55)
@@ -1323,3 +1358,9 @@ class TestParityBound:
 
     def test_deterministic(self):
         assert parity_bound_check(12, 4, 1000, seed=2) == parity_bound_check(12, 4, 1000, seed=2)
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="must all be positive"):
+            parity_bound_check(0, 4, 1000, seed=2)
+        with pytest.raises(ValueError, match="longer than 62 bits"):
+            parity_bound_check(63, 4, 1000, seed=2)

@@ -101,6 +101,8 @@ class TestPartialTrace:
     def test_bad_party(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(4) / 4, "C")
+        with pytest.raises(ValueError, match=r"expects a two-qubit \(4x4\) state"):
+            partial_trace(np.eye(2) / 2, "A")
 
 
 class TestEigHermitian:
@@ -126,6 +128,8 @@ class TestEigHermitian:
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
             eig_hermitian(m)
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            eig_hermitian(np.zeros((3, 4)))
 
     @pytest.mark.parametrize("upper, lower", [(1e308, -1e308), (1e308j, 1e308j)])
     def test_rejects_non_hermitian_pair_whose_difference_overflows(self, upper, lower):
@@ -219,6 +223,8 @@ class TestEntanglementPure:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             entanglement_pure([1, 1, 0, 0])
+        with pytest.raises(ValueError, match="expected 4 amplitudes"):
+            PureState([1, 0, 0])
 
     def test_werner_component_states_at_09(self):
         # each state carries H2(1/2 + sqrt(0.9*0.1)) = H2(0.8) ebits

@@ -48,6 +48,10 @@ class TestExactTwirl:
             twice = exact_twirl(bell.to_density(once))
             assert once.allclose(twice, tol=1e-12)
 
+    def test_rejects_singlet_fidelity_beyond_round_off(self):
+        with pytest.raises(ValueError, match=r"singlet fidelity 2\.\d* outside \[0, 1\]"):
+            exact_twirl(2 * np.eye(4))
+
     def test_preserves_fidelity(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
