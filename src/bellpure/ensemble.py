@@ -58,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bell import BellDiagonal, BellLabel
+from .measures import whole_number
 
 
 #: Largest number of entries a Monte Carlo kernel draws or processes at once.
@@ -74,13 +75,9 @@ def chunks(n: int, step: int):
 
 
 def _key(seed: int, stream_id: int) -> list[int]:
-    """The Philox key of stream (seed, stream_id), both ints checked to fit 64 bits."""
-    seed, stream_id = int(seed), int(stream_id)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not 0 <= stream_id < 2**64:
-        raise ValueError("stream_id must fit in an unsigned 64-bit integer")
-    return [seed, stream_id]
+    """The Philox key of stream (seed, stream_id), as two checked ints."""
+    top = 2**64 - 1
+    return [whole_number("seed", seed, 0, top), whole_number("stream_id", stream_id, 0, top)]
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -215,21 +212,17 @@ def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, hits=
 
 def _ahead(state: dict, words: int, bit_generator: np.random.Philox) -> None:
     """Load into bit_generator the Philox state that the state dict reaches
-    after drawing words (>= 1) more raw words: the 256-bit counter of the block
-    that holds the last of them, that block buffered and the position past it.
-    The buffered 32-bit half is kept, as random(n) neither reads nor sets it."""
-    counter = sum(int(v) << (64 * i) for i, v in enumerate(state["state"]["counter"]))
-    # the last word's index in the stream, whose word 0 is block 1's first
-    block, pos = divmod(4 * counter + state["buffer_pos"] - 5 + words, 4)
-    bit_generator.state = {
-        **state,
-        "state": {
-            "counter": [(block >> (64 * i)) & (2**64 - 1) for i in range(4)],
-            "key": state["state"]["key"],
-        },
-        "buffer_pos": 4,
-    }
+    after drawing words (>= 1) more raw words: the counter of the block that
+    holds the last of them, that block buffered and the position past it.
+    The buffered 32-bit half is kept, as random(n) neither reads nor sets it.
+    advance empties the buffer; when the last word lies in the block already
+    buffered, blocks is -1, which advance wraps modulo 2^256: one step back."""
+    bit_generator.state = state
+    blocks, pos = divmod(state["buffer_pos"] - 5 + words, 4)
+    bit_generator.advance(blocks)
     bit_generator.random_raw(pos + 1)
+    kept = {k: state[k] for k in ("has_uint32", "uinteger")}  # advance drops them
+    bit_generator.state = {**bit_generator.state, **kept}
 
 
 def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
@@ -240,8 +233,9 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     on rng itself, and rng is then left in the state a serial rng.random(n)
     leaves; so the labels and every later draw are those of the serial draw,
     whichever thread drew which piece. Each thread holds one piece's uniforms
-    at a time. A run of one piece is drawn on rng by the calling thread alone
-    and starts no thread.
+    at a time. A run of one piece is drawn on rng by the calling thread alone:
+    it starts no thread and does not read rng's state, which costs more than a
+    short draw.
 
     A uniform u maps to the count of the cdf's first three entries that are
     <= u, written in place by three compares. That is the integer
@@ -256,7 +250,7 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     # made on the calling thread, so that the threads only draw and compare: a
     # buffer freed on a thread of its own would stay resident in that thread's
     # malloc arena
-    start, gens = rng.bit_generator.state, [rng]
+    start, gens = rng.bit_generator.state if len(bounds) > 1 else None, [rng]
     for lo, _ in bounds[1:]:
         gens.append(np.random.Generator(np.random.Philox()))
         _ahead(start, lo, gens[-1].bit_generator)
@@ -306,11 +300,7 @@ def random_axis_parallel_prob(d: BellDiagonal, n_trials: int, seed: int) -> Esti
     variance of sampling both spins while staying unbiased. Raises ValueError
     unless n_trials is a whole number in [1, MAX_AXIS_TRIALS].
     """
-    if not (1 <= n_trials <= MAX_AXIS_TRIALS and n_trials % 1 == 0):
-        raise ValueError(
-            f"n_trials must be a whole number in [1, {MAX_AXIS_TRIALS}], got {n_trials!r}"
-        )
-    n_trials = int(n_trials)
+    n_trials = whole_number("n_trials", n_trials, 1, MAX_AXIS_TRIALS)
     rng = stream(seed)
     axes = rng.normal(size=(n_trials, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)

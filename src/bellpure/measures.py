@@ -1,8 +1,9 @@
-"""Closed-form scalar quantities: binary entropy, the Werner family, the
-two-pair recurrence map on Werner input and its iterated trajectory, the
-breeding yield, its threshold and the caps on a breeding run's arguments, the
-formation bound for Werner states, the CHSH boundary, the random-axis fidelity
-relation, and the composite recurrence-then-breed yield curve.
+"""Closed-form scalar quantities: the whole-number rule for sizes and seeds,
+binary entropy, the Werner family, the two-pair recurrence map on Werner input
+and its iterated trajectory, the breeding yield, its threshold and the caps on
+a breeding run's arguments, the formation bound for Werner states, the CHSH
+boundary, the random-axis fidelity relation, and the composite
+recurrence-then-breed yield curve.
 
 Everything here is plain float arithmetic. Only werner() loads the array
 layer (bell, and numpy with it); werner_weights() gives the same state as
@@ -17,6 +18,15 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .bell import BellDiagonal
+
+
+def whole_number(name: str, v, lo: int, hi: float = math.inf) -> int:
+    """int(v) if v is a whole number in [lo, hi], else a ValueError naming
+    it: the one rule for every size, count and seed argument."""
+    if not (lo <= v <= hi and v % 1 == 0):  # also false for NaN and infinity
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be a whole number {span}, got {v!r}")
+    return int(v)
 
 
 def h2(x: float) -> float:
@@ -96,17 +106,12 @@ MAX_BREEDING_PAIRS = 20
 MAX_BREEDING_MARGIN = 100.0
 
 
-def check_breeding_args(n: int, delta: float, r_margin: float) -> None:
-    """Raise ValueError unless a breeding run's arguments lie within the caps."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > MAX_BREEDING_PAIRS:
-        raise ValueError(
-            f"breeding handles at most {MAX_BREEDING_PAIRS} pairs,"
-            " which bounds the decoder's search"
-        )
+def check_breeding_args(n: int, delta: float, r_margin: float) -> int:
+    """Check a breeding run's arguments against the caps; returns n as an int."""
+    n = whole_number("n", n, 1, MAX_BREEDING_PAIRS)
     if not (0.0 <= delta <= MAX_BREEDING_MARGIN and 0.0 <= r_margin <= MAX_BREEDING_MARGIN):
         raise ValueError(f"delta and r_margin must lie in [0, {MAX_BREEDING_MARGIN:g}]")
+    return n
 
 
 def e_formation_werner(f: float) -> float:
@@ -194,8 +199,7 @@ def recurrence_trajectory(
         raise NotDistillableError("not distillable below F=1/2")
     if f_target is not None and not 0.0 < f_target < 1.0:
         raise ValueError("target fidelity must lie in (0, 1)")
-    if not (max_steps >= 0 and max_steps % 1 == 0):  # also false for NaN and infinity
-        raise ValueError(f"max_steps must be a whole number >= 0, got {max_steps!r}")
+    max_steps = whole_number("max_steps", max_steps, 0)
     steps: list[TraceStep] = []
     f = f0
     acc = 1.0

@@ -165,10 +165,8 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
     fidelity and survival carry binomial standard errors; the matching
     closed-form values ride along for comparison. The trace is flagged
     truncated when the ensemble runs out of pairs early."""
-    if n_pairs < 2:
-        raise ValueError("need at least two pairs")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    n_pairs = measures.whole_number("n_pairs", n_pairs, 2)
+    steps = measures.whole_number("steps", steps, 1)
     rng = ensemble.stream(seed)
     labels = ensemble._sample_labels(rng, measures.werner(f0), n_pairs)
     n_live = n_pairs
@@ -195,7 +193,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
             MCStep(step, n_in, n_kept, fid, fid_err, surv, surv_err, f_formula, p_formula)
         )
         n_live = n_kept
-    return MCTrace(f0, n_pairs, seed, tuple(out), truncated)
+    return MCTrace(f0, n_pairs, int(seed), tuple(out), truncated)  # stream checked the seed
 
 
 class VariableBlockStats(NamedTuple):
@@ -228,15 +226,13 @@ def variable_block_mc(f0: float, n_pairs: int, seed: int) -> VariableBlockStats:
     round(1/sqrt(1-F))) source pairs per measured target, so each block's
     sources are kept or discarded wholesale. Cross-pair correlations inside a
     kept block survive in the ensemble; only the per-pair marginal fidelity is
-    reported. At f0 = 1 a single all-pass block holds the whole run."""
+    reported. At f0 = 1 a single all-pass block holds the whole run. n_pairs
+    must be a whole number >= 2, and at least k + 1."""
     if not 0.5 < f0 <= 1.0:
         raise ValueError(f"need 1/2 < f0 <= 1, got {f0!r}")
-    if f0 < 1.0:
-        k = max(1, round((1.0 - f0) ** -0.5))
-    else:
-        k = max(1, n_pairs - 1)
-    if n_pairs < k + 1:
-        raise ValueError(f"need at least k+1 = {k + 1} pairs, got {n_pairs}")
+    n_pairs = measures.whole_number("n_pairs", n_pairs, 2)
+    k = max(1, round((1.0 - f0) ** -0.5)) if f0 < 1.0 else n_pairs - 1
+    n_pairs = measures.whole_number("n_pairs", n_pairs, k + 1)
     rng = ensemble.stream(seed)
     n_blocks = n_pairs // (k + 1)
     n_used = n_blocks * (k + 1)
@@ -486,7 +482,7 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits, each
     round's decodes in one _ml_decode_rows call; and what is the same for
     every trial runs once per call."""
-    measures.check_breeding_args(n, delta, r_margin)
+    n = measures.check_breeding_args(n, delta, r_margin)
     p = w.p
     p_psi = float(p[2] + p[3])
     p_phi = float(p[0] + p[1])
@@ -603,21 +599,22 @@ def breeding_trials(
     seed: int = 0,
 ) -> tuple[BreedingSummary, list[BreedingResult]]:
     """Run independent seeded breeding trials: trial t runs on substream
-    (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t)."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t). Every
+    trial consumes the same targets, so the summary reads them off the first."""
+    trials = measures.whole_number("trials", trials, 1)
     results = _breed(w, n, delta, r_margin, seed, range(trials))
+    run = results[0]
     summary = BreedingSummary(
         trials=trials,
-        n=n,
+        n=run.n,
         delta=delta,
         r_margin=r_margin,
-        mean_targets_per_pair=float(np.mean([r.targets_consumed for r in results])) / n,
+        mean_targets_per_pair=run.targets_consumed / run.n,
         decode_failure_rate=float(np.mean([r.decode_failed for r in results])),
         residual_error_rate=float(np.mean([r.residual_error_pairs / r.n for r in results])),
         mean_net_yield=float(np.mean([r.net_yield for r in results])),
         predicted_net_yield=1.0 - measures.entropy_bell(w),
-        budget_exceeded_rate=float(np.mean([r.budget_exceeded for r in results])),
+        budget_exceeded_rate=float(run.budget_exceeded),
     )
     return summary, results
 
@@ -625,10 +622,9 @@ def breeding_trials(
 def parity_bound_check(n: int, r: int, trials: int, seed: int) -> ensemble.EstimateWithError:
     """Empirical probability that two distinct random n-bit strings agree on
     the parities of r independent random subsets (expected at most 2^-r)."""
-    if n < 1 or r < 1 or trials < 1:
-        raise ValueError("n, r and trials must all be positive")
-    if n > 62:
-        raise ValueError("strings longer than 62 bits are not supported")
+    n = measures.whole_number("n", n, 1, 62)
+    r = measures.whole_number("r", r, 1)
+    trials = measures.whole_number("trials", trials, 1)
     rng = ensemble.stream(seed)
     hi = 1 << n
     xs = rng.integers(0, hi, size=trials, dtype=np.uint64)

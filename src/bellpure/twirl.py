@@ -65,7 +65,7 @@ _GRAM16 = np.array([_PAIRS.index((min(a, b), max(a, b))) for a in range(4) for b
 def sampled_twirl(
     rho, n: int, seed: int, stream_id: int = 0
 ) -> tuple[qstate.DensityMatrix, TwirlReport]:
-    """Average u rho u-dagger over n random bilateral rotations u = r (x) r,
+    """Average u rho u-dagger over n >= 1 random bilateral rotations u = r (x) r,
     with r Haar-uniform in SU(2): r = sum_i q_i A_i for a normalized Gaussian
     quaternion q and A = (I, -i sx, -i sy, -i sz). The report carries the
     trace distance between the average and the exact Werner target, and the
@@ -89,9 +89,7 @@ def sampled_twirl(
     is full. standard_normal draws the same values whole or in pieces, so the
     bytes do not depend on TWIRL_PIECE. A run of one piece starts no thread.
     """
-    if not (n >= 1 and n % 1 == 0):  # also false for NaN and infinity
-        raise ValueError(f"n must be a whole number >= 1, got {n!r}")
-    n = int(n)
+    n = measures.whole_number("n", n, 1)
     mat = qstate.as_matrix(rho)
     target = exact_twirl(mat)
     rng = ensemble.stream(seed, stream_id)
@@ -165,17 +163,15 @@ def convergence_table(
 ) -> list[tuple[int, float]]:
     """Mean trace distance between the sampled and exact twirl at each sample
     size, averaged over reps independent substreams of the seed."""
-    sizes = list(sample_sizes)
-    for v in (reps, *sizes):
-        if not (v >= 1 and v % 1 == 0):  # also false for NaN and infinity
-            raise ValueError(f"reps and sample sizes must be whole numbers >= 1, got {v!r}")
+    reps = measures.whole_number("reps", reps, 1)
+    sizes = [measures.whole_number("sample size", v, 1) for v in sample_sizes]
     rows = []
     sid = 0
     for n in sizes:
         total = 0.0
-        for _ in range(int(reps)):
-            _, rep = sampled_twirl(rho, int(n), seed, stream_id=sid)
+        for _ in range(reps):
+            _, rep = sampled_twirl(rho, n, seed, stream_id=sid)
             total += rep.trace_distance_to_werner
             sid += 1
-        rows.append((int(n), total / reps))
+        rows.append((n, total / reps))
     return rows

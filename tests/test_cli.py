@@ -332,8 +332,8 @@ class TestSizeLimits:
     @pytest.mark.parametrize(
         "args, error",
         [
-            (["recurrence", "0.7", "--steps", "2", "--mc", "0"], "error: need at least two pairs"),
-            (["recurrence", "0.7", "--steps", "2", "--mc", "1"], "error: need at least two pairs"),
+            (["recurrence", "0.7", "--steps", "2", "--mc", "0"], "error: n_pairs must be a whole number >= 2, got 0"),
+            (["recurrence", "0.7", "--steps", "2", "--mc", "1"], "error: n_pairs must be a whole number >= 2, got 1"),
             (["twirl", "--werner", "0.7", "--samples", "0"], "error: n must be a whole number >= 1, got 0"),
             (["twirl", "--werner", "0.7", "--samples", "-3"], "error: n must be a whole number >= 1, got -3"),
         ],
@@ -654,7 +654,7 @@ _MARGIN_ERROR = "error: delta and r_margin must lie in [0, 100]"
 #: error line.
 BREED_ARGUMENT_ERRORS = {
     ("breed", "--werner", "0.95", "--pairs", "21", "--trials", "1"):
-        "error: breeding handles at most 20 pairs, which bounds the decoder's search",
+        "error: n must be a whole number in [1, 20], got 21",
     ("breed", "--werner", "0.95", "--pairs", "4", "--delta", "-1"): _MARGIN_ERROR,
     ("breed", "--probs", "1", "0", "0", "0", "--pairs", "4", "--r-margin", "101"): _MARGIN_ERROR,
 }

@@ -47,7 +47,7 @@ class TestStream:
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_rekey_range_validation(self, seed, stream_id):
         # the call checks every id once, before any step, wherever it sits
-        with pytest.raises(ValueError, match="must fit in an unsigned 64-bit integer"):
+        with pytest.raises(ValueError, match=rf"must be a whole number in \[0, {2**64 - 1}\]"):
             ensemble.substreams(seed, [3, stream_id, 5])
 
     def test_rekeyed_generator_draws_like_a_new_stream(self):
@@ -178,6 +178,45 @@ class TestParallelDraw:
         monkeypatch.setattr(ensemble, "CHUNK", 10)
         assert np.array_equal(_sample_labels(rng, _SKEWED, 57), _serial_labels(ref, 57))
         assert _plain_state(rng) == _plain_state(ref)
+
+    @pytest.mark.parametrize("skip, words", [(0, 1), (0, 3), (1, 2), (2, 1)])
+    def test_placement_inside_the_buffered_block(self, skip, words):
+        # the last word lies in the block already buffered, so _ahead steps
+        # the counter back one block, and it keeps the buffered 32-bit half
+        rng = stream(5, 6)
+        rng.bit_generator.random_raw(skip)
+        rng.integers(0, 2)  # buffers a 32-bit half
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        assert divmod(state["buffer_pos"] - 5 + words, 4)[0] == -1
+        placed = np.random.Generator(np.random.Philox())
+        ensemble._ahead(state, words, placed.bit_generator)
+        rng.random(words)
+        assert _plain_state(placed) == _plain_state(rng)
+        for draw in (lambda g: g.integers(0, 2, size=5), lambda g: g.random(9)):
+            assert np.array_equal(draw(placed), draw(rng))
+
+    def test_one_piece_reads_no_state(self, monkeypatch):
+        # reading a Philox state dict costs more than a short draw
+        reads = []
+
+        class Philox(np.random.Philox):  # a state dict names its class
+            @property
+            def state(self):
+                reads.append(1)
+                return np.random.Philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                np.random.Philox.state.__set__(self, value)
+
+        monkeypatch.setattr(ensemble, "CHUNK", 8)
+        for n in (4, 5):  # one piece, then two
+            rng, ref = np.random.Generator(Philox(key=[1, 0])), stream(1)
+            labels = _sample_labels(rng, _SKEWED, n)
+            assert bool(reads) == (n > 4)
+            reads.clear()
+            assert np.array_equal(labels, _serial_labels(ref, n))
 
     def test_more_threads_than_cores_draw_each_piece_once(self, monkeypatch):
         # the threads share one stack of pieces; a piece lost or drawn twice

@@ -1,11 +1,14 @@
+import ast
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellpure import bell, measures, qstate
+from bellpure import bell, ensemble, measures, protocols, qstate, twirl
 from bellpure.measures import (
     DR_MAX_STEPS,
     chsh_threshold,
@@ -329,3 +332,81 @@ class TestConstructorGuard:
     def test_werner(self, f):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             measures.werner(f)
+
+
+#: Every call that reads a size, count or seed argument, as (argument name,
+#: call with the value v in its place). Each must reject a bad v with the
+#: whole-number rule's ValueError, naming the argument.
+_WHOLE_NUMBER_CALLS = {
+    "sampled_twirl n": ("n", lambda v: twirl.sampled_twirl(np.eye(4) / 4, v, seed=0)),
+    "convergence_table reps": ("reps", lambda v: twirl.convergence_table(np.eye(4) / 4, [10], reps=v)),
+    "convergence_table size": (
+        "sample size", lambda v: twirl.convergence_table(np.eye(4) / 4, [10, v], reps=1)
+    ),
+    "recurrence_trajectory max_steps": ("max_steps", lambda v: measures.recurrence_trajectory(0.7, max_steps=v)),
+    "check_breeding_args n": ("n", lambda v: measures.check_breeding_args(v, 0.0, 0.0)),
+    "breeding_mc n": ("n", lambda v: protocols.breeding_mc(werner(0.95), v)),
+    "stream seed": ("seed", lambda v: ensemble.stream(v)),
+    "stream stream_id": ("stream_id", lambda v: ensemble.stream(0, v)),
+    "random_axis_parallel_prob n_trials": (
+        "n_trials", lambda v: ensemble.random_axis_parallel_prob(werner(0.8), v, seed=1)
+    ),
+    "recurrence_mc n_pairs": ("n_pairs", lambda v: protocols.recurrence_mc(0.7, v, 2, 0)),
+    "recurrence_mc steps": ("steps", lambda v: protocols.recurrence_mc(0.7, 100, v, 0)),
+    "variable_block_mc n_pairs": ("n_pairs", lambda v: protocols.variable_block_mc(0.9, v, 0)),
+    "variable_block_mc n_pairs at F = 1": ("n_pairs", lambda v: protocols.variable_block_mc(1.0, v, 0)),
+    "breeding_trials trials": ("trials", lambda v: protocols.breeding_trials(werner(0.95), 5, v)),
+    "parity_bound_check n": ("n", lambda v: protocols.parity_bound_check(v, 4, 100, seed=2)),
+    "parity_bound_check r": ("r", lambda v: protocols.parity_bound_check(8, v, 100, seed=2)),
+    "parity_bound_check trials": ("trials", lambda v: protocols.parity_bound_check(8, 4, v, seed=2)),
+}
+
+
+class TestWholeNumber:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=st.one_of(st.integers(-10, 10**20), st.floats(-20.0, 1e20), st.sampled_from([math.nan, math.inf, -math.inf])),
+        lo=st.integers(-5, 5),
+        span=st.one_of(st.none(), st.integers(0, 10)),
+    )
+    @example(v=2.5, lo=1, span=None)
+    @example(v=3.0, lo=1, span=2)
+    @example(v=2**64, lo=0, span=2**64 - 1)
+    @example(v=float(2**64), lo=0, span=2**64 - 1)
+    def test_returns_the_int_exactly_when_finite_whole_and_in_range(self, v, lo, span):
+        hi = math.inf if span is None else lo + span
+        ok = math.isfinite(v) and v == int(v) and lo <= v <= hi
+        if ok:
+            got = measures.whole_number("x", v, lo, hi)
+            assert type(got) is int and got == int(v)
+        else:
+            with pytest.raises(ValueError, match=rf"^x must be a whole number .*, got {re.escape(repr(v))}$"):
+                measures.whole_number("x", v, lo, hi)
+
+    def test_message_names_the_bounds(self):
+        with pytest.raises(ValueError, match=r"^steps must be a whole number >= 1, got 2\.5$"):
+            measures.whole_number("steps", 2.5, 1)
+        with pytest.raises(ValueError, match=r"^n must be a whole number in \[1, 20\], got 21$"):
+            measures.whole_number("n", 21, 1, 20)
+
+    @pytest.mark.parametrize("v", [2.5, math.nan, math.inf, -1])
+    @pytest.mark.parametrize("call", _WHOLE_NUMBER_CALLS)
+    def test_every_call_site_rejects_a_bad_value_naming_its_argument(self, call, v):
+        name, run = _WHOLE_NUMBER_CALLS[call]
+        # ValueError only: a TypeError from deeper in the kernel fails the test
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number .*, got {re.escape(repr(v))}$"):
+            run(v)
+
+    def test_the_rule_is_written_once(self):
+        # a whole-number test anywhere but in whole_number is a second copy of the rule
+        src = pathlib.Path(measures.__file__).parent
+        tree = ast.parse((src / "measures.py").read_text())
+        (rule,) = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "whole_number")
+        hits = [
+            (path.name, i)
+            for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "% 1 == 0" in line
+        ]
+        assert hits, "whole_number no longer holds the test this scan looks for"
+        assert all(name == "measures.py" and rule.lineno <= i <= rule.end_lineno for name, i in hits), hits

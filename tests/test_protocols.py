@@ -368,12 +368,17 @@ class TestRecurrenceMC:
     def test_rejects_tiny_ensemble(self):
         with pytest.raises(ValueError):
             recurrence_mc(0.7, 1, 1, seed=0)
-        with pytest.raises(ValueError, match="at least one step"):
+        with pytest.raises(ValueError, match="steps must be a whole number >= 1, got 0"):
             recurrence_mc(0.7, 100, 0, seed=0)
         # measures.werner checks f0 before any draw
         for f0 in (float("nan"), -0.1, 1.5):
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                 recurrence_mc(f0, 100, 1, seed=0)
+
+    def test_whole_floats_give_the_bytes_of_ints(self):
+        # the kernel computes on the ints that the whole-number rule returns
+        as_floats = recurrence_mc(0.8, 1000.0, 2.0, 3.0)
+        assert repr(as_floats) == repr(recurrence_mc(0.8, 1000, 2, 3))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_purify_round_returns_python_int_moments_of_its_kept_blocks(self, k):
@@ -1321,15 +1326,21 @@ class TestBreeding:
     def test_seed_and_stream_id_must_fit_64_bits(self, kwargs):
         # the range is checked once per call, not where each trial is re-keyed
         (name,) = kwargs
-        with pytest.raises(ValueError, match=f"{name} must fit in an unsigned 64-bit integer"):
+        with pytest.raises(ValueError, match=rf"{name} must be a whole number in \[0, {2**64 - 1}\]"):
             breeding_mc(measures.werner(0.95), 5, **kwargs)
         if name == "seed":
-            with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            with pytest.raises(ValueError, match=rf"seed must be a whole number in \[0, {2**64 - 1}\]"):
                 breeding_trials(measures.werner(0.95), 5, 3, **kwargs)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
             breeding_mc(measures.werner(0.95), 21)
+
+    def test_whole_floats_give_the_bytes_of_ints(self):
+        # 1 << n fails on a float, so the kernel must run on the checked int
+        w = measures.werner(0.95)
+        assert repr(breeding_mc(w, 12.0)) == repr(breeding_mc(w, 12))
+        assert repr(breeding_trials(w, 5.0, 3.0)) == repr(breeding_trials(w, 5, 3))
 
     @pytest.mark.parametrize("name", ["delta", "r_margin"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 1e12])
@@ -1360,7 +1371,7 @@ class TestParityBound:
         assert parity_bound_check(12, 4, 1000, seed=2) == parity_bound_check(12, 4, 1000, seed=2)
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError, match="must all be positive"):
+        with pytest.raises(ValueError, match=r"n must be a whole number in \[1, 62\], got 0"):
             parity_bound_check(0, 4, 1000, seed=2)
-        with pytest.raises(ValueError, match="longer than 62 bits"):
+        with pytest.raises(ValueError, match=r"n must be a whole number in \[1, 62\], got 63"):
             parity_bound_check(63, 4, 1000, seed=2)
