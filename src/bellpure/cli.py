@@ -159,17 +159,9 @@ def cmd_breed(ns) -> int:
         r_margin=ns.r_margin,
         seed=ns.seed,
     )
-    row = {
-        "trials": summary.trials,
-        "pairs": summary.n,
-        "mean_targets_per_pair": summary.mean_targets_per_pair,
-        "decode_failure_rate": summary.decode_failure_rate,
-        "residual_error_rate": summary.residual_error_rate,
-        "mean_net_yield": summary.mean_net_yield,
-        "predicted_net_yield": summary.predicted_net_yield,
-        "budget_exceeded_rate": summary.budget_exceeded_rate,
-    }
-    return _emit(ns, [row])
+    cells = summary._asdict()
+    del cells["delta"], cells["r_margin"]  # the config header echoes these
+    return _emit(ns, [{"trials": cells.pop("trials"), "pairs": cells.pop("n"), **cells}])
 
 
 def _grid(start: float, stop: float, n: int) -> list[float]:
@@ -259,27 +251,26 @@ def cmd_twirl(ns) -> int:
     if ns.input is None:
         # a Werner state is its own twirl, so its report is exact in plain floats
         weights = measures.werner_weights(ns.werner)
-        fid_in, distance = weights[3], 0.0
+        distance = 0.0
     else:
         rho = _load_matrix_file(ns.input)
         from . import bell, twirl
 
         target = twirl.exact_twirl(rho)
-        weights = target.p.tolist()
-        fid_in = weights[3]  # the singlet fidelity, clamped to [0, 1]
+        weights = target.p.tolist()  # weights[3] is the singlet fidelity, clamped to [0, 1]
         distance = twirl.trace_distance(rho, bell.to_density(target))
     cells = [(0, weights[3], distance)]  # n_samples, fidelity_out, trace distance
     if ns.samples is not None:
         from . import bell, twirl
 
         if ns.input is None:
-            rho = bell.to_density(measures.werner(fid_in))
+            rho = bell.to_density(measures.werner(weights[3]))
         checkpoints = [m for m in (100, 1000, 10_000, 100_000) if m < ns.samples]
         checkpoints.append(ns.samples)
         for sid, m in enumerate(checkpoints):
             _, rep = twirl.sampled_twirl(rho, m, ns.seed, stream_id=sid)
             cells.append((m, rep.fidelity_out, rep.trace_distance_to_werner))
-    rows = [dict(zip(_TWIRL_COLUMNS, (m, fid_in, out, dist, *weights))) for m, out, dist in cells]
+    rows = [dict(zip(_TWIRL_COLUMNS, (m, weights[3], out, dist, *weights))) for m, out, dist in cells]
     return _emit(ns, rows)
 
 

@@ -91,12 +91,10 @@ def substreams(seed: int, stream_ids) -> Iterator[np.random.Generator]:
     re-keyed at each step: the new key, a zero counter, no buffered block and no
     buffered 32-bit half. It then draws what a new stream would, without the
     cost of building one (Philox(key=...) first seeds itself from OS entropy it
-    then drops). The call checks the seed and the ids' range once; a step only
-    sets the stream id in one prepared Philox state and loads that state."""
+    then drops). The call checks the seed and every id once; a step only sets
+    the stream id in one prepared Philox state and loads that state."""
     rng = stream(seed)
-    if stream_ids:
-        _key(seed, min(stream_ids))
-        _key(seed, max(stream_ids))
+    ids = [whole_number("stream_id", t, 0, 2**64 - 1) for t in stream_ids]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": _key(seed, 0)},
@@ -108,8 +106,8 @@ def substreams(seed: int, stream_ids) -> Iterator[np.random.Generator]:
     key, bit_generator = state["state"]["key"], rng.bit_generator
 
     def rekeyed():
-        for t in stream_ids:
-            key[1] = int(t)
+        for t in ids:
+            key[1] = t
             bit_generator.state = state
             yield rng
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -22,8 +23,8 @@ from .bell import BellDiagonal, BellLabel, PauliAxis
 class RecurrenceOutcome(NamedTuple):
     """One two-pair test: the kept source pair in Werner form after the
     re-twirl, the probability that the target measured parallel, and the kept
-    pair's raw distribution before the re-twirl. post_state is None when
-    p_success is exactly zero (nothing can be kept)."""
+    pair's raw distribution before the re-twirl. post_state is None, and
+    p_success 0.0, when p_success is below the smallest normal float."""
 
     post_state: BellDiagonal | None
     p_success: float
@@ -42,6 +43,10 @@ _PARALLEL = np.flatnonzero(bell.amp_bit(_T2) == 0)
 _KEPT = _S2[_PARALLEL]
 del _S2, _T2
 
+#: The smallest normal float. A step keeps nothing below it, where the two
+#: steps round p_success apart and dividing by it can overflow.
+_MIN_P_SUCCESS = sys.float_info.min
+
 #: bell.bxor bound at import for _purify_round's worker thread, which a span
 #: wrapper installed later (benchmarks/tracing.py) must not reach.
 _bxor = bell.bxor
@@ -55,7 +60,8 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     the measured target, the source is kept only when the target's z spins
     come out parallel, the kept pair is rotated back and then re-twirled to
     Werner form. For m1 = m2 = werner(F) the post fidelity and p_success
-    reproduce the closed form of measures.recurrence_formula exactly.
+    reproduce the closed form of measures.recurrence_formula exactly. The
+    post_state is None when p_success is below the smallest normal float.
 
     The inputs are checked where they were built, so the step works on their
     probability arrays and builds only the two BellDiagonals it returns.
@@ -63,7 +69,7 @@ def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutco
     w = np.outer(m1.p[_Y_IMAGE], m2.p[_Y_IMAGE]).ravel()
     post = np.bincount(_KEPT, weights=w[_PARALLEL], minlength=4)
     p_success = float(post.sum())
-    if p_success <= 0.0:
+    if p_success < _MIN_P_SUCCESS:
         return RecurrenceOutcome(None, 0.0, None)
     raw = BellDiagonal((post / p_success)[_Y_IMAGE])
     return RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
@@ -81,14 +87,15 @@ def density_matrix_oracle_step(m1: BellDiagonal, m2: BellDiagonal) -> Recurrence
     """Replay of recurrence_step_exact entirely at the 16x16 density-matrix
     level: explicit one-particle y rotations, the joint bilateral
     controlled-NOT, and a projective z x z measurement of the target pair.
-    Serves as an independent verification path for the label algebra."""
+    Serves as an independent verification path for the label algebra. The
+    post_state is None when p_success is below the smallest normal float."""
     a, b = bell.to_density(m1).mat, bell.to_density(m2).mat
     rho = (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)  # np.kron(a, b)
     rho = _U_Y2 @ rho @ _U_Y2
     rho = bell.BXOR_UNITARY @ rho @ bell.BXOR_UNITARY
     sel = _TARGET_PARALLEL @ rho @ _TARGET_PARALLEL
     p_success = float(np.trace(sel).real)
-    if p_success <= 0.0:
+    if p_success < _MIN_P_SUCCESS:
         return RecurrenceOutcome(None, 0.0, None)
     src = np.einsum("ikjk->ij", (sel / p_success).reshape(4, 4, 4, 4))
     src = _U_Y @ src @ _U_Y
@@ -621,23 +628,17 @@ def breeding_trials(
 
 def parity_bound_check(n: int, r: int, trials: int, seed: int) -> ensemble.EstimateWithError:
     """Empirical probability that two distinct random n-bit strings agree on
-    the parities of r independent random subsets (expected at most 2^-r)."""
+    the parities of r independent random subsets (expected 2^-r). Agreement
+    depends only on their XOR, uniform over the non-zero n-bit values, so the
+    check draws the XOR directly."""
     n = measures.whole_number("n", n, 1, 62)
     r = measures.whole_number("r", r, 1)
     trials = measures.whole_number("trials", trials, 1)
     rng = ensemble.stream(seed)
-    hi = 1 << n
-    xs = rng.integers(0, hi, size=trials, dtype=np.uint64)
-    ys = rng.integers(0, hi, size=trials, dtype=np.uint64)
-    while True:
-        same = xs == ys
-        if not same.any():
-            break
-        ys[same] = rng.integers(0, hi, size=int(same.sum()), dtype=np.uint64)
-    diff = xs ^ ys
+    diff = rng.integers(1, 1 << n, size=trials, dtype=np.uint64)
     agree = np.ones(trials, dtype=bool)
     for _ in range(r):
-        masks = rng.integers(0, hi, size=trials, dtype=np.uint64)
+        masks = rng.integers(0, 1 << n, size=trials, dtype=np.uint64)
         agree &= (np.bitwise_count(diff & masks) & 1) == 0
     rate = float(agree.mean())
     se = math.sqrt(rate * (1.0 - rate) / trials)

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellpure
-from bellpure import bell, cli, measures, qstate, twirl
+from bellpure import bell, cli, measures, protocols, qstate, twirl
 from bellpure.bell import BellLabel
 from bellpure.cli import MAX_MATRIX_FILE_BYTES, SIZE_LIMITS, _grid, main
+from bellpure.protocols import BreedingSummary
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -336,10 +337,12 @@ class TestSizeLimits:
             (["recurrence", "0.7", "--steps", "2", "--mc", "1"], "error: n_pairs must be a whole number >= 2, got 1"),
             (["twirl", "--werner", "0.7", "--samples", "0"], "error: n must be a whole number >= 1, got 0"),
             (["twirl", "--werner", "0.7", "--samples", "-3"], "error: n must be a whole number >= 1, got -3"),
+            (["curves", "--points", "1"], "error: need at least 2 points"),
         ],
     )
     def test_below_minimum_exits_2_with_one_error_line(self, capsys, args, error):
-        # a Monte Carlo asked for with too few draws is an error, 0 among them
+        # a Monte Carlo asked for with too few draws is an error, 0 among them,
+        # and so is a curve grid of fewer than 2 points
         code, out, err = run(capsys, args)
         assert (code, out) == (2, "")
         assert err.splitlines() == [error]
@@ -555,6 +558,28 @@ class TestBreedCommand:
         assert "decode_failure_rate" in columns
         predicted = float(rows[0]["predicted_net_yield"])
         assert abs(predicted - (1.0 - measures.entropy_bell(measures.werner(0.95)))) <= 1e-12
+
+    def test_json_row_is_the_summary_less_what_the_config_echoes(self, capsys):
+        args = ["breed", "--werner", "0.9", "--pairs", "6", "--trials", "3", "--seed", "4"]
+        code, out, _ = run(capsys, args + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        summary, _ = protocols.breeding_trials(measures.werner(0.9), 6, 3, seed=4)
+        unechoed = [f for f in BreedingSummary._fields if f not in doc["config"] and f != "n"]
+        assert doc["columns"] == ["trials", "pairs", *unechoed]
+        assert doc["rows"] == [[summary.trials, summary.n, *(getattr(summary, f) for f in unechoed)]]
+
+    def test_every_summary_field_reaches_the_csv(self, capsys):
+        # each BreedingSummary field is a column (n as pairs) or a config
+        # entry of the same value, so the command and the summary cannot drift
+        code, out, _ = run(capsys, ["breed", "--werner", "0.9", "--pairs", "6", "--trials", "3"])
+        assert code == 0
+        config, columns, rows = parse_csv(out)
+        summary, _ = protocols.breeding_trials(measures.werner(0.9), 6, 3)
+        for field, value in summary._asdict().items():
+            column = "pairs" if field == "n" else field
+            shown = rows[0][column] if column in columns else config[field]
+            assert float(shown) == value, field
 
     def test_point_mass_input_has_no_failures(self, capsys):
         code, out, _ = run(

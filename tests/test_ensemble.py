@@ -44,11 +44,15 @@ class TestStream:
         with pytest.raises(ValueError):
             stream(2**64)
 
-    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    @pytest.mark.parametrize(
+        "seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (0, 2.5), (0, math.nan)]
+    )
     def test_rekey_range_validation(self, seed, stream_id):
-        # the call checks every id once, before any step, wherever it sits
-        with pytest.raises(ValueError, match=rf"must be a whole number in \[0, {2**64 - 1}\]"):
-            ensemble.substreams(seed, [3, stream_id, 5])
+        # the call checks every id once, before any step, wherever it sits:
+        # one between the smallest and the largest is not truncated
+        name = "stream_id" if seed == 0 else "seed"
+        with pytest.raises(ValueError, match=rf"{name} must be a whole number in \[0, {2**64 - 1}\]"):
+            ensemble.substreams(seed, [0, stream_id, 5])
 
     def test_rekeyed_generator_draws_like_a_new_stream(self):
         for seed, ids in ((7, [9, 0, 2**64 - 1, 9]), (2**64 - 1, [0, 1])):

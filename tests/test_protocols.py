@@ -161,6 +161,8 @@ class TestDensityMatrixOracle:
         partner=st.floats(0.0, 1.0),
     )
     @example(w=[1.0, 1.0, 1.0, 0.0], pos=1, offset=1e-9, partner=0.7)
+    @example(w=[0.0, 1.0, 0.0, 5e-324], pos=0, offset=0.0, partner=1.0)  # a subnormal p_success
+    @example(w=[0.0, 1.0, 5e-324, 5e-324], pos=0, offset=0.0, partner=1.0)  # sel / p_success overflowed
     def test_property_every_accepted_sum_passes_the_oracle(self, w, pos, offset, partner):
         """Vectors whose sum misses 1 by about the tolerance: every one that
         BellDiagonal accepts makes a density matrix, and the oracle step
@@ -181,6 +183,19 @@ class TestDensityMatrixOracle:
             if a.post_state is not None:
                 assert np.abs(a.post_state.p - b.post_state.p).max() <= 1e-10
                 assert np.abs(a.post_state_raw.p - b.post_state_raw.p).max() <= 1e-10
+
+    @pytest.mark.parametrize("w", [[0.0, 1.0, 0.0, 5e-324], [0.0, 1.0, 5e-324, 5e-324]])
+    def test_subnormal_success_keeps_nothing_in_both_steps(self, w):
+        # p_success below the smallest normal float: the exact step once kept a
+        # pair at 5e-324, and the oracle's division by it overflowed
+        m1 = BellDiagonal(w)
+        for m2 in (BellDiagonal([0, 0, 0, 1]), measures.werner(0.7), m1):
+            a = recurrence_step_exact(m1, m2)
+            b = density_matrix_oracle_step(m1, m2)
+            assert (a.post_state is None) == (b.post_state is None)
+            assert abs(a.p_success - b.p_success) <= 1e-10
+        for step in (recurrence_step_exact, density_matrix_oracle_step):
+            assert step(m1, BellDiagonal([0, 0, 0, 1])) == (None, 0.0, None)
 
     def test_fixed_operators_are_their_own_adjoints(self):
         # the step multiplies by each on both sides, standing for its adjoint
@@ -1366,6 +1381,13 @@ class TestParityBound:
     def test_ten_subsets_within_bound(self):
         est = parity_bound_check(16, 10, 200_000, seed=15)
         assert est.mean <= 2**-10 + 3 * est.std_error
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_one_bit_strings_meet_the_bound_exactly(self, r):
+        # at n = 1 the two strings differ in their one bit, which a random
+        # subset holds half the time, so they agree on r parities at 2^-r
+        est = parity_bound_check(1, r, 40_000, seed=r)
+        assert abs(est.mean - 2**-r) <= 3 * est.std_error
 
     def test_deterministic(self):
         assert parity_bound_check(12, 4, 1000, seed=2) == parity_bound_check(12, 4, 1000, seed=2)
