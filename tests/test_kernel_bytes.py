@@ -10,7 +10,11 @@ The oracle_step digest covers density_matrix_oracle_step over the exact
 layer's pairs, the zero-success pair among them; it was recorded before the
 state constructors, to_density and the oracle's products were rewritten for
 speed, so those rewrites keep every bit of p_success, post_state.p and
-post_state_raw.p.
+post_state_raw.p. The oracle_step-random digest covers the oracle over 2500
+seeded pairs, 100 of each (source kind, target kind) among Dirichlet draws,
+sparse Dirichlet draws at alpha 0.05, draws with one zero weight, point masses
+and Werner states, where a slip in a zero's sign or a tiny weight would show;
+it was recorded while the oracle still ran its dense 16x16 products.
 
 The sampled_twirl digests were kept through the rewrite that sums the Gram
 of the 10 distinct quaternion products, not of all 16, and draws each batch
@@ -190,6 +194,36 @@ def _oracle_step():
     return _digest(*_step_parts(protocols.density_matrix_oracle_step, _exact_pairs()[1]))
 
 
+def _random_state(kind, rng):
+    """One seeded state of a kind: a Dirichlet draw at alpha 1, a sparse one at
+    alpha 0.05 (weights down to 1e-69, and exact zeros), a draw with one weight
+    set to zero, a point mass or a Werner state."""
+    if kind == "point_mass":
+        return BellDiagonal(np.eye(4)[rng.integers(4)])
+    if kind == "werner":
+        return measures.werner(rng.random())
+    p = rng.dirichlet(np.full(4, 0.05 if kind == "sparse" else 1.0))
+    if kind == "one_zero":
+        p[rng.integers(4)] = 0.0
+    return BellDiagonal(p / p.sum())
+
+
+RANDOM_KINDS = ("dirichlet", "sparse", "one_zero", "point_mass", "werner")
+
+
+def _oracle_step_random():
+    """100 seeded pairs of each (source kind, target kind): 2500 pairs, the
+    zero-success point-mass pairs among them."""
+    rng = np.random.default_rng(31)
+    pairs = [
+        (_random_state(k1, rng), _random_state(k2, rng))
+        for k1 in RANDOM_KINDS
+        for k2 in RANDOM_KINDS
+        for _ in range(100)
+    ]
+    return _digest(*_step_parts(protocols.density_matrix_oracle_step, pairs))
+
+
 BREEDING_RUNS = {
     "werner-n12": (measures.werner(0.95), 12, 200, 2.0, 0),
     "werner-n20": (measures.werner(0.95), 20, 10, 2.0, 0),
@@ -259,6 +293,7 @@ CASES = {
     **{f"sampled_twirl-{n}": (lambda n=n: _sampled_twirl(n)) for n in TWIRL_SIZES},
     "exact_layer": _exact_layer,
     "oracle_step": _oracle_step,
+    "oracle_step-random": _oracle_step_random,
     **{
         f"breeding-{name}": (lambda name=name: _breeding(name))
         for name in (*BREEDING_RUNS, *FULL_BREEDING_RUNS)
@@ -309,6 +344,7 @@ DIGESTS = {
     "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
     "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
     "oracle_step": "c79d0e99fa78ed7b8c32a78076170d40d0042baa51fe49e7f6e2ecbf29507be9",
+    "oracle_step-random": "f40af9217a1ba5ffd6525aa5f404e1c3c50629e5e5d98be1096d7b7a70044d8e",
     "breeding-werner-n12": "35e69871a1c704ece8d167cf7a49ca691b01eed7c4b3f37c0d0c0a605a01e7e9",
     "breeding-werner-n20": "9f30dd8b2520ea9007d277d2ed5cbc098929b9e97f9128c5d0d0f289913f086b",
     "breeding-zero_prior-n8": "31b0b792bf5af1a0b66a6fcb4a11ee50ad434e1f5fac31d9fed0f806897238e2",
