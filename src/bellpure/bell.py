@@ -157,11 +157,14 @@ def label_projector(label: BellLabel) -> qstate.DensityMatrix:
     return qstate.DensityMatrix(_PROJECTORS[BellLabel(label)])
 
 
+def bell_matrix(p) -> np.ndarray:
+    """The Bell projectors weighted by p and added in Bell order, plus 0.0 (no -0.0)."""
+    return (p[:, None, None] * _PROJECTORS).sum(axis=0) + 0.0
+
+
 def to_density(d: BellDiagonal) -> qstate.DensityMatrix:
-    """Density matrix of a Bell-diagonal distribution: the projectors weighted
-    by d.p and added in Bell order, plus 0.0 so that no entry is -0.0.
-    DensityMatrix checks the sum once."""
-    return qstate.DensityMatrix((d.p[:, None, None] * _PROJECTORS).sum(axis=0) + 0.0)
+    """Density matrix of a Bell-diagonal distribution: bell_matrix(d.p), checked once."""
+    return qstate.DensityMatrix(bell_matrix(d.p))
 
 
 def bell_diagonal_part(mat) -> np.ndarray:

@@ -14,7 +14,9 @@ post_state_raw.p. The oracle_step-random digest covers the oracle over 2500
 seeded pairs, 100 of each (source kind, target kind) among Dirichlet draws,
 sparse Dirichlet draws at alpha 0.05, draws with one zero weight, point masses
 and Werner states, where a slip in a zero's sign or a tiny weight would show;
-it was recorded while the oracle still ran its dense 16x16 products.
+it was recorded while the oracle still ran its dense 16x16 products. Both
+oracle digests were kept through the rewrite that replaced those products by
+index gathers and to_density by the unchecked matrix over its trace.
 
 The sampled_twirl digests were kept through the rewrite that sums the Gram
 of the 10 distinct quaternion products, not of all 16, and draws each batch

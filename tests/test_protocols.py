@@ -30,6 +30,63 @@ def random_bell_diagonal(rng) -> BellDiagonal:
     return BellDiagonal(v / v.sum())
 
 
+# The oracle step's operators in dense form, as the step was written before its
+# gathers: the y rotation of one pair and of both pairs, and the projector onto
+# parallel z spins of the target pair. Each is its own adjoint.
+U_Y = np.kron(qstate.SIGMA_Y, qstate.ID2)
+U_Y2 = np.kron(U_Y, U_Y)
+TARGET_PARALLEL = np.kron(np.eye(4), np.diag([1.0, 0.0, 0.0, 1.0])).astype(complex)
+
+
+def dense_select(rho):
+    """The y rotation of both pairs, the bilateral controlled-NOT and the
+    parallel-target projector, each applied as U @ rho @ U."""
+    rho = U_Y2 @ rho @ U_Y2
+    rho = bell.BXOR_UNITARY @ rho @ bell.BXOR_UNITARY
+    return TARGET_PARALLEL @ rho @ TARGET_PARALLEL
+
+
+def dense_oracle_step(m1, m2):
+    """Reference for density_matrix_oracle_step: its dense form, on checked
+    density matrices."""
+    a, b = bell.to_density(m1).mat, bell.to_density(m2).mat
+    sel = dense_select((a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16))  # np.kron(a, b)
+    p_success = float(np.trace(sel).real)
+    if p_success < sys.float_info.min:
+        return protocols.RecurrenceOutcome(None, 0.0, None)
+    src = np.einsum("ikjk->ij", (sel / p_success).reshape(4, 4, 4, 4))
+    raw = BellDiagonal(bell.bell_diagonal_part(U_Y @ src @ U_Y))
+    return protocols.RecurrenceOutcome(twirl.discrete_twirl(raw), p_success, raw)
+
+
+def _step_bytes(out):
+    """p_success, post_state.p and post_state_raw.p of a step, as bytes."""
+    return [out.p_success.hex()] + [
+        None if d is None else d.p.tobytes() for d in (out.post_state, out.post_state_raw)
+    ]
+
+
+@st.composite
+def accepted_bell_diagonals(draw):
+    """BellDiagonals that the constructor accepts, with zero and subnormal
+    weights, and with one normalized weight moved by about SUM_TOL either way."""
+    w = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(5e-324), st.floats(5e-324, 1e-300), st.floats(0.0, 1.0)),
+        min_size=4,
+        max_size=4,
+    ))
+    assume(sum(w) > 0.0)
+    p = [x / sum(w) for x in w]
+    p[draw(st.integers(0, 3))] += draw(st.one_of(
+        st.sampled_from([0.0, 1e-11, 0.999e-11, 1.001e-11]).flatmap(lambda x: st.sampled_from([x, -x])),
+        st.floats(-2e-11, 2e-11),
+    ))
+    try:
+        return BellDiagonal(p)
+    except ValueError:
+        assume(False)
+
+
 class TestRecurrenceFormula:
     def test_perfect_input_fixed(self):
         assert recurrence_formula(1.0) == (1.0, 1.0)
@@ -197,10 +254,43 @@ class TestDensityMatrixOracle:
         for step in (recurrence_step_exact, density_matrix_oracle_step):
             assert step(m1, BellDiagonal([0, 0, 0, 1])) == (None, 0.0, None)
 
-    def test_fixed_operators_are_their_own_adjoints(self):
-        # the step multiplies by each on both sides, standing for its adjoint
-        for u in (protocols._U_Y, protocols._U_Y2, bell.BXOR_UNITARY):
-            assert np.array_equal(u, u.conj().T)
+    @settings(max_examples=300, deadline=None)
+    @given(m1=accepted_bell_diagonals(), partner=st.floats(0.0, 1.0))
+    @example(m1=BellDiagonal([1 / 3, 1 / 3 + 0.999e-11, 1 / 3, 0.0]), partner=0.7)  # a sum near SUM_TOL
+    @example(m1=BellDiagonal([0.0, 1.0, 0.0, 5e-324]), partner=1.0)  # a subnormal p_success
+    @example(m1=BellDiagonal([0.0, 1.0, 5e-324, 5e-324]), partner=1.0)  # sel / p_success overflowed
+    def test_property_gathers_give_the_dense_bytes(self, m1, partner):
+        """The gathered step and its dense form agree in every bit of
+        p_success, post_state.p and post_state_raw.p."""
+        werner = measures.werner(partner)
+        for pair in ((m1, m1), (m1, werner), (werner, m1)):
+            assert _step_bytes(density_matrix_oracle_step(*pair)) == _step_bytes(dense_oracle_step(*pair))
+
+    def test_gathers_reproduce_their_dense_conjugation(self):
+        # the values of every entry, exactly: only a zero's sign may differ
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            rho = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            src = rho[:4, :4]
+            assert np.array_equal(protocols._SEL_COEF * rho.take(protocols._SEL_IDX), dense_select(rho))
+            assert np.array_equal(protocols._Y_COEF * src.take(protocols._Y_IDX), U_Y @ src @ U_Y)
+
+    def test_gather_derivation_rejects_a_non_monomial_operator(self):
+        r = math.sqrt(0.5) * (qstate.ID2 - 1j * qstate.SIGMA_X)  # a pi/2 rotation about x
+        for u in (np.kron(r, r), 2 * np.eye(4), np.array([[1, 0], [1, 0]]), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="not monomial"):
+                protocols._conjugation(u)
+        protocols._conjugation(bell.BXOR_UNITARY)  # a permutation passes
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=accepted_bell_diagonals())
+    @example(d=BellDiagonal([1 / 3, 1 / 3 + 0.999e-11, 1 / 3, 0.0]))
+    @example(d=BellDiagonal([0.0, 1.0, 5e-324, 5e-324]))
+    def test_property_input_is_to_density_bit_for_bit(self, d):
+        """The oracle skips DensityMatrix's checks on its inputs, which their
+        BellDiagonals passed; what it builds is to_density's matrix, whose
+        checks still run here."""
+        assert protocols._oracle_input(d).tobytes() == bell.to_density(d).mat.tobytes()
 
 
 class TestWorkCounts:
@@ -232,9 +322,9 @@ class TestWorkCounts:
         recurrence_step_exact(*self.PAIR)
         assert calls == {"BellDiagonal": 2}
 
-    def test_oracle_step_builds_two_of_each_state(self, calls):
+    def test_oracle_step_builds_two_bell_diagonals_and_no_density_matrix(self, calls):
         density_matrix_oracle_step(*self.PAIR)
-        assert calls == {"DensityMatrix": 2, "BellDiagonal": 2, "eigvalsh": 2}
+        assert calls == {"BellDiagonal": 2}
 
     def test_breeding_builds_no_parity_test_records(self, calls):
         _, results = breeding_trials(self.PAIR[0], 12, 5, seed=3)
