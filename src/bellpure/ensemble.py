@@ -16,40 +16,37 @@ half j of the words after those, low half first (numpy's never-rejecting
 Lemire path for integers(0, 2) at int64); an odd m leaves a half unused.
 decode_raw reads the halves by value, so the host's byte order does not matter.
 
-Chunk invariance: the label sampler, twirl.twirl_labels and the purification
-round behind protocols.recurrence_mc and variable_block_mc process at most
-CHUNK labels or blocks at a time: the sampler a piece of CHUNK // 2 on each of
-its two threads, the round pieces of CHUNK // 8 blocks through a two-stage
-pipeline (pipelined), which tests and compacts a piece on a worker thread
-while the calling thread twirls an earlier one in order. So their working
-memory is the uint8 label ensemble (one byte per pair) plus a few pieces; only
-variable_block_mc at F = 1, whose one block holds the whole run, is
-unbounded. twirl.sampled_twirl likewise draws its normals in pieces of
-twirl.TWIRL_PIECE rotations through pipelined. Their output does not depend
-on CHUNK or TWIRL_PIECE, because these draws return the same values whether
-made whole or in pieces: ``random(n)``, ``normal``, ``standard_normal(out=)``
-and ``integers(0, k, size=n)`` at the default int64 dtype. A narrower dtype
-breaks this: ``integers(0, 6, size=n, dtype=np.uint8)`` draws other values
-than the int64 call, and split into pieces it draws other values again, so
-the kernels keep the int64 draw.
-The test suite pins chunk invariance.
+Keyed pieces: the threaded kernels split their work into pieces, and piece j
+of stage s of stream (seed, stream_id) draws at its own Philox position, the
+counter words (0, j, s, 0) under the stream's key (_placer). Stage 0 is counter
+0, the stream itself, which holds a kernel's unpieced draws and breeding's
+substreams; no piece is placed there. A piece's draws step only the lowest
+counter word, and none takes near 2^64 blocks, so no two positions overlap.
+The stages:
+  - protocols.recurrence_mc: its labels at stage 1, round s at stage 1 + s;
+  - protocols.variable_block_mc: its labels at stage 1, its round at stage 2;
+  - random_axis_parallel_prob: its labels at stage 1, its axes and outcomes
+    at stage 0;
+  - twirl.sampled_twirl: its normals at stage 1.
+The label sampler draws pieces of CHUNK // 2 uniforms, the purification round
+behind recurrence_mc and variable_block_mc tests and twirls pieces of
+CHUNK // 8 blocks, and the sampled twirl draws pieces of twirl.TWIRL_PIECE
+rotations. So the bytes depend on CHUNK and TWIRL_PIECE, which fix where each
+piece starts, and not on DRAW_THREADS or on which thread ran which piece. The
+draws keep the int64 default: ``integers(0, 6, size=n, dtype=np.uint8)`` draws
+other values than the int64 call.
 
-Positioned draws: Philox is counter-based, and ``random(n)`` takes exactly n
-raw words, one per double (it neither reads nor sets the buffered 32-bit
-half). So the part of a draw that starts w words in can be drawn on a
-generator of its own placed w words ahead, and it draws the serial values.
-The label sampler draws its pieces so on at most DRAW_THREADS threads
-(run_sharded) and leaves the caller's generator where the serial draw would.
-
-Threads: besides the sampler's, the purification round and the sampled twirl
-each run one worker thread (pipelined) that draws or tests pieces in order, at
-most two ahead of the calling thread; the twirl's worker makes its normal
-draws on the twirl's own generator, and the caller does the rest. A run of one
+Threads: run_sharded runs a kernel's pieces on at most DRAW_THREADS threads,
+the calling thread among them; each thread takes the next piece off a shared
+stack. Generators and buffers are made on the calling thread. A run of one
 piece starts no thread, and every thread has ended when its call returns or
-raises.
+raises. So the working memory of the sampler and the round is the uint8
+label ensemble (one byte per pair) plus one piece per thread; only
+variable_block_mc at F = 1, whose one block holds the whole run, is unbounded.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Iterator
@@ -64,7 +61,7 @@ from .measures import whole_number
 #: Largest number of entries a Monte Carlo kernel draws or processes at once.
 CHUNK = 1 << 20
 
-#: Threads that draw the label sampler's uniforms, the calling thread included.
+#: Threads that run a kernel's pieces, the calling thread included.
 DRAW_THREADS = 2
 
 
@@ -86,32 +83,55 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def substreams(seed: int, stream_ids) -> Iterator[np.random.Generator]:
-    """stream(seed, t) for each id t in stream_ids, in order, as one generator
-    re-keyed at each step: the new key, a zero counter, no buffered block and no
-    buffered 32-bit half. It then draws what a new stream would, without the
-    cost of building one (Philox(key=...) first seeds itself from OS entropy it
-    then drops). The call checks the seed and every id once; a step only sets
-    the stream id in one prepared Philox state and loads that state."""
-    rng = stream(seed)
-    ids = [whole_number("stream_id", t, 0, 2**64 - 1) for t in stream_ids]
+def _placer(seed: int):
+    """place(stream_id, piece=0, stage=0): load into one generator of its own,
+    and return, the position of piece `piece` of stage `stage` of stream
+    (seed, stream_id), that is, counter words (0, piece, stage, 0) with no
+    buffered block and no buffered 32-bit half. Piece 0 of stage 0 is
+    stream(seed, stream_id) itself. A load only sets three ints of one
+    prepared Philox state, so no position pays the OS-entropy seeding that
+    Philox(key=...) does first and then drops. The arguments must be checked
+    ints, and a placer serves one thread at a time."""
+    rng = np.random.Generator(np.random.Philox())
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": _key(seed, 0)},
+        "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    key, bit_generator = state["state"]["key"], rng.bit_generator
+    counter, key, bit_generator = state["state"]["counter"], state["state"]["key"], rng.bit_generator
 
-    def rekeyed():
-        for t in ids:
-            key[1] = t
-            bit_generator.state = state
-            yield rng
+    def place(stream_id: int, piece: int = 0, stage: int = 0) -> np.random.Generator:
+        key[1], counter[1], counter[2] = stream_id, piece, stage
+        bit_generator.state = state
+        return rng
 
-    return rekeyed()
+    return place
+
+
+def substreams(seed: int, stream_ids) -> Iterator[np.random.Generator]:
+    """stream(seed, t) for each id t in stream_ids, in order, as one generator
+    re-keyed at each step (_placer), without the cost of building a stream.
+    The call checks the seed and every id once."""
+    place = _placer(_key(seed, 0)[0])
+    ids = [whole_number("stream_id", t, 0, 2**64 - 1) for t in stream_ids]
+    return (place(t) for t in ids)
+
+
+def _threads(n_pieces: int) -> int:
+    """Threads that run_sharded runs n_pieces pieces on: 1 to DRAW_THREADS."""
+    return max(1, min(DRAW_THREADS, n_pieces))
+
+
+def piece_placers(seed: int, stream_id: int, n_pieces: int) -> list:
+    """For each thread that run_sharded runs n_pieces pieces on, a function
+    at(piece, stage) that returns a generator of the thread's own placed at
+    that piece of stream (seed, stream_id) (_placer). They are made on the
+    calling thread, and the call checks the seed and the stream id."""
+    seed, stream_id = _key(seed, stream_id)
+    return [functools.partial(_placer(seed), stream_id) for _ in range(_threads(n_pieces))]
 
 
 def raw_words(n_uniforms: int, n_bits: int) -> int:
@@ -128,68 +148,36 @@ def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndar
     return uniforms, data[:, 3::4][:, :n_bits] >> 7
 
 
-def run_sharded(task, n_shards: int) -> None:
-    """Run task(shard_index) for every shard, shard 0 on the calling thread and
-    each other shard on a thread of its own, and return once all have ended.
-    An exception raised by a shard is raised here; the first in shard order,
-    if several shards raise."""
-    errors = [None] * n_shards
+def run_sharded(work, n_pieces: int) -> None:
+    """Run work(j, t) for each piece j in range(n_pieces), t being the index of
+    the thread that runs it: the calling thread is thread 0, and each other
+    thread of _threads(n_pieces) is started here, so one piece starts none.
+    Each thread takes the next piece off a shared stack, so that a thread that
+    gets less of the cpu runs fewer pieces; a thread whose piece raises takes
+    no more. Returns once every thread has ended, raising the exception of
+    the first thread, in thread order, whose piece raised."""
+    threads = _threads(n_pieces)
+    # list.pop is atomic, and below the pieces lies one None per thread, at
+    # which it stops
+    todo = [None] * threads + list(range(n_pieces))[::-1]
+    errors = [None] * threads
 
-    def run(i):
+    def run(t):
         try:
-            task(i)
+            for j in iter(todo.pop, None):
+                work(j, t)
         except BaseException as exc:
-            errors[i] = exc
+            errors[t] = exc
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, n_shards)]
-    for thread in threads:
+    started = [threading.Thread(target=run, args=(t,)) for t in range(1, threads)]
+    for thread in started:
         thread.start()
     run(0)
-    for thread in threads:
+    for thread in started:
         thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
-
-
-def pipelined(front, items):
-    """Yield front(item) for each item in order, computed on one worker thread
-    at most two items ahead of the caller. An exception raised by front is
-    raised here. Closing the generator (contextlib.closing), as when the
-    caller raises, stops the worker; the worker has ended when the generator
-    has. A single item is computed on the calling thread, with no thread."""
-    if len(items) <= 1:
-        yield from map(front, items)
-        return
-    done, stop = [], threading.Event()
-    ready, room = threading.Semaphore(0), threading.Semaphore(2)
-
-    def work():
-        try:
-            for item in items:
-                room.acquire()
-                if stop.is_set():
-                    return
-                done.append(front(item))
-                ready.release()
-        except BaseException as exc:
-            done.append(exc)
-            ready.release()
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        for _ in items:
-            ready.acquire()
-            out = done.pop(0)
-            if isinstance(out, BaseException):
-                raise out
-            room.release()
-            yield out
-    finally:
-        stop.set()
-        room.release()  # for a worker waiting for room
-        worker.join()
 
 
 class EstimateWithError(NamedTuple):
@@ -208,32 +196,12 @@ def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, hits=
     return out
 
 
-def _ahead(state: dict, words: int, bit_generator: np.random.Philox) -> None:
-    """Load into bit_generator the Philox state that the state dict reaches
-    after drawing words (>= 1) more raw words: the counter of the block that
-    holds the last of them, that block buffered and the position past it.
-    The buffered 32-bit half is kept, as random(n) neither reads nor sets it.
-    advance empties the buffer; when the last word lies in the block already
-    buffered, blocks is -1, which advance wraps modulo 2^256: one step back."""
-    bit_generator.state = state
-    blocks, pos = divmod(state["buffer_pos"] - 5 + words, 4)
-    bit_generator.advance(blocks)
-    bit_generator.random_raw(pos + 1)
-    kept = {k: state[k] for k in ("has_uint32", "uinteger")}  # advance drops them
-    bit_generator.state = {**bit_generator.state, **kept}
-
-
-def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndarray:
-    """n i.i.d. label draws by inverse CDF on the 4-vector (uint8 array),
-    drawn in pieces of CHUNK // 2 uniforms on at most DRAW_THREADS threads.
-
-    Piece k is drawn on a Philox generator placed at its first word, piece 0
-    on rng itself, and rng is then left in the state a serial rng.random(n)
-    leaves; so the labels and every later draw are those of the serial draw,
-    whichever thread drew which piece. Each thread holds one piece's uniforms
-    at a time. A run of one piece is drawn on rng by the calling thread alone:
-    it starts no thread and does not read rng's state, which costs more than a
-    short draw.
+def _sample_labels(d: BellDiagonal, n: int, seed: int, stream_id: int, stage: int) -> np.ndarray:
+    """n i.i.d. label draws by inverse CDF on the 4-vector (uint8 array), in
+    pieces of CHUNK // 2 uniforms on run_sharded's threads: piece j is drawn at
+    its own position, piece j of the stage of stream (seed, stream_id), so the
+    labels do not depend on which thread drew it. Each thread holds one
+    piece's uniforms at a time.
 
     A uniform u maps to the count of the cdf's first three entries that are
     <= u, written in place by three compares. That is the integer
@@ -241,33 +209,22 @@ def _sample_labels(rng: np.random.Generator, d: BellDiagonal, n: int) -> np.ndar
     entries <= u, and as the cdf is non-decreasing, cdf[3] <= u (possible when
     cdf[3] rounds below 1) makes the other three compares true as well, which
     is the cap at 3. On 4 entries the compares cost less than the search."""
+    bounds = list(chunks(n, CHUNK // 2))
+    at = piece_placers(seed, stream_id, len(bounds))
     cdf = d.p.cumsum()
     out = np.empty(n, dtype=np.uint8)
-    bounds = list(chunks(n, CHUNK // 2))
-    # the generators and buffers (the uniforms and the compares' bools) are
-    # made on the calling thread, so that the threads only draw and compare: a
-    # buffer freed on a thread of its own would stay resident in that thread's
-    # malloc arena
-    start, gens = rng.bit_generator.state if len(bounds) > 1 else None, [rng]
-    for lo, _ in bounds[1:]:
-        gens.append(np.random.Generator(np.random.Philox()))
-        _ahead(start, lo, gens[-1].bit_generator)
-    threads, piece = max(1, min(DRAW_THREADS, len(bounds))), min(n, CHUNK // 2)
-    uniforms, hits = np.empty((threads, piece)), np.empty((threads, piece), dtype=bool)
-    # each thread takes the next piece off a shared stack, so that a thread
-    # that gets less of the cpu draws fewer pieces; list.pop is atomic, and
-    # below the pieces lies one None per thread, at which it stops
-    todo = [None] * threads + list(range(len(bounds)))[::-1]
+    # the buffers (the uniforms and the compares' bools) are made on the
+    # calling thread, so that the threads only draw and compare: a buffer freed
+    # on a thread of its own would stay resident in that thread's malloc arena
+    piece = min(n, CHUNK // 2)
+    uniforms, hits = np.empty((len(at), piece)), np.empty((len(at), piece), dtype=bool)
 
-    def draw(shard):
-        for k in iter(todo.pop, None):
-            lo, hi = bounds[k]
-            u = gens[k].random(out=uniforms[shard, : hi - lo])
-            _labels_from_uniforms(cdf, u, out[lo:hi], hits[shard, : hi - lo])
+    def draw(j, t):
+        lo, hi = bounds[j]
+        u = at[t](j, stage).random(out=uniforms[t, : hi - lo])
+        _labels_from_uniforms(cdf, u, out[lo:hi], hits[t, : hi - lo])
 
-    run_sharded(draw, threads)
-    if len(bounds) > 1:
-        _ahead(start, n, rng.bit_generator)
+    run_sharded(draw, len(bounds))
     return out
 
 
@@ -302,7 +259,7 @@ def random_axis_parallel_prob(d: BellDiagonal, n_trials: int, seed: int) -> Esti
     rng = stream(seed)
     axes = rng.normal(size=(n_trials, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    labels = _sample_labels(rng, d, n_trials)
+    labels = _sample_labels(d, n_trials, seed, 0, 1)
     # signing n_i^2 in place is exact, so the sum below rounds as
     # n_x^2 - n_y^2 + n_z^2 (and so on) would
     n2 = np.square(axes, out=axes)

@@ -8,7 +8,6 @@ solves the parities over GF(2) and searches only the strings that fit them.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -47,9 +46,11 @@ del _S2, _T2
 #: steps round p_success apart and dividing by it can overflow.
 _MIN_P_SUCCESS = sys.float_info.min
 
-#: bell.bxor bound at import for _purify_round's worker thread, which a span
-#: wrapper installed later (benchmarks/tracing.py) must not reach.
+#: bell.bxor and twirl.twirl_labels bound at import for _purify_round's
+#: threads, which a span wrapper installed later (benchmarks/tracing.py) must
+#: not reach.
 _bxor = bell.bxor
+_twirl_labels = twirl.twirl_labels
 
 
 def recurrence_step_exact(m1: BellDiagonal, m2: BellDiagonal) -> RecurrenceOutcome:
@@ -137,22 +138,29 @@ class MCTrace(NamedTuple):
     truncated: bool
 
 
-def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, int, int]:
+def _purify_round(
+    labels: np.ndarray, n_blocks: int, k: int, seed: int, stream_id: int, stage: int
+) -> tuple[int, int, int]:
     """One round of blocks, each of k sources chained into one measured target,
     over the first n_blocks * (k + 1) labels. Kept sources, rotated back and
     re-twirled, go in order to the front of labels. Returns the kept-block
     count and the sums S1 and S2 of s_b and s_b**2 over the kept blocks, where
     s_b counts a kept block's singlets.
 
-    A two-stage pipeline over pieces of CHUNK // 8 blocks (ensemble.pipelined):
-    a worker thread tests and compacts each piece; the calling thread twirls
-    the pieces' kept sources in order, so rng draws as in a serial round,
-    writes them and counts their singlets. Piece j's kept sources end at
-    k * (blocks kept through j) <= k * hi_j < (k + 1) * hi_j, where piece j + 1
-    starts, so no write reaches a block still to be read."""
-    def test_and_compact(bounds):
-        lo, hi = bounds
-        blocks = labels[(k + 1) * lo : (k + 1) * hi].reshape(-1, k + 1)
+    Pieces of CHUNK // 8 blocks run on ensemble.run_sharded's threads. Piece j
+    is tested, compacted and twirled at its own position, piece j of the stage
+    of stream (seed, stream_id), by whichever thread takes it, and its kept
+    sources are written from the piece's own start: k * kept <= k * (hi - lo)
+    < (k + 1) * (hi - lo), so no write leaves the piece. The calling thread
+    then moves each piece's kept run to the front, in piece order."""
+    pieces = list(ensemble.chunks(n_blocks, max(1, ensemble.CHUNK // 8)))
+    at = ensemble.piece_placers(seed, stream_id, len(pieces))
+    sums = [None] * len(pieces)  # (kept labels, S1, S2) of each piece
+
+    def test_and_twirl(j, t):
+        lo, hi = pieces[j]
+        start = (k + 1) * lo
+        blocks = labels[start : (k + 1) * hi].reshape(-1, k + 1)
         blocks = bell.unilateral_pauli(blocks, PauliAxis.Y)  # to mostly-Phi+ form
         # the chain acts on the target like one controlled-NOT from the XOR of
         # the sources, and on each source like its own controlled-NOT
@@ -160,23 +168,23 @@ def _purify_round(labels: np.ndarray, n_blocks: int, k: int, rng) -> tuple[int, 
         tgt = _bxor(np.bitwise_xor.reduce(cols[:k], axis=0), cols[k])[1]
         keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
         srcs = _bxor(cols[:k], tgt)[0].compress(keep, axis=1)
-        # back to block order, so that twirl_labels draws as it always has
-        return bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y)
+        # back to block order, each block's sources together
+        kept = _twirl_labels(bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y), at[t](j, stage))
+        labels[start : start + kept.size] = kept
+        hits = kept == BellLabel.PSI_MINUS
+        s1 = s2 = int(np.count_nonzero(hits))  # at k = 1 each s_b is 0 or 1, so S2 == S1
+        if k > 1:
+            # singlets per kept block, in the narrowest type that holds k, to save memory
+            s_b = np.ascontiguousarray(hits.reshape(-1, k).T).sum(axis=0, dtype=np.min_scalar_type(k))
+            s2 = int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
+        sums[j] = kept.size, s1, s2
 
-    n_kept = s1 = s2 = 0
-    pieces = list(ensemble.chunks(n_blocks, max(1, ensemble.CHUNK // 8)))
-    with contextlib.closing(ensemble.pipelined(test_and_compact, pieces)) as compacted:
-        for pre in compacted:
-            kept = twirl.twirl_labels(pre, rng)
-            labels[n_kept : n_kept + kept.size] = kept
-            n_kept += kept.size
-            hits = kept == BellLabel.PSI_MINUS
-            s1 += int(np.count_nonzero(hits))
-            if k > 1:  # at k = 1 each s_b is 0 or 1, so S2 == S1
-                # singlets per kept block, in the narrowest type that holds k, to save memory
-                s_b = np.ascontiguousarray(hits.reshape(-1, k).T).sum(axis=0, dtype=np.min_scalar_type(k))
-                s2 += int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
-    return n_kept // k, s1, s2 if k > 1 else s1
+    ensemble.run_sharded(test_and_twirl, len(pieces))
+    n_kept = 0
+    for (lo, _), (size, _, _) in zip(pieces, sums):
+        labels[n_kept : n_kept + size] = labels[(k + 1) * lo : (k + 1) * lo + size]
+        n_kept += size
+    return n_kept // k, sum(s[1] for s in sums), sum(s[2] for s in sums)
 
 
 def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
@@ -188,8 +196,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
     truncated when the ensemble runs out of pairs early."""
     n_pairs = measures.whole_number("n_pairs", n_pairs, 2)
     steps = measures.whole_number("steps", steps, 1)
-    rng = ensemble.stream(seed)
-    labels = ensemble._sample_labels(rng, measures.werner(f0), n_pairs)
+    labels = ensemble._sample_labels(measures.werner(f0), n_pairs, seed, 0, 1)
     n_live = n_pairs
     f_formula = f0
     out: list[MCStep] = []
@@ -199,7 +206,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
             truncated = True
             break
         n_tests = n_live // 2
-        n_kept, n_singlets, _ = _purify_round(labels, n_tests, 1, rng)
+        n_kept, n_singlets, _ = _purify_round(labels, n_tests, 1, seed, 0, 1 + step)
         n_in = 2 * n_tests
         f_formula, p_formula = measures.recurrence_formula(f_formula)
         if n_kept:
@@ -214,7 +221,7 @@ def recurrence_mc(f0: float, n_pairs: int, steps: int, seed: int) -> MCTrace:
             MCStep(step, n_in, n_kept, fid, fid_err, surv, surv_err, f_formula, p_formula)
         )
         n_live = n_kept
-    return MCTrace(f0, n_pairs, int(seed), tuple(out), truncated)  # stream checked the seed
+    return MCTrace(f0, n_pairs, int(seed), tuple(out), truncated)  # the sampler checked the seed
 
 
 class VariableBlockStats(NamedTuple):
@@ -254,11 +261,10 @@ def variable_block_mc(f0: float, n_pairs: int, seed: int) -> VariableBlockStats:
     n_pairs = measures.whole_number("n_pairs", n_pairs, 2)
     k = max(1, round((1.0 - f0) ** -0.5)) if f0 < 1.0 else n_pairs - 1
     n_pairs = measures.whole_number("n_pairs", n_pairs, k + 1)
-    rng = ensemble.stream(seed)
     n_blocks = n_pairs // (k + 1)
     n_used = n_blocks * (k + 1)
-    labels = ensemble._sample_labels(rng, measures.werner(f0), n_used)
-    n_keep_blocks, s1, s2 = _purify_round(labels, n_blocks, k, rng)
+    labels = ensemble._sample_labels(measures.werner(f0), n_used, seed, 0, 1)
+    n_keep_blocks, s1, s2 = _purify_round(labels, n_blocks, k, seed, 0, 2)
     n_kept = n_keep_blocks * k
     if n_kept:
         fid = s1 / n_kept

@@ -4,7 +4,6 @@ rotations, and the discrete twirl that equalizes the triplet weights of a
 Bell-diagonal state."""
 from __future__ import annotations
 
-import contextlib
 from typing import NamedTuple
 
 import numpy as np
@@ -47,12 +46,9 @@ def exact_twirl(rho) -> BellDiagonal:
     return measures.werner(min(1.0, max(0.0, f)))
 
 
-#: Rotations drawn per batch of sampled_twirl. The Gram matrix sums one batch
-#: at a time, so the batch size fixes the summation order and the output bits.
-TWIRL_BATCH = 200_000
-
-#: Rotations whose normals sampled_twirl's worker thread draws at a time.
-TWIRL_PIECE = TWIRL_BATCH // 4
+#: Rotations in a piece of sampled_twirl. Each piece draws at its own position
+#: and sums its own Gram matrix, so the piece size fixes the output bits.
+TWIRL_PIECE = 50_000
 
 _A = np.stack([qstate.ID2, -1j * qstate.SIGMA_X, -1j * qstate.SIGMA_Y, -1j * qstate.SIGMA_Z])
 _K = np.einsum("iab,jcd->ijacbd", _A, _A).reshape(16, 4, 4)  # K[4i+j] = kron(A_i, A_j)
@@ -75,54 +71,45 @@ def sampled_twirl(
     q_i q_j for draw n, u_n = sum_a P_na K_a, so sum_n u_n rho u_n-dagger =
     sum_ab G_ab K_a rho K_b-dagger with the real 16x16 Gram matrix G = P^T P.
     The average depends on the seeded draws only through G, whose entries are
-    those of the 10x10 Gram of P's 10 distinct columns (i <= j). That is
-    summed one batch of TWIRL_BATCH draws at a time, over a (10, batch)
-    buffer of the products. The bytes equal those of the 16x16 P^T P while
-    the BLAS sums each entry in the same order.
+    those of the 10x10 Gram of P's 10 distinct columns (i <= j).
 
-    A two-stage pipeline over pieces of TWIRL_PIECE rotations
-    (ensemble.pipelined): a worker thread draws each piece's normals, in
-    rotation order, into the next of three (piece, 4) buffers (one per piece
-    in a run of fewer), at most two pieces ahead, so never into the one being
-    read; the calling thread normalizes each piece, writes its products into
-    the piece's columns of the batch buffer, and sums the Gram once a batch
-    is full. standard_normal draws the same values whole or in pieces, so the
-    bytes do not depend on TWIRL_PIECE. A run of one piece starts no thread.
+    The rotations run in pieces of TWIRL_PIECE on ensemble.run_sharded's
+    threads. Piece j draws its normals at its own position, piece j of stage 1
+    of stream (seed, stream_id), normalizes them, writes their products into
+    the (10, piece) buffer of its thread and sums that buffer's 10x10 Gram into
+    grams[j]; the calling thread adds the pieces' Grams in piece order. A
+    piece's Gram bytes equal those of the 16x16 P^T P while the BLAS sums each
+    entry in the same order.
     """
     n = measures.whole_number("n", n, 1)
     mat = qstate.as_matrix(rho)
     target = exact_twirl(mat)
-    rng = ensemble.stream(seed, stream_id)
-    g10 = np.zeros((10, 10))
-    # (batch size, piece bounds within the batch) for each piece, in order;
+    pieces = list(ensemble.chunks(n, TWIRL_PIECE))
+    at = ensemble.piece_placers(seed, stream_id, len(pieces))
     # the buffers are made on the calling thread (see ensemble._sample_labels)
-    pieces = [
-        (hi - lo, a, b)
-        for lo, hi in ensemble.chunks(n, TWIRL_BATCH)
-        for a, b in ensemble.chunks(hi - lo, TWIRL_PIECE)
-    ]
-    normals = np.empty((min(3, len(pieces)), min(n, TWIRL_PIECE), 4))
-    products = np.empty(10 * min(n, TWIRL_BATCH))
+    m = min(n, TWIRL_PIECE)
+    normals, products = np.empty((len(at), m, 4)), np.empty((len(at), 10 * m))
+    grams = np.empty((len(pieces), 10, 10))
 
-    def draw(j):
-        _, a, b = pieces[j]
-        return rng.standard_normal(out=normals[j % 3, : b - a])
+    def rotate(j, t):
+        lo, hi = pieces[j]
+        q = at[t](j, 1).standard_normal(out=normals[t, : hi - lo]).T  # normal()'s values, seen as 4 rows
+        p10 = products[t, : 10 * (hi - lo)].reshape(10, hi - lo)
+        # ((q0^2 + q1^2) + q2^2) + q3^2: linalg.norm's add.reduce order, in
+        # the rows that the products then overwrite
+        norm, sq = p10[:2]
+        np.square(q[0], out=norm)
+        for i in (1, 2, 3):
+            norm += np.square(q[i], out=sq)
+        q /= np.sqrt(norm, out=norm)
+        for i, r in zip(range(4), (0, 4, 7, 9)):  # q_i q_j for j >= i, in _PAIRS order
+            np.multiply(q[i:], q[i], out=p10[r : r + 4 - i])
+        grams[j] = p10 @ p10.T
 
-    with contextlib.closing(ensemble.pipelined(draw, range(len(pieces)))) as drawn:
-        for (m, a, b), piece in zip(pieces, drawn):
-            q = piece.T  # normal()'s values in (rotation, 4) order, seen as 4 rows
-            p10 = products[: 10 * m].reshape(10, m)
-            # ((q0^2 + q1^2) + q2^2) + q3^2: linalg.norm's add.reduce order, in
-            # the piece's columns of the rows that its products then overwrite
-            norm, sq = p10[:2, a:b]
-            np.square(q[0], out=norm)
-            for i in (1, 2, 3):
-                norm += np.square(q[i], out=sq)
-            q /= np.sqrt(norm, out=norm)
-            for i, r in zip(range(4), (0, 4, 7, 9)):  # q_i q_j for j >= i, in _PAIRS order
-                np.multiply(q[i:], q[i], out=p10[r : r + 4 - i, a:b])
-            if b == m:
-                g10 += p10 @ p10.T
+    ensemble.run_sharded(rotate, len(pieces))
+    g10 = np.zeros((10, 10))
+    for g in grams:
+        g10 += g
     gram = g10[np.ix_(_GRAM16, _GRAM16)]
     avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n
     report = TwirlReport(

@@ -144,7 +144,7 @@ class TestRecurrenceCommand:
     def test_step_that_kept_no_pair_has_empty_cells_and_strict_json(self, capsys):
         # two pairs, one test, and the target measured anti-parallel: step 1
         # keeps no pair, so its fidelity and error have no value
-        base = ["recurrence", "0.6", "--steps", "2", "--mc", "2", "--seed", "3"]
+        base = ["recurrence", "0.6", "--steps", "2", "--mc", "2", "--seed", "2"]
         code, json_text, _ = run(capsys, base + ["--format", "json"])
         assert code == 0
 

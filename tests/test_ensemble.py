@@ -1,9 +1,10 @@
-import contextlib
+import ast
 import importlib
 import math
+import pathlib
+import re
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -99,17 +100,17 @@ class TestStream:
 
 class TestSampleEnsemble:
     def test_point_mass_constant(self):
-        labels = _sample_labels(stream(1), BellDiagonal([0, 0, 0, 1]), 1000)
+        labels = _sample_labels(BellDiagonal([0, 0, 0, 1]), 1000, 1, 0, 1)
         assert (labels == BellLabel.PSI_MINUS).all()
 
     def test_reproducible(self):
-        a = _sample_labels(stream(5), measures.werner(0.7), 1000)
-        b = _sample_labels(stream(5), measures.werner(0.7), 1000)
+        a = _sample_labels(measures.werner(0.7), 1000, 5, 0, 1)
+        b = _sample_labels(measures.werner(0.7), 1000, 5, 0, 1)
         assert np.array_equal(a, b)
 
     def test_singlet_frequency_within_three_sigma(self):
         n = 1_000_000
-        labels = _sample_labels(stream(17), measures.werner(0.7), n)
+        labels = _sample_labels(measures.werner(0.7), n, 17, 0, 1)
         freq = float((labels == BellLabel.PSI_MINUS).mean())
         sigma = math.sqrt(0.7 * 0.3 / n)
         assert abs(freq - 0.7) <= 3 * sigma
@@ -117,14 +118,14 @@ class TestSampleEnsemble:
     def test_chi_square_goodness_of_fit(self):
         n = 1_000_000
         d = BellDiagonal([0.1, 0.25, 0.15, 0.5])
-        labels = _sample_labels(stream(23), d, n)
+        labels = _sample_labels(d, n, 23, 0, 1)
         counts = np.bincount(labels, minlength=4)
         expected = d.p * n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_3DF_P999
 
     def test_zero_probability_labels_never_drawn(self):
-        labels = _sample_labels(stream(3), BellDiagonal([0.5, 0.0, 0.0, 0.5]), 100_000)
+        labels = _sample_labels(BellDiagonal([0.5, 0.0, 0.0, 0.5]), 100_000, 3, 0, 1)
         assert not np.isin(labels, [1, 2]).any()
 
 
@@ -132,191 +133,170 @@ class TestSampleEnsemble:
 _SKEWED = BellDiagonal([0.822, 0.028, 0.073, 0.077])
 
 
-def _serial_labels(rng, n):
-    """The labels of one serial random(n) on rng."""
-    return _labels_from_uniforms(_SKEWED.p.cumsum(), rng.random(n), np.empty(n, dtype=np.uint8))
+def _at(seed, stream_id, piece, stage):
+    """A new generator at piece `piece` of stage `stage` of stream (seed,
+    stream_id), built by Philox itself at counter words (0, piece, stage, 0)."""
+    words = np.array([0, piece, stage, 0, seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=words[:4], key=words[4:]))
 
 
-def _plain_state(rng):
-    """The Philox state as plain ints: counter, key, buffer and both positions."""
-    s = rng.bit_generator.state
-    words = [[int(v) for v in a] for a in (s["state"]["counter"], s["state"]["key"], s["buffer"])]
-    return words, s["buffer_pos"], s["has_uint32"], s["uinteger"]
+def _piece_labels(seed, stream_id, stage, n, piece):
+    """The labels of _SKEWED drawn in pieces of `piece` uniforms, each at its
+    own position."""
+    cdf = _SKEWED.p.cumsum()
+    return np.concatenate(
+        [np.empty(0, dtype=np.uint8)]
+        + [
+            _labels_from_uniforms(cdf, _at(seed, stream_id, j, stage).random(hi - lo), np.empty(hi - lo, np.uint8))
+            for j, (lo, hi) in enumerate(ensemble.chunks(n, piece))
+        ]
+    )
 
 
-class TestParallelDraw:
-    """The sampler draws pieces of CHUNK // 2 uniforms on DRAW_THREADS threads,
-    each piece on a Philox generator placed at its first word. It must draw
-    what one serial random(n) draws and leave rng where that draw leaves it."""
+class TestKeyedDraw:
+    """The sampler draws piece j of CHUNK // 2 uniforms at its own Philox
+    position, counter words (0, j, stage, 0) of the stream's key, on at most
+    DRAW_THREADS threads."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
         stream_id=st.integers(0, 2**64 - 1),
-        skip=st.integers(0, 8),
-        half=st.booleans(),
+        stage=st.integers(1, 2**64 - 1),
         chunk=st.integers(2, 16),
         n=st.integers(0, 70),
     )
-    @example(seed=0, stream_id=0, skip=0, half=False, chunk=8, n=0)
-    @example(seed=1, stream_id=2, skip=3, half=True, chunk=8, n=4)  # one piece, nothing split
-    @example(seed=1, stream_id=2, skip=3, half=True, chunk=9, n=70)  # pieces of 4 words
-    @example(seed=1, stream_id=2, skip=1, half=False, chunk=2, n=9)  # pieces of 1 word
-    def test_draws_and_leaves_rng_as_one_serial_draw(self, seed, stream_id, skip, half, chunk, n):
-        rng, ref = stream(seed, stream_id), stream(seed, stream_id)
-        for g in (rng, ref):
-            g.bit_generator.random_raw(skip)
-            if half:  # a buffered 32-bit half, which random(n) must keep
-                g.integers(0, 2)
+    @example(seed=0, stream_id=0, stage=1, chunk=8, n=0)
+    @example(seed=1, stream_id=2, stage=3, chunk=8, n=4)  # one piece, nothing split
+    @example(seed=1, stream_id=2, stage=3, chunk=9, n=70)  # pieces of 4 words
+    @example(seed=1, stream_id=2, stage=2**64 - 1, chunk=2, n=9)  # pieces of 1 word
+    def test_each_piece_draws_at_its_own_position(self, seed, stream_id, stage, chunk, n):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "CHUNK", chunk)
-            labels = _sample_labels(rng, _SKEWED, n)
-        assert np.array_equal(labels, _serial_labels(ref, n))
-        assert _plain_state(rng) == _plain_state(ref)
+            labels = _sample_labels(_SKEWED, n, seed, stream_id, stage)
+        assert np.array_equal(labels, _piece_labels(seed, stream_id, stage, n, chunk // 2))
 
-    @pytest.mark.parametrize("counter", [2**64 - 3, 2**128 - 2, 2**192 - 5, 2**256 - 3])
-    def test_pieces_carry_across_counter_words(self, monkeypatch, counter):
-        # the 256-bit counter carries from one 64-bit word to the next, and
-        # wraps at 2^256, inside the run
-        rng, ref = (np.random.Generator(np.random.Philox(counter=counter, key=[7, 9])) for _ in range(2))
-        monkeypatch.setattr(ensemble, "CHUNK", 10)
-        assert np.array_equal(_sample_labels(rng, _SKEWED, 57), _serial_labels(ref, 57))
-        assert _plain_state(rng) == _plain_state(ref)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        piece=st.integers(0, 2**64 - 1),
+        stage=st.integers(0, 2**64 - 1),
+        before=st.integers(0, 9),
+    )
+    @example(seed=7, stream_id=9, piece=0, stage=0, before=3)
+    def test_placer_loads_the_position_that_philox_is_built_at(self, seed, stream_id, piece, stage, before):
+        place = ensemble._placer(seed)
+        rng = place(3, 5, 7)
+        rng.bit_generator.random_raw(before)
+        rng.integers(0, 2, size=3)  # leaves a 32-bit half buffered, for the load to drop
+        assert place(stream_id, piece, stage) is rng
+        ref = _at(seed, stream_id, piece, stage)
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        for draw in (lambda g: g.random(5), lambda g: g.integers(0, 2, size=3), lambda g: g.standard_normal(4)):
+            assert np.array_equal(draw(rng), draw(ref))
 
-    @pytest.mark.parametrize("skip, words", [(0, 1), (0, 3), (1, 2), (2, 1)])
-    def test_placement_inside_the_buffered_block(self, skip, words):
-        # the last word lies in the block already buffered, so _ahead steps
-        # the counter back one block, and it keeps the buffered 32-bit half
-        rng = stream(5, 6)
-        rng.bit_generator.random_raw(skip)
-        rng.integers(0, 2)  # buffers a 32-bit half
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == 1
-        assert divmod(state["buffer_pos"] - 5 + words, 4)[0] == -1
-        placed = np.random.Generator(np.random.Philox())
-        ensemble._ahead(state, words, placed.bit_generator)
-        rng.random(words)
-        assert _plain_state(placed) == _plain_state(rng)
-        for draw in (lambda g: g.integers(0, 2, size=5), lambda g: g.random(9)):
-            assert np.array_equal(draw(placed), draw(rng))
+    def test_piece_zero_of_stage_zero_is_the_stream(self):
+        assert np.array_equal(ensemble._placer(4)(6).random(9), stream(4, 6).random(9))
 
-    def test_one_piece_reads_no_state(self, monkeypatch):
-        # reading a Philox state dict costs more than a short draw
-        reads = []
-
-        class Philox(np.random.Philox):  # a state dict names its class
-            @property
-            def state(self):
-                reads.append(1)
-                return np.random.Philox.state.__get__(self)
-
-            @state.setter
-            def state(self, value):
-                np.random.Philox.state.__set__(self, value)
-
-        monkeypatch.setattr(ensemble, "CHUNK", 8)
-        for n in (4, 5):  # one piece, then two
-            rng, ref = np.random.Generator(Philox(key=[1, 0])), stream(1)
-            labels = _sample_labels(rng, _SKEWED, n)
-            assert bool(reads) == (n > 4)
-            reads.clear()
-            assert np.array_equal(labels, _serial_labels(ref, n))
+    def test_positions_are_loaded_in_one_place(self):
+        # a state load, advance or jump anywhere but in _placer would place
+        # draws outside the keyed positions
+        src = pathlib.Path(ensemble.__file__).parent
+        tree = ast.parse((src / "ensemble.py").read_text())
+        (helper,) = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_placer")
+        placing = re.compile(r"bit_generator\.state\s*=(?!=)|\.advance\(|\.jumped\(")
+        hits = [
+            (path.name, i)
+            for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if placing.search(line)
+        ]
+        assert hits, "_placer no longer holds the load this scan looks for"
+        assert all(name == "ensemble.py" and helper.lineno <= i <= helper.end_lineno for name, i in hits), hits
 
     def test_more_threads_than_cores_draw_each_piece_once(self, monkeypatch):
         # the threads share one stack of pieces; a piece lost or drawn twice
-        # leaves unwritten labels or draws its generator's next words
+        # leaves unwritten or wrong labels
         monkeypatch.setattr(ensemble, "CHUNK", 6)
         monkeypatch.setattr(ensemble, "DRAW_THREADS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for seed in range(20):
-                rng, ref = stream(seed), stream(seed)
-                assert np.array_equal(_sample_labels(rng, _SKEWED, 3000), _serial_labels(ref, 3000))
-                assert _plain_state(rng) == _plain_state(ref)
+                assert np.array_equal(_sample_labels(_SKEWED, 3000, seed, 1, 1), _piece_labels(seed, 1, 1, 3000, 3))
         finally:
             sys.setswitchinterval(interval)
 
     def test_one_piece_starts_no_thread(self, monkeypatch, started):
         monkeypatch.setattr(ensemble, "CHUNK", 8)
         for n in (0, 1, 4):
-            rng, ref = stream(1), stream(1)
-            assert np.array_equal(_sample_labels(rng, _SKEWED, n), _serial_labels(ref, n))
-            assert _plain_state(rng) == _plain_state(ref)
+            assert np.array_equal(_sample_labels(_SKEWED, n, 1, 0, 1), _piece_labels(1, 0, 1, n, 4))
         assert started == []
 
     @pytest.mark.parametrize("n", [5, 12, 13, 400])
     def test_more_pieces_start_draw_threads_minus_one(self, monkeypatch, started, n):
         monkeypatch.setattr(ensemble, "CHUNK", 8)
-        _sample_labels(stream(1), _SKEWED, n)
+        _sample_labels(_SKEWED, n, 1, 0, 1)
         assert len(started) == ensemble.DRAW_THREADS - 1
         assert not any(t.is_alive() for t in started)
 
-    def test_run_sharded_runs_the_shards_at_once(self):
-        # shard 0 on the calling thread and each other on a thread of its own:
-        # run one after another, the first to wait at the barrier would time out
+    @pytest.mark.parametrize("n_pieces, threads", [(0, 1), (1, 1), (2, 2), (5, 2)])
+    def test_each_thread_gets_a_generator_of_its_own(self, n_pieces, threads):
+        at = ensemble.piece_placers(3, 4, n_pieces)
+        assert len(at) == threads
+        assert len({id(place(0, 1)) for place in at}) == threads
+
+    def test_no_piece_runs_nothing_and_starts_no_thread(self, started):
+        ran = []
+        ensemble.run_sharded(lambda j, t: ran.append(j), 0)
+        assert ran == [] and started == []
+
+    def test_run_sharded_runs_the_threads_at_once(self, monkeypatch):
+        # thread 0 is the calling thread and each other a thread of its own:
+        # run one after another, the first to wait at the barrier would time
+        # out, and each thread takes one piece as it waits on its first
+        monkeypatch.setattr(ensemble, "DRAW_THREADS", 3)
         barrier, idents = threading.Barrier(3), [None] * 3
 
-        def task(i):
+        def work(j, t):
             barrier.wait(timeout=10)
-            idents[i] = threading.get_ident()
+            idents[t] = threading.get_ident()
 
-        ensemble.run_sharded(task, 3)
+        ensemble.run_sharded(work, 3)
         assert idents[0] == threading.get_ident() and len(set(idents)) == 3
 
     @pytest.mark.parametrize("failing, raised", [({1}, 1), ({0}, 0), ({0, 1}, 0), ({1, 2}, 1)])
-    def test_run_sharded_raises_a_shard_error_in_the_caller(self, failing, raised):
-        ended = []
+    def test_run_sharded_raises_the_first_thread_error_in_the_caller(self, monkeypatch, failing, raised):
+        monkeypatch.setattr(ensemble, "DRAW_THREADS", 3)
+        barrier, ended = threading.Barrier(3), []
 
-        def task(i):
-            if i in failing:
-                raise ValueError(f"shard {i} failed")
-            ended.append(i)
+        def work(j, t):
+            barrier.wait(timeout=10)  # so that each thread takes one piece
+            if t in failing:
+                raise ValueError(f"thread {t} failed")
+            ended.append(t)
 
-        with pytest.raises(ValueError, match=f"shard {raised} failed"):
-            ensemble.run_sharded(task, 3)
-        # every shard has ended before the error is raised
+        with pytest.raises(ValueError, match=f"thread {raised} failed"):
+            ensemble.run_sharded(work, 3)
+        # every thread has ended before the error is raised
         assert sorted(ended) == sorted(set(range(3)) - failing)
 
+    def test_a_thread_whose_piece_raises_takes_no_more(self, monkeypatch, started):
+        monkeypatch.setattr(ensemble, "DRAW_THREADS", 2)
+        ran = []
 
-class TestPipelined:
-    """ensemble.pipelined runs its front stage on one worker thread, at most two
-    items ahead of the caller, and yields the results in order."""
+        def work(j, t):
+            if j == 0:
+                raise ValueError("piece 0 failed")
+            ran.append((j, t))
 
-    def test_yields_in_order_at_most_two_ahead(self, started):
-        fronts = []
-
-        def front(item):
-            fronts.append(threading.get_ident())
-            return item * item
-
-        got = []
-        for out in ensemble.pipelined(front, list(range(40))):
-            # the worker has begun at most the two items after this one
-            assert len(fronts) <= len(got) + 3
-            got.append(out)
-            time.sleep(0.001)  # time for the worker to run ahead, if it could
-        assert got == [i * i for i in range(40)]
-        assert len(started) == 1 and set(fronts) == {started[0].ident}
+        with pytest.raises(ValueError, match="piece 0 failed"):
+            ensemble.run_sharded(work, 40)
+        # piece 0 is the first taken, so the thread that took it took no other,
+        # and the other thread ran the rest
+        assert sorted(j for j, _ in ran) == list(range(1, 40)) and len({t for _, t in ran}) == 1
         assert not started[0].is_alive()
-
-    def test_one_item_runs_on_the_calling_thread(self, started):
-        assert list(ensemble.pipelined(lambda item: threading.get_ident(), [5])) == [threading.get_ident()]
-        assert list(ensemble.pipelined(lambda item: item, [])) == []
-        assert started == []
-
-    def test_closing_stops_the_worker(self, started, within):
-        fronts = []
-
-        def take_one():
-            with contextlib.closing(ensemble.pipelined(fronts.append, list(range(100)))) as outs:
-                next(outs)
-
-        assert within(30, take_one) is None
-        # the helper's thread, and the worker, which made the first item and
-        # at most the two after it
-        assert len(started) == 2 and not started[1].is_alive()
-        assert len(fronts) <= 3
 
 
 #: A cdf whose last entry rounds below 1, so a uniform can reach it.
@@ -408,12 +388,12 @@ class TestRandomAxisParallelProb:
         "d,n,seed,mean,std_error",
         [
             (BellDiagonal([0, 0, 0, 1]), 20_000, 2, 0.0, 0.0),
-            (BellDiagonal([0.25] * 4), 200_000, 8, 0.500115, 0.001118036754273275),
-            (measures.werner(0.25), 200_000, 32, 0.50051, 0.0011180362022424621),
-            (measures.werner(0.5), 200_000, 57, 0.332465, 0.0010534066960121984),
-            (measures.werner(0.85), 200_000, 92, 0.09979, 0.0006701955127499188),
+            (BellDiagonal([0.25] * 4), 200_000, 8, 0.501585, 0.0011180311663113172),
+            (measures.werner(0.25), 200_000, 32, 0.50034, 0.0011180365253552142),
+            (measures.werner(0.5), 200_000, 57, 0.335755, 0.001055994069818755),
+            (measures.werner(0.85), 200_000, 92, 0.099775, 0.0006701507236323498),
             (measures.werner(1.0), 200_000, 107, 0.0, 0.0),
-            (measures.werner(0.8), 5000, 44, 0.1266, 0.004703074715795665),
+            (measures.werner(0.8), 5000, 44, 0.1332, 0.00480584760830458),
         ],
     )
     def test_estimates_pinned(self, d, n, seed, mean, std_error):
@@ -427,14 +407,11 @@ class TestRandomAxisParallelProb:
 
 
 class TestChunkInvariance:
-    """The kernels draw and process CHUNK entries at a time. Their outputs must
-    not depend on CHUNK, so that a numpy change which breaks this fails here
-    instead of silently moving output bytes."""
+    """twirl.twirl_labels draws its indices CHUNK at a time on one generator.
+    Its output must not depend on CHUNK, so that a numpy change which breaks
+    this fails here instead of silently moving output bytes."""
 
     PIECES = (1, 333, 667)
-    #: One pair count below, at and above each chunk boundary that a run of
-    #: CHUNK labels, or of CHUNK two-pair tests, crosses.
-    PAIR_COUNTS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2, 3 * CHUNK + 5)
 
     @pytest.mark.parametrize(
         "draw",
@@ -442,7 +419,6 @@ class TestChunkInvariance:
             lambda rng, n: rng.random(n),
             lambda rng, n: rng.integers(0, 6, size=n),
             lambda rng, n: rng.normal(size=(n, 4)),
-            # the call that sampled_twirl's worker makes for each piece
             lambda rng, n: rng.standard_normal(out=np.empty((n, 4))),
         ],
         ids=["random", "integers", "normal", "standard_normal_out"],
@@ -456,30 +432,157 @@ class TestChunkInvariance:
         assert np.array_equal(whole_rng.integers(0, 6, size=9), split_rng.integers(0, 6, size=9))
         assert np.array_equal(whole_rng.random(9), split_rng.random(9))
 
-    @staticmethod
-    def _kernel_outputs(n):
-        rng = stream(12, 1)
-        labels = _sample_labels(rng, measures.werner(0.7), n)
-        twirled = twirl.twirl_labels(labels, rng)
-        return (
-            labels.tobytes(),
-            twirled.tobytes(),
-            repr(protocols.recurrence_mc(0.8, n, 3, seed=31)),
-            repr(protocols.variable_block_mc(0.75, n, seed=32)),
-            repr(protocols.variable_block_mc(0.93, n, seed=33)),
-        )
+    @pytest.mark.parametrize("n", [6, 7, 8, 14, 15, 1001])
+    def test_twirl_labels_small_chunk_matches_default(self, monkeypatch, n):
+        labels = _sample_labels(_SKEWED, n, 12, 1, 1)
 
-    @pytest.mark.parametrize("n", [6, 7, 8, 14, 15, 26, 1001])
-    def test_small_chunk_matches_default(self, monkeypatch, n):
-        expected = self._kernel_outputs(n)
+        def twirled():
+            rng = stream(12, 2)
+            return twirl.twirl_labels(labels, rng).tobytes(), rng.random(1)[0]
+
+        expected = twirled()
         monkeypatch.setattr(ensemble, "CHUNK", 7)
-        assert self._kernel_outputs(n) == expected
+        assert twirled() == expected
 
-    @pytest.mark.parametrize("n", PAIR_COUNTS)
-    def test_default_chunk_matches_one_piece(self, monkeypatch, n):
-        expected = self._kernel_outputs(n)
-        monkeypatch.setattr(ensemble, "CHUNK", 4 * CHUNK)
-        assert self._kernel_outputs(n) == expected
+
+def _kernel_outputs():
+    """The sampler, the purification round at k = 1, 2 and 4 (on labels drawn
+    serially, so that only the round runs pieces), the sampled twirl and the
+    two Monte Carlo runs, each over several pieces."""
+    parts = [_sample_labels(_SKEWED, 1001, 12, 1, 1).tobytes()]
+    for k in (1, 2, 4):
+        labels = stream(40 + k).choice(4, 150 * (k + 1), p=_SKEWED.p).astype(np.uint8)
+        out = protocols._purify_round(labels, 150, k, 41, k, 2)
+        parts += [out, labels[: out[0] * k].tobytes()]
+    avg, report = twirl.sampled_twirl(bell.label_projector(BellLabel.PHI_PLUS), 400, 13, 2)
+    return (
+        *parts,
+        avg.mat.tobytes(),
+        report,
+        repr(protocols.recurrence_mc(0.8, 1001, 3, seed=31)),
+        repr(protocols.variable_block_mc(0.75, 1001, seed=32)),
+        repr(protocols.variable_block_mc(0.93, 1001, seed=33)),
+    )
+
+
+def _default_size_outputs():
+    """Three sampler pieces, three round pieces and three twirl pieces at the
+    default piece sizes."""
+    labels = stream(44).choice(4, 2 * (CHUNK // 4 + 5), p=_SKEWED.p).astype(np.uint8)
+    out = protocols._purify_round(labels, CHUNK // 4 + 5, 1, 45, 0, 2)
+    avg, report = twirl.sampled_twirl(bell.label_projector(BellLabel.PHI_PLUS), 2 * twirl.TWIRL_PIECE + 1, 46)
+    return _sample_labels(_SKEWED, CHUNK + 3, 43, 0, 1).tobytes(), out, labels.tobytes(), avg.mat.tobytes(), report
+
+
+class TestThreadCountInvariance:
+    """Each piece draws at its own position, so the kernels' bytes do not
+    depend on DRAW_THREADS or on which thread ran which piece. They are
+    compared with a run on the calling thread alone."""
+
+    THREADS = [(1, True), (2, False), (2, True), (8, False), (8, True)]
+
+    @staticmethod
+    def _run(outputs, threads, switch):
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "DRAW_THREADS", threads)
+            if switch:  # the threads swap often, inside the pieces
+                sys.setswitchinterval(1e-6)
+            try:
+                return outputs()
+            finally:
+                sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads, switch", THREADS)
+    def test_small_pieces_give_the_bytes_of_one_thread(self, monkeypatch, threads, switch):
+        # sampler pieces of 28 uniforms, round pieces of 7 blocks, twirl pieces
+        # of 37 rotations
+        monkeypatch.setattr(ensemble, "CHUNK", 56)
+        monkeypatch.setattr(twirl, "TWIRL_PIECE", 37)
+        assert self._run(_kernel_outputs, threads, switch) == self._run(_kernel_outputs, 1, False)
+
+    @pytest.fixture(scope="class")
+    def one_thread(self):
+        return self._run(_default_size_outputs, 1, False)
+
+    @pytest.mark.parametrize("threads, switch", THREADS)
+    def test_default_pieces_give_the_bytes_of_one_thread(self, one_thread, threads, switch):
+        assert self._run(_default_size_outputs, threads, switch) == one_thread
+
+
+class TestPositions:
+    """Every piece that a kernel places has a position of its own, at a stage
+    above 0, and its draws step only the lowest counter word."""
+
+    @pytest.fixture
+    def placed(self, monkeypatch):
+        """The (seed, stream id, stage, piece) of each piece placed, and a
+        function that returns the largest count of Philox blocks that one
+        piece's draws have taken."""
+        positions, most, pending = [], [0], []
+        make_placer = ensemble._placer
+
+        def took(rng, piece, stage):  # the blocks that a piece's draws took
+            counter = [int(v) for v in rng.bit_generator.state["state"]["counter"]]
+            assert counter[1:] == [piece, stage, 0], "a piece's draws reached the next position"
+            most[0] = max(most[0], counter[0])
+
+        def recording_placer(seed):
+            place, last = make_placer(seed), []
+            pending.append(last)
+
+            def recording(stream_id, piece=0, stage=0):
+                if last:
+                    took(*last.pop())
+                positions.append((seed, stream_id, stage, piece))
+                last.append((place(stream_id, piece, stage), piece, stage))
+                return last[-1][0]
+
+            return recording
+
+        def most_blocks():
+            for last in pending:
+                if last:
+                    took(*last.pop())
+            return most[0]
+
+        monkeypatch.setattr(ensemble, "_placer", recording_placer)
+        return positions, most_blocks
+
+    @staticmethod
+    def _stages(positions):
+        """{stage: sorted pieces} of one call's positions, which must be
+        distinct, under one key and above stage 0."""
+        assert len(set(positions)) == len(positions) and len({p[:2] for p in positions}) == 1
+        stages = {}
+        for _, _, stage, piece in positions:
+            stages.setdefault(stage, []).append(piece)
+        assert 0 not in stages
+        return {stage: sorted(pieces) for stage, pieces in stages.items()}
+
+    def test_every_piece_of_every_kernel_has_a_position_of_its_own(self, monkeypatch, placed):
+        positions, most_blocks = placed
+        monkeypatch.setattr(ensemble, "CHUNK", 64)  # sampler pieces of 32, round pieces of 8 blocks
+        monkeypatch.setattr(twirl, "TWIRL_PIECE", 37)
+        pieces = lambda n, step: list(range(-(-n // step)))
+        kept = [st.n_kept for st in protocols.recurrence_mc(0.8, 1000, 4, 5).steps]
+        assert self._stages(positions) == {
+            1: pieces(1000, 32),
+            **{1 + s: pieces(n // 2, 8) for s, n in enumerate([1000] + kept[:3], start=1)},
+        }
+        positions.clear()
+        assert protocols.variable_block_mc(0.9, 1000, 6).k == 3
+        assert self._stages(positions) == {1: pieces(1000, 32), 2: pieces(250, 8)}
+        positions.clear()
+        twirl.sampled_twirl(bell.label_projector(BellLabel.PHI_PLUS), 400, 7, 3)
+        assert self._stages(positions) == {1: pieces(400, 37)}
+        assert all(p[:2] == (7, 3) for p in positions)
+        positions.clear()
+        monkeypatch.setattr(ensemble, "CHUNK", CHUNK)
+        random_axis_parallel_prob(measures.werner(0.8), MAX_AXIS_TRIALS, 8)
+        assert self._stages(positions) == {1: pieces(MAX_AXIS_TRIALS, CHUNK // 2)}
+        # a piece of CHUNK // 2 uniforms takes CHUNK // 8 blocks, far below 2^64
+        assert most_blocks() == CHUNK // 8 < 2**64
 
 
 def _traced_peak_mib(fn, *args):
@@ -497,36 +600,39 @@ def _traced_peak_mib(fn, *args):
 
 
 class TestBoundedMemory:
-    """Working memory is the uint8 ensemble plus a few pieces (sampler,
-    recurrence, blocked round) or one reused batch buffer and a few pieces
-    (sampled twirl), not a multiple of the run size."""
+    """Working memory is the uint8 ensemble plus one piece per thread (sampler,
+    recurrence, blocked round) or one piece's buffers per thread (sampled
+    twirl), not a multiple of the run size."""
 
     def test_recurrence_mc_at_1e7_pairs(self):
         # about 18.6 MiB: 9.5 MiB of labels and the sampler's two pieces of
-        # uniforms, after which each round holds a few pieces of CHUNK // 8
-        # tests. Rounds over whole chunks of 2^20 tests read 26.3 MiB, and
+        # uniforms, after which each round holds one piece of CHUNK // 8 tests
+        # per thread. Rounds over whole chunks of 2^20 tests read 26.3 MiB, and
         # drawing all pairs at once takes ~230 MiB
         assert _traced_peak_mib(protocols.recurrence_mc, 0.8, 10**7, 4, 5) < 22
 
     def test_variable_block_mc_at_1e7_pairs(self):
-        # about 18.6 MiB at k = 2, as for the recurrence: pieces of CHUNK // 8
-        # blocks. Whole chunks of blocks read 35.1 MiB, whole-run arrays ~135
+        # about 18.6 MiB at k = 2, as for the recurrence: one piece of
+        # CHUNK // 8 blocks per thread. Whole chunks of blocks read 35.1 MiB,
+        # whole-run arrays ~135
         assert _traced_peak_mib(protocols.variable_block_mc, 0.75, 10**7, 5) < 24
 
     def test_variable_block_mc_holds_pieces_of_long_blocks(self):
-        # about 19.1 MiB at k = 4, where a piece's k + 1 label columns and its
-        # int64 twirl indices grow with k: whole chunks of blocks read 52.9 MiB
+        # about 22.5 MiB at k = 4, where a piece's k + 1 label columns and its
+        # int64 twirl indices (4 MiB) grow with k, and each of the two threads
+        # holds a piece's at once; with the twirl on the calling thread alone,
+        # 19.1 MiB. Whole chunks of blocks read 52.9 MiB
         assert _traced_peak_mib(protocols.variable_block_mc, 0.94, 10**7, 5) < 24
 
     def test_sampled_twirl_at_1e6_rotations(self):
-        # about 19.9 MiB: three (TWIRL_BATCH // 4, 4) float64 pieces of normals
-        # (4.6 MiB) and one (10, TWIRL_BATCH) product buffer (15.3 MiB), whose
-        # first two rows hold each piece's norm before its products. A
-        # (14, TWIRL_BATCH) buffer into which each batch was drawn read 21.4 MiB,
-        # a (m, 4, 4) product buffer beside each batch's draw ~37 MiB, and a
-        # fresh array per batch ~55 MiB
+        # about 10.8 MiB: on each of the two threads, one (TWIRL_PIECE, 4)
+        # float64 piece of normals (1.5 MiB) and one (10, TWIRL_PIECE) product
+        # buffer (3.8 MiB), whose first two rows hold the piece's norm before
+        # its products. A (10, 4 * TWIRL_PIECE) product buffer summed once per
+        # four pieces, beside three pieces of normals, read 19.9 MiB; a
+        # (m, 4, 4) product buffer beside each batch's draw ~37 MiB
         rho = bell.to_density(measures.werner(0.8))
-        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 24
+        assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 13
 
     def test_breeding_trials_keep_tests_as_integers(self):
         # about 1.2 MiB, run alone or in the suite: 0.76 MiB of results (two
@@ -548,12 +654,12 @@ class TestBoundedMemory:
         # about 12.0 MiB: 3 MiB of labels, one CHUNK // 2 piece of uniforms on
         # each of the two threads (8 MiB) and its bools for the compares (1 MiB);
         # a whole chunk per thread would read about 20 MiB
-        assert _traced_peak_mib(_sample_labels, stream(1), measures.werner(0.78), 3 * CHUNK + 5) < 14
+        assert _traced_peak_mib(_sample_labels, measures.werner(0.78), 3 * CHUNK + 5, 1, 0, 1) < 14
 
     def test_sample_labels_of_one_piece_hold_that_piece_only(self):
         # about 15 KiB: 1000 labels, uniforms and bools; buffers of a whole
         # CHUNK // 2 piece would read 4.5 MiB
-        assert _traced_peak_mib(_sample_labels, stream(1), measures.werner(0.7), 1000) < 1 / 16
+        assert _traced_peak_mib(_sample_labels, measures.werner(0.7), 1000, 1, 0, 1) < 1 / 16
 
     def test_random_axis_parallel_prob_at_the_cap(self):
         # about 61 MiB; a (4, n) stack of per-label correlations took ~108 MiB

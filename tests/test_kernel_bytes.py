@@ -1,34 +1,36 @@
 """The Monte Carlo kernels' and the exact layer's output bytes, pinned by
 sha256 digest.
 
-The digests were recorded before the kernels' inner loops were last rewritten
-for speed, so any rewrite must keep every draw, its order and every summation
-order. Sizes sit on either side of the chunk (ensemble.CHUNK) and batch
-(twirl.TWIRL_BATCH) boundaries, where a reordering would first show. The
-exact layer's digest was recorded before its checks were cut to one per value.
-The oracle_step digest covers density_matrix_oracle_step over the exact
-layer's pairs, the zero-success pair among them; it was recorded before the
-state constructors, to_density and the oracle's products were rewritten for
-speed, so those rewrites keep every bit of p_success, post_state.p and
+Every Monte Carlo digest (sample_labels, random_axis_parallel_prob,
+twirl_labels, recurrence_mc, variable_block_mc, purify_round and
+sampled_twirl) was recorded when the kernels began to draw each piece at its
+own Philox position: piece j of stage s of stream (seed, stream_id) at
+counter words (0, j, s, 0), the stages as the ensemble module lists them.
+Before that, a threaded draw had to give the bytes of a serial one. Those
+values were checked against the closed forms before they were recorded, and
+the digests hold at every DRAW_THREADS, which the suite checks. Any later
+rewrite of the kernels' inner loops must keep every draw, its position and
+every summation order. Sizes sit on either side of the piece boundaries, of
+CHUNK // 2 uniforms (sampler), CHUNK // 8 blocks (purification round,
+PIECE) and TWIRL_PIECE rotations (sampled twirl), and of the CHUNK boundary
+at which twirl_labels splits its draw. The random_axis_parallel_prob digest
+covers a run at MAX_AXIS_TRIALS, whose labels span two pieces. The
+twirl_labels digests end with the next draw of its generator, which pins
+how many indices it drew.
+
+The exact layer's digest was recorded before its checks were cut to one per
+value. The oracle_step digest covers density_matrix_oracle_step over the
+exact layer's pairs, the zero-success pair among them; it was recorded before
+the state constructors, to_density and the oracle's products were rewritten
+for speed, so those rewrites keep every bit of p_success, post_state.p and
 post_state_raw.p. The oracle_step-random digest covers the oracle over 2500
 seeded pairs, 100 of each (source kind, target kind) among Dirichlet draws,
-sparse Dirichlet draws at alpha 0.05, draws with one zero weight, point masses
-and Werner states, where a slip in a zero's sign or a tiny weight would show;
-it was recorded while the oracle still ran its dense 16x16 products. Both
-oracle digests were kept through the rewrite that replaced those products by
-index gathers and to_density by the unchecked matrix over its trace.
-
-The sampled_twirl digests were kept through the rewrite that sums the Gram
-of the 10 distinct quaternion products, not of all 16, and draws each batch
-into the kernel's one buffer; so were the recurrence_mc and variable_block_mc
-digests through the purification round's single compaction per chunk.
-
-The variable_block_mc-k2 and -k4 digests were recorded again when the blocked
-round began to run in chunks of blocks. Its fidelity_err is now formed from
-the integer block moments sum(s_b) and sum(s_b**2) instead of a float64 sum of
-squared residuals over every block, which moved the last bit of fidelity_err
-(each new value is the nearer to the exact one) and no other field. The k3
-digest, whose fidelity_err held, was left as it was.
+sparse Dirichlet draws at alpha 0.05, draws with one zero weight, point
+masses and Werner states, where a slip in a zero's sign or a tiny weight
+would show; it was recorded while the oracle still ran its dense 16x16
+products. Both oracle digests were kept through the rewrite that replaced
+those products by index gathers and to_density by the unchecked matrix over
+its trace.
 
 The breeding digests cover breeding_trials' summary, every named field of
 each BreedingResult and each derived ParityTest's (subset, parity_observed,
@@ -43,26 +45,9 @@ over all 2^20 strings, was recorded before the decoder began to solve and
 score a chunk's trials together. The werner-n12-600 digest, over every result
 field, was recorded while its 600 trials ran in five chunks of at most 143,
 before a chunk grew to 2^16 test bits; its summary means run over more than
-128 trials, where np.mean sums in pairwise blocks.
-
-The sample_labels digests at CHUNK // 2 - 1, CHUNK // 2 + 1 and
-CHUNK + CHUNK // 2 + 3, and the random_axis_parallel_prob digest, whose label
-draw starts mid-block after the ziggurat normals, were recorded while the
-sampler drew its uniforms serially in pieces of CHUNK, before it began to
-draw pieces of CHUNK // 2 on two threads.
-
-The recurrence_mc digests at 2 * PIECE +- 2 and 4 * PIECE +- 2 pairs (one and
-two pieces of two-pair tests, a test short and a test over), the
-variable_block_mc-k2 digests at PIECE +- 1 blocks and the purify_round
-digests, whose next draw pins how many twirl indices the round took, were
-recorded before the purification round began to run as a two-stage pipeline
-over pieces of PIECE = CHUNK // 8 blocks, while it ran serially in chunks.
-
-The sampled_twirl digests at TWIRL_BATCH // 4 - 1, TWIRL_BATCH // 4 + 1 and
-TWIRL_BATCH + TWIRL_BATCH // 4 + 1 rotations (a piece short, a piece over, and
-a batch plus a piece plus one) were recorded while the twirl drew its normals
-serially, one batch at a time, before it began to draw pieces of
-TWIRL_BATCH // 4 on a worker thread.
+128 trials, where np.mean sums in pairwise blocks. Breeding draws on its
+trials' own streams, at stage 0, so the keyed pieces left these digests as
+they were.
 """
 import hashlib
 
@@ -72,7 +57,7 @@ import pytest
 from bellpure import bell, measures, protocols, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.ensemble import CHUNK, MAX_AXIS_TRIALS, _sample_labels, random_axis_parallel_prob, stream
-from bellpure.twirl import TWIRL_BATCH
+from bellpure.twirl import TWIRL_PIECE
 
 
 def _digest(*parts) -> str:
@@ -101,8 +86,8 @@ _G = np.arange(16.0).reshape(4, 4) + 1j * np.array(
 )
 TWIRL_STATE = qstate.DensityMatrix(_G @ _G.conj().T / np.trace(_G @ _G.conj().T).real)
 TWIRL_SIZES = (
-    1, TWIRL_BATCH // 4 - 1, TWIRL_BATCH // 4 + 1, TWIRL_BATCH - 1, TWIRL_BATCH, TWIRL_BATCH + 1,
-    TWIRL_BATCH + TWIRL_BATCH // 4 + 1, 1_234_567,
+    1, TWIRL_PIECE - 1, TWIRL_PIECE + 1, 4 * TWIRL_PIECE - 1, 4 * TWIRL_PIECE, 4 * TWIRL_PIECE + 1,
+    5 * TWIRL_PIECE + 1, 1_234_567,
 )
 
 #: Blocked recurrence inputs with block sizes k = 2, 3 and 4.
@@ -110,21 +95,19 @@ BLOCK_FIDELITIES = {2: 0.75, 3: 0.9, 4: 0.94}
 
 
 def _sampler(name, n):
-    rng = stream(21, n)
-    labels = _sample_labels(rng, SAMPLER_INPUTS[name], n)
-    # the next draw pins how many uniforms the sampler consumed
-    return _digest(labels, rng.random(1))
+    return _digest(_sample_labels(SAMPLER_INPUTS[name], n, 21, n, 1))
 
 
 def _axis_parallel():
-    # the one sampler call in the library that starts mid-block, after the
-    # ziggurat normals of the axes; at the cap it spans more than one piece
+    # its axes and outcomes on the stream itself, its labels at stage 1; at
+    # the cap they span more than one piece
     return _digest(random_axis_parallel_prob(SAMPLER_INPUTS["skewed"], MAX_AXIS_TRIALS, 26))
 
 
 def _twirl_labels(n):
+    labels = _sample_labels(SAMPLER_INPUTS["skewed"], n, 22, n, 1)
     rng = stream(22, n)
-    labels = _sample_labels(rng, SAMPLER_INPUTS["skewed"], n)
+    # the next draw pins how many twirl indices twirl_labels drew
     return _digest(twirl.twirl_labels(labels, rng), rng.random(1))
 
 
@@ -139,17 +122,14 @@ def _variable_block(k):
     return _digest(stats)
 
 
-#: The purification round's piece: the blocks that one of its stages handles at
-#: a time.
+#: The purification round's piece: the blocks that one thread handles at a time.
 PIECE = CHUNK // 8
 
 
 def _purify_round(n_blocks, k):
-    rng = stream(27, n_blocks)
-    labels = _sample_labels(rng, SAMPLER_INPUTS["skewed"], n_blocks * (k + 1))
-    n_kept, s1, s2 = protocols._purify_round(labels, n_blocks, k, rng)
-    # the next draw pins how many twirl indices the round drew
-    return _digest(labels[: n_kept * k], (n_kept, s1, s2), rng.random(1))
+    labels = _sample_labels(SAMPLER_INPUTS["skewed"], n_blocks * (k + 1), 27, n_blocks, 1)
+    n_kept, s1, s2 = protocols._purify_round(labels, n_blocks, k, 27, n_blocks, 2)
+    return _digest(labels[: n_kept * k], (n_kept, s1, s2))
 
 
 def _exact_states():
@@ -303,47 +283,47 @@ CASES = {
 }
 
 DIGESTS = {
-    "sample_labels-werner-524287": "71b49b1b8ed6f974a03e1bdd8f08a00d05902c110b6f28294f3b3cf267b4e157",
-    "sample_labels-werner-524289": "8a0261ac13fa7e56d5895a63d6b29ebba47069b5be0d1abda520624e80f374f2",
-    "sample_labels-werner-1048575": "c5398241d0db0eb21c9a937db1fcc9cfb8007168220c2f3c6719df9cbbbbd3d9",
-    "sample_labels-werner-1048577": "eb662c91de06fe1737a226b68be98a9285ad3d7553f41e958345c50d1f2cf9b9",
-    "sample_labels-werner-1572867": "042e8ea29315dfd4ca657a4fe08eea5e12b72f1d47d1182c872d7d398d0b8a5e",
-    "sample_labels-werner-3145733": "54d85039e395c56f4b2f53b316d03de2b4d0aa7414d347ceec8dae4c29eff9c3",
-    "sample_labels-skewed-524287": "6742b7915f02b8c0570d6c249f6c74dc90183acbfeaa9645ec8ff0c734140f25",
-    "sample_labels-skewed-524289": "d02361915f820985ea71ed96edb630e8f26266217e094b2b85127fa73c789802",
-    "sample_labels-skewed-1048575": "2c6ce1aca422b0f4ca6dd8304549c2d28fd8a2a675ca1ab9c0c17c6589adaa5e",
-    "sample_labels-skewed-1048577": "7986b43626c6c758db108c7bf631634993bf4d36af1cf9176a34171ac8d99ac8",
-    "sample_labels-skewed-1572867": "9688c732ec8227ce77834392c9bc11f28db8c9e5661ea8c764bb8bea5b01b009",
-    "sample_labels-skewed-3145733": "d408fd894a43749e2aadc1e038c4e47efe3aa862725c140c5f8e5ad8cbd6879b",
-    "sample_labels-point_mass-524287": "8fc3c692f504865a3c9098541afeb58ea5f2b3ef80f7921503b6f775301e847a",
-    "sample_labels-point_mass-524289": "c2b594501cb39e09b25458a1a77e8a4e6213d97f24575417ed9fb2e8bdafb007",
-    "sample_labels-point_mass-1048575": "0530e94fbd35be07a5634e010bec1c09556772a350a6b1154579ad480c443563",
-    "sample_labels-point_mass-1048577": "98989f9fb542b63f8d0d0be2801f33d1fea2a5dc000636efd3468f3b3e12548e",
-    "sample_labels-point_mass-1572867": "788c2e6163c01fd4a37c88d3694539234a1422a48b0e8a7defe473d38bb29401",
-    "sample_labels-point_mass-3145733": "55029ed68eefa9333356496d7913875dcf29de1161169fbef116ae3576434c10",
-    "random_axis_parallel_prob": "b51625541bafd118c2369909088249049c1d3ab5c7523395c2efc62b2dbdf5f5",
-    "twirl_labels-7": "8069fb90fa6775e6344dc855393e6002a470283f053707901478278a28e51e4d",
-    "twirl_labels-3145733": "bfc6d5e657525f927e164237372a791e5f298a9405666da7022cd5e3d4a42b3e",
-    "recurrence_mc-0.8-1e7-4": "8ee8909574abb956ef2a895a12855bd19d54f25318cc080202f5e24d3967bf6f",
-    "variable_block_mc-k2": "0f4429436abfa0690641a000097e881a7f53480494206dad91bc7e2cee95e846",
-    "variable_block_mc-k3": "a9c3a6bf5460c9dcdc98a67cac6b380c03189365e87d7676e08efed8e75cd641",
-    "variable_block_mc-k4": "2d8ce97185264bf056a9e132d3014081a7ee612c5176600160a18a9f43785e93",
-    "recurrence_mc-0.8-262142-3": "ac30e943095987ee5a6572f8e49c8b3c711098fcd09ecd9fbdcb47f124cb9fd7",
-    "recurrence_mc-0.8-262146-3": "4ff3cb30b38544f91b9a5d0af6add74558ce0dd5305647fa7588dce318b32a91",
-    "recurrence_mc-0.8-524286-3": "fd8e170a432c99635af11756e7bdd71d9526a964c82f84e63a618195163034a6",
-    "recurrence_mc-0.8-524290-3": "e94c09cb449b8a15afca71003eeed86f89eaef009d4870baf6e0b0ce497b6a48",
-    "variable_block_mc-k2-131071": "c5a3625ac6ad4194a48c6b288b431ec869ad8c0a7561617025eccf6f22fce57c",
-    "variable_block_mc-k2-131073": "256ea8dd79c8c18e5c3687eab76c1d547f9b6f9618765cbf7f2d625b6273a4e7",
-    "purify_round-k1": "2b738cc28959b3fe14391fcce1407b09b22b78cc1d57287336038dc73170abd1",
-    "purify_round-k3": "07fd2e02ad4ca068675066e97070f839b97f01491733e2e9db952046f1ab4274",
-    "sampled_twirl-1": "fe4362221932104b82de4c8d4e81c3847b65bde547cb3628e35b6f9a09b55db1",
-    "sampled_twirl-49999": "eeda2b7fadb94f31eefc4c9eecc4db9eb065f34b0ef7c62bb1ce4ed22162859e",
-    "sampled_twirl-50001": "b70ad0499058020c2594f4cdd58285fdb428119fc8c8302a4c266f8c14575638",
-    "sampled_twirl-199999": "b0f908fa8e1cad9aed5bbfb2fd7c87b2edc8a2b269504859c3c8fafbc989aced",
-    "sampled_twirl-200000": "0f71a4be48c9a16ff3a8bfe8cc8c2c878dd7b9d39dc07f2268b87a8b423943da",
-    "sampled_twirl-200001": "e4c5cd73afd68c8183c5887641f15383999d04f5e3b1642e4d3042871c137ff7",
-    "sampled_twirl-250001": "0bd4984944364ae9d72f40a4f711317d45dc91626099b9210b797baa25da4b16",
-    "sampled_twirl-1234567": "9a10311e73056aaf76e983dee233c65f2f933e8e3984cc501c880e158a04a2b0",
+    "sample_labels-werner-524287": "ab7528bc713691711ded5892c94fc35b51cac27b312f361e567b821c506046ed",
+    "sample_labels-werner-524289": "3ccbff0d484db406491a2674b611122ad93f6d9fb639adb49ab0678b966d513a",
+    "sample_labels-werner-1048575": "6b58089d9dd469d5d65ff1d580cf112cdedc7c4aa48a0960fe57279cb5c9c8f1",
+    "sample_labels-werner-1048577": "08d24f7c2603d4a6b45f6906733aad4d316691639ba053b21fc489b9e642c4ed",
+    "sample_labels-werner-1572867": "50f5fe18ee367250d5657fb617ddb31e6544be1d6e7a79cae7843466595c8ffd",
+    "sample_labels-werner-3145733": "d26ad498fe997abb0f976c97c6d589b27b7df9d109d18bd5667ccd5bb62ab244",
+    "sample_labels-skewed-524287": "b1e981ff73c500bc85d18cc0415264c49238e694e2d641515397f9996b3cf098",
+    "sample_labels-skewed-524289": "0f21a772167114ffaf0872a2bc08e99aa90e3b948da05482d222692f414ea337",
+    "sample_labels-skewed-1048575": "13126c19c288333c55aa2610174bbfeea7218c51557e175d2b9d6399bfea7e41",
+    "sample_labels-skewed-1048577": "f3f73b3f0db9154880ed5c25a0724ad8b540cd078937e79a33b3a0dc9aba3759",
+    "sample_labels-skewed-1572867": "c4577c3596c6ab8dd9ef5dd503385054f9fc04729c950fb561699d3d58cd67f1",
+    "sample_labels-skewed-3145733": "f74b116c08ef2c3883365c30c9888b429fc051faf0aa823debcf56c8a33fc909",
+    "sample_labels-point_mass-524287": "5ed8ac835795664cbd9cce0e22351774e97e38a1d0d6487e343d5e86a5438ead",
+    "sample_labels-point_mass-524289": "8041d10f5f57f20a6ca1d856095a409338375fc9ce3c655477a2f79d27783272",
+    "sample_labels-point_mass-1048575": "14ba1bb475037067f20428a8c721285433d47945f1a65d90df5ae21d9afb32c0",
+    "sample_labels-point_mass-1048577": "45e08fe543bdeab96063da6454335d975f2b03bf33a889a7b0c3dc20d71d99ef",
+    "sample_labels-point_mass-1572867": "5799510580d25bd0b008e097c8801f0849f51ccd130a62c5a6cb959eb21dbfaa",
+    "sample_labels-point_mass-3145733": "0a77a6d744c7b61424619bb4d653797ac6eaa32e6f27b0a64eea41906a41c891",
+    "random_axis_parallel_prob": "5c25b0ec04f0cc7d28202e75e03f29eec4c4dd9fd0620eb4cb8c39f7582fd7cf",
+    "twirl_labels-7": "4e1bfa18b8b5e7f1dfab5eb4284affb41286c1688fa930e6e96fd55961e0d9c4",
+    "twirl_labels-3145733": "53124c7fc6bef27897ca760e6f6df9e55391e82908947454a73b800bb60972d1",
+    "recurrence_mc-0.8-1e7-4": "dff5efb80003c17ca021f3f758d9b7cc5d008c2513dcf57fb99eba8022346821",
+    "variable_block_mc-k2": "793c44469cec1c306bcaac5dc7357b671a752670144c7fc69b1c1361921b0eba",
+    "variable_block_mc-k3": "1f9760c750d9e912af83ef3843b731b8105eed11e7d32ab68de9e54b708293d5",
+    "variable_block_mc-k4": "5e3d1d74e286bc6350185e52542851d51ca7aae7b4340726de2109f98e378106",
+    "recurrence_mc-0.8-262142-3": "fe595e2eebe3a7975fd86e7f566bbb63f6c46354d8954bac423a16add6ae8ce0",
+    "recurrence_mc-0.8-262146-3": "79a681fea29f18f926e61d6b31ceaa1b823ee4a0b4afc095d990367777b607b1",
+    "recurrence_mc-0.8-524286-3": "9501fd086e407f2ddb9a42ce07d52dc0c6c4be443581ea74f4261ecf99c9d33d",
+    "recurrence_mc-0.8-524290-3": "65eb409f11b6458961e3ac2a49cdbb38daacc076bf34ae96701481556a5942bf",
+    "variable_block_mc-k2-131071": "f66d1edd48b92bc4ef74ad79b203e2cc2c287343576212c63abb0a545826c178",
+    "variable_block_mc-k2-131073": "196a93f2f871ee38f3bc81a7843f7941ab53305c97f3c2951e6215fa88ea81cc",
+    "purify_round-k1": "155608220cf67ee4f3d5b6cda1882d12103234fccaf8345ab68d7cb409fe551f",
+    "purify_round-k3": "eef7a859022ffd0f257fe734dd5abe5a18f3e005ddad09ebc33e914842c284cc",
+    "sampled_twirl-1": "3925fd4570cc9d9bbffb0b30b8f9af15ff46b06524a023af7604609418e39834",
+    "sampled_twirl-49999": "4de9b09fd74b83801e0388f5c68e5a9e2a42bd936093a4701a8d517f9355b814",
+    "sampled_twirl-50001": "8ac840d8393e2070a559a2c1b76e4fab419cc28a1c29ac025eb709728e118b97",
+    "sampled_twirl-199999": "4be0ba980ba41e38968e92804868d32fa40bac6d10850a3aa5bde7ca3227e50e",
+    "sampled_twirl-200000": "42b3775e6e38e140edae7c329c5a00b9ac4b19efbaef001d868b96aef9607730",
+    "sampled_twirl-200001": "1e4388b1d14ab614a41fc0a2d827ae3addffdd3d1559e75fa8ac5a71ca9f3386",
+    "sampled_twirl-250001": "ac3df09fbfcdbf1d49b715f035363f332038ba597faff9c32a7837532b8c9f48",
+    "sampled_twirl-1234567": "0a506a14ecc3170622bd28d8b6e7e165fcfe1b0106efcc1ee40b53d81ac3efdd",
     "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
     "oracle_step": "c79d0e99fa78ed7b8c32a78076170d40d0042baa51fe49e7f6e2ecbf29507be9",
     "oracle_step-random": "f40af9217a1ba5ffd6525aa5f404e1c3c50629e5e5d98be1096d7b7a70044d8e",

@@ -339,6 +339,8 @@ class TestConstructorGuard:
 #: whole-number rule's ValueError, naming the argument.
 _WHOLE_NUMBER_CALLS = {
     "sampled_twirl n": ("n", lambda v: twirl.sampled_twirl(np.eye(4) / 4, v, seed=0)),
+    "sampled_twirl seed": ("seed", lambda v: twirl.sampled_twirl(np.eye(4) / 4, 10, seed=v)),
+    "sampled_twirl stream_id": ("stream_id", lambda v: twirl.sampled_twirl(np.eye(4) / 4, 10, 0, stream_id=v)),
     "convergence_table reps": ("reps", lambda v: twirl.convergence_table(np.eye(4) / 4, [10], reps=v)),
     "convergence_table size": (
         "sample size", lambda v: twirl.convergence_table(np.eye(4) / 4, [10, v], reps=1)
@@ -353,8 +355,10 @@ _WHOLE_NUMBER_CALLS = {
     ),
     "recurrence_mc n_pairs": ("n_pairs", lambda v: protocols.recurrence_mc(0.7, v, 2, 0)),
     "recurrence_mc steps": ("steps", lambda v: protocols.recurrence_mc(0.7, 100, v, 0)),
+    "recurrence_mc seed": ("seed", lambda v: protocols.recurrence_mc(0.7, 100, 2, v)),
     "variable_block_mc n_pairs": ("n_pairs", lambda v: protocols.variable_block_mc(0.9, v, 0)),
     "variable_block_mc n_pairs at F = 1": ("n_pairs", lambda v: protocols.variable_block_mc(1.0, v, 0)),
+    "variable_block_mc seed": ("seed", lambda v: protocols.variable_block_mc(0.9, 100, v)),
     "breeding_trials trials": ("trials", lambda v: protocols.breeding_trials(werner(0.95), 5, v)),
     "parity_bound_check n": ("n", lambda v: protocols.parity_bound_check(v, 4, 100, seed=2)),
     "parity_bound_check r": ("r", lambda v: protocols.parity_bound_check(8, v, 100, seed=2)),

@@ -370,11 +370,13 @@ class TestWorkCounts:
 
                 return counted
 
-            def __setattr__(self, name, value):  # substreams sets bit_generator.state
-                setattr(self._obj, name, value)
+        make_placer = ensemble._placer
 
-        make_stream = ensemble.stream
-        monkeypatch.setattr(ensemble, "stream", lambda *args: Counting(make_stream(*args)))
+        def counting_placer(seed):  # substreams re-keys the generator it returns
+            place = make_placer(seed)
+            return lambda *args: Counting(place(*args))
+
+        monkeypatch.setattr(ensemble, "_placer", counting_placer)
         breeding_trials(measures.werner(0.95), 12, 600)
         assert calls == {"random_raw": 600}
 
@@ -489,8 +491,8 @@ class TestRecurrenceMC:
     def test_purify_round_returns_python_int_moments_of_its_kept_blocks(self, k):
         # the MCStep and VariableBlockStats digests hash repr, where a numpy
         # integer reads differently from an int of the same value
-        labels = ensemble._sample_labels(ensemble.stream(8), measures.werner(0.8), 999 * (k + 1))
-        out = protocols._purify_round(labels, 999, k, ensemble.stream(9))
+        labels = ensemble._sample_labels(measures.werner(0.8), 999 * (k + 1), 8, 0, 1)
+        out = protocols._purify_round(labels, 999, k, 8, 0, 2)
         assert [type(v) for v in out] == [int, int, int]
         n_kept, s1, s2 = out
         # the kept blocks sit in order at the front of labels
@@ -498,20 +500,49 @@ class TestRecurrenceMC:
         assert (s1, s2) == (int(s_b.sum()), int((s_b**2).sum()))
 
 
-class TestPurifyPipeline:
-    """_purify_round tests and compacts pieces of CHUNK // 8 blocks on a worker
-    thread and twirls them, in piece order, on the calling thread. It must
-    give what a round of one piece gives, start no thread for one piece, and
-    end its worker when either stage fails."""
+def _at(seed, stream_id, piece, stage):
+    """A new generator at piece `piece` of stage `stage` of stream (seed,
+    stream_id), built by Philox itself at counter words (0, piece, stage, 0)."""
+    words = np.array([0, piece, stage, 0, seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=words[:4], key=words[4:]))
+
+
+def _round_reference(labels, n_blocks, k, seed, stream_id, stage, piece):
+    """_purify_round through the scalar label algebra: each piece of `piece`
+    blocks keeps the sources of its passing blocks, rotated back, and twirls
+    them at its own position. Returns the round's counts and kept labels."""
+    def y(label):
+        return bell.unilateral_pauli(BellLabel(int(label)), PauliAxis.Y)
+
+    kept = []
+    for j, (lo, hi) in enumerate(ensemble.chunks(n_blocks, piece)):
+        srcs = []
+        for b in range(lo, hi):
+            block = [y(label) for label in labels[(k + 1) * b : (k + 1) * (b + 1)]]
+            keep, out = _chain_block_reference(block[:k], block[k])
+            if keep:
+                srcs += [y(s) for s in out]
+        kept += twirl.twirl_labels(np.array(srcs, dtype=np.uint8), _at(seed, stream_id, j, stage)).tolist()
+    s_b = (np.array(kept, dtype=np.uint8).reshape(-1, k) == BellLabel.PSI_MINUS).sum(axis=1)
+    return (len(kept) // k, int(s_b.sum()), int((s_b**2).sum())), bytes(kept)
+
+
+class TestPurifyPieces:
+    """_purify_round tests, compacts and twirls pieces of CHUNK // 8 blocks on
+    ensemble.run_sharded's threads, each piece at its own position, then moves
+    the pieces' kept sources to the front in piece order. It starts no thread
+    for one piece, and every thread has ended when a piece's error is raised."""
 
     @staticmethod
-    def _round(n_blocks, k, seed=3):
-        """The round's counts, the kept labels and the next draw of its rng."""
+    def _labels(n_blocks, k, seed):
         # drawn serially whatever CHUNK is, so that only the round may start a thread
-        labels = ensemble.stream(seed).choice(4, n_blocks * (k + 1), p=[0.7, 0.1, 0.1, 0.1]).astype(np.uint8)
-        rng = ensemble.stream(seed, 1)
-        out = protocols._purify_round(labels, n_blocks, k, rng)
-        return out, labels[: out[0] * k].tobytes(), rng.random(1)[0]
+        return ensemble.stream(seed).choice(4, n_blocks * (k + 1), p=[0.7, 0.1, 0.1, 0.1]).astype(np.uint8)
+
+    def _round(self, n_blocks, k, seed=3):
+        """The round's counts and kept labels."""
+        labels = self._labels(n_blocks, k, seed)
+        out = protocols._purify_round(labels, n_blocks, k, seed, 1, 2)
+        return out, labels[: out[0] * k].tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -519,14 +550,16 @@ class TestPurifyPipeline:
         k=st.integers(1, 4),
         n_blocks=st.integers(0, 60),
         seed=st.integers(0, 2**32),
+        threads=st.sampled_from([1, 2, 8]),
         switch=st.booleans(),
     )
-    def test_pieces_match_one_piece(self, chunk, k, n_blocks, seed, switch):
-        expected = self._round(n_blocks, k, seed)
+    def test_pieces_match_the_scalar_reference(self, chunk, k, n_blocks, seed, threads, switch):
+        expected = _round_reference(self._labels(n_blocks, k, seed), n_blocks, k, seed, 1, 2, max(1, chunk // 8))
         interval = sys.getswitchinterval()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ensemble, "CHUNK", chunk)
-            if switch:  # let the threads swap often, inside the stages
+            mp.setattr(ensemble, "DRAW_THREADS", threads)
+            if switch:  # let the threads swap often, inside the pieces
                 sys.setswitchinterval(1e-6)
             try:
                 assert self._round(n_blocks, k, seed) == expected
@@ -542,62 +575,32 @@ class TestPurifyPipeline:
         assert len(started) == 1 and not started[0].is_alive()
 
     def test_chunk_below_eight_gives_pieces_of_one_block(self, monkeypatch, started):
-        expected = self._round(20, 3)
         monkeypatch.setattr(ensemble, "CHUNK", 7)
-        assert self._round(20, 3) == expected
+        assert self._round(20, 3) == _round_reference(self._labels(20, 3, 3), 20, 3, 3, 1, 2, 1)
         assert len(started) == 1
 
-    @pytest.fixture
-    def worker_fronts(self, monkeypatch):
-        """The idents of the threads that ran the front stage, and an event
-        set once it has run three times; bell.amp_bit runs once in each."""
-        idents, third, amp_bit = [], threading.Event(), bell.amp_bit
+    @pytest.mark.parametrize("step", ["test", "twirl"])
+    def test_piece_error_is_raised_after_every_thread_ends(self, monkeypatch, started, within, step):
+        # the third piece to reach its test (bell.amp_bit runs once a piece),
+        # or its twirl, fails
+        calls, lock = [], threading.Lock()
+        fails = (bell, "amp_bit") if step == "test" else (protocols, "_twirl_labels")
+        original = getattr(*fails)
 
-        def counted(label):
-            idents.append(threading.get_ident())
-            if len(idents) == 3:
-                third.set()
-            return amp_bit(label)
+        def failing(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise ValueError(f"{step} failed")
+            return original(*args)
 
-        monkeypatch.setattr(bell, "amp_bit", counted)
-        return idents, third
-
-    def test_front_stage_error_is_raised(self, monkeypatch, started, within, worker_fronts):
-        idents, _ = worker_fronts
-        amp_bit = bell.amp_bit
-
-        def failing(label):
-            if len(idents) == 3:
-                raise ValueError("front stage failed")
-            return amp_bit(label)
-
-        monkeypatch.setattr(bell, "amp_bit", failing)
+        monkeypatch.setattr(*fails, failing)
         monkeypatch.setattr(ensemble, "CHUNK", 8)  # pieces of one block
         before = threading.active_count()
         exc = within(30, lambda: self._round(30, 1))
-        assert isinstance(exc, ValueError) and str(exc) == "front stage failed"
+        assert isinstance(exc, ValueError) and str(exc) == f"{step} failed"
         assert threading.active_count() == before
-        # the helper's thread and the round's worker, which ran every front stage
-        assert len(started) == 2 and set(idents) == {started[1].ident}
-        assert not started[1].is_alive()
-
-    def test_back_stage_error_is_raised_while_the_worker_waits(
-        self, monkeypatch, started, within, worker_fronts
-    ):
-        # the back stage fails on its first piece once the worker has begun a
-        # third: with two pieces ahead, the worker then waits for room
-        _, third = worker_fronts
-
-        def failing(labels, rng):
-            assert third.wait(timeout=10)
-            raise ValueError("back stage failed")
-
-        monkeypatch.setattr(twirl, "twirl_labels", failing)
-        monkeypatch.setattr(ensemble, "CHUNK", 8)
-        before = threading.active_count()
-        exc = within(30, lambda: self._round(30, 1))
-        assert isinstance(exc, ValueError) and str(exc) == "back stage failed"
-        assert threading.active_count() == before
+        # the helper's thread and the round's second thread
         assert len(started) == 2 and not started[1].is_alive()
 
 
@@ -677,18 +680,18 @@ def _blocked_round_enumerated(q, k):
 
 def _blocked_round_whole_run(f0, n_pairs, seed):
     """variable_block_mc's round on whole-run arrays, as it ran before it was
-    chunked: (n_kept_pairs, fidelity, fidelity_err), the error summing float64
-    squared residuals over every block."""
+    chunked, for a run of one piece: (n_kept_pairs, fidelity, fidelity_err),
+    the error summing float64 squared residuals over every block."""
     k = max(1, round((1.0 - f0) ** -0.5)) if f0 < 1.0 else n_pairs - 1
-    rng = ensemble.stream(seed)
     n_blocks = n_pairs // (k + 1)
-    labels = ensemble._sample_labels(rng, measures.werner(f0), n_blocks * (k + 1))
+    assert n_blocks <= ensemble.CHUNK // 8
+    labels = ensemble._sample_labels(measures.werner(f0), n_blocks * (k + 1), seed, 0, 1)
     labels = bell.unilateral_pauli(labels.reshape(n_blocks, k + 1), PauliAxis.Y)
     srcs = labels[:, :k]
     _, tgt = bell.bxor(np.bitwise_xor.reduce(srcs, axis=1), labels[:, k])
     keep = bell.amp_bit(tgt) == 0
     kept, _ = bell.bxor(srcs[keep], tgt[keep, None])
-    kept = twirl.twirl_labels(bell.unilateral_pauli(kept, PauliAxis.Y).reshape(-1), rng)
+    kept = twirl.twirl_labels(bell.unilateral_pauli(kept, PauliAxis.Y).reshape(-1), _at(seed, 0, 0, 2))
     hits = kept.reshape(-1, k) == BellLabel.PSI_MINUS
     fid = float(hits.mean())
     s_b = np.zeros(n_blocks)
@@ -798,14 +801,18 @@ class TestVariableBlockMC:
 
     @pytest.mark.parametrize("f", [0.55, 0.75, 0.9, 0.94, 0.99, 1.0])
     @pytest.mark.parametrize("n_pairs", [300, 20_001])
-    def test_chunked_round_matches_whole_run_arrays(self, monkeypatch, f, n_pairs):
+    def test_round_matches_whole_run_arrays(self, f, n_pairs):
         # the integer moments give the residual sum exactly, where the float64
         # sum over blocks rounds at each step
         n_kept, fid, fid_err = _blocked_round_whole_run(f, n_pairs, seed=41)
-        monkeypatch.setattr(ensemble, "CHUNK", 7)
         stats = variable_block_mc(f, n_pairs, seed=41)
         assert (stats.n_kept_pairs, stats.fidelity) == (n_kept, fid)
         assert stats.fidelity_err == pytest.approx(fid_err, rel=1e-12, abs=1e-15)
+
+
+def _sampled_labels(rng, d, n):
+    """n labels of d from the sampler, on a seed that rng draws."""
+    return ensemble._sample_labels(d, n, int(rng.integers(2**63)), 0, 1)
 
 
 def _scalar_chain_parity(labels, mask):
@@ -822,7 +829,7 @@ class TestBxorParityHelper:
         # all subsets of a 6-pair ensemble, several label assignments
         rng = np.random.default_rng(5)
         for _ in range(10):
-            labels = ensemble._sample_labels(rng, measures.werner(0.7), 6)
+            labels = _sampled_labels(rng, measures.werner(0.7), 6)
             for mask in range(64):
                 bits = protocols._mask_bits(mask, 6)
                 assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
@@ -831,7 +838,7 @@ class TestBxorParityHelper:
         rng = np.random.default_rng(6)
         for _ in range(50):
             n = int(rng.integers(7, 21))
-            labels = ensemble._sample_labels(rng, measures.werner(0.8), n)
+            labels = _sampled_labels(rng, measures.werner(0.8), n)
             mask = int(rng.integers(0, 1 << n))
             bits = protocols._mask_bits(mask, n)
             assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
@@ -839,7 +846,7 @@ class TestBxorParityHelper:
 
     def test_one_row_of_parities_per_trial(self):
         rng = np.random.default_rng(8)
-        labels = ensemble._sample_labels(rng, measures.werner(0.7), 5 * 9).reshape(5, 9)
+        labels = _sampled_labels(rng, measures.werner(0.7), 5 * 9).reshape(5, 9)
         masks = rng.integers(0, 1 << 9, size=(5, 40))
         bits = protocols._mask_bits(masks, 9)
         assert bits.shape == (5, 40, 9)
@@ -849,7 +856,7 @@ class TestBxorParityHelper:
 
     def test_one_parity_per_row_of_a_subset_matrix(self):
         rng = np.random.default_rng(7)
-        labels = ensemble._sample_labels(rng, measures.werner(0.7), 9)
+        labels = _sampled_labels(rng, measures.werner(0.7), 9)
         bits = rng.integers(0, 2, size=(40, 9))
         masks = bits @ (1 << np.arange(9))
         expected = [_scalar_chain_parity(labels, int(m)) for m in masks]
@@ -1345,7 +1352,7 @@ class TestBreeding:
         for w, n, sid in ((measures.werner(0.9), 13, 2), (BellDiagonal([0.9, 0.03, 0.04, 0.03]), 20, 5)):
             r = breeding_mc(w, n, seed=3, stream_id=sid)
             rng = ensemble.stream(3, sid)
-            ensemble._sample_labels(rng, w, n)
+            rng.random(n)  # the labels' uniforms
             masks = [ensemble.subset_mask(rng, n) for _ in range(r.targets_consumed)]
             assert [t.subset for t in r.parity_tests] == [
                 tuple(i for i in range(n) if (m >> i) & 1) for m in masks

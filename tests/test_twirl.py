@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bellpure import bell, ensemble, measures, qstate, twirl
 from bellpure.bell import BellDiagonal, BellLabel
 from bellpure.twirl import (
-    TWIRL_BATCH,
     TWIRL_PIECE,
     TWIRL_PERMS,
     convergence_table,
@@ -64,14 +63,15 @@ class TestExactTwirl:
 
 
 def _per_rotation_twirl(mat, n, seed, stream_id=0):
-    """Reference: build every rotation u = r (x) r from the same stream and
-    batches as sampled_twirl and sum u rho u-dagger one rotation at a time."""
-    rng = ensemble.stream(seed, stream_id)
+    """Reference: build every rotation u = r (x) r from the same draws as
+    sampled_twirl, piece j's normals on a Philox built at counter words
+    (0, j, 1, 0) of the stream's key, and sum u rho u-dagger one rotation at
+    a time."""
     acc = np.zeros((4, 4), dtype=complex)
-    left = n
-    while left > 0:
-        m = min(TWIRL_BATCH, left)
-        q = rng.normal(size=(m, 4))
+    for j, (lo, hi) in enumerate(ensemble.chunks(n, TWIRL_PIECE)):
+        m = hi - lo
+        words = np.array([0, j, 1, 0, seed, stream_id], dtype=np.uint64)
+        q = np.random.Generator(np.random.Philox(counter=words[:4], key=words[4:])).normal(size=(m, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         u2 = np.empty((m, 2, 2), dtype=complex)
         u2[:, 0, 0] = q[:, 0] - 1j * q[:, 3]
@@ -80,7 +80,6 @@ def _per_rotation_twirl(mat, n, seed, stream_id=0):
         u2[:, 1, 1] = q[:, 0] + 1j * q[:, 3]
         u4 = np.einsum("nab,ncd->nacbd", u2, u2).reshape(m, 4, 4)
         acc += np.einsum("nij,jk,nlk->il", u4, mat, u4.conj())
-        left -= m
     return acc / n
 
 
@@ -91,8 +90,8 @@ def _random_state(rng):
 
 
 class TestSampledTwirl:
-    # the last two sit on either side of the batch boundary
-    @pytest.mark.parametrize("n", [1, 7, TWIRL_BATCH, TWIRL_BATCH + 1])
+    # the last two sit on either side of a piece boundary
+    @pytest.mark.parametrize("n", [1, 7, TWIRL_PIECE, TWIRL_PIECE + 1])
     def test_matches_per_rotation_reference(self, n):
         rho = _random_state(np.random.default_rng(n))
         avg, report = sampled_twirl(rho, n, seed=17, stream_id=3)
@@ -160,10 +159,10 @@ class TestSampledTwirl:
         b, rb = sampled_twirl(rho, 10, seed=4)
         assert np.array_equal(a.mat, b.mat) and ra == rb and type(ra.n_samples) is int
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 4097, TWIRL_BATCH])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 4097, TWIRL_PIECE])
     def test_ten_column_gram_expands_to_the_full_gram_bit_for_bit(self, m):
         # the kernel's layout: the 10 products in the rows of one contiguous
-        # (10, m) batch buffer
+        # (10, m) piece buffer
         q = np.random.default_rng(m).normal(size=(m, 4))
         p10 = np.zeros((10, m))
         for r, (i, j) in enumerate(twirl._PAIRS):
@@ -181,9 +180,9 @@ _G = np.random.default_rng(8).normal(size=(4, 4)) + 1j * np.random.default_rng(9
 _RHO = _G @ _G.conj().T / np.trace(_G @ _G.conj().T).real
 
 
-class TestSampledTwirlPipeline:
-    """sampled_twirl draws pieces of TWIRL_PIECE rotations' normals on one
-    worker thread, while the calling thread normalizes them and sums the Gram."""
+class TestSampledTwirlPieces:
+    """sampled_twirl runs pieces of TWIRL_PIECE rotations on
+    ensemble.run_sharded's threads, each piece at its own position."""
 
     @staticmethod
     def _run(n):
@@ -201,79 +200,51 @@ class TestSampledTwirlPipeline:
         assert len(started) == 1 and not started[0].is_alive()
         assert threading.active_count() == before
 
-    class Recorded(list):
-        """Stands in for the twirl's generator: records the (thread ident,
-        buffer address) of each standard_normal draw, and makes that draw fail
-        when it is the fail_at-th."""
-
-        fail_at = None
-
-        def __init__(self, rng):
-            super().__init__()
-            self.rng = rng
-
-        def standard_normal(self, out):
-            self.append((threading.get_ident(), out.__array_interface__["data"][0]))
-            if len(self) == self.fail_at:
-                raise ValueError("draw failed")
-            return self.rng.standard_normal(out=out)
-
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """The draws of one sampled_twirl call on pieces of 7 rotations."""
-        made = self.Recorded(ensemble.stream(2, 0))
-        monkeypatch.setattr(ensemble, "stream", lambda seed, stream_id: made)
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 15, 22, 1001])
+    def test_pieces_add_their_grams_in_piece_order(self, monkeypatch, n):
+        # each piece's Gram from its own normals, summed in piece order: the
+        # kernel's bytes, whichever of eight threads, swapping often, ran
+        # which piece
         monkeypatch.setattr(twirl, "TWIRL_PIECE", 7)
-        return made
-
-    def test_a_draw_never_fills_the_buffer_of_the_two_before(self, draws):
-        # the worker runs at most two pieces ahead of the caller, so a piece's
-        # buffer is not drawn into again until the caller is done with it
-        sampled_twirl(_RHO, 70, seed=2)
-        addresses = [address for _, address in draws]
-        assert len(addresses) == 10
-        assert all(addresses[j] not in addresses[j + 1 : j + 3] for j in range(10))
-
-    def test_draw_error_is_raised_after_the_worker_ends(self, draws, started, within):
-        draws.fail_at = 3
-        worker_alive = []
-
-        def call():
-            try:
-                sampled_twirl(_RHO, 70, seed=2)
-            except ValueError:
-                worker_alive.append(started[1].is_alive())
-                raise
-
-        before = threading.active_count()
-        exc = within(30, call)
-        assert isinstance(exc, ValueError) and str(exc) == "draw failed"
-        assert worker_alive == [False]
-        assert threading.active_count() == before
-        # the helper's thread and the twirl's worker, which made every draw
-        assert len(draws) == 3 and {ident for ident, _ in draws} == {started[1].ident}
-        assert len(started) == 2
-
-    @pytest.mark.parametrize(
-        "piece, n, switch",
-        [
-            *((7, n, False) for n in (1, 6, 7, 8, 14, 15, 22, 1001)),
-            (7, 1001, True),  # the threads swap often, inside the stages
-            (1, 40, True),
-            # pieces that do not divide a batch, over a batch boundary
-            (30_001, TWIRL_BATCH + TWIRL_PIECE + 1, False),
-        ],
-    )
-    def test_small_piece_matches_default(self, monkeypatch, piece, n, switch):
-        expected = self._run(n)
-        monkeypatch.setattr(twirl, "TWIRL_PIECE", piece)
+        monkeypatch.setattr(ensemble, "DRAW_THREADS", 8)
         interval = sys.getswitchinterval()
-        if switch:
-            sys.setswitchinterval(1e-6)
+        g10 = np.zeros((10, 10))
+        for j, (lo, hi) in enumerate(ensemble.chunks(n, 7)):
+            words = np.array([0, j, 1, 0, 14, n % 5], dtype=np.uint64)
+            q = np.random.Generator(np.random.Philox(counter=words[:4], key=words[4:])).standard_normal((hi - lo, 4)).T
+            q = q / np.sqrt(((q[0] ** 2 + q[1] ** 2) + q[2] ** 2) + q[3] ** 2)
+            p10 = np.stack([q[i] * q[k] for i, k in twirl._PAIRS])
+            g10 += p10 @ p10.T
+        gram = g10[np.ix_(twirl._GRAM16, twirl._GRAM16)]
+        avg = np.einsum("ab,aij,jk,blk->il", gram, twirl._K, _RHO, twirl._K.conj(), optimize=True) / n
+        sys.setswitchinterval(1e-6)
         try:
-            assert self._run(n) == expected
+            assert self._run(n)[0] == qstate.DensityMatrix(avg).mat.tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_piece_error_is_raised_after_every_thread_ends(self, monkeypatch, started, within):
+        piece_placers = ensemble.piece_placers
+
+        def failing_placers(*args):
+            def failing(at):
+                def place(piece, stage):
+                    if piece == 3:
+                        raise ValueError("draw failed")
+                    return at(piece, stage)
+
+                return place
+
+            return [failing(at) for at in piece_placers(*args)]
+
+        monkeypatch.setattr(ensemble, "piece_placers", failing_placers)
+        monkeypatch.setattr(twirl, "TWIRL_PIECE", 7)
+        before = threading.active_count()
+        exc = within(30, lambda: sampled_twirl(_RHO, 70, seed=2))
+        assert isinstance(exc, ValueError) and str(exc) == "draw failed"
+        assert threading.active_count() == before
+        # the helper's thread and the twirl's second thread
+        assert len(started) == 2 and not started[1].is_alive()
 
 
 class TestConvergenceTable:
@@ -328,8 +299,7 @@ class TestDiscreteTwirl:
         # the analytic average
         d = BellDiagonal([0.5, 0.3, 0.1, 0.1])
         n = 100_000
-        rng = ensemble.stream(31)
-        labels = twirl_labels(ensemble._sample_labels(rng, d, n), rng)
+        labels = twirl_labels(ensemble._sample_labels(d, n, 31, 0, 1), ensemble.stream(31))
         freq = np.bincount(labels, minlength=4) / n
         expected = discrete_twirl(d).p
         sigma = np.sqrt(expected * (1.0 - expected) / n)
@@ -354,9 +324,8 @@ class TestTwirlPerms:
         assert (1, 0, 2, 3) in perms  # z
 
     def test_twirl_labels_preserves_singlet_and_class_counts(self):
-        rng = ensemble.stream(99)
-        labels = ensemble._sample_labels(rng, measures.werner(0.7), 10_000)
-        out = twirl_labels(labels, rng)
+        labels = ensemble._sample_labels(measures.werner(0.7), 10_000, 99, 0, 1)
+        out = twirl_labels(labels, ensemble.stream(99))
         assert ((labels == 3) == (out == 3)).all()
 
 
