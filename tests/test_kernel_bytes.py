@@ -47,7 +47,10 @@ field, was recorded while its 600 trials ran in five chunks of at most 143,
 before a chunk grew to 2^16 test bits; its summary means run over more than
 128 trials, where np.mean sums in pairwise blocks. Breeding draws on its
 trials' own streams, at stage 0, so the keyed pieces left these digests as
-they were.
+they were. The werner-n20-500 and werner-n12-4000 digests, over every result
+field, were recorded while each chunk of trials ran its own two decoder
+calls, before the decodes ran once per batch of chunks: the first run's five
+chunks fit one batch, the second run's 4000 trials span three.
 """
 import hashlib
 
@@ -227,12 +230,16 @@ RESULT_FIELDS = (
 #: (sign_given_phi 1/3, sign_given_psi 3/17), ranked exactly together; in the
 #: second one trial's test bits alone (903 tests of 20 bits) fill more than a
 #: chunk of trials may hold; the third runs no test, so each round scores the
-#: whole space of 2^20 strings; the fourth spans several chunks of trials.
+#: whole space of 2^20 strings; the fourth spans several chunks of trials;
+#: the fifth is breeding_trials(werner(0.95), 20, 500) at its defaults, and
+#: the sixth spans several batches of decoded trials.
 FULL_BREEDING_RUNS = {
     "two_groups-n14": (BellDiagonal([0.1, 0.05, 0.15, 0.7]), 14, 400, 2.0, 11),
     "werner-n20-margin100": (measures.werner(0.95), 20, 3, 100.0, 12),
     "rank0-n20": (BellDiagonal([1, 0, 0, 0]), 20, 3, 0.0, 13),
     "werner-n12-600": (measures.werner(0.95), 12, 600, 2.0, 14),
+    "werner-n20-500": (measures.werner(0.95), 20, 500, 2.0, 0),
+    "werner-n12-4000": (measures.werner(0.95), 12, 4000, 2.0, 15),
 }
 FULL_RESULT_FIELDS = RESULT_FIELDS + (
     "zero_prior_round1", "zero_prior_round2", "subset_masks", "parities",
@@ -334,6 +341,8 @@ DIGESTS = {
     "breeding-rank0-n20": "9295149aabec29608d0b692870050069b28afda0164bbb894e347c1ca63e2337",
     "breeding-werner-n20-margin100": "fdbe68bd5a462aed228ad3240a6418caeb99ece3e97e5cf424820e8c62c7ed1b",
     "breeding-werner-n12-600": "5ef0b25aadb015fa5a3d3e3ff7bea1dd04e6e65c47fed01c902b37c6317af0c4",
+    "breeding-werner-n20-500": "b2b723eaba223ae097d7fa61679c418024726c9f3230c0cb30282c50aa499c1b",
+    "breeding-werner-n12-4000": "5bc7c5b6c181b82ddd8162b0e1de5b1a7f299cfba5e6346cacdcfeee73d312a8",
 }
 
 
