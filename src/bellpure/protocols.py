@@ -352,18 +352,19 @@ def _mask_bits(mask, n: int) -> np.ndarray:
     return ((np.asarray(mask)[..., None] >> np.arange(n)) & 1).astype(bool)
 
 
-def _bxor_parity(labels: np.ndarray, bits: np.ndarray):
+def _bxor_parity(labels: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Chain the selected pairs as sources into one fresh Phi+ target and
-    z-measure it (consuming the target). bits selects the subset along the
-    last axis; a 2-D bits array holds one subset per row and gives one parity
-    per row. With a leading trial axis on both, (T, n) labels and (T, r, n)
-    bits give the (T, r) parities of each trial's own subsets.
+    z-measure it (consuming the target). Each integer mask selects a subset
+    (bit i selects pair i): (..., n) labels and (..., r) masks give the
+    (..., r) parities, so (T, n) labels and (T, r) masks give each trial's
+    parities of its own subsets.
 
     By the bxor rule the chain acts on the target like one controlled-NOT
     from the XOR of the sources. A Phi+ target's sign bit is 0, so no source
     is altered, and its amp bit 0 is toggled by the sources' XORed amp bit:
     the subset's Psi-count parity, which the measurement reports."""
-    return np.matmul(bits, bell.amp_bit(labels)[..., None])[..., 0] & 1
+    amp = bell.amp_bit(labels) @ (1 << np.arange(labels.shape[-1]))
+    return np.bitwise_count(masks & amp[..., None]) & 1
 
 
 #: Most candidate strings the decoder holds at once, over all the rows it
@@ -397,22 +398,27 @@ def _prior_ranks(n: int, probs: tuple[float, ...]) -> tuple[np.ndarray, tuple[bo
 
 def _reduce_parities(n: int, masks: np.ndarray, parities: np.ndarray) -> np.ndarray:
     """Gauss-Jordan elimination over GF(2) of each row's parity tests, all
-    rows at once. Returns the (T, n) reduced pivot rows, each test packed as
-    mask << 1 | parity: column b holds the test whose leading bit is b, with
-    no other leading bit set, or 0 when no test leads at b. Raises
-    RuntimeError when a row's parities contradict each other."""
+    rows at once, in place beside one scratch array of the same size. Returns
+    the (T, n) reduced pivot rows, each test packed as mask << 1 | parity:
+    column b holds the test whose leading bit is b, with no other leading bit
+    set, or 0 when no test leads at b. Raises RuntimeError when a row's
+    parities contradict each other."""
     work = np.zeros((len(masks), n + masks.shape[1]), dtype=np.int64)
     pivots, tests = work[:, :n], work[:, n:]
     if not tests.size:
         return pivots
     tests[:] = masks << 1 | parities
+    scratch, lead = np.empty_like(work), np.empty(len(work), dtype=np.int64)
     for b in range(n - 1, -1, -1):
         # a test not yet taken holds no mask bit above b, so the largest
         # leads at b if any test does; XORing it into every test and pivot
         # holding bit b clears that bit there, itself included
-        lead = tests.max(axis=1)
+        tests.max(axis=1, out=lead)
         lead *= lead >> b + 1
-        work ^= (work >> b + 1 & 1) * lead[:, None]
+        np.right_shift(work, b + 1, out=scratch)
+        scratch &= 1
+        scratch *= lead[:, None]
+        work ^= scratch
         pivots[:, b] = lead
     if tests.any():  # a test reduced to parity 1 on the empty subset
         raise RuntimeError("no parity-consistent candidate")
@@ -443,15 +449,16 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
     ranks, flips = _prior_ranks(n, tuple(probs))
     leads = pivots != 0
     dims = n - np.count_nonzero(leads, axis=1)
-    bit = np.arange(n)
-    weights = 1 << bit
+    weights = 1 << np.arange(n)
     # with every free bit 0, each leading bit is its pivot's parity
     x0 = ((pivots & 1) @ weights).astype(np.uint32)
     # column f: bit f, and every leading bit whose pivot holds bit f; for a
     # free f, the basis vector whose only free bit is f
-    spans = pivots[:, None, :] >> bit[:, None] + 1
-    spans &= 1
-    spans = (1 << bit | spans @ weights).astype(np.uint32)
+    spans, held = np.empty(pivots.shape, dtype=np.uint32), np.empty_like(pivots)
+    for f in range(n):
+        np.right_shift(pivots, f + 1, out=held)
+        held &= 1
+        spans[:, f] = held @ weights | 1 << f
     decoded = np.zeros(len(dims), dtype=np.int64)
     count = np.zeros(len(dims), dtype=np.int64)  # strings of the top prior
     order = dims.argsort(kind="stable")
@@ -489,26 +496,29 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
     return np.where(count > 0, smallest, 0), count
 
 
-#: Most test bits one chunk of breeding trials holds at once: 4 bytes a test bit
-#: of raw words, about 260 KiB, freed once decoded into one byte a test bit and
-#: before the decoder scores its candidates (up to DECODE_CHUNK of them). Each
-#: chunk pays a decoder call per round, at much the same cost whatever its size,
-#: so chunks are as large as a 500-trial n = 20 run's 2 MiB memory bound allows
-#: (2^17 exceeds it when the run is its process's first use of numpy.random).
-#: A trial with more test bits runs alone.
+#: Most test bits one chunk of breeding trials draws at once: 4 bytes a test
+#: bit of raw words, about 260 KiB, freed once each trial is kept as its labels
+#: (a byte a pair) and subset masks (8 bytes a test). A batch keeps as many
+#: trials as a chunk's raw words take bytes, and at least one chunk, and runs
+#: each round's decodes in one _ml_decode_rows call, whose cost hardly grows
+#: with its rows; its memory is one chunk's draws, then one batch's decodes
+#: (at most DECODE_CHUNK candidates at once). Up to 2^17 the decodes set a
+#: 500-trial n = 20 run's peak, within its 2 MiB bound; at 2^18 the draws pass
+#: it. A trial with more test bits runs alone.
 BREEDING_CHUNK = 1 << 16
 
 
 def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids):
-    """breeding_mc on each stream id, in order, one chunk of trials at a time.
+    """breeding_mc on each stream id, in order, one batch of trials at a time.
 
     A trial's own work is one random_raw call for all of its stream's words,
     on the one generator that ensemble.substreams re-keys to each trial's
-    stream, and the building of its result record; ensemble.decode_raw turns
-    a chunk's words into its uniforms and test bits. Every other step runs
-    once per chunk, on (T, n) labels and (T, r1 + r2, n) test bits, each
-    round's decodes in one _ml_decode_rows call; and what is the same for
-    every trial runs once per call."""
+    stream, and the building of its result record. A batch draws its trials a
+    chunk at a time: ensemble.decode_raw turns a chunk's words into its
+    uniforms and test bits, which are kept as (T, n) labels and (T, r1 + r2)
+    subset masks. Every other step runs once per batch, each round's decodes
+    in one _ml_decode_rows call, and the records are built a chunk of trials
+    at a time; what is the same for every trial runs once per call."""
     n = measures.check_breeding_args(n, delta, r_margin)
     p = w.p
     p_psi = float(p[2] + p[3])
@@ -528,25 +538,29 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     cdf = p.cumsum()
     # trials per chunk; a trial with no tests still holds its n uniforms
     per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
+    per_batch = max(per_chunk, 4 * BREEDING_CHUNK // (n + 8 * targets))
     streams = ensemble.substreams(seed, stream_ids)
     words = ensemble.raw_words(n, targets * n)
 
     results: list[BreedingResult] = []
-    for lo in range(0, len(stream_ids), per_chunk):
-        size = min(per_chunk, len(stream_ids) - lo)
-        # a trial's draws: its labels' uniforms, then round 1's subsets, then
-        # round 2's (a decode draws nothing, so they can come first)
-        raw = np.empty((size, words), dtype=np.uint64)
-        for i, rng in zip(range(size), streams):
-            raw[i] = rng.bit_generator.random_raw(words)
-        u, bits = ensemble.decode_raw(raw, n, targets * n)
-        del raw  # 8 bytes a word: gone before the decodes take their memory
-        bits = bits.reshape(size, targets, n)
-        labels = ensemble._labels_from_uniforms(cdf, u, np.empty(u.shape, dtype=np.uint8))
-        masks = bits @ weights
+    for lo, hi in ensemble.chunks(len(stream_ids), per_batch):
+        size = hi - lo
+        labels = np.empty((size, n), dtype=np.uint8)
+        masks = np.empty((size, targets), dtype=np.int64)
+        for a, b in ensemble.chunks(size, per_chunk):
+            # a trial's draws: its labels' uniforms, then round 1's subsets,
+            # then round 2's (a decode draws nothing, so they can come first)
+            raw = np.empty((b - a, words), dtype=np.uint64)
+            for i, rng in zip(range(b - a), streams):
+                raw[i] = rng.bit_generator.random_raw(words)
+            u, bits = ensemble.decode_raw(raw, n, targets * n)
+            del raw  # 8 bytes a word: gone before the masks' int64 product takes its memory
+            ensemble._labels_from_uniforms(cdf, u, labels[a:b])
+            np.matmul(bits.reshape(b - a, targets, n), weights, out=masks[a:b])
+        del u, bits  # the last chunk's: gone before the decodes take their memory
 
         x_true = bell.amp_bit(labels) @ weights
-        pars1 = _bxor_parity(labels, bits[:, :r1])
+        pars1 = _bxor_parity(labels, masks[:, :r1])
         x_hat, dim1, tie1, zero1 = _ml_decode_rows(
             n, masks[:, :r1], pars1, np.full((size, 1), full), [p_psi]
         )
@@ -555,28 +569,31 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
         labels = bell.bilateral_rot(labels, PauliAxis.Y)  # leftover sign errors become Psi+
 
         y_true = bell.amp_bit(labels) @ weights
-        pars2 = _bxor_parity(labels, bits[:, r1:])
+        pars2 = _bxor_parity(labels, masks[:, r1:])
         y_hat, dim2, tie2, zero2 = _ml_decode_rows(
             n, masks[:, r1:], pars2, np.stack([full & ~x_hat, x_hat], axis=1),
             [sign_given_phi, sign_given_psi],
         )
         # one-particle x on every decoded Psi+
         labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
-        residual = np.count_nonzero(labels != BellLabel.PHI_PLUS, axis=1).tolist()
+        residual = np.count_nonzero(labels != BellLabel.PHI_PLUS, axis=1)
 
         # a round with no string of non-zero prior decodes to 0 and fails
         correct1 = (x_hat == x_true) & ~zero1
         correct2 = (y_hat == y_true) & ~zero2
-        for m, pars, ok1, ok2, t1, t2, res, d1, d2, z1, z2 in zip(
-            masks.tolist(), np.concatenate([pars1, pars2], axis=1).tolist(), correct1.tolist(),
-            correct2.tolist(), tie1.tolist(), tie2.tolist(), residual, dim1.tolist(),
-            dim2.tolist(), zero1.tolist(), zero2.tolist(),
-        ):
-            # positional, in field order: keywords cost more than the rest of the record
-            results.append(BreedingResult(
-                n, targets, ok1, ok2, t1, t2, res, (n - res - targets) / n, provisioned,
-                exceeded, d1, d2, z1, z2, tuple(m), tuple(pars),
-            ))
+        fields = (
+            masks, np.concatenate([pars1, pars2], axis=1), correct1, correct2, tie1, tie2,
+            residual, dim1, dim2, zero1, zero2,
+        )
+        for a, b in ensemble.chunks(size, per_chunk):
+            for m, pars, ok1, ok2, t1, t2, res, d1, d2, z1, z2 in zip(
+                *(field[a:b].tolist() for field in fields)
+            ):
+                # positional, in field order: keywords cost more than the rest of the record
+                results.append(BreedingResult(
+                    n, targets, ok1, ok2, t1, t2, res, (n - res - targets) / n, provisioned,
+                    exceeded, d1, d2, z1, z2, tuple(m), tuple(pars),
+                ))
     return results
 
 

@@ -132,10 +132,12 @@ def discrete_twirl(d: BellDiagonal) -> BellDiagonal:
 
 def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Apply an independent uniformly drawn discrete twirl to every label,
-    drawing one chunk of permutation indices at a time."""
+    drawing its int64 permutation indices CHUNK // 16 (at least one) at a
+    time, 512 KiB at the default CHUNK; integers splits invariantly, so the
+    slices draw what one call would."""
     out = np.empty_like(labels)
     flat = TWIRL_PERMS.ravel()
-    for lo, hi in ensemble.chunks(labels.shape[0], ensemble.CHUNK):
+    for lo, hi in ensemble.chunks(labels.shape[0], max(1, ensemble.CHUNK // 16)):
         # flat index 4 * j + label of TWIRL_PERMS[j, label], built in place
         # on the default-int64 draw
         idx = rng.integers(0, len(TWIRL_PERMS), size=hi - lo)

@@ -407,7 +407,7 @@ class TestRandomAxisParallelProb:
 
 
 class TestChunkInvariance:
-    """twirl.twirl_labels draws its indices CHUNK at a time on one generator.
+    """twirl.twirl_labels draws its indices CHUNK // 16 at a time on one generator.
     Its output must not depend on CHUNK, so that a numpy change which breaks
     this fails here instead of silently moving output bytes."""
 
@@ -618,11 +618,12 @@ class TestBoundedMemory:
         assert _traced_peak_mib(protocols.variable_block_mc, 0.75, 10**7, 5) < 24
 
     def test_variable_block_mc_holds_pieces_of_long_blocks(self):
-        # about 22.5 MiB at k = 4, where a piece's k + 1 label columns and its
-        # int64 twirl indices (4 MiB) grow with k, and each of the two threads
-        # holds a piece's at once; with the twirl on the calling thread alone,
-        # 19.1 MiB. Whole chunks of blocks read 52.9 MiB
-        assert _traced_peak_mib(protocols.variable_block_mc, 0.94, 10**7, 5) < 24
+        # about 18.6 MiB at k = 4, where a piece's k + 1 label columns grow
+        # with k and each of the two threads holds a piece's at once, its
+        # int64 twirl indices drawn CHUNK // 16 at a time (0.5 MiB). Indices
+        # for a whole piece (4 MiB a thread) read 22.5 MiB, and whole chunks
+        # of blocks 52.9 MiB
+        assert _traced_peak_mib(protocols.variable_block_mc, 0.94, 10**7, 5) < 20
 
     def test_sampled_twirl_at_1e6_rotations(self):
         # about 10.8 MiB: on each of the two threads, one (TWIRL_PIECE, 4)
@@ -635,11 +636,20 @@ class TestBoundedMemory:
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 13
 
     def test_breeding_trials_keep_tests_as_integers(self):
-        # about 1.2 MiB, run alone or in the suite: 0.76 MiB of results (two
-        # tuples of ints per trial) and one chunk of 2^16 test bits with its
-        # decodes. A ParityTest record per test took ~3.0 MiB here, ~0.6 GiB
-        # at breed's cap of 10^5 trials
+        # about 1.85 MiB, run alone or in the suite: the 500 trials are one
+        # batch, whose round-2 decode scores DECODE_CHUNK candidates at once
+        # (1.7 MiB); its 0.76 MiB of results (two tuples of ints per trial)
+        # come after. Spans built as a (trials, n, n) int64 cube read 2.06 MiB;
+        # a ParityTest record per test took ~3.0 MiB here, ~0.6 GiB at breed's
+        # cap of 10^5 trials
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
+
+    def test_breeding_trials_build_records_a_chunk_at_a_time(self):
+        # about 0.95 MiB: 600 trials at n = 12 are one batch of labels and
+        # masks, decoded together, whose records are built from one chunk's
+        # lists at a time. Draw chunks that each ran their own decodes read
+        # 1.04 MiB, and records built from lists of the whole batch 1.11 MiB
+        assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 12, 600) < 1.1
 
     def test_breeding_scores_a_whole_space_one_row_at_a_time(self):
         # no tests at all, so each round of each trial scores all 2^20

@@ -13,7 +13,8 @@ rewrite of the kernels' inner loops must keep every draw, its position and
 every summation order. Sizes sit on either side of the piece boundaries, of
 CHUNK // 2 uniforms (sampler), CHUNK // 8 blocks (purification round,
 PIECE) and TWIRL_PIECE rotations (sampled twirl), and of the CHUNK boundary
-at which twirl_labels splits its draw. The random_axis_parallel_prob digest
+at which twirl_labels split its draw until it drew CHUNK // 16 indices at a
+time, which left its digests as they were. The random_axis_parallel_prob digest
 covers a run at MAX_AXIS_TRIALS, whose labels span two pieces. The
 twirl_labels digests end with the next draw of its generator, which pins
 how many indices it drew.

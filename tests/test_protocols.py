@@ -298,7 +298,7 @@ class TestWorkCounts:
     oracle build only the states they need, so a re-validation creeping back
     fails here. A breeding run keeps its tests as integers and builds no
     per-test record until one is read. It draws each trial's words with one
-    call, and it runs the tests of a whole chunk of trials in one call."""
+    call, and it decodes each round of a whole batch of trials in one call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -381,28 +381,40 @@ class TestWorkCounts:
         assert calls == {"random_raw": 600}
 
     def test_breeding_builds_one_prior_table_per_round(self):
-        # one table per (n, probs): building one per chunk and round would
+        # one table per (n, probs): building one per batch and round would
         # cost a breeding run about 0.35 ms each at n = 20 with two groups
         protocols._prior_ranks.cache_clear()
-        breeding_trials(measures.werner(0.95), 12, 600)
+        _, results = breeding_trials(measures.werner(0.95), 12, 2000)
+        assert 2000 > self._per_batch(results[0])  # two batches share the tables
         info = protocols._prior_ranks.cache_info()
-        assert info.misses <= 2 and info.hits > 0  # several chunks share them
+        assert info.misses <= 2 and info.hits > 0
 
-    def test_breeding_runs_its_tests_once_per_chunk_of_trials(self, monkeypatch):
-        sizes = []  # trials per _bxor_parity call
-        bxor_parity = protocols._bxor_parity
+    @staticmethod
+    def _per_batch(run):
+        """Trials in a batch of run's breeding_trials call: as many as a chunk's
+        raw-word bytes hold at n label bytes and 8 mask bytes a trial."""
+        return 4 * protocols.BREEDING_CHUNK // (run.n + 8 * run.targets_consumed)
 
-        def counted(labels, bits):
-            sizes.append(len(labels))
-            return bxor_parity(labels, bits)
+    @pytest.mark.parametrize("trials", [600, 2000])
+    def test_breeding_decodes_each_round_once_per_batch_of_trials(self, monkeypatch, trials):
+        sizes = []  # rows per _ml_decode_rows call
+        decode_rows = protocols._ml_decode_rows
 
-        monkeypatch.setattr(protocols, "_bxor_parity", counted)
-        _, results = breeding_trials(measures.werner(0.95), 12, 600, seed=3)
+        def counted(n, masks, *args):
+            sizes.append(len(masks))
+            return decode_rows(n, masks, *args)
+
+        monkeypatch.setattr(protocols, "_ml_decode_rows", counted)
+        _, results = breeding_trials(measures.werner(0.95), 12, trials, seed=3)
+        per_batch = self._per_batch(results[0])
         per_chunk = protocols.BREEDING_CHUNK // (results[0].targets_consumed * 12)
-        assert per_chunk > 1
-        chunk_sizes = [min(per_chunk, 600 - lo) for lo in range(0, 600, per_chunk)]
-        # each chunk's two rounds, not each trial's
-        assert sizes == [size for size in chunk_sizes for _ in range(2)]
+        # 600 trials span three chunks, but one batch: 2 calls, not 6; 2000
+        # trials span two batches
+        assert per_chunk < 600 < per_batch < 2000 <= 2 * per_batch
+        batch_sizes = [min(per_batch, trials - lo) for lo in range(0, trials, per_batch)]
+        # each batch's two rounds, not each chunk's or each trial's
+        assert sizes == [size for size in batch_sizes for _ in range(2)]
+        assert len(sizes) == {600: 2, 2000: 4}[trials]
 
 
 class TestRecurrenceTrajectory:
@@ -830,9 +842,10 @@ class TestBxorParityHelper:
         rng = np.random.default_rng(5)
         for _ in range(10):
             labels = _sampled_labels(rng, measures.werner(0.7), 6)
-            for mask in range(64):
-                bits = protocols._mask_bits(mask, 6)
-                assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
+            masks = np.arange(64)
+            assert protocols._bxor_parity(labels, masks).tolist() == [
+                _scalar_chain_parity(labels, mask) for mask in range(64)
+            ]
 
     def test_matches_scalar_chain_on_sampled_larger_subsets(self):
         rng = np.random.default_rng(6)
@@ -840,27 +853,26 @@ class TestBxorParityHelper:
             n = int(rng.integers(7, 21))
             labels = _sampled_labels(rng, measures.werner(0.8), n)
             mask = int(rng.integers(0, 1 << n))
-            bits = protocols._mask_bits(mask, n)
-            assert protocols._bxor_parity(labels, bits) == _scalar_chain_parity(labels, mask)
-
+            parity = protocols._bxor_parity(labels, np.array([mask]))
+            assert parity.tolist() == [_scalar_chain_parity(labels, mask)]
 
     def test_one_row_of_parities_per_trial(self):
         rng = np.random.default_rng(8)
         labels = _sampled_labels(rng, measures.werner(0.7), 5 * 9).reshape(5, 9)
         masks = rng.integers(0, 1 << 9, size=(5, 40))
-        bits = protocols._mask_bits(masks, 9)
-        assert bits.shape == (5, 40, 9)
-        assert protocols._bxor_parity(labels, bits).tolist() == [
+        parities = protocols._bxor_parity(labels, masks)
+        assert parities.shape == (5, 40)
+        assert parities.tolist() == [
             [_scalar_chain_parity(row, int(m)) for m in trial] for row, trial in zip(labels, masks)
         ]
 
-    def test_one_parity_per_row_of_a_subset_matrix(self):
+    def test_one_parity_per_mask(self):
         rng = np.random.default_rng(7)
         labels = _sampled_labels(rng, measures.werner(0.7), 9)
         bits = rng.integers(0, 2, size=(40, 9))
         masks = bits @ (1 << np.arange(9))
         expected = [_scalar_chain_parity(labels, int(m)) for m in masks]
-        assert protocols._bxor_parity(labels, bits).tolist() == expected
+        assert protocols._bxor_parity(labels, masks).tolist() == expected
 
 
 def _exhaustive_decode(n, masks, parity_bits, prior_groups):
@@ -1194,11 +1206,13 @@ class TestBreeding:
         rounds = []
         bxor_parity = protocols._bxor_parity
 
-        def recording(labels, bits):
-            # one trial: (1, n) labels and its (1, tests, n) subset bits
-            assert labels.shape == (1, n) and bits.shape[::2] == (1, n)
-            parities = bxor_parity(labels, bits)
-            rounds.append((bits[0], parities[0].tolist()))
+        def recording(labels, masks):
+            # one trial: (1, n) labels and its (1, tests) subset masks
+            assert labels.shape == (1, n) and len(masks) == 1
+            parities = bxor_parity(labels, masks)
+            assert parities.shape == masks.shape
+            bits = masks[0, :, None] >> np.arange(n) & 1  # (tests, n): bit i selects pair i
+            rounds.append((bits, parities[0].tolist()))
             return parities
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1300,7 +1314,8 @@ class TestBreeding:
     )
     @example(BellDiagonal([1.0, 0.0, 0.0, 0.0]), 20, 0.0, 0, 9)  # no tests at all
     def test_trials_do_not_depend_on_the_chunk_size(self, w, n, r_margin, seed, trials):
-        # like ensemble.CHUNK: any chunk of trials gives the same results and
+        # like ensemble.CHUNK: any chunk of trials, and any batch of chunks
+        # (which BREEDING_CHUNK sizes too), gives the same results and
         # summary, each trial equal to its own breeding_mc run
         summary, results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
         assert results == [
@@ -1327,7 +1342,7 @@ class TestBreeding:
     def test_zero_prior_round_is_flagged_and_corrects_nothing(self, monkeypatch):
         # at zero margin, 49 of these 300 trials misdecode round 1 so that
         # round 2 has no string of non-zero prior
-        corrections = []  # each chunk's round-1 masks, then its round-2 masks
+        corrections = []  # each batch's round-1 masks, then its round-2 masks
         mask_bits = protocols._mask_bits
 
         def recording(masks, n):
