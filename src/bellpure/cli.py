@@ -24,9 +24,10 @@ measures.werner_weights (a Werner state is its own twirl), and `twirl --input`
 rejects a malformed or non-finite matrix file before numpy loads. So
 `--version`, usage errors, `recurrence` without `--mc`, `curves`, `twirl
 --werner` without `--samples`, the argument errors of `recurrence`, a
-`--werner` fidelity outside [0, 1], `breed`'s size and margin errors and a
-rejected `twirl --input` file never load numpy. The self-test suites live in
-selftest, which only the `selftest` command imports.
+`--werner` fidelity outside [0, 1], `breed`'s size and margin errors, an
+`--mc` or `--seed` out of range and a rejected `twirl --input` file never load
+numpy. The self-test suites live in selftest, which only the `selftest`
+command imports.
 """
 from __future__ import annotations
 
@@ -90,11 +91,18 @@ def _emit(ns, rows) -> int:
     return 0
 
 
-def _check_sizes(ns) -> None:
+def _check_numbers(ns) -> None:
+    """Reject a size beyond its limit, an --mc below 2 and a --seed outside the
+    stream key's range before any work, so a run that draws nothing rejects
+    them too."""
     for name, limit in SIZE_LIMITS.items():
         value = getattr(ns, name, None)
         if value is not None and value > limit:
             raise ValueError(f"--{name} {value} exceeds the limit of {limit}")
+    if getattr(ns, "mc", None) is not None:
+        measures.whole_number("n_pairs", ns.mc, 2)
+    if hasattr(ns, "seed"):
+        measures.whole_number("seed", ns.seed, 0, 2**64 - 1)
 
 
 def _check_out(ns) -> None:
@@ -121,6 +129,13 @@ def _add_output_args(p) -> None:
 def cmd_recurrence(ns) -> int:
     if ns.target is not None:
         trace = measures.recurrence_trajectory(ns.f0, f_target=ns.target)
+        reached = trace.steps[-1].fidelity if trace.steps else ns.f0
+        if reached < ns.target:
+            print(
+                f"note: fidelity {reached!r} after {len(trace.steps)} steps is still below"
+                f" the target {ns.target!r}",
+                file=sys.stderr,
+            )
     else:
         trace = measures.recurrence_trajectory(ns.f0, max_steps=ns.steps)
     run_mc = ns.mc is not None and bool(trace.steps)
@@ -339,7 +354,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        _check_sizes(ns)
+        _check_numbers(ns)
         _check_out(ns)
         return ns.func(ns)
     except (ValueError, OSError) as exc:

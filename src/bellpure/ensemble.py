@@ -36,17 +36,18 @@ piece starts, and not on DRAW_THREADS or on which thread ran which piece. The
 draws keep the int64 default: ``integers(0, 6, size=n, dtype=np.uint8)`` draws
 other values than the int64 call.
 
-Threads: run_sharded runs a kernel's pieces on at most DRAW_THREADS threads,
-the calling thread among them; each thread takes the next piece off a shared
-stack. Generators and buffers are made on the calling thread. A run of one
-piece starts no thread, and every thread has ended when its call returns or
-raises. So the working memory of the sampler and the round is the uint8
-label ensemble (one byte per pair) plus one piece per thread; only
-variable_block_mc at F = 1, whose one block holds the whole run, is unbounded.
+Threads: run_sharded places every piece. It runs a kernel's pieces on at most
+DRAW_THREADS threads, the calling thread among them; each thread takes the next
+piece off a shared stack and draws it with a generator of its own placed there,
+and the call returns the pieces' results in piece order. Generators and buffers
+are made on the calling thread. A run of one piece starts no thread, and every
+thread has ended when its call returns or raises. So the working memory of the
+sampler and the round is the uint8 label ensemble (one byte per pair) plus one
+piece per thread; only variable_block_mc at F = 1, whose one block holds the
+whole run, is unbounded.
 """
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections.abc import Iterator
@@ -125,15 +126,6 @@ def _threads(n_pieces: int) -> int:
     return max(1, min(DRAW_THREADS, n_pieces))
 
 
-def piece_placers(seed: int, stream_id: int, n_pieces: int) -> list:
-    """For each thread that run_sharded runs n_pieces pieces on, a function
-    at(piece, stage) that returns a generator of the thread's own placed at
-    that piece of stream (seed, stream_id) (_placer). They are made on the
-    calling thread, and the call checks the seed and the stream id."""
-    seed, stream_id = _key(seed, stream_id)
-    return [functools.partial(_placer(seed), stream_id) for _ in range(_threads(n_pieces))]
-
-
 def raw_words(n_uniforms: int, n_bits: int) -> int:
     """Raw words that random(n_uniforms), integers(0, 2, size=n_bits) take."""
     return n_uniforms + (n_bits + 1) // 2
@@ -148,24 +140,29 @@ def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndar
     return uniforms, data[:, 3::4][:, :n_bits] >> 7
 
 
-def run_sharded(work, n_pieces: int) -> None:
-    """Run work(j, t) for each piece j in range(n_pieces), t being the index of
-    the thread that runs it: the calling thread is thread 0, and each other
-    thread of _threads(n_pieces) is started here, so one piece starts none.
-    Each thread takes the next piece off a shared stack, so that a thread that
-    gets less of the cpu runs fewer pieces; a thread whose piece raises takes
-    no more. Returns once every thread has ended, raising the exception of
-    the first thread, in thread order, whose piece raised."""
-    threads = _threads(n_pieces)
+def run_sharded(work, bounds: list, seed: int, stream_id: int, stage: int) -> list:
+    """Run work(j, lo, hi, rng, t) for each piece j, (lo, hi) = bounds[j], and
+    return the pieces' results in piece order. t is the index of the thread
+    that runs the piece, and rng that thread's generator (_placer) placed at
+    piece j of stage `stage` of stream (seed, stream_id). The key is checked,
+    and the generators made, on the calling thread, thread 0, before any piece
+    runs; each other thread of _threads(len(bounds)) is started here, so one
+    piece starts none. Each thread takes the next piece off a shared stack, so
+    that a thread that gets less of the cpu runs fewer pieces; a thread whose
+    piece raises takes no more. Returns once every thread has ended, raising
+    the exception of the first thread, in thread order, whose piece raised."""
+    seed, stream_id = _key(seed, stream_id)
+    threads = _threads(len(bounds))
+    places = [_placer(seed) for _ in range(threads)]
     # list.pop is atomic, and below the pieces lies one None per thread, at
     # which it stops
-    todo = [None] * threads + list(range(n_pieces))[::-1]
-    errors = [None] * threads
+    todo = [None] * threads + list(range(len(bounds)))[::-1]
+    results, errors = [None] * len(bounds), [None] * threads
 
     def run(t):
         try:
             for j in iter(todo.pop, None):
-                work(j, t)
+                results[j] = work(j, *bounds[j], places[t](stream_id, j, stage), t)
         except BaseException as exc:
             errors[t] = exc
 
@@ -178,6 +175,7 @@ def run_sharded(work, n_pieces: int) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+    return results
 
 
 class EstimateWithError(NamedTuple):
@@ -198,10 +196,10 @@ def _labels_from_uniforms(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, hits=
 
 def _sample_labels(d: BellDiagonal, n: int, seed: int, stream_id: int, stage: int) -> np.ndarray:
     """n i.i.d. label draws by inverse CDF on the 4-vector (uint8 array), in
-    pieces of CHUNK // 2 uniforms on run_sharded's threads: piece j is drawn at
-    its own position, piece j of the stage of stream (seed, stream_id), so the
-    labels do not depend on which thread drew it. Each thread holds one
-    piece's uniforms at a time.
+    pieces of CHUNK // 2 uniforms on run_sharded's threads: piece j is drawn
+    with the generator that run_sharded placed at piece j of the stage of
+    stream (seed, stream_id), so the labels do not depend on which thread drew
+    it. Each thread holds one piece's uniforms at a time.
 
     A uniform u maps to the count of the cdf's first three entries that are
     <= u, written in place by three compares. That is the integer
@@ -210,21 +208,19 @@ def _sample_labels(d: BellDiagonal, n: int, seed: int, stream_id: int, stage: in
     cdf[3] rounds below 1) makes the other three compares true as well, which
     is the cap at 3. On 4 entries the compares cost less than the search."""
     bounds = list(chunks(n, CHUNK // 2))
-    at = piece_placers(seed, stream_id, len(bounds))
     cdf = d.p.cumsum()
     out = np.empty(n, dtype=np.uint8)
     # the buffers (the uniforms and the compares' bools) are made on the
     # calling thread, so that the threads only draw and compare: a buffer freed
     # on a thread of its own would stay resident in that thread's malloc arena
-    piece = min(n, CHUNK // 2)
-    uniforms, hits = np.empty((len(at), piece)), np.empty((len(at), piece), dtype=bool)
+    shape = (_threads(len(bounds)), min(n, CHUNK // 2))
+    uniforms, hits = np.empty(shape), np.empty(shape, dtype=bool)
 
-    def draw(j, t):
-        lo, hi = bounds[j]
-        u = at[t](j, stage).random(out=uniforms[t, : hi - lo])
+    def draw(j, lo, hi, rng, t):
+        u = rng.random(out=uniforms[t, : hi - lo])
         _labels_from_uniforms(cdf, u, out[lo:hi], hits[t, : hi - lo])
 
-    run_sharded(draw, len(bounds))
+    run_sharded(draw, bounds, seed, stream_id, stage)
     return out
 
 

@@ -148,17 +148,15 @@ def _purify_round(
     s_b counts a kept block's singlets.
 
     Pieces of CHUNK // 8 blocks run on ensemble.run_sharded's threads. Piece j
-    is tested, compacted and twirled at its own position, piece j of the stage
-    of stream (seed, stream_id), by whichever thread takes it, and its kept
-    sources are written from the piece's own start: k * kept <= k * (hi - lo)
-    < (k + 1) * (hi - lo), so no write leaves the piece. The calling thread
+    is tested, compacted and twirled by whichever thread takes it, with the
+    generator that run_sharded placed at piece j of the stage of stream (seed,
+    stream_id). Its kept sources are written from the piece's own start:
+    k * kept <= k * (hi - lo) < (k + 1) * (hi - lo), so no write leaves the
+    piece. The piece returns its (kept labels, S1, S2), and the calling thread
     then moves each piece's kept run to the front, in piece order."""
     pieces = list(ensemble.chunks(n_blocks, max(1, ensemble.CHUNK // 8)))
-    at = ensemble.piece_placers(seed, stream_id, len(pieces))
-    sums = [None] * len(pieces)  # (kept labels, S1, S2) of each piece
 
-    def test_and_twirl(j, t):
-        lo, hi = pieces[j]
+    def test_and_twirl(j, lo, hi, rng, t):
         start = (k + 1) * lo
         blocks = labels[start : (k + 1) * hi].reshape(-1, k + 1)
         blocks = bell.unilateral_pauli(blocks, PauliAxis.Y)  # to mostly-Phi+ form
@@ -169,7 +167,7 @@ def _purify_round(
         keep = bell.amp_bit(tgt) == 0  # target z spins come out parallel
         srcs = _bxor(cols[:k], tgt)[0].compress(keep, axis=1)
         # back to block order, each block's sources together
-        kept = _twirl_labels(bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y), at[t](j, stage))
+        kept = _twirl_labels(bell.unilateral_pauli(srcs.T.reshape(-1), PauliAxis.Y), rng)
         labels[start : start + kept.size] = kept
         hits = kept == BellLabel.PSI_MINUS
         s1 = s2 = int(np.count_nonzero(hits))  # at k = 1 each s_b is 0 or 1, so S2 == S1
@@ -177,9 +175,9 @@ def _purify_round(
             # singlets per kept block, in the narrowest type that holds k, to save memory
             s_b = np.ascontiguousarray(hits.reshape(-1, k).T).sum(axis=0, dtype=np.min_scalar_type(k))
             s2 = int(np.einsum("i,i", s_b, s_b, dtype=np.uint64))
-        sums[j] = kept.size, s1, s2
+        return kept.size, s1, s2
 
-    ensemble.run_sharded(test_and_twirl, len(pieces))
+    sums = ensemble.run_sharded(test_and_twirl, pieces, seed, stream_id, stage)
     n_kept = 0
     for (lo, _), (size, _, _) in zip(pieces, sums):
         labels[n_kept : n_kept + size] = labels[(k + 1) * lo : (k + 1) * lo + size]

@@ -74,26 +74,23 @@ def sampled_twirl(
     those of the 10x10 Gram of P's 10 distinct columns (i <= j).
 
     The rotations run in pieces of TWIRL_PIECE on ensemble.run_sharded's
-    threads. Piece j draws its normals at its own position, piece j of stage 1
-    of stream (seed, stream_id), normalizes them, writes their products into
-    the (10, piece) buffer of its thread and sums that buffer's 10x10 Gram into
-    grams[j]; the calling thread adds the pieces' Grams in piece order. A
-    piece's Gram bytes equal those of the 16x16 P^T P while the BLAS sums each
-    entry in the same order.
+    threads. Piece j draws its normals with the generator that run_sharded
+    placed at piece j of stage 1 of stream (seed, stream_id), normalizes them,
+    writes their products into the (10, piece) buffer of its thread and
+    returns that buffer's 10x10 Gram; the calling thread adds the pieces'
+    Grams in piece order. A piece's Gram bytes equal those of the 16x16 P^T P
+    while the BLAS sums each entry in the same order.
     """
     n = measures.whole_number("n", n, 1)
     mat = qstate.as_matrix(rho)
     target = exact_twirl(mat)
     pieces = list(ensemble.chunks(n, TWIRL_PIECE))
-    at = ensemble.piece_placers(seed, stream_id, len(pieces))
     # the buffers are made on the calling thread (see ensemble._sample_labels)
-    m = min(n, TWIRL_PIECE)
-    normals, products = np.empty((len(at), m, 4)), np.empty((len(at), 10 * m))
-    grams = np.empty((len(pieces), 10, 10))
+    m, threads = min(n, TWIRL_PIECE), ensemble._threads(len(pieces))
+    normals, products = np.empty((threads, m, 4)), np.empty((threads, 10 * m))
 
-    def rotate(j, t):
-        lo, hi = pieces[j]
-        q = at[t](j, 1).standard_normal(out=normals[t, : hi - lo]).T  # normal()'s values, seen as 4 rows
+    def rotate(j, lo, hi, rng, t):
+        q = rng.standard_normal(out=normals[t, : hi - lo]).T  # normal()'s values, seen as 4 rows
         p10 = products[t, : 10 * (hi - lo)].reshape(10, hi - lo)
         # ((q0^2 + q1^2) + q2^2) + q3^2: linalg.norm's add.reduce order, in
         # the rows that the products then overwrite
@@ -104,11 +101,10 @@ def sampled_twirl(
         q /= np.sqrt(norm, out=norm)
         for i, r in zip(range(4), (0, 4, 7, 9)):  # q_i q_j for j >= i, in _PAIRS order
             np.multiply(q[i:], q[i], out=p10[r : r + 4 - i])
-        grams[j] = p10 @ p10.T
+        return p10 @ p10.T
 
-    ensemble.run_sharded(rotate, len(pieces))
     g10 = np.zeros((10, 10))
-    for g in grams:
+    for g in ensemble.run_sharded(rotate, pieces, seed, stream_id, 1):
         g10 += g
     gram = g10[np.ix_(_GRAM16, _GRAM16)]
     avg = np.einsum("ab,aij,jk,blk->il", gram, _K, mat, _K.conj(), optimize=True) / n

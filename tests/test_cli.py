@@ -106,8 +106,9 @@ class TestRecurrenceCommand:
         assert len(rows) == 1
         assert float(rows[0]["cumulative_yield"]) == 1.0
 
-    @pytest.mark.parametrize("mc", ["0", "5"])
-    def test_no_step_runs_no_monte_carlo(self, capsys, monkeypatch, mc):
+    @pytest.mark.parametrize("mc, expected", [pytest.param("0", 2, id="0"), pytest.param("5", 0, id="5")])
+    def test_no_step_runs_no_monte_carlo(self, capsys, monkeypatch, mc, expected):
+        # --mc 0 is rejected before any work, though no step would use it
         from bellpure import protocols
 
         def fail(*args, **kwargs):
@@ -115,9 +116,25 @@ class TestRecurrenceCommand:
 
         monkeypatch.setattr(protocols, "recurrence_mc", fail)
         code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", "0", "--mc", mc])
+        assert code == expected
+        if code == 0:
+            _, columns, rows = parse_csv(out)
+            assert columns == ["step", "fidelity", "p_success", "cumulative_yield"] and len(rows) == 1
+        else:
+            assert out == ""
+
+    def test_unreachable_target_is_noted_on_stderr_only(self, capsys):
+        # the map stalls one ulp short of this target, so the run stops at
+        # the step limit with the rows that --steps 1000 prints
+        code, out, err = run(capsys, ["recurrence", "0.8", "--target", "0.9999999999999999"])
         assert code == 0
-        _, columns, rows = parse_csv(out)
-        assert columns == ["step", "fidelity", "p_success", "cumulative_yield"] and len(rows) == 1
+        assert err.splitlines() == [
+            "note: fidelity 0.9999999999999998 after 1000 steps is still below the target 0.9999999999999999"
+        ]
+        _, _, steps_rows = parse_csv(run(capsys, ["recurrence", "0.8", "--steps", "1000"])[1])
+        assert parse_csv(out)[2] == steps_rows
+        code, _, err = run(capsys, ["recurrence", "0.8", "--target", "0.9999"])
+        assert (code, err) == (0, "")
 
     def test_mc_columns_and_seed_reproducibility(self, capsys):
         args = ["recurrence", "0.7", "--steps", "1", "--mc", "20000", "--seed", "5"]
@@ -312,6 +329,20 @@ class TestGoldenOutputs:
         assert out == (DATA_DIR / golden).read_text()
 
 
+_SEED_ERROR = "error: seed must be a whole number in [0, 18446744073709551615], got "
+
+#: Arguments that are rejected before any work, though the run would not use
+#: them: an --mc below 2 where no step runs, and a --seed where nothing draws.
+UNUSED_ARGUMENT_ERRORS = {
+    ("recurrence", "0.8", "--steps", "0", "--mc", "0"): "error: n_pairs must be a whole number >= 2, got 0",
+    ("recurrence", "0.8", "--steps", "0", "--mc", "1"): "error: n_pairs must be a whole number >= 2, got 1",
+    ("recurrence", "0.8", "--target", "0.5", "--mc", "1"): "error: n_pairs must be a whole number >= 2, got 1",
+    ("recurrence", "0.8", "--steps", "0", "--mc", "5", "--seed", "-3"): _SEED_ERROR + "-3",
+    ("twirl", "--werner", "0.9", "--seed", "-1"): _SEED_ERROR + "-1",
+    ("twirl", "--werner", "0.9", "--seed", str(2**64)): _SEED_ERROR + str(2**64),
+}
+
+
 class TestSizeLimits:
     @pytest.mark.parametrize(
         "name, args",
@@ -338,11 +369,13 @@ class TestSizeLimits:
             (["twirl", "--werner", "0.7", "--samples", "0"], "error: n must be a whole number >= 1, got 0"),
             (["twirl", "--werner", "0.7", "--samples", "-3"], "error: n must be a whole number >= 1, got -3"),
             (["curves", "--points", "1"], "error: need at least 2 points"),
+            *((list(argv), error) for argv, error in UNUSED_ARGUMENT_ERRORS.items()),
         ],
     )
     def test_below_minimum_exits_2_with_one_error_line(self, capsys, args, error):
         # a Monte Carlo asked for with too few draws is an error, 0 among them,
-        # and so is a curve grid of fewer than 2 points
+        # whether or not any step would draw, and so is a curve grid of fewer
+        # than 2 points or a seed outside the stream key's range
         code, out, err = run(capsys, args)
         assert (code, out) == (2, "")
         assert err.splitlines() == [error]
@@ -687,8 +720,9 @@ BREED_ARGUMENT_ERRORS = {
 #: Commands that must run without importing numpy or dataclasses: the
 #: closed-form map, the yield curves, the Werner twirl report (--out among
 #: them), the argument errors caught before any array work (the f0 range
-#: among them, which measures.recurrence_trajectory checks, and breed's size and
-#: margins, which measures.check_breeding_args checks), a non-finite matrix
+#: among them, which measures.recurrence_trajectory checks, breed's size and
+#: margins, which measures.check_breeding_args checks, and --mc and --seed,
+#: which cli checks), a target the map never reaches, a non-finite matrix
 #: file, a usage error and --version. The startup test runs them in a directory
 #: that holds NON_FINITE_FILES.
 NUMPY_FREE_RUNS = [
@@ -711,6 +745,9 @@ NUMPY_FREE_RUNS = [
     (["curves", "--out", "missing/OUT"], 2),
     (["breed", "--werner", "1.5", "--pairs", "4"], 2),
     *((list(argv), 2) for argv in BREED_ARGUMENT_ERRORS),
+    (["breed", "--werner", "0.95", "--pairs", "8", "--seed", "-1"], 2),
+    *((list(argv), 2) for argv in UNUSED_ARGUMENT_ERRORS),
+    (["recurrence", "0.8", "--target", "0.9999999999999999"], 0),
     (["--version"], 0),
 ]
 
@@ -768,6 +805,8 @@ class TestStartup:
                 assert errors == ["error: fidelity 1.5 outside [0, 1]"], argv
             if tuple(argv) in BREED_ARGUMENT_ERRORS:
                 assert errors == [BREED_ARGUMENT_ERRORS[tuple(argv)]], argv
+            if tuple(argv) in UNUSED_ARGUMENT_ERRORS:
+                assert errors == [UNUSED_ARGUMENT_ERRORS[tuple(argv)]], argv
 
     def test_kernels_load_no_module_beyond_the_known_ones(self):
         # after numpy, importing every bellpure module and running the threaded

@@ -215,6 +215,13 @@ class TestKeyedDraw:
         assert hits, "_placer no longer holds the load this scan looks for"
         assert all(name == "ensemble.py" and helper.lineno <= i <= helper.end_lineno for name, i in hits), hits
 
+    def test_generators_are_placed_in_one_module(self):
+        # a module that built or placed a generator of its own could draw
+        # outside the keyed positions that run_sharded gives each piece
+        src = pathlib.Path(ensemble.__file__).parent
+        naming = re.compile(r"\b(_placer|Philox)\b")
+        assert {path.name for path in src.glob("*.py") if naming.search(path.read_text())} == {"ensemble.py"}
+
     def test_more_threads_than_cores_draw_each_piece_once(self, monkeypatch):
         # the threads share one stack of pieces; a piece lost or drawn twice
         # leaves unwritten or wrong labels
@@ -242,15 +249,53 @@ class TestKeyedDraw:
         assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize("n_pieces, threads", [(0, 1), (1, 1), (2, 2), (5, 2)])
-    def test_each_thread_gets_a_generator_of_its_own(self, n_pieces, threads):
-        at = ensemble.piece_placers(3, 4, n_pieces)
-        assert len(at) == threads
-        assert len({id(place(0, 1)) for place in at}) == threads
+    def test_each_thread_gets_a_generator_of_its_own(self, monkeypatch, n_pieces, threads):
+        made, make_placer = [], ensemble._placer
+
+        def recording_placer(seed):
+            made.append(threading.get_ident())
+            return make_placer(seed)
+
+        monkeypatch.setattr(ensemble, "_placer", recording_placer)
+        pieces = ensemble.run_sharded(lambda j, lo, hi, rng, t: (t, id(rng)), [(0, 1)] * n_pieces, 3, 4, 1)
+        # one placer per thread, all made on the calling thread; each thread
+        # draws every piece it takes with its own generator
+        assert made == [threading.get_ident()] * threads
+        assert len(set(pieces)) == len({t for t, _ in pieces}) == len({rng for _, rng in pieces})
 
     def test_no_piece_runs_nothing_and_starts_no_thread(self, started):
         ran = []
-        ensemble.run_sharded(lambda j, t: ran.append(j), 0)
+        assert ensemble.run_sharded(lambda *args: ran.append(args), [], 3, 4, 1) == []
         assert ran == [] and started == []
+
+    @pytest.mark.parametrize(
+        "seed, stream_id, name",
+        [(-1, 0, "seed"), (2**64, 0, "seed"), (2.5, 0, "seed"), (0, -1, "stream_id"), (0, 2**64, "stream_id")],
+    )
+    def test_bad_key_raises_before_any_piece_runs(self, started, seed, stream_id, name):
+        ran = []
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            ensemble.run_sharded(lambda *args: ran.append(args), list(ensemble.chunks(10, 2)), seed, stream_id, 1)
+        assert ran == [] and started == []
+
+    def test_results_land_at_their_piece_index_when_pieces_finish_out_of_order(self, monkeypatch):
+        # whichever thread takes piece 0, the first off the stack, holds it
+        # until the other thread has finished every other piece
+        monkeypatch.setattr(ensemble, "DRAW_THREADS", 2)
+        bounds = list(ensemble.chunks(20, 3))
+        others, finished = threading.Semaphore(0), []
+
+        def work(j, lo, hi, rng, t):
+            if j == 0:
+                for _ in bounds[1:]:
+                    assert others.acquire(timeout=10)
+            finished.append(j)
+            others.release()
+            return j, lo, hi, rng.random()
+
+        results = ensemble.run_sharded(work, bounds, 5, 6, 7)
+        assert finished == [*range(1, len(bounds)), 0]
+        assert results == [(j, lo, hi, _at(5, 6, j, 7).random()) for j, (lo, hi) in enumerate(bounds)]
 
     def test_run_sharded_runs_the_threads_at_once(self, monkeypatch):
         # thread 0 is the calling thread and each other a thread of its own:
@@ -259,11 +304,11 @@ class TestKeyedDraw:
         monkeypatch.setattr(ensemble, "DRAW_THREADS", 3)
         barrier, idents = threading.Barrier(3), [None] * 3
 
-        def work(j, t):
+        def work(j, lo, hi, rng, t):
             barrier.wait(timeout=10)
             idents[t] = threading.get_ident()
 
-        ensemble.run_sharded(work, 3)
+        ensemble.run_sharded(work, list(ensemble.chunks(3, 1)), 0, 0, 1)
         assert idents[0] == threading.get_ident() and len(set(idents)) == 3
 
     @pytest.mark.parametrize("failing, raised", [({1}, 1), ({0}, 0), ({0, 1}, 0), ({1, 2}, 1)])
@@ -271,14 +316,14 @@ class TestKeyedDraw:
         monkeypatch.setattr(ensemble, "DRAW_THREADS", 3)
         barrier, ended = threading.Barrier(3), []
 
-        def work(j, t):
+        def work(j, lo, hi, rng, t):
             barrier.wait(timeout=10)  # so that each thread takes one piece
             if t in failing:
                 raise ValueError(f"thread {t} failed")
             ended.append(t)
 
         with pytest.raises(ValueError, match=f"thread {raised} failed"):
-            ensemble.run_sharded(work, 3)
+            ensemble.run_sharded(work, list(ensemble.chunks(3, 1)), 0, 0, 1)
         # every thread has ended before the error is raised
         assert sorted(ended) == sorted(set(range(3)) - failing)
 
@@ -286,13 +331,13 @@ class TestKeyedDraw:
         monkeypatch.setattr(ensemble, "DRAW_THREADS", 2)
         ran = []
 
-        def work(j, t):
+        def work(j, lo, hi, rng, t):
             if j == 0:
                 raise ValueError("piece 0 failed")
             ran.append((j, t))
 
         with pytest.raises(ValueError, match="piece 0 failed"):
-            ensemble.run_sharded(work, 40)
+            ensemble.run_sharded(work, list(ensemble.chunks(40, 1)), 0, 0, 1)
         # piece 0 is the first taken, so the thread that took it took no other,
         # and the other thread ran the rest
         assert sorted(j for j, _ in ran) == list(range(1, 40)) and len({t for _, t in ran}) == 1

@@ -224,20 +224,19 @@ class TestSampledTwirlPieces:
             sys.setswitchinterval(interval)
 
     def test_piece_error_is_raised_after_every_thread_ends(self, monkeypatch, started, within):
-        piece_placers = ensemble.piece_placers
+        make_placer = ensemble._placer
 
-        def failing_placers(*args):
-            def failing(at):
-                def place(piece, stage):
-                    if piece == 3:
-                        raise ValueError("draw failed")
-                    return at(piece, stage)
+        def failing_placer(seed):
+            place = make_placer(seed)
 
-                return place
+            def failing(stream_id, piece=0, stage=0):
+                if piece == 3:
+                    raise ValueError("draw failed")
+                return place(stream_id, piece, stage)
 
-            return [failing(at) for at in piece_placers(*args)]
+            return failing
 
-        monkeypatch.setattr(ensemble, "piece_placers", failing_placers)
+        monkeypatch.setattr(ensemble, "_placer", failing_placer)
         monkeypatch.setattr(twirl, "TWIRL_PIECE", 7)
         before = threading.active_count()
         exc = within(30, lambda: sampled_twirl(_RHO, 70, seed=2))
