@@ -24,8 +24,8 @@ measures.werner_weights (a Werner state is its own twirl), and `twirl --input`
 rejects a malformed or non-finite matrix file before numpy loads. So
 `--version`, usage errors, `recurrence` without `--mc`, `curves`, `twirl
 --werner` without `--samples`, the argument errors of `recurrence`, a
-`--werner` fidelity outside [0, 1], `breed`'s size and margin errors, an
-`--mc` or `--seed` out of range and a rejected `twirl --input` file never load
+`--werner` fidelity outside [0, 1], `breed`'s size and margin errors, a size
+option or `--seed` out of range and a rejected `twirl --input` file never load
 numpy. The self-test suites live in selftest, which only the `selftest`
 command imports.
 """
@@ -43,9 +43,11 @@ from . import __version__, measures
 if TYPE_CHECKING:
     from . import qstate
 
-#: Largest accepted value of each size argument, so that no argument can make
-#: one run's time or memory unbounded. Larger values exit 2.
-SIZE_LIMITS = {"steps": 1000, "mc": 10**7, "samples": 10**8, "trials": 10**5, "points": 10**5}
+#: (min, limit) of each size argument: the limits keep any one run's time and
+#: memory bounded. A value outside its range exits 2.
+SIZE_LIMITS = {
+    "steps": (0, 1000), "mc": (2, 10**7), "samples": (1, 10**8), "trials": (1, 10**5), "points": (2, 10**5)
+}
 
 
 def _plain(v):
@@ -92,15 +94,12 @@ def _emit(ns, rows) -> int:
 
 
 def _check_numbers(ns) -> None:
-    """Reject a size beyond its limit, an --mc below 2 and a --seed outside the
-    stream key's range before any work, so a run that draws nothing rejects
-    them too."""
-    for name, limit in SIZE_LIMITS.items():
-        value = getattr(ns, name, None)
-        if value is not None and value > limit:
-            raise ValueError(f"--{name} {value} exceeds the limit of {limit}")
-    if getattr(ns, "mc", None) is not None:
-        measures.whole_number("n_pairs", ns.mc, 2)
+    """Reject a size outside its range, named as the option that was typed,
+    and a --seed outside the stream key's range before any work, so a run
+    that draws nothing rejects them too."""
+    for name, (lo, limit) in SIZE_LIMITS.items():
+        if (value := getattr(ns, name, None)) is not None:
+            measures.whole_number(f"--{name}", value, lo, limit)
     if hasattr(ns, "seed"):
         measures.whole_number("seed", ns.seed, 0, 2**64 - 1)
 
@@ -191,8 +190,6 @@ def _grid(start: float, stop: float, n: int) -> list[float]:
 def cmd_curves(ns) -> int:
     if not (0.5 < ns.f_min < ns.f_max < 1.0):
         raise ValueError("need 0.5 < f-min < f-max < 1")
-    if ns.points < 2:
-        raise ValueError("need at least 2 points")
     rows = []
     for f in _grid(ns.f_min, ns.f_max, ns.points):
         rows.append(

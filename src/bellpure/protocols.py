@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -482,11 +484,13 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
         np.bitwise_count((~cands if flip else cands) & group_masks[:, g, None])
         for g, flip in enumerate(flips)
     ]
-    key = counts[0].astype(np.intp)  # the counts as one mixed-radix index into ranks
+    # the counts as one mixed-radix index into ranks, in the narrowest type
+    # that holds one (uint16 for breeding's at most 21^2 entries)
+    key = counts[0].astype(np.min_scalar_type(ranks.size))
     for k in counts[1:]:
         key *= ranks.shape[0]
         key += k
-    rank = ranks.take(key)
+    rank = ranks.ravel()[key]
     # with the top clipped at rank 0, a row of zero priors (all rank -1) has no best string
     best = rank == np.maximum(rank.max(axis=1), 0)[:, None]
     count = np.count_nonzero(best, axis=1)
@@ -506,17 +510,46 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
 BREEDING_CHUNK = 1 << 16
 
 
-def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids):
+class _Trials(Sequence):
+    """The BreedingResults of a run's trials, kept as columns with one row per
+    trial: the subset masks and parities; the flags decode_correct_round1,
+    decode_correct_round2, tie_round1, tie_round2, zero_prior_round1 and
+    zero_prior_round2; and the counts residual_error_pairs, coset_dim_round1
+    and coset_dim_round2. Trial i's record is built only when it is read."""
+
+    def __init__(self, n: int, targets: int, provisioned: int, trials: int):
+        self.n, self.targets, self.provisioned = n, targets, provisioned
+        self.masks = np.empty((trials, targets), dtype=np.int64)
+        self.parities = np.empty((trials, targets), dtype=np.uint8)
+        self.flags = np.empty((trials, 6), dtype=bool)
+        self.counts = np.empty((trials, 3), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, i) -> BreedingResult:
+        i = operator.index(i)  # a slice would put lists in the fields
+        n, targets = self.n, self.targets
+        ok1, ok2, t1, t2, z1, z2 = self.flags[i].tolist()
+        res, d1, d2 = self.counts[i].tolist()
+        return BreedingResult(
+            n, targets, ok1, ok2, t1, t2, res, (n - res - targets) / n, self.provisioned,
+            targets > self.provisioned, d1, d2, z1, z2,
+            tuple(self.masks[i].tolist()), tuple(self.parities[i].tolist()),
+        )
+
+
+def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids) -> _Trials:
     """breeding_mc on each stream id, in order, one batch of trials at a time.
 
     A trial's own work is one random_raw call for all of its stream's words,
     on the one generator that ensemble.substreams re-keys to each trial's
-    stream, and the building of its result record. A batch draws its trials a
-    chunk at a time: ensemble.decode_raw turns a chunk's words into its
-    uniforms and test bits, which are kept as (T, n) labels and (T, r1 + r2)
-    subset masks. Every other step runs once per batch, each round's decodes
-    in one _ml_decode_rows call, and the records are built a chunk of trials
-    at a time; what is the same for every trial runs once per call."""
+    stream. A batch draws its trials a chunk at a time:
+    ensemble.decode_raw turns a chunk's words into its uniforms and test
+    bits, which are kept as (T, n) labels and the trials' rows of subset
+    masks. Every other step runs once per batch, each round's decodes in one
+    _ml_decode_rows call, and writes the batch's rows of each column; what
+    is the same for every trial runs once per call."""
     n = measures.check_breeding_args(n, delta, r_margin)
     p = w.p
     p_psi = float(p[2] + p[3])
@@ -530,7 +563,6 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     r2 = int(math.ceil(n * h_sign + r_margin * math.sqrt(n)))
     targets = r1 + r2
     provisioned = int(math.ceil(n * (measures.entropy_bell(w) + delta)))
-    exceeded = targets > provisioned
     full = (1 << n) - 1
     weights = 1 << np.arange(n)
     cdf = p.cumsum()
@@ -540,11 +572,11 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     streams = ensemble.substreams(seed, stream_ids)
     words = ensemble.raw_words(n, targets * n)
 
-    results: list[BreedingResult] = []
+    trials = _Trials(n, targets, provisioned, len(stream_ids))
     for lo, hi in ensemble.chunks(len(stream_ids), per_batch):
         size = hi - lo
         labels = np.empty((size, n), dtype=np.uint8)
-        masks = np.empty((size, targets), dtype=np.int64)
+        masks, pars = trials.masks[lo:hi], trials.parities[lo:hi]
         for a, b in ensemble.chunks(size, per_chunk):
             # a trial's draws: its labels' uniforms, then round 1's subsets,
             # then round 2's (a decode draws nothing, so they can come first)
@@ -558,41 +590,31 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
         del u, bits  # the last chunk's: gone before the decodes take their memory
 
         x_true = bell.amp_bit(labels) @ weights
-        pars1 = _bxor_parity(labels, masks[:, :r1])
+        pars[:, :r1] = _bxor_parity(labels, masks[:, :r1])
         x_hat, dim1, tie1, zero1 = _ml_decode_rows(
-            n, masks[:, :r1], pars1, np.full((size, 1), full), [p_psi]
+            n, masks[:, :r1], pars[:, :r1], np.full((size, 1), full), [p_psi]
         )
         # one-particle y on every decoded Psi
         labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
         labels = bell.bilateral_rot(labels, PauliAxis.Y)  # leftover sign errors become Psi+
 
         y_true = bell.amp_bit(labels) @ weights
-        pars2 = _bxor_parity(labels, masks[:, r1:])
+        pars[:, r1:] = _bxor_parity(labels, masks[:, r1:])
         y_hat, dim2, tie2, zero2 = _ml_decode_rows(
-            n, masks[:, r1:], pars2, np.stack([full & ~x_hat, x_hat], axis=1),
+            n, masks[:, r1:], pars[:, r1:], np.stack([full & ~x_hat, x_hat], axis=1),
             [sign_given_phi, sign_given_psi],
         )
         # one-particle x on every decoded Psi+
         labels = np.where(_mask_bits(y_hat, n), bell.unilateral_pauli(labels, PauliAxis.X), labels)
+
         residual = np.count_nonzero(labels != BellLabel.PHI_PLUS, axis=1)
 
         # a round with no string of non-zero prior decodes to 0 and fails
         correct1 = (x_hat == x_true) & ~zero1
         correct2 = (y_hat == y_true) & ~zero2
-        fields = (
-            masks, np.concatenate([pars1, pars2], axis=1), correct1, correct2, tie1, tie2,
-            residual, dim1, dim2, zero1, zero2,
-        )
-        for a, b in ensemble.chunks(size, per_chunk):
-            for m, pars, ok1, ok2, t1, t2, res, d1, d2, z1, z2 in zip(
-                *(field[a:b].tolist() for field in fields)
-            ):
-                # positional, in field order: keywords cost more than the rest of the record
-                results.append(BreedingResult(
-                    n, targets, ok1, ok2, t1, t2, res, (n - res - targets) / n, provisioned,
-                    exceeded, d1, d2, z1, z2, tuple(m), tuple(pars),
-                ))
-    return results
+        trials.flags[lo:hi] = np.stack([correct1, correct2, tie1, tie2, zero1, zero2], axis=1)
+        trials.counts[lo:hi] = np.stack([residual, dim1, dim2], axis=1)
+    return trials
 
 
 def breeding_mc(
@@ -639,24 +661,30 @@ def breeding_trials(
     delta: float = 0.05,
     r_margin: float = 2.0,
     seed: int = 0,
-) -> tuple[BreedingSummary, list[BreedingResult]]:
+) -> tuple[BreedingSummary, Sequence[BreedingResult]]:
     """Run independent seeded breeding trials: trial t runs on substream
-    (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t). Every
-    trial consumes the same targets, so the summary reads them off the first."""
+    (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t).
+
+    The results are a read-only sequence over the trials' columns (9 bytes a
+    parity test and 30 more a trial): results[t] builds trial t's
+    BreedingResult when it is read, and the summary comes from the columns,
+    so a caller that reads only the summary builds no record. Every trial
+    consumes the same targets."""
     trials = measures.whole_number("trials", trials, 1)
     results = _breed(w, n, delta, r_margin, seed, range(trials))
-    run = results[0]
+    n, targets, flags, residual = results.n, results.targets, results.flags, results.counts[:, 0]
+    failed = ~(flags[:, 0] & flags[:, 1]) | flags[:, 2] | flags[:, 3]
     summary = BreedingSummary(
         trials=trials,
-        n=run.n,
+        n=n,
         delta=delta,
         r_margin=r_margin,
-        mean_targets_per_pair=run.targets_consumed / run.n,
-        decode_failure_rate=float(np.mean([r.decode_failed for r in results])),
-        residual_error_rate=float(np.mean([r.residual_error_pairs / r.n for r in results])),
-        mean_net_yield=float(np.mean([r.net_yield for r in results])),
+        mean_targets_per_pair=targets / n,
+        decode_failure_rate=float(np.mean(failed)),
+        residual_error_rate=float(np.mean(residual / n)),
+        mean_net_yield=float(np.mean((n - residual - targets) / n)),
         predicted_net_yield=1.0 - measures.entropy_bell(w),
-        budget_exceeded_rate=float(run.budget_exceeded),
+        budget_exceeded_rate=float(targets > results.provisioned),
     )
     return summary, results
 

@@ -66,7 +66,7 @@ def grid_specs(draw):
         start, stop = (x, up) if up < 1.0 else (math.nextafter(x, 0.5), x)
     else:
         start, stop = sorted((x, draw(open_unit.filter(lambda y: y != x))))
-    n = draw(st.integers(2, 64) | st.integers(2, SIZE_LIMITS["points"]))
+    n = draw(st.integers(2, 64) | st.integers(2, SIZE_LIMITS["points"][1]))
     return start, stop, n
 
 
@@ -330,13 +330,15 @@ class TestGoldenOutputs:
 
 
 _SEED_ERROR = "error: seed must be a whole number in [0, 18446744073709551615], got "
+_MC_ERROR = "error: --mc must be a whole number in [2, 10000000], got "
+_SAMPLES_ERROR = "error: --samples must be a whole number in [1, 100000000], got "
 
 #: Arguments that are rejected before any work, though the run would not use
 #: them: an --mc below 2 where no step runs, and a --seed where nothing draws.
 UNUSED_ARGUMENT_ERRORS = {
-    ("recurrence", "0.8", "--steps", "0", "--mc", "0"): "error: n_pairs must be a whole number >= 2, got 0",
-    ("recurrence", "0.8", "--steps", "0", "--mc", "1"): "error: n_pairs must be a whole number >= 2, got 1",
-    ("recurrence", "0.8", "--target", "0.5", "--mc", "1"): "error: n_pairs must be a whole number >= 2, got 1",
+    ("recurrence", "0.8", "--steps", "0", "--mc", "0"): _MC_ERROR + "0",
+    ("recurrence", "0.8", "--steps", "0", "--mc", "1"): _MC_ERROR + "1",
+    ("recurrence", "0.8", "--target", "0.5", "--mc", "1"): _MC_ERROR + "1",
     ("recurrence", "0.8", "--steps", "0", "--mc", "5", "--seed", "-3"): _SEED_ERROR + "-3",
     ("twirl", "--werner", "0.9", "--seed", "-1"): _SEED_ERROR + "-1",
     ("twirl", "--werner", "0.9", "--seed", str(2**64)): _SEED_ERROR + str(2**64),
@@ -355,20 +357,23 @@ class TestSizeLimits:
         ],
     )
     def test_beyond_limit_exits_2_with_one_error_line(self, capsys, name, args):
-        value = SIZE_LIMITS[name] + 1
-        code, out, err = run(capsys, args + [f"--{name}", str(value)])
+        lo, limit = SIZE_LIMITS[name]
+        code, out, err = run(capsys, args + [f"--{name}", str(limit + 1)])
         assert code == 2
         assert out == ""
-        assert err.splitlines() == [f"error: --{name} {value} exceeds the limit of {SIZE_LIMITS[name]}"]
+        assert err.splitlines() == [f"error: --{name} must be a whole number in [{lo}, {limit}], got {limit + 1}"]
 
     @pytest.mark.parametrize(
         "args, error",
         [
-            (["recurrence", "0.7", "--steps", "2", "--mc", "0"], "error: n_pairs must be a whole number >= 2, got 0"),
-            (["recurrence", "0.7", "--steps", "2", "--mc", "1"], "error: n_pairs must be a whole number >= 2, got 1"),
-            (["twirl", "--werner", "0.7", "--samples", "0"], "error: n must be a whole number >= 1, got 0"),
-            (["twirl", "--werner", "0.7", "--samples", "-3"], "error: n must be a whole number >= 1, got -3"),
-            (["curves", "--points", "1"], "error: need at least 2 points"),
+            (["recurrence", "0.7", "--steps", "2", "--mc", "0"], _MC_ERROR + "0"),
+            (["recurrence", "0.7", "--steps", "2", "--mc", "1"], _MC_ERROR + "1"),
+            (["recurrence", "0.7", "--steps", "-1"], "error: --steps must be a whole number in [0, 1000], got -1"),
+            (["twirl", "--werner", "0.7", "--samples", "0"], _SAMPLES_ERROR + "0"),
+            (["twirl", "--werner", "0.7", "--samples", "-3"], _SAMPLES_ERROR + "-3"),
+            (["breed", "--werner", "0.95", "--pairs", "8", "--trials", "0"],
+             "error: --trials must be a whole number in [1, 100000], got 0"),
+            (["curves", "--points", "1"], "error: --points must be a whole number in [2, 100000], got 1"),
             *((list(argv), error) for argv, error in UNUSED_ARGUMENT_ERRORS.items()),
         ],
     )
@@ -381,10 +386,10 @@ class TestSizeLimits:
         assert err.splitlines() == [error]
 
     def test_steps_at_limit_accepted(self, capsys):
-        code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", str(SIZE_LIMITS["steps"])])
+        code, out, _ = run(capsys, ["recurrence", "0.7", "--steps", str(SIZE_LIMITS["steps"][1])])
         assert code == 0
         _, _, rows = parse_csv(out)
-        assert len(rows) == SIZE_LIMITS["steps"] + 1
+        assert len(rows) == SIZE_LIMITS["steps"][1] + 1
 
 
 class TestCurvesCommand:
@@ -721,8 +726,8 @@ BREED_ARGUMENT_ERRORS = {
 #: closed-form map, the yield curves, the Werner twirl report (--out among
 #: them), the argument errors caught before any array work (the f0 range
 #: among them, which measures.recurrence_trajectory checks, breed's size and
-#: margins, which measures.check_breeding_args checks, and --mc and --seed,
-#: which cli checks), a target the map never reaches, a non-finite matrix
+#: margins, which measures.check_breeding_args checks, and the size options
+#: and --seed, which cli checks), a target the map never reaches, a non-finite matrix
 #: file, a usage error and --version. The startup test runs them in a directory
 #: that holds NON_FINITE_FILES.
 NUMPY_FREE_RUNS = [
@@ -747,6 +752,8 @@ NUMPY_FREE_RUNS = [
     *((list(argv), 2) for argv in BREED_ARGUMENT_ERRORS),
     (["breed", "--werner", "0.95", "--pairs", "8", "--seed", "-1"], 2),
     *((list(argv), 2) for argv in UNUSED_ARGUMENT_ERRORS),
+    (["twirl", "--werner", "0.9", "--samples", "0"], 2),
+    (["breed", "--werner", "0.95", "--pairs", "8", "--trials", "0"], 2),
     (["recurrence", "0.8", "--target", "0.9999999999999999"], 0),
     (["--version"], 0),
 ]
@@ -925,8 +932,9 @@ def boundary_runs(draw):
     )
 
     def size(name, *small):
-        value = draw(st.sampled_from([-1, 0, *small, SIZE_LIMITS[name], SIZE_LIMITS[name] + 1]))
-        return str(value), value == SIZE_LIMITS[name] and name != "steps"
+        limit = SIZE_LIMITS[name][1]
+        value = draw(st.sampled_from([-1, 0, *small, limit, limit + 1]))
+        return str(value), value == limit and name != "steps"
 
     def fidelity(rejected):
         return draw(st.sampled_from(REJECTED_FIDELITIES) if rejected else floats)

@@ -681,20 +681,29 @@ class TestBoundedMemory:
         assert _traced_peak_mib(twirl.sampled_twirl, rho, 10**6, 5) < 13
 
     def test_breeding_trials_keep_tests_as_integers(self):
-        # about 1.85 MiB, run alone or in the suite: the 500 trials are one
+        # about 1.50 MiB, run alone or in the suite: the 500 trials are one
         # batch, whose round-2 decode scores DECODE_CHUNK candidates at once
-        # (1.7 MiB); its 0.76 MiB of results (two tuples of ints per trial)
-        # come after. Spans built as a (trials, n, n) int64 cube read 2.06 MiB;
-        # a ParityTest record per test took ~3.0 MiB here, ~0.6 GiB at breed's
-        # cap of 10^5 trials
+        # (about 20 bytes each, with a uint16 key into the prior ranks),
+        # beside the trials' columns (0.13 MiB). An intp key read 1.85 MiB,
+        # spans built as a (trials, n, n) int64 cube 2.06 MiB, and a
+        # ParityTest record per test ~3.0 MiB here, ~0.6 GiB at breed's cap
+        # of 10^5 trials
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 500) < 2
 
-    def test_breeding_trials_build_records_a_chunk_at_a_time(self):
-        # about 0.95 MiB: 600 trials at n = 12 are one batch of labels and
-        # masks, decoded together, whose records are built from one chunk's
-        # lists at a time. Draw chunks that each ran their own decodes read
-        # 1.04 MiB, and records built from lists of the whole batch 1.11 MiB
+    def test_breeding_trials_hold_one_batch_beside_their_columns(self):
+        # about 0.73 MiB: 600 trials at n = 12 are one batch of labels and
+        # masks, decoded together, that fills its rows of the trials'
+        # columns. Records built from one draw chunk's lists at a time read
+        # 0.95 MiB, draw chunks that each ran their own decodes 1.04 MiB, and
+        # records built from lists of the whole batch 1.11 MiB
         assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 12, 600) < 1.1
+
+    def test_breeding_trials_hold_columns_not_records(self):
+        # about 4.8 MiB for 10^4 trials at n = 20: 2.6 MiB of columns (9
+        # bytes a test, 27 tests a trial, and 30 bytes more) and one batch's
+        # draws and decodes. A BreedingResult kept per trial read 16.5 MiB
+        # (about 1.5 KB a trial), ~160 MiB at breed's cap of 10^5 trials
+        assert _traced_peak_mib(protocols.breeding_trials, measures.werner(0.95), 20, 10_000) < 6
 
     def test_breeding_scores_a_whole_space_one_row_at_a_time(self):
         # no tests at all, so each round of each trial scores all 2^20

@@ -51,7 +51,10 @@ trials' own streams, at stage 0, so the keyed pieces left these digests as
 they were. The werner-n20-500 and werner-n12-4000 digests, over every result
 field, were recorded while each chunk of trials ran its own two decoder
 calls, before the decodes ran once per batch of chunks: the first run's five
-chunks fit one batch, the second run's 4000 trials span three.
+chunks fit one batch, the second run's 4000 trials span three. Every breeding
+digest was recorded while breeding_trials built a BreedingResult per trial and
+formed its summary from those records; they hold now that it keeps columns,
+forms the summary from them and builds a record only when one is read.
 """
 import hashlib
 

@@ -296,9 +296,10 @@ class TestDensityMatrixOracle:
 class TestWorkCounts:
     """Each state is checked once, where it is built: the exact step and its
     oracle build only the states they need, so a re-validation creeping back
-    fails here. A breeding run keeps its tests as integers and builds no
-    per-test record until one is read. It draws each trial's words with one
-    call, and it decodes each round of a whole batch of trials in one call."""
+    fails here. A breeding run keeps its trials as columns and its tests as
+    integers, and builds no per-trial or per-test record until one is read. It
+    draws each trial's words with one call, and it decodes each round of a
+    whole batch of trials in one call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -308,6 +309,7 @@ class TestWorkCounts:
             (qstate.DensityMatrix, "__init__", "DensityMatrix"),
             (np.linalg, "eigvalsh", "eigvalsh"),
             (protocols.ParityTest, "__new__", "ParityTest"),  # a NamedTuple
+            (protocols.BreedingResult, "__new__", "BreedingResult"),
         ):
             def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
                 calls[_name] += 1
@@ -331,6 +333,17 @@ class TestWorkCounts:
         assert calls == {}
         # reading the records builds them
         assert sum(len(r.parity_tests) for r in results) == calls["ParityTest"] > 0
+
+    def test_breeding_builds_a_result_only_when_it_is_read(self, calls):
+        # breed reads only the summary, which comes from the trials' columns
+        w = measures.werner(0.95)
+        _, results = breeding_trials(w, 12, 600)
+        assert calls["BreedingResult"] == 0 and len(results) == 600
+        last = results[-1]
+        assert calls["BreedingResult"] == 1
+        assert last == breeding_mc(w, 12, stream_id=599)
+        with pytest.raises(IndexError):
+            results[600]
 
     def test_breeding_builds_one_generator_per_call(self, monkeypatch):
         # a new Philox draws OS entropy before its key replaces it, so a
@@ -1302,7 +1315,7 @@ class TestBreeding:
     def test_trial_t_runs_on_substream_t(self):
         w = measures.werner(0.95)
         _, results = breeding_trials(w, 10, 24, seed=6)
-        assert results == [breeding_mc(w, 10, seed=6, stream_id=t) for t in range(24)]
+        assert list(results) == [breeding_mc(w, 10, seed=6, stream_id=t) for t in range(24)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1318,15 +1331,15 @@ class TestBreeding:
         # (which BREEDING_CHUNK sizes too), gives the same results and
         # summary, each trial equal to its own breeding_mc run
         summary, results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
-        assert results == [
+        assert list(results) == [
             breeding_mc(w, n, r_margin=r_margin, seed=seed, stream_id=t) for t in range(trials)
         ]
         per_trial = max(results[0].targets_consumed, 1) * n
         for per_chunk in (1, 2, 7):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(protocols, "BREEDING_CHUNK", per_chunk * per_trial)
-                chunked = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
-            assert chunked == (summary, results)
+                chunked, chunked_results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
+            assert (chunked, list(chunked_results)) == (summary, list(results))
 
     def test_round2_with_no_prior_candidate_fails_without_raising(self):
         # round 1 misdecodes a pair, and the round-2 prior then gives the
@@ -1467,7 +1480,9 @@ class TestBreeding:
         # 1 << n fails on a float, so the kernel must run on the checked int
         w = measures.werner(0.95)
         assert repr(breeding_mc(w, 12.0)) == repr(breeding_mc(w, 12))
-        assert repr(breeding_trials(w, 5.0, 3.0)) == repr(breeding_trials(w, 5, 3))
+        floats, float_results = breeding_trials(w, 5.0, 3.0)
+        ints, int_results = breeding_trials(w, 5, 3)
+        assert repr((floats, list(float_results))) == repr((ints, list(int_results)))
 
     @pytest.mark.parametrize("name", ["delta", "r_margin"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 1e12])
