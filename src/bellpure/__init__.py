@@ -5,7 +5,7 @@ breeding runs, with seeded reproducible Monte Carlo throughout.
 The exports below load on first access (PEP 562), so importing the package,
 or running `python -m bellpure`, does not import numpy by itself."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 #: Each export and the submodule that defines it.
 _EXPORTS = {

@@ -1,27 +1,26 @@
 """Seeded, splittable randomness plus the label-sampling and measurement
 statistics shared by every Monte Carlo operation.
 
-Stream contract (stable across versions): ``stream(seed, stream_id)`` is a
-numpy Generator over the Philox4x64-10 counter-based bit generator keyed by
-the pair (seed, stream_id) with a zero counter. Distinct ids give provably
-non-overlapping streams; independent trial t of a seeded run draws from
-substream (seed, t). ``substreams(seed, stream_ids)`` yields stream(seed, t)
-for each id in turn as one generator re-keyed to each, drawing the same values.
-
-The contract covers raw words too: right after a re-key, ``random(n)`` then
-``integers(0, 2, size=m)`` take raw_words(n, m) = n + ceil(m / 2) words of
-``bit_generator.random_raw``, and decode_raw recovers both draws. Uniform i
-is (word_i >> 11) * 2**-53 (numpy's next_double); bit j is bit 31 of 32-bit
-half j of the words after those, low half first (numpy's never-rejecting
-Lemire path for integers(0, 2) at int64); an odd m leaves a half unused.
-decode_raw reads the halves by value, so the host's byte order does not matter.
+Stream contract (fixed within a version; breeding's moved at 0.3.0):
+``stream(seed, stream_id)`` is a numpy Generator over the Philox4x64-10
+counter-based bit generator keyed by (seed, stream_id) with a zero counter;
+distinct ids give provably non-overlapping streams. Trial t of a breeding run
+reads Philox blocks [t*B, (t+1)*B) of stream (seed, 0), 4*B = raw_words, one
+sequential read from trial_stream's block on. From a block's start,
+``random(n)`` then ``integers(0, 2, size=m)`` take n + ceil(m / 2) words of
+``bit_generator.random_raw``, which raw_words(n, m) pads to whole blocks, and
+decode_raw recovers both draws. Uniform i is (word_i >> 11) * 2**-53 (numpy's
+next_double); bit j is bit 31 of 32-bit half j of the words after those, low
+half first (numpy's never-rejecting Lemire path for integers(0, 2) at int64);
+an odd m leaves a half unused. decode_raw reads the halves by value, so the
+host's byte order does not matter.
 
 Keyed pieces: the threaded kernels split their work into pieces, and piece j
 of stage s of stream (seed, stream_id) draws at its own Philox position, the
 counter words (0, j, s, 0) under the stream's key (_placer). Stage 0 is counter
 0, the stream itself, which holds a kernel's unpieced draws and breeding's
-substreams; no piece is placed there. A piece's draws step only the lowest
-counter word, and none takes near 2^64 blocks, so no two positions overlap.
+trials; no piece is placed there. Every draw steps only the lowest counter
+word, and none reaches 2^64 blocks, so no two positions overlap.
 The stages:
   - protocols.recurrence_mc: its labels at stage 1, round s at stage 1 + s;
   - protocols.variable_block_mc: its labels at stage 1, its round at stage 2;
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -85,14 +83,14 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
 
 def _placer(seed: int):
-    """place(stream_id, piece=0, stage=0): load into one generator of its own,
-    and return, the position of piece `piece` of stage `stage` of stream
-    (seed, stream_id), that is, counter words (0, piece, stage, 0) with no
-    buffered block and no buffered 32-bit half. Piece 0 of stage 0 is
-    stream(seed, stream_id) itself. A load only sets three ints of one
-    prepared Philox state, so no position pays the OS-entropy seeding that
-    Philox(key=...) does first and then drops. The arguments must be checked
-    ints, and a placer serves one thread at a time."""
+    """place(stream_id, piece=0, stage=0, block=0): load into one generator of
+    its own, and return, the position of block `block` of piece `piece` of
+    stage `stage` of stream (seed, stream_id), that is, counter words (block,
+    piece, stage, 0) with no buffered block and no buffered 32-bit half. Piece
+    0 of stage 0 is stream(seed, stream_id) itself. A load only sets four ints
+    of one prepared Philox state, so no position pays the OS-entropy seeding
+    that Philox(key=...) does first and then drops. The arguments must be
+    checked ints, and a placer serves one thread at a time."""
     rng = np.random.Generator(np.random.Philox())
     state = {
         "bit_generator": "Philox",
@@ -104,21 +102,22 @@ def _placer(seed: int):
     }
     counter, key, bit_generator = state["state"]["counter"], state["state"]["key"], rng.bit_generator
 
-    def place(stream_id: int, piece: int = 0, stage: int = 0) -> np.random.Generator:
-        key[1], counter[1], counter[2] = stream_id, piece, stage
+    def place(stream_id: int, piece: int = 0, stage: int = 0, block: int = 0) -> np.random.Generator:
+        key[1], counter[0], counter[1], counter[2] = stream_id, block, piece, stage
         bit_generator.state = state
         return rng
 
     return place
 
 
-def substreams(seed: int, stream_ids) -> Iterator[np.random.Generator]:
-    """stream(seed, t) for each id t in stream_ids, in order, as one generator
-    re-keyed at each step (_placer), without the cost of building a stream.
-    The call checks the seed and every id once."""
-    place = _placer(_key(seed, 0)[0])
-    ids = [whole_number("stream_id", t, 0, 2**64 - 1) for t in stream_ids]
-    return (place(t) for t in ids)
+def trial_stream(seed: int, trial: int, words: int) -> np.random.Generator:
+    """A generator at the start of trial `trial` of a breeding run whose trials
+    read `words` raw words each (raw_words): block trial * words / 4 of stream
+    (seed, 0), stage 0. Raises ValueError unless Philox, which generates block
+    b at counter b + 1, keeps the trial's blocks in counter word 0."""
+    blocks = words // 4
+    trial = whole_number("trial", trial, 0, (2**64 - 1) // blocks - 1)
+    return _placer(_key(seed, 0)[0])(0, block=trial * blocks)
 
 
 def _threads(n_pieces: int) -> int:
@@ -127,13 +126,13 @@ def _threads(n_pieces: int) -> int:
 
 
 def raw_words(n_uniforms: int, n_bits: int) -> int:
-    """Raw words that random(n_uniforms), integers(0, 2, size=n_bits) take."""
-    return n_uniforms + (n_bits + 1) // 2
+    """Raw words that random(n_uniforms), integers(0, 2, size=n_bits) take, in whole blocks."""
+    return -(-(n_uniforms + (n_bits + 1) // 2) // 4) * 4
 
 
 def decode_raw(words: np.ndarray, n_uniforms: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The (rows, n_uniforms) float64 uniforms and (rows, n_bits) uint8 bits
-    that each row of raw words, drawn right after a re-key, stands for."""
+    that each row of raw words, read from a Philox block's start, begins with."""
     uniforms = (words[:, :n_uniforms] >> np.uint64(11)) * 2.0**-53
     # byte 3 of each little-endian 32-bit half holds the half's bit 31 as bit 7
     data = words[:, n_uniforms:].astype("<u8", copy=False).view(np.uint8)

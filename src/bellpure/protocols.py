@@ -498,15 +498,15 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
     return np.where(count > 0, smallest, 0), count
 
 
-#: Most test bits one chunk of breeding trials draws at once: 4 bytes a test
-#: bit of raw words, about 260 KiB, freed once each trial is kept as its labels
-#: (a byte a pair) and subset masks (8 bytes a test). A batch keeps as many
-#: trials as a chunk's raw words take bytes, and at least one chunk, and runs
-#: each round's decodes in one _ml_decode_rows call, whose cost hardly grows
-#: with its rows; its memory is one chunk's draws, then one batch's decodes
-#: (at most DECODE_CHUNK candidates at once). Up to 2^17 the decodes set a
-#: 500-trial n = 20 run's peak, within its 2 MiB bound; at 2^18 the draws pass
-#: it. A trial with more test bits runs alone.
+#: Most test bits one chunk of breeding trials draws at once, in one random_raw
+#: call: 4 bytes a test bit of raw words, about 260 KiB, freed once each trial
+#: is kept as its labels (a byte a pair) and subset masks (8 bytes a test). A
+#: batch keeps as many trials as a chunk's raw words take bytes, and at least
+#: one chunk, and runs each round's decodes in one _ml_decode_rows call, whose
+#: cost hardly grows with its rows; its memory is one chunk's draws, then one
+#: batch's decodes (at most DECODE_CHUNK candidates at once). Up to 2^17 the
+#: decodes set a 500-trial n = 20 run's peak, within its 2 MiB bound; at 2^18
+#: the draws pass it. A trial with more test bits runs alone.
 BREEDING_CHUNK = 1 << 16
 
 
@@ -539,15 +539,14 @@ class _Trials(Sequence):
         )
 
 
-def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, stream_ids) -> _Trials:
-    """breeding_mc on each stream id, in order, one batch of trials at a time.
+def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, first: int, count: int) -> _Trials:
+    """breeding_mc on trials first to first + count - 1, one batch at a time.
 
-    A trial's own work is one random_raw call for all of its stream's words,
-    on the one generator that ensemble.substreams re-keys to each trial's
-    stream. A batch draws its trials a chunk at a time:
+    The run is one read of stream (seed, 0) from its first trial's block
+    (ensemble.trial_stream), a chunk of trials one random_raw call, and
     ensemble.decode_raw turns a chunk's words into its uniforms and test
-    bits, which are kept as (T, n) labels and the trials' rows of subset
-    masks. Every other step runs once per batch, each round's decodes in one
+    bits, kept as (T, n) labels and the trials' rows of subset masks.
+    Every other step runs once per batch, each round's decodes in one
     _ml_decode_rows call, and writes the batch's rows of each column; what
     is the same for every trial runs once per call."""
     n = measures.check_breeding_args(n, delta, r_margin)
@@ -569,20 +568,18 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, st
     # trials per chunk; a trial with no tests still holds its n uniforms
     per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
     per_batch = max(per_chunk, 4 * BREEDING_CHUNK // (n + 8 * targets))
-    streams = ensemble.substreams(seed, stream_ids)
-    words = ensemble.raw_words(n, targets * n)
+    width = ensemble.raw_words(n, targets * n)
+    rng = ensemble.trial_stream(seed, first, width)
 
-    trials = _Trials(n, targets, provisioned, len(stream_ids))
-    for lo, hi in ensemble.chunks(len(stream_ids), per_batch):
+    trials = _Trials(n, targets, provisioned, count)
+    for lo, hi in ensemble.chunks(count, per_batch):
         size = hi - lo
         labels = np.empty((size, n), dtype=np.uint8)
         masks, pars = trials.masks[lo:hi], trials.parities[lo:hi]
         for a, b in ensemble.chunks(size, per_chunk):
             # a trial's draws: its labels' uniforms, then round 1's subsets,
             # then round 2's (a decode draws nothing, so they can come first)
-            raw = np.empty((b - a, words), dtype=np.uint64)
-            for i, rng in zip(range(b - a), streams):
-                raw[i] = rng.bit_generator.random_raw(words)
+            raw = rng.bit_generator.random_raw((b - a) * width).reshape(b - a, width)
             u, bits = ensemble.decode_raw(raw, n, targets * n)
             del raw  # 8 bytes a word: gone before the masks' int64 product takes its memory
             ensemble._labels_from_uniforms(cdf, u, labels[a:b])
@@ -623,9 +620,9 @@ def breeding_mc(
     delta: float = 0.05,
     r_margin: float = 2.0,
     seed: int = 0,
-    stream_id: int = 0,
+    trial: int = 0,
 ) -> BreedingResult:
-    """One breeding run on n impure pairs sampled from w.
+    """Trial `trial` of a seeded breeding run on n impure pairs sampled from w.
 
     Round 1 runs ceil(n*H + r_margin*sqrt(n)) random-subset parity tests,
     where H is the per-pair Phi/Psi class entropy, decodes the class string by
@@ -637,8 +634,9 @@ def breeding_mc(
     A round-1 misdecode can leave round 2 with no string of non-zero prior
     (zero_prior_round2). Every test consumes one prepurified Phi+ target;
     n*(S+delta) targets are provisioned, and overruns set budget_exceeded.
+    Raises ValueError unless the trial's blocks fit (ensemble.trial_stream).
     """
-    return _breed(w, n, delta, r_margin, seed, [stream_id])[0]
+    return _breed(w, n, delta, r_margin, seed, trial, 1)[0]
 
 
 class BreedingSummary(NamedTuple):
@@ -662,27 +660,28 @@ def breeding_trials(
     r_margin: float = 2.0,
     seed: int = 0,
 ) -> tuple[BreedingSummary, Sequence[BreedingResult]]:
-    """Run independent seeded breeding trials: trial t runs on substream
-    (seed, t), so it equals breeding_mc(..., seed=seed, stream_id=t).
+    """Run trials 0 to trials - 1 of a seeded breeding run: trial t equals
+    breeding_mc(..., seed=seed, trial=t).
 
     The results are a read-only sequence over the trials' columns (9 bytes a
     parity test and 30 more a trial): results[t] builds trial t's
     BreedingResult when it is read, and the summary comes from the columns,
     so a caller that reads only the summary builds no record. Every trial
-    consumes the same targets."""
+    consumes the same targets. Its rates and mean divide integer totals, so
+    each rounds once."""
     trials = measures.whole_number("trials", trials, 1)
-    results = _breed(w, n, delta, r_margin, seed, range(trials))
-    n, targets, flags, residual = results.n, results.targets, results.flags, results.counts[:, 0]
-    failed = ~(flags[:, 0] & flags[:, 1]) | flags[:, 2] | flags[:, 3]
+    results = _breed(w, n, delta, r_margin, seed, 0, trials)
+    n, targets, flags, residual = results.n, results.targets, results.flags, int(results.counts[:, 0].sum())
+    failures = int(np.count_nonzero(~(flags[:, 0] & flags[:, 1]) | flags[:, 2] | flags[:, 3]))
     summary = BreedingSummary(
         trials=trials,
         n=n,
         delta=delta,
         r_margin=r_margin,
         mean_targets_per_pair=targets / n,
-        decode_failure_rate=float(np.mean(failed)),
-        residual_error_rate=float(np.mean(residual / n)),
-        mean_net_yield=float(np.mean((n - residual - targets) / n)),
+        decode_failure_rate=failures / trials,
+        residual_error_rate=residual / (n * trials),
+        mean_net_yield=(n * trials - residual - targets * trials) / (n * trials),
         predicted_net_yield=1.0 - measures.entropy_bell(w),
         budget_exceeded_rate=float(targets > results.provisioned),
     )

@@ -860,6 +860,14 @@ class TestParsing:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
+        assert out == f"{bellpure.__version__}\n"
+
+    def test_package_metadata_carries_the_module_version(self):
+        # one version: the golden headers carry __version__, so a bump that
+        # misses either file is caught here
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            assert tomllib.load(f)["project"]["version"] == bellpure.__version__
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])

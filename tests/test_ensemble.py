@@ -46,56 +46,74 @@ class TestStream:
             stream(2**64)
 
     @pytest.mark.parametrize(
-        "seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (0, 2.5), (0, math.nan)]
+        "seed, trial, blocks, name",  # trials of 4 * blocks words
+        [
+            (-1, 0, 3, "seed"), (2**64, 0, 3, "seed"), (0, -1, 3, "trial"), (0, 2.5, 3, "trial"),
+            (0, math.nan, 3, "trial"),
+            # one past the last trial whose blocks stay in counter word 0
+            (0, 2**64 - 1, 1, "trial"), (0, (2**64 - 1) // 3, 3, "trial"), (0, 2**63, 2, "trial"),
+        ],
     )
-    def test_rekey_range_validation(self, seed, stream_id):
-        # the call checks every id once, before any step, wherever it sits:
-        # one between the smallest and the largest is not truncated
-        name = "stream_id" if seed == 0 else "seed"
-        with pytest.raises(ValueError, match=rf"{name} must be a whole number in \[0, {2**64 - 1}\]"):
-            ensemble.substreams(seed, [0, stream_id, 5])
+    def test_trial_range_validation(self, seed, trial, blocks, name):
+        top = 2**64 - 1 if name == "seed" else (2**64 - 1) // blocks - 1
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number in \[0, {top}\], got "):
+            ensemble.trial_stream(seed, trial, 4 * blocks)
 
-    def test_rekeyed_generator_draws_like_a_new_stream(self):
-        for seed, ids in ((7, [9, 0, 2**64 - 1, 9]), (2**64 - 1, [0, 1])):
-            for stream_id, rng in zip(ids, ensemble.substreams(seed, ids), strict=True):
-                fresh = stream(seed, stream_id)
-                for draw in (
-                    lambda g: g.random(5),  # a part-used Philox block
-                    lambda g: g.integers(0, 2, size=(3, 5)),
-                    lambda g: g.standard_normal(4),
-                    lambda g: g.integers(0, 2, size=2),  # leaves a 32-bit half buffered
-                ):
-                    assert np.array_equal(draw(rng), draw(fresh))
-                assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
-                assert rng.bit_generator.state["has_uint32"] == 1  # for the next re-key to drop
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 85])
+    def test_last_trial_stays_in_counter_word_0(self, blocks):
+        # Philox generates block b at counter b + 1, so the last trial's last
+        # block sits at counter 2^64 - 1 at most, never carrying into word 1,
+        # the piece positions' word
+        last = (2**64 - 1) // blocks - 1
+        rng = ensemble.trial_stream(5, last, 4 * blocks)
+        ref = _at(5, 0, 0, 0, block=last * blocks)
+        assert np.array_equal(rng.bit_generator.random_raw(4 * blocks), ref.bit_generator.random_raw(4 * blocks))
+        counter = rng.bit_generator.state["state"]["counter"].tolist()
+        assert counter == [(last + 1) * blocks, 0, 0, 0] and counter[0] <= 2**64 - 1
+
+    def test_trial_stream_draws_like_philox_at_its_block(self):
+        for seed, trial, blocks in ((7, 9, 3), (7, 0, 5), (2**64 - 1, 2**40, 85), (0, 2**64 - 2, 1)):
+            rng = ensemble.trial_stream(seed, trial, 4 * blocks)
+            ref = _at(seed, 0, 0, 0, block=trial * blocks)
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+            for draw in (
+                lambda g: g.random(5),  # a part-used Philox block
+                lambda g: g.integers(0, 2, size=(3, 5)),
+                lambda g: g.standard_normal(4),
+            ):
+                assert np.array_equal(draw(rng), draw(ref))
+        # trial 0 starts the stream itself
+        assert np.array_equal(ensemble.trial_stream(4, 0, 28).random(9), stream(4).random(9))
 
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
-        ids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        first=st.integers(0, 2**40) | st.just(0),
+        count=st.integers(1, 4),
         n=st.sampled_from([1, 20]) | st.integers(1, 20),
         targets=st.sampled_from([0, 1]) | st.integers(0, 40),  # odd targets * n leaves a half
-        buffered=st.booleans(),
     )
-    @example(seed=0, ids=[0], n=1, targets=0, buffered=True)
-    @example(seed=3, ids=[1, 2], n=20, targets=3, buffered=True)
-    @example(seed=3, ids=[1], n=7, targets=3, buffered=False)
-    def test_raw_words_decode_like_random_then_integers(self, seed, ids, n, targets, buffered):
-        words = ensemble.raw_words(n, targets * n)
-        raw = np.empty((len(ids), words), dtype=np.uint64)
-        for i, rng in enumerate(ensemble.substreams(seed, ids)):
-            raw[i] = rng.bit_generator.random_raw(words)
-            if buffered:  # the next re-key must drop a held 32-bit half
-                rng.integers(0, 2, size=1)
-                assert rng.bit_generator.state["has_uint32"] == 1
-        u, bits = ensemble.decode_raw(raw, n, targets * n)
+    @example(seed=0, first=0, count=1, n=1, targets=0)
+    @example(seed=3, first=1, count=2, n=20, targets=3)
+    @example(seed=3, first=5, count=1, n=7, targets=3)
+    @example(seed=3, first=0, count=3, n=8, targets=0)  # 8 words: 2 whole blocks, no padding
+    def test_raw_words_decode_like_random_then_integers(self, seed, first, count, n, targets):
+        # a run's trials are one read of whole blocks from the first trial's;
+        # each row of raw_words words decodes to what random then integers
+        # draw at the trial's own block, and takes the words those draws take
+        words = n + (targets * n + 1) // 2
+        width = ensemble.raw_words(n, targets * n)
+        assert width % 4 == 0 and words <= width < words + 4
+        raw = ensemble.trial_stream(seed, first, width).bit_generator.random_raw(count * width)
+        u, bits = ensemble.decode_raw(raw.reshape(count, width), n, targets * n)
         assert u.dtype == np.float64 and bits.dtype == np.uint8
-        for i, rng in enumerate(ensemble.substreams(seed, ids)):
-            assert np.array_equal(u[i], rng.random(n))
-            assert np.array_equal(bits[i].reshape(targets, n), rng.integers(0, 2, size=(targets, n)))
-            # and took raw_words words: 4 per Philox block, less those still buffered
-            state = rng.bit_generator.state
-            assert 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] == words
+        for i in range(count):
+            ref = _at(seed, 0, 0, 0, block=(first + i) * width // 4)
+            assert np.array_equal(u[i], ref.random(n))
+            assert np.array_equal(bits[i].reshape(targets, n), ref.integers(0, 2, size=(targets, n)))
+            # and took the first `words` of the trial's: 4 per Philox block, less those still buffered
+            state = ref.bit_generator.state
+            assert 4 * (int(state["state"]["counter"][0]) - (first + i) * width // 4) - 4 + state["buffer_pos"] == words
 
 
 class TestSampleEnsemble:
@@ -133,10 +151,11 @@ class TestSampleEnsemble:
 _SKEWED = BellDiagonal([0.822, 0.028, 0.073, 0.077])
 
 
-def _at(seed, stream_id, piece, stage):
-    """A new generator at piece `piece` of stage `stage` of stream (seed,
-    stream_id), built by Philox itself at counter words (0, piece, stage, 0)."""
-    words = np.array([0, piece, stage, 0, seed, stream_id], dtype=np.uint64)
+def _at(seed, stream_id, piece, stage, block=0):
+    """A new generator at block `block` of piece `piece` of stage `stage` of
+    stream (seed, stream_id), built by Philox itself at counter words (block,
+    piece, stage, 0)."""
+    words = np.array([block, piece, stage, 0, seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=words[:4], key=words[4:]))
 
 
@@ -182,16 +201,19 @@ class TestKeyedDraw:
         stream_id=st.integers(0, 2**64 - 1),
         piece=st.integers(0, 2**64 - 1),
         stage=st.integers(0, 2**64 - 1),
+        block=st.integers(0, 2**64 - 1) | st.just(0),
         before=st.integers(0, 9),
     )
-    @example(seed=7, stream_id=9, piece=0, stage=0, before=3)
-    def test_placer_loads_the_position_that_philox_is_built_at(self, seed, stream_id, piece, stage, before):
+    @example(seed=7, stream_id=9, piece=0, stage=0, block=0, before=3)
+    @example(seed=7, stream_id=0, piece=0, stage=0, block=2**64 - 1, before=0)
+    def test_placer_loads_the_position_that_philox_is_built_at(self, seed, stream_id, piece, stage, block, before):
         place = ensemble._placer(seed)
-        rng = place(3, 5, 7)
+        rng = place(3, 5, 7, 11)
         rng.bit_generator.random_raw(before)
         rng.integers(0, 2, size=3)  # leaves a 32-bit half buffered, for the load to drop
-        assert place(stream_id, piece, stage) is rng
-        ref = _at(seed, stream_id, piece, stage)
+        # a load sets every word, so the earlier block does not carry over
+        assert place(stream_id, piece, stage, block) is rng
+        ref = _at(seed, stream_id, piece, stage, block)
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
         for draw in (lambda g: g.random(5), lambda g: g.integers(0, 2, size=3), lambda g: g.standard_normal(4)):
             assert np.array_equal(draw(rng), draw(ref))

@@ -38,7 +38,7 @@ each BreedingResult and each derived ParityTest's (subset, parity_observed,
 target_consumed); they were recorded before the runs stopped building a
 ParityTest per test and began to keep each test as the decoder's integer
 mask. The [0.6, 0, 0.2, 0.2] run at zero margin reaches the round whose every
-parity-consistent string has zero prior (49 of its 300 trials). The
+parity-consistent string has zero prior (36 of its 300 trials). The
 two_groups-n14 and werner-n20-margin100 digests, over every result field, were
 recorded before breeding_trials began to run its trials in chunks. The
 rank0-n20 digest, whose runs have no tests at all so that every round decodes
@@ -46,15 +46,25 @@ over all 2^20 strings, was recorded before the decoder began to solve and
 score a chunk's trials together. The werner-n12-600 digest, over every result
 field, was recorded while its 600 trials ran in five chunks of at most 143,
 before a chunk grew to 2^16 test bits; its summary means run over more than
-128 trials, where np.mean sums in pairwise blocks. Breeding draws on its
-trials' own streams, at stage 0, so the keyed pieces left these digests as
-they were. The werner-n20-500 and werner-n12-4000 digests, over every result
+128 trials, where np.mean then summed in pairwise blocks. Breeding drew on
+its trials' own streams (seed, t), at stage 0, so the keyed pieces left these
+digests as they were. The werner-n20-500 and werner-n12-4000 digests, over every result
 field, were recorded while each chunk of trials ran its own two decoder
 calls, before the decodes ran once per batch of chunks: the first run's five
 chunks fit one batch, the second run's 4000 trials span three. Every breeding
 digest was recorded while breeding_trials built a BreedingResult per trial and
 formed its summary from those records; they hold now that it keeps columns,
 forms the summary from them and builds a record only when one is read.
+
+At 0.3.0 every breeding digest but rank0-n20 was recorded again, once, for two
+changes together: trial t of a run began to read Philox blocks [t*B, (t+1)*B)
+of stream (seed, 0), B its raw words over 4 rounded up, in place of stream
+(seed, t); and the summary's rates and mean yield began to divide integer
+totals once, as Python ints, in place of np.mean over per-trial floats.
+rank0-n20, whose trials run no test and draw labels of a point mass, held.
+Before recording, the new failure and residual rates were checked against the
+old ones over many seeds, and each trial's raw words against a Philox built at
+its counter. Every other digest held byte for byte through those changes.
 """
 import hashlib
 
@@ -338,15 +348,15 @@ DIGESTS = {
     "exact_layer": "4104a26ea3bde4766556fecf8b1f75b50f73650e0de5998c3be2d41e00d625d8",
     "oracle_step": "c79d0e99fa78ed7b8c32a78076170d40d0042baa51fe49e7f6e2ecbf29507be9",
     "oracle_step-random": "f40af9217a1ba5ffd6525aa5f404e1c3c50629e5e5d98be1096d7b7a70044d8e",
-    "breeding-werner-n12": "35e69871a1c704ece8d167cf7a49ca691b01eed7c4b3f37c0d0c0a605a01e7e9",
-    "breeding-werner-n20": "9f30dd8b2520ea9007d277d2ed5cbc098929b9e97f9128c5d0d0f289913f086b",
-    "breeding-zero_prior-n8": "31b0b792bf5af1a0b66a6fcb4a11ee50ad434e1f5fac31d9fed0f806897238e2",
-    "breeding-two_groups-n14": "449cf7b4a3b620b5d5dea5328cebd7404eb3cda648b8e2fecfe78fab03936412",
+    "breeding-werner-n12": "a5b2804d2db67ced07659b96ca0c935f6b7c7d1306e64f3cc3e808ade2860bb8",
+    "breeding-werner-n20": "1813d1b3e59311bbdfd39be819c126ee2316fcc974ec4065f9f92ddffdf82980",
+    "breeding-zero_prior-n8": "950af801495aca3cef40190fec76c838d16c5ce77d88666d9424028858a4fbbe",
+    "breeding-two_groups-n14": "fabc59507a660ccb3a5c8e6cd084dd22e1ee23743bbaac1e69d7663b6d845e05",
     "breeding-rank0-n20": "9295149aabec29608d0b692870050069b28afda0164bbb894e347c1ca63e2337",
-    "breeding-werner-n20-margin100": "fdbe68bd5a462aed228ad3240a6418caeb99ece3e97e5cf424820e8c62c7ed1b",
-    "breeding-werner-n12-600": "5ef0b25aadb015fa5a3d3e3ff7bea1dd04e6e65c47fed01c902b37c6317af0c4",
-    "breeding-werner-n20-500": "b2b723eaba223ae097d7fa61679c418024726c9f3230c0cb30282c50aa499c1b",
-    "breeding-werner-n12-4000": "5bc7c5b6c181b82ddd8162b0e1de5b1a7f299cfba5e6346cacdcfeee73d312a8",
+    "breeding-werner-n20-margin100": "fbab78e6cdb72397569ddf4cd8d357be97d7e6355b6d9dd860e7cc347018427f",
+    "breeding-werner-n12-600": "a1ae768ec91f6e0cfa986ba8933946f6d581a612872b5aa70329c640221e89f5",
+    "breeding-werner-n20-500": "2cf095f789f7f3324d7fa0c28b57d29b1c2a19f93679f4597e4bf791d782dab6",
+    "breeding-werner-n12-4000": "d9b78ec407cc5a5131656872884bd6cffed066a9c94baa895ba27759d0d3d6bd",
 }
 
 

@@ -348,6 +348,7 @@ _WHOLE_NUMBER_CALLS = {
     "recurrence_trajectory max_steps": ("max_steps", lambda v: measures.recurrence_trajectory(0.7, max_steps=v)),
     "check_breeding_args n": ("n", lambda v: measures.check_breeding_args(v, 0.0, 0.0)),
     "breeding_mc n": ("n", lambda v: protocols.breeding_mc(werner(0.95), v)),
+    "breeding_mc trial": ("trial", lambda v: protocols.breeding_mc(werner(0.95), 5, trial=v)),
     "stream seed": ("seed", lambda v: ensemble.stream(v)),
     "stream stream_id": ("stream_id", lambda v: ensemble.stream(0, v)),
     "random_axis_parallel_prob n_trials": (

@@ -341,7 +341,7 @@ class TestWorkCounts:
         assert calls["BreedingResult"] == 0 and len(results) == 600
         last = results[-1]
         assert calls["BreedingResult"] == 1
-        assert last == breeding_mc(w, 12, stream_id=599)
+        assert last == breeding_mc(w, 12, trial=599)
         with pytest.raises(IndexError):
             results[600]
 
@@ -359,9 +359,10 @@ class TestWorkCounts:
         breeding_trials(measures.werner(0.95), 12, 600)
         assert len(calls) <= 1
 
-    def test_breeding_draws_each_trial_with_one_raw_call(self, monkeypatch):
-        # random and integers each cost numpy's argument handling per call;
-        # one random_raw per trial draws the same words (ensemble.decode_raw)
+    def test_breeding_draws_each_chunk_with_one_raw_call(self, monkeypatch):
+        # random and integers each cost numpy's argument handling per call,
+        # and a generator per trial its placement; the trials are one read of
+        # whole blocks on one generator, one random_raw call per chunk
         calls = Counter()
 
         class Counting:
@@ -385,13 +386,20 @@ class TestWorkCounts:
 
         make_placer = ensemble._placer
 
-        def counting_placer(seed):  # substreams re-keys the generator it returns
+        def counting_placer(seed):
             place = make_placer(seed)
-            return lambda *args: Counting(place(*args))
+
+            def counted(*args, **kwargs):
+                calls["place"] += 1
+                return Counting(place(*args, **kwargs))
+
+            return counted
 
         monkeypatch.setattr(ensemble, "_placer", counting_placer)
-        breeding_trials(measures.werner(0.95), 12, 600)
-        assert calls == {"random_raw": 600}
+        _, results = breeding_trials(measures.werner(0.95), 12, 600)
+        per_chunk = protocols.BREEDING_CHUNK // (results[0].targets_consumed * 12)
+        assert per_chunk < 600 <= self._per_batch(results[0])  # one batch of several chunks
+        assert calls == {"place": 1, "random_raw": -(-600 // per_chunk)} == {"place": 1, "random_raw": 3}
 
     def test_breeding_builds_one_prior_table_per_round(self):
         # one table per (n, probs): building one per batch and round would
@@ -1071,7 +1079,8 @@ class TestMLDecode:
     def test_breed_probs_run_decodes_like_the_exact_reference(self, monkeypatch):
         # breed --probs 0.6 0.2 0.05 0.15 --pairs 12 --trials 2000 --seed 7:
         # both round-2 groups have p = 0.25, so strings of one total weight
-        # tie exactly; float log-odds sums resolved two of these silently
+        # tie exactly, as in three of these trials; float log-odds sums once
+        # resolved such ties silently
         rows = []  # (instance, outcome) of every row the decoder solves
         decode_rows = protocols._ml_decode_rows
 
@@ -1084,7 +1093,7 @@ class TestMLDecode:
         _, results = breeding_trials(BellDiagonal([0.6, 0.2, 0.05, 0.15]), 12, 2000, seed=7)
         assert len(rows) == 4000
         assert [r for r in rows if r[1] != _outcome(_exhaustive_decode, *r[0])] == []
-        assert results[316].tie_round2 and results[748].tie_round2
+        assert [t for t, r in enumerate(results) if r.tie_round2] == [262, 489, 1625]
 
     @settings(max_examples=150, deadline=None)
     @given(decode_batches())
@@ -1131,6 +1140,16 @@ def _reference_parity_tests(rounds):
             subset = tuple(i for i, b in enumerate(row) if b)
             tests.append(protocols.ParityTest(subset, par, len(tests)))
     return tuple(tests)
+
+
+def _trial_reference(seed, trial, n, targets):
+    """A new generator at the first block of trial `trial` of a breeding run
+    of seed with `targets` tests of n pairs a trial, built by Philox itself
+    at counter words (trial * B, 0, 0, 0) of key (seed, 0), where B is the
+    trial's n + ceil(targets * n / 2) raw words over 4, rounded up."""
+    blocks = -(-(n + (targets * n + 1) // 2) // 4)
+    words = np.array([trial * blocks, 0, 0, 0, seed, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=words[:4], key=words[4:]))
 
 
 BREEDING_STATES = (
@@ -1230,7 +1249,7 @@ class TestBreeding:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocols, "_bxor_parity", recording)
-            r = breeding_mc(w, n, r_margin=r_margin, seed=seed, stream_id=sid)
+            r = breeding_mc(w, n, r_margin=r_margin, seed=seed, trial=sid)
         assert len(rounds) == 2
         assert r.parity_tests == _reference_parity_tests(rounds)
 
@@ -1254,17 +1273,17 @@ class TestBreeding:
             assert t.parity_observed in (0, 1)
             assert all(0 <= i < 12 for i in t.subset)
 
-    def test_deterministic_per_stream(self):
+    def test_deterministic_per_trial(self):
         w = measures.werner(0.95)
-        a = breeding_mc(w, 10, seed=9, stream_id=3)
-        b = breeding_mc(w, 10, seed=9, stream_id=3)
+        a = breeding_mc(w, 10, seed=9, trial=3)
+        b = breeding_mc(w, 10, seed=9, trial=3)
         assert a == b
 
-    def test_streams_actually_vary(self):
+    def test_trials_actually_vary(self):
         # at zero margin both clean and failed decodes should show up
         w = measures.werner(0.95)
         outcomes = {
-            breeding_mc(w, 10, r_margin=0.0, seed=9, stream_id=t).decode_failed
+            breeding_mc(w, 10, r_margin=0.0, seed=9, trial=t).decode_failed
             for t in range(60)
         }
         assert outcomes == {True, False}
@@ -1272,14 +1291,14 @@ class TestBreeding:
     def test_residual_zero_iff_both_decodes_correct(self):
         w = measures.werner(0.9)
         for t in range(150):
-            r = breeding_mc(w, 10, r_margin=0.0, seed=77, stream_id=t)
+            r = breeding_mc(w, 10, r_margin=0.0, seed=77, trial=t)
             both = r.decode_correct_round1 and r.decode_correct_round2
             assert (r.residual_error_pairs == 0) == both
 
     def test_net_yield_identity_on_success(self):
         w = measures.werner(0.95)
         for t in range(40):
-            r = breeding_mc(w, 14, r_margin=1.0, seed=13, stream_id=t)
+            r = breeding_mc(w, 14, r_margin=1.0, seed=13, trial=t)
             if r.decode_correct_round1 and r.decode_correct_round2:
                 assert r.net_yield == pytest.approx((r.n - r.targets_consumed) / r.n)
 
@@ -1312,10 +1331,10 @@ class TestBreeding:
         hi, _ = breeding_trials(w, 16, 120, r_margin=4.0, seed=55)
         assert hi.decode_failure_rate <= lo.decode_failure_rate
 
-    def test_trial_t_runs_on_substream_t(self):
+    def test_trial_t_is_breeding_mc_trial_t(self):
         w = measures.werner(0.95)
         _, results = breeding_trials(w, 10, 24, seed=6)
-        assert list(results) == [breeding_mc(w, 10, seed=6, stream_id=t) for t in range(24)]
+        assert list(results) == [breeding_mc(w, 10, seed=6, trial=t) for t in range(24)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1332,7 +1351,7 @@ class TestBreeding:
         # summary, each trial equal to its own breeding_mc run
         summary, results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
         assert list(results) == [
-            breeding_mc(w, n, r_margin=r_margin, seed=seed, stream_id=t) for t in range(trials)
+            breeding_mc(w, n, r_margin=r_margin, seed=seed, trial=t) for t in range(trials)
         ]
         per_trial = max(results[0].targets_consumed, 1) * n
         for per_chunk in (1, 2, 7):
@@ -1341,11 +1360,47 @@ class TestBreeding:
                 chunked, chunked_results = breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
             assert (chunked, list(chunked_results)) == (summary, list(results))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(BREEDING_STATES),
+        st.integers(1, 20),
+        st.floats(0.0, 4.0),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**40) | st.integers(0, 9),
+        st.integers(1, 6),
+        st.sampled_from([1, 2, 7, None]),
+    )
+    @example(BellDiagonal([1.0, 0.0, 0.0, 0.0]), 4, 0.0, 0, 0, 6, 1)  # one block a trial, no tests
+    @example(measures.werner(0.95), 12, 2.0, 7, 2**40, 3, 2)
+    def test_trial_t_reads_its_own_blocks(self, w, n, r_margin, seed, trial, trials, per_chunk):
+        # every trial's raw words are the first of its own B blocks, B the
+        # words it uses over 4, rounded up: those of a Philox placed at
+        # counter words (t * B, 0, 0, 0) of key (seed, 0), whichever chunk
+        # the trial is drawn in
+        rows = []
+        decode_raw = ensemble.decode_raw
+
+        def recording(raw, *args):
+            rows.extend(raw.tolist())
+            return decode_raw(raw, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "decode_raw", recording)
+            r = breeding_mc(w, n, r_margin=r_margin, seed=seed, trial=trial)
+            targets = r.targets_consumed
+            if per_chunk is not None:
+                mp.setattr(protocols, "BREEDING_CHUNK", per_chunk * max(targets, 1) * n)
+            breeding_trials(w, n, trials, r_margin=r_margin, seed=seed)
+        words = n + (targets * n + 1) // 2
+        assert [len(row) for row in rows] == [4 * -(-words // 4)] * (1 + trials)
+        for t, row in zip([trial, *range(trials)], rows):
+            assert row[:words] == _trial_reference(seed, t, n, targets).bit_generator.random_raw(words).tolist()
+
     def test_round2_with_no_prior_candidate_fails_without_raising(self):
         # round 1 misdecodes a pair, and the round-2 prior then gives the
         # true sign string zero probability
         w = BellDiagonal([0.05, 0.0, 0.0, 0.95])
-        r = breeding_mc(w, 5, seed=6, stream_id=0)
+        r = breeding_mc(w, 5, seed=6, trial=0)
         assert not r.decode_correct_round1
         assert not r.decode_correct_round2 and not r.tie_round2
         assert r.decode_failed
@@ -1353,7 +1408,7 @@ class TestBreeding:
         assert r.net_yield == (r.n - r.residual_error_pairs - r.targets_consumed) / r.n
 
     def test_zero_prior_round_is_flagged_and_corrects_nothing(self, monkeypatch):
-        # at zero margin, 49 of these 300 trials misdecode round 1 so that
+        # at zero margin, 36 of these 300 trials misdecode round 1 so that
         # round 2 has no string of non-zero prior
         corrections = []  # each batch's round-1 masks, then its round-2 masks
         mask_bits = protocols._mask_bits
@@ -1368,7 +1423,7 @@ class TestBreeding:
         assert len(x_hats) == len(y_hats) == len(results)
         # round 1's true string always fits its tests and has non-zero prior
         assert not any(r.zero_prior_round1 for r in results)
-        assert sum(r.zero_prior_round2 for r in results) == 49
+        assert sum(r.zero_prior_round2 for r in results) == 36
         for r, y_hat in zip(results, y_hats):
             if r.zero_prior_round2:
                 assert not r.decode_correct_round2 and not r.tie_round2
@@ -1376,10 +1431,11 @@ class TestBreeding:
 
     def test_subsets_follow_the_subset_mask_stream(self):
         # each round draws its subsets in one call; they must be the draws
-        # that successive subset_mask calls make after the label draw
-        for w, n, sid in ((measures.werner(0.9), 13, 2), (BellDiagonal([0.9, 0.03, 0.04, 0.03]), 20, 5)):
-            r = breeding_mc(w, n, seed=3, stream_id=sid)
-            rng = ensemble.stream(3, sid)
+        # that successive subset_mask calls make after the label draw, from
+        # the trial's first block
+        for w, n, t in ((measures.werner(0.9), 13, 2), (BellDiagonal([0.9, 0.03, 0.04, 0.03]), 20, 5)):
+            r = breeding_mc(w, n, seed=3, trial=t)
+            rng = _trial_reference(3, t, n, r.targets_consumed)
             rng.random(n)  # the labels' uniforms
             masks = [ensemble.subset_mask(rng, n) for _ in range(r.targets_consumed)]
             assert [t.subset for t in r.parity_tests] == [
@@ -1392,7 +1448,7 @@ class TestBreeding:
         n = 12
         r1 = math.ceil(n * measures.h2(float(p[2] + p[3])) + 2.0 * math.sqrt(n))
         for t in range(10):
-            r = breeding_mc(w, n, seed=8, stream_id=t)
+            r = breeding_mc(w, n, seed=8, trial=t)
             rounds = (r.parity_tests[:r1], r.parity_tests[r1:])
             for tests, dim in zip(rounds, (r.coset_dim_round1, r.coset_dim_round2)):
                 masks = [sum(1 << i for i in test.subset) for test in tests]
@@ -1460,17 +1516,47 @@ class TestBreeding:
             dist = _count_distribution(pmfs)
             assert dist[: observed + 1].sum() >= tail and dist[observed:].sum() >= tail
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"stream_id": -1}, {"stream_id": 2**64}, {"seed": -1}, {"seed": 2**64}]
-    )
-    def test_seed_and_stream_id_must_fit_64_bits(self, kwargs):
-        # the range is checked once per call, not where each trial is re-keyed
+    @pytest.mark.parametrize("kwargs", [{"trial": -1}, {"trial": 2**64}, {"seed": -1}, {"seed": 2**64}])
+    def test_seed_and_trial_must_fit_64_bits(self, kwargs):
+        # the range is checked once per call, where the run's generator is placed;
+        # a trial's 12 tests of 5 pairs take 35 words, 9 blocks
         (name,) = kwargs
-        with pytest.raises(ValueError, match=rf"{name} must be a whole number in \[0, {2**64 - 1}\]"):
+        top = 2**64 - 1 if name == "seed" else (2**64 - 1) // 9 - 1
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number in \[0, {top}\]"):
             breeding_mc(measures.werner(0.95), 5, **kwargs)
         if name == "seed":
             with pytest.raises(ValueError, match=rf"seed must be a whole number in \[0, {2**64 - 1}\]"):
                 breeding_trials(measures.werner(0.95), 5, 3, **kwargs)
+
+    @pytest.mark.parametrize(
+        "w, n, r_margin",
+        [
+            (measures.werner(0.95), 12, 2.0),  # 19 tests: 126 words, 32 blocks a trial
+            (measures.werner(0.9), 20, 2.0),  # 32 tests: 340 words, 85 blocks a trial
+            (BellDiagonal([1.0, 0.0, 0.0, 0.0]), 4, 0.0),  # no tests: 4 words, 1 block a trial
+        ],
+    )
+    def test_last_trial_keeps_its_blocks_in_counter_word_0(self, monkeypatch, w, n, r_margin):
+        # the last trial's blocks end at counter 2^64 - 1 at most; the next
+        # would carry into word 1, where the pieces are placed
+        targets = breeding_mc(w, n, r_margin=r_margin).targets_consumed
+        blocks = -(-(n + (targets * n + 1) // 2) // 4)
+        last = (2**64 - 1) // blocks - 1
+        placed = []
+        make_placer = ensemble._placer
+
+        def recording_placer(seed):
+            place = make_placer(seed)
+            return lambda *args, **kwargs: placed.append(place(*args, **kwargs)) or placed[-1]
+
+        monkeypatch.setattr(ensemble, "_placer", recording_placer)
+        r = breeding_mc(w, n, r_margin=r_margin, seed=3, trial=last)
+        assert placed[0].bit_generator.state["state"]["counter"].tolist() == [(last + 1) * blocks, 0, 0, 0]
+        rng = _trial_reference(3, last, n, targets)
+        rng.random(n)
+        assert list(r.subset_masks) == [ensemble.subset_mask(rng, n) for _ in range(targets)]
+        with pytest.raises(ValueError, match=rf"^trial must be a whole number in \[0, {last}\], got {last + 1}$"):
+            breeding_mc(w, n, r_margin=r_margin, seed=3, trial=last + 1)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
