@@ -363,7 +363,7 @@ def _bxor_parity(labels: np.ndarray, masks: np.ndarray) -> np.ndarray:
     from the XOR of the sources. A Phi+ target's sign bit is 0, so no source
     is altered, and its amp bit 0 is toggled by the sources' XORed amp bit:
     the subset's Psi-count parity, which the measurement reports."""
-    amp = bell.amp_bit(labels) @ (1 << np.arange(labels.shape[-1]))
+    amp = bell.amp_bit(labels) @ (1 << np.arange(labels.shape[-1], dtype=np.uint32))
     return np.bitwise_count(masks & amp[..., None]) & 1
 
 
@@ -396,30 +396,29 @@ def _prior_ranks(n: int, probs: tuple[float, ...]) -> tuple[np.ndarray, tuple[bo
     return rank, tuple(flips)
 
 
-def _reduce_parities(n: int, masks: np.ndarray, parities: np.ndarray) -> np.ndarray:
+def _reduce_parities(n: int, masks, parities) -> np.ndarray:
     """Gauss-Jordan elimination over GF(2) of each row's parity tests, all
-    rows at once, in place beside one scratch array of the same size. Returns
-    the (T, n) reduced pivot rows, each test packed as mask << 1 | parity:
-    column b holds the test whose leading bit is b, with no other leading bit
-    set, or 0 when no test leads at b. Raises RuntimeError when a row's
-    parities contradict each other."""
-    work = np.zeros((len(masks), n + masks.shape[1]), dtype=np.int64)
-    pivots, tests = work[:, :n], work[:, n:]
-    if not tests.size:
-        return pivots
-    tests[:] = masks << 1 | parities
-    scratch, lead = np.empty_like(work), np.empty(len(work), dtype=np.int64)
+    rows at once, in place in a uint32 (n + r, T) work array and its scratch:
+    a row per pivot or test, a column per row of the (T, r) masks and
+    parities. Returns the (n, T) pivots, each test packed as mask << 1 |
+    parity: row b holds the test whose leading bit is b, with no other leading
+    bit set, or 0. Raises RuntimeError when a row's parities contradict."""
+    masks = np.asarray(masks, dtype=np.uint32)
+    work = np.zeros((n + masks.shape[1], len(masks)), dtype=np.uint32)
+    pivots, tests = work[:n], work[n:]
+    tests[:] = (masks << 1 | np.asarray(parities, dtype=np.uint8)).T
+    scratch, lead = np.empty_like(work), np.empty(len(masks), dtype=np.uint32)
     for b in range(n - 1, -1, -1):
-        # a test not yet taken holds no mask bit above b, so the largest
-        # leads at b if any test does; XORing it into every test and pivot
-        # holding bit b clears that bit there, itself included
-        tests.max(axis=1, out=lead)
+        # a test not yet taken holds no mask bit above b, so the largest leads
+        # at b if any test does; XORing it into every test and pivot holding
+        # bit b clears that bit there, itself included (pivots below b are 0)
+        tests.max(axis=0, out=lead, initial=0)
         lead *= lead >> b + 1
-        np.right_shift(work, b + 1, out=scratch)
-        scratch &= 1
-        scratch *= lead[:, None]
-        work ^= scratch
-        pivots[:, b] = lead
+        held = np.right_shift(work[b + 1 :], b + 1, out=scratch[b + 1 :])
+        held &= 1
+        held *= lead
+        work[b + 1 :] ^= held
+        pivots[b] = lead
     if tests.any():  # a test reduced to parity 1 on the empty subset
         raise RuntimeError("no parity-consistent candidate")
     return pivots
@@ -444,29 +443,27 @@ def _ml_decode_rows(n, masks, parities, group_masks, probs):
     at most max(2^d, DECODE_CHUNK) candidates are held.
     Returns the arrays (decoded, coset_dim, tie, zero_prior); a row whose
     every parity-consistent string has zero prior decodes to 0, no tie."""
-    pivots = _reduce_parities(n, np.asarray(masks), np.asarray(parities))
-    group_masks = np.asarray(group_masks).astype(np.uint32)
+    pivots = _reduce_parities(n, masks, parities)
+    group_masks = np.asarray(group_masks, dtype=np.uint32)
     ranks, flips = _prior_ranks(n, tuple(probs))
-    leads = pivots != 0
-    dims = n - np.count_nonzero(leads, axis=1)
-    weights = 1 << np.arange(n)
+    free = (pivots == 0).T
+    dims = np.count_nonzero(free, axis=1)
+    weights = 1 << np.arange(n, dtype=np.uint32)
     # with every free bit 0, each leading bit is its pivot's parity
-    x0 = ((pivots & 1) @ weights).astype(np.uint32)
-    # column f: bit f, and every leading bit whose pivot holds bit f; for a
-    # free f, the basis vector whose only free bit is f
-    spans, held = np.empty(pivots.shape, dtype=np.uint32), np.empty_like(pivots)
+    x0 = weights @ (pivots & 1)
+    # row f: bit f, and every leading bit whose pivot (above f) holds bit f;
+    # for a free f, the basis vector whose only free bit is f
+    spans = np.empty_like(pivots)
     for f in range(n):
-        np.right_shift(pivots, f + 1, out=held)
-        held &= 1
-        spans[:, f] = held @ weights | 1 << f
-    decoded = np.zeros(len(dims), dtype=np.int64)
-    count = np.zeros(len(dims), dtype=np.int64)  # strings of the top prior
+        spans[f] = weights[f + 1 :] @ (pivots[f + 1 :] >> f + 1 & 1) | 1 << f
+    spans = spans.T
+    decoded, count = np.zeros((2, len(dims)), dtype=np.uint32)  # count: strings of the top prior
     order = dims.argsort(kind="stable")
     ends = np.bincount(dims, minlength=n + 1).cumsum().tolist()
     for d, (lo, hi) in enumerate(zip([0] + ends, ends)):
         step = max(1, DECODE_CHUNK >> d)
         for part in (order[i : min(i + step, hi)] for i in range(lo, hi, step)):
-            basis = spans[part][~leads[part]].reshape(len(part), d)  # ascending free bits
+            basis = spans[part][free[part]].reshape(len(part), d)  # ascending free bits
             cands = np.empty((len(part), 1 << d), dtype=np.uint32)
             cands[:, 0] = x0[part]
             for j in range(d):  # double the coset spanned so far
@@ -500,26 +497,25 @@ def _best_in_cosets(cands, group_masks, ranks, flips):
 
 #: Most test bits one chunk of breeding trials draws at once, in one random_raw
 #: call: 4 bytes a test bit of raw words, about 260 KiB, freed once each trial
-#: is kept as its labels (a byte a pair) and subset masks (8 bytes a test). A
-#: batch keeps as many trials as a chunk's raw words take bytes, and at least
-#: one chunk, and runs each round's decodes in one _ml_decode_rows call, whose
-#: cost hardly grows with its rows; its memory is one chunk's draws, then one
-#: batch's decodes (at most DECODE_CHUNK candidates at once). Up to 2^17 the
-#: decodes set a 500-trial n = 20 run's peak, within its 2 MiB bound; at 2^18
-#: the draws pass it. A trial with more test bits runs alone.
+#: is kept as its labels (a byte a pair) and uint32 subset masks (4 bytes a
+#: test). A batch takes as many trials as a chunk's raw words take bytes, at n
+#: a trial and 8 a test, and at least one chunk, and runs each round's decodes
+#: in one _ml_decode_rows call, whose cost hardly grows with its rows. Up to
+#: 2^17 the decodes set a 500-trial n = 20 run's peak, within its 1.45 MiB
+#: bound; at 2^18 the draws pass it. A trial with more test bits runs alone.
 BREEDING_CHUNK = 1 << 16
 
 
 class _Trials(Sequence):
     """The BreedingResults of a run's trials, kept as columns with one row per
-    trial: the subset masks and parities; the flags decode_correct_round1,
+    trial: the uint32 subset masks and uint8 parities; the flags decode_correct_round1,
     decode_correct_round2, tie_round1, tie_round2, zero_prior_round1 and
     zero_prior_round2; and the counts residual_error_pairs, coset_dim_round1
     and coset_dim_round2. Trial i's record is built only when it is read."""
 
     def __init__(self, n: int, targets: int, provisioned: int, trials: int):
         self.n, self.targets, self.provisioned = n, targets, provisioned
-        self.masks = np.empty((trials, targets), dtype=np.int64)
+        self.masks = np.empty((trials, targets), dtype=np.uint32)
         self.parities = np.empty((trials, targets), dtype=np.uint8)
         self.flags = np.empty((trials, 6), dtype=bool)
         self.counts = np.empty((trials, 3), dtype=np.int64)
@@ -563,7 +559,7 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, fi
     targets = r1 + r2
     provisioned = int(math.ceil(n * (measures.entropy_bell(w) + delta)))
     full = (1 << n) - 1
-    weights = 1 << np.arange(n)
+    weights = 1 << np.arange(n, dtype=np.uint32)
     cdf = p.cumsum()
     # trials per chunk; a trial with no tests still holds its n uniforms
     per_chunk = max(1, BREEDING_CHUNK // (max(targets, 1) * n))
@@ -581,7 +577,7 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, fi
             # then round 2's (a decode draws nothing, so they can come first)
             raw = rng.bit_generator.random_raw((b - a) * width).reshape(b - a, width)
             u, bits = ensemble.decode_raw(raw, n, targets * n)
-            del raw  # 8 bytes a word: gone before the masks' int64 product takes its memory
+            del raw  # 8 bytes a word: gone before the masks' product copies the bits to uint32
             ensemble._labels_from_uniforms(cdf, u, labels[a:b])
             np.matmul(bits.reshape(b - a, targets, n), weights, out=masks[a:b])
         del u, bits  # the last chunk's: gone before the decodes take their memory
@@ -589,7 +585,7 @@ def _breed(w: BellDiagonal, n: int, delta: float, r_margin: float, seed: int, fi
         x_true = bell.amp_bit(labels) @ weights
         pars[:, :r1] = _bxor_parity(labels, masks[:, :r1])
         x_hat, dim1, tie1, zero1 = _ml_decode_rows(
-            n, masks[:, :r1], pars[:, :r1], np.full((size, 1), full), [p_psi]
+            n, masks[:, :r1], pars[:, :r1], np.full((size, 1), full, dtype=np.uint32), [p_psi]
         )
         # one-particle y on every decoded Psi
         labels = np.where(_mask_bits(x_hat, n), bell.unilateral_pauli(labels, PauliAxis.Y), labels)
@@ -663,7 +659,7 @@ def breeding_trials(
     """Run trials 0 to trials - 1 of a seeded breeding run: trial t equals
     breeding_mc(..., seed=seed, trial=t).
 
-    The results are a read-only sequence over the trials' columns (9 bytes a
+    The results are a read-only sequence over the trials' columns (5 bytes a
     parity test and 30 more a trial): results[t] builds trial t's
     BreedingResult when it is read, and the summary comes from the columns,
     so a caller that reads only the summary builds no record. Every trial

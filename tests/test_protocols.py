@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -1130,6 +1132,83 @@ class TestMLDecode:
         assert decoded.tolist() == [0b0100, 0b0001] and dims.tolist() == [2, 3]
 
 
+def _gauss_jordan(n, masks, parities):
+    """Reference elimination on Python ints, one test at a time: the reduced
+    tests {leading bit: mask << 1 | parity}, or None when the tests contradict
+    each other. Each kept test holds exactly one leading bit, so a new test
+    loses every leading bit in one pass over them."""
+    basis = {}
+    for mask, parity in zip(masks, parities):
+        v = mask << 1 | parity
+        for b, row in basis.items():
+            if v >> b + 1 & 1:
+                v ^= row
+        if v == 1:  # parity 1 on the empty subset
+            return None
+        if v:
+            lead = v.bit_length() - 2
+            for b, row in basis.items():
+                if row >> lead + 1 & 1:
+                    basis[b] = row ^ v
+            basis[lead] = v
+    return basis
+
+
+@st.composite
+def reduce_instances(draw):
+    """(n, masks, parities): 1-4 rows of 0-30 tests on n <= 20
+    bits, padded to one width with zero tests, as Python lists or int64
+    arrays. A row's parities are those of a hidden string, and a row that
+    contradicts ends with a sum of its other tests at the opposite parity."""
+    n = draw(st.integers(1, 20))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=29))
+        x = draw(st.integers(0, (1 << n) - 1))
+        parities = [(m & x).bit_count() & 1 for m in masks]
+        if draw(st.booleans()):
+            picked = draw(st.lists(st.sampled_from(range(len(masks))), unique=True)) if masks else []
+            masks.append(functools.reduce(operator.xor, (masks[i] for i in picked), 0))
+            parities.append(sum(parities[i] for i in picked) + 1 & 1)
+        rows.append((masks, parities))
+    r = max(len(masks) for masks, _ in rows)
+    masks, parities = ([row[i] + [0] * (r - len(row[i])) for row in rows] for i in (0, 1))
+    if draw(st.booleans()):
+        masks, parities = (np.array(a, dtype=np.int64).reshape(len(rows), r) for a in (masks, parities))
+    return n, masks, parities
+
+
+class TestReduceParities:
+    @settings(max_examples=300, deadline=None)
+    @given(reduce_instances())
+    def test_matches_elimination_on_python_ints(self, instance):
+        n, masks, parities = instance
+        rows = [(list(m), list(p)) for m, p in zip(np.asarray(masks).tolist(), np.asarray(parities).tolist())]
+        references = [_gauss_jordan(n, m, p) for m, p in rows]
+        if None in references:
+            with pytest.raises(RuntimeError, match="no parity-consistent candidate"):
+                protocols._reduce_parities(n, masks, parities)
+            return
+        pivots = protocols._reduce_parities(n, masks, parities)
+        assert pivots.shape == (n, len(rows))
+        for (row_masks, row_parities), reference, column in zip(rows, references, pivots.T.tolist()):
+            leads = [b for b in range(n) if column[b]]
+            # pivot b leads at b, and no other pivot holds bit b
+            assert all(column[b].bit_length() - 2 == b for b in leads)
+            assert all(not column[c] >> b + 1 & 1 for b in leads for c in leads if c != b)
+            # the same rank, and every test, parity included, in the pivots' span:
+            # so the same row space
+            assert len(leads) == len(reference)
+            for mask, parity in zip(row_masks, row_parities):
+                v = mask << 1 | parity
+                for b in leads:
+                    if v >> b + 1 & 1:
+                        v ^= column[b]
+                assert v == 0
+            # the reduced form of a row space is unique
+            assert dict(zip(leads, (column[b] for b in leads))) == reference
+
+
 def _reference_parity_tests(rounds):
     """The parity test records as breeding_mc once built them while it ran:
     one ParityTest per row of each round's (count, n) subset matrix, with the
@@ -1252,6 +1331,12 @@ class TestBreeding:
             r = breeding_mc(w, n, r_margin=r_margin, seed=seed, trial=sid)
         assert len(rounds) == 2
         assert r.parity_tests == _reference_parity_tests(rounds)
+
+    def test_breeding_keeps_subset_masks_in_32_bits(self):
+        _, results = breeding_trials(measures.werner(0.9), 20, 3, seed=2)
+        assert results.masks.dtype == np.uint32
+        assert all(type(m) is int for r in results for m in r.subset_masks)
+        assert max(m for r in results for m in r.subset_masks) >= 1 << 19
 
     def test_point_mass_phi_plus_trivially_clean(self):
         w = BellDiagonal([1, 0, 0, 0])
