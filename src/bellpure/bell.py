@@ -18,6 +18,7 @@ unitary and names the image, which the dropped phases cannot change.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -108,12 +109,15 @@ class BellDiagonal:
         v = np.array(p, dtype=float).reshape(-1)
         if v.shape != (4,):
             raise ValueError("expected 4 probabilities")
-        lo, hi = v.min(), v.max()
-        if not (-1e-12 <= lo and hi <= 1.0 + 1e-12):  # also true for NaN
-            if not np.isfinite(v).all():
-                raise ValueError(f"probabilities must be finite: {v.tolist()}")
-            raise ValueError(f"probabilities out of range: {v.tolist()}")
-        s = float(v.sum())
+        # the checks run on plain floats; sum(t) adds from +0.0 in index
+        # order, numpy's order (and signed zero) for 4 entries
+        t = v.tolist()
+        lo, hi, s = min(t), max(t), sum(t)
+        # a NaN entry can slip past min and max but always makes s NaN
+        if not (-1e-12 <= lo and hi <= 1.0 + 1e-12 and s == s):
+            if not all(map(math.isfinite, t)):
+                raise ValueError(f"probabilities must be finite: {t}")
+            raise ValueError(f"probabilities out of range: {t}")
         if abs(s - 1.0) > self.SUM_TOL:
             raise ValueError(f"probabilities sum to {s!r}, not 1")
         if lo <= 0.0 or hi > 1.0:  # zeros included, as clip keeps a -0.0
@@ -167,10 +171,14 @@ def to_density(d: BellDiagonal) -> qstate.DensityMatrix:
     return qstate.DensityMatrix(bell_matrix(d.p))
 
 
+#: The Bell states as read-only stacks of bras (4, 1, 4) and kets (4, 4, 1).
+_BRAS = qstate.BELL_BASIS_CONJ[:, None, :]
+_KETS = qstate.BELL_BASIS[:, :, None]
+
+
 def bell_diagonal_part(mat) -> np.ndarray:
     """Diagonal of a two-qubit state in the Bell basis (length-4 real vector)."""
-    b = qstate.BELL_BASIS
-    return (b.conj()[:, None, :] @ qstate.as_matrix(mat) @ b[:, :, None]).reshape(4).real
+    return (_BRAS @ qstate.as_matrix(mat) @ _KETS).reshape(4).real
 
 
 #: 16x16 read-only unitary of the bilateral controlled-NOT on two pairs, qubit

@@ -9,7 +9,9 @@ Conventions, fixed package-wide:
 
 Everything here is a pure function of its inputs. ``DensityMatrix`` and
 ``PureState`` freeze their storage on construction, so values can be shared
-between threads without copying.
+between threads without copying. A ``DensityMatrix`` also keeps the spectrum
+that its positivity check computes, so ``eig_hermitian`` and
+``von_neumann_entropy`` read it instead of diagonalizing the matrix again.
 """
 from __future__ import annotations
 
@@ -49,6 +51,9 @@ BELL_BASIS = np.array(
     dtype=complex,
 )
 BELL_BASIS.setflags(write=False)
+#: Complex conjugate of BELL_BASIS, read-only: the bras of the Bell states.
+BELL_BASIS_CONJ = BELL_BASIS.conj()
+BELL_BASIS_CONJ.setflags(write=False)
 
 #: Two-qubit conditional flip: the target (second) spin flips exactly when the
 #: source (first) spin is up. Basis order (uu, ud, du, dd).
@@ -73,10 +78,11 @@ def as_matrix(x) -> np.ndarray:
 
 def eig_hermitian(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending (numpy's
-    eigvalsh). Raises ValueError for a non-square, non-finite or
-    non-Hermitian array; a DensityMatrix, valid by construction, skips the checks."""
+    eigvalsh), as a read-only array. Raises ValueError for a non-square,
+    non-finite or non-Hermitian array; a DensityMatrix, valid by construction,
+    returns the spectrum it keeps, with no check and no eigvalsh call."""
     if isinstance(m, DensityMatrix):
-        return np.linalg.eigvalsh(m.mat)[::-1]
+        return m.spectrum
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -86,7 +92,9 @@ def eig_hermitian(m) -> np.ndarray:
     with np.errstate(over="ignore"):
         if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(a)[::-1]
+    w = np.linalg.eigvalsh(a)
+    w.setflags(write=False)
+    return w[::-1]
 
 
 def von_neumann_entropy(rho) -> float:
@@ -99,9 +107,11 @@ def von_neumann_entropy(rho) -> float:
 
 
 def fidelity_singlet(rho) -> float:
-    """Overlap of the state with the singlet Psi-."""
-    v = BELL_BASIS[3]
-    return float(np.real(v.conj() @ as_matrix(rho) @ v))
+    """Overlap of a two-qubit (4x4) state with the singlet Psi-."""
+    m = as_matrix(rho)
+    if m.shape != (4, 4):
+        raise ValueError(f"fidelity_singlet expects a two-qubit (4x4) state, got shape {m.shape}")
+    return float(np.real(BELL_BASIS_CONJ[3] @ m @ BELL_BASIS[3]))
 
 
 class DensityMatrix:
@@ -111,9 +121,12 @@ class DensityMatrix:
     further off is rejected as a caller bug, as are matrices that fail the
     Hermiticity (1e-12) or positivity (-1e-10) tolerances, or that hold a
     non-finite entry or one with a part beyond MAX_ENTRY.
+
+    ``spectrum`` holds the eigenvalues that the positivity check computes,
+    sorted descending and read-only: eig_hermitian returns it.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "spectrum")
 
     def __init__(self, mat):
         m = np.array(mat, dtype=complex)
@@ -134,11 +147,14 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} too far from 1")
         m = m / tr
         # m is square, finite and Hermitian by now: eigvalsh needs no re-check
-        low = float(np.linalg.eigvalsh(m).min())
+        w = np.linalg.eigvalsh(m)
+        low = float(w[0])
         if low < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {low:.3g}")
         m.setflags(write=False)
+        w.setflags(write=False)
         self.mat = m
+        self.spectrum = w[::-1]
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
         return bool(np.abs(self.mat - as_matrix(other)).max() <= tol)

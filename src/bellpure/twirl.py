@@ -32,8 +32,12 @@ class TwirlReport(NamedTuple):
 
 
 def trace_distance(a, b) -> float:
-    """Half the sum of the absolute eigenvalues of the difference."""
-    diff = qstate.as_matrix(a) - qstate.as_matrix(b)
+    """Half the sum of the absolute eigenvalues of the difference of two
+    matrices of one shape."""
+    a, b = qstate.as_matrix(a), qstate.as_matrix(b)
+    if a.shape != b.shape:
+        raise ValueError(f"trace_distance of matrices of different shapes {a.shape} and {b.shape}")
+    diff = a - b
     return float(0.5 * np.abs(qstate.eig_hermitian(diff)).sum())
 
 
@@ -122,8 +126,9 @@ def discrete_twirl(d: BellDiagonal) -> BellDiagonal:
     the analytic group average, which equalizes the three triplet weights
     and leaves the singlet weight untouched. twirl_labels is its sampled
     form on label arrays."""
-    t = float(d.p[0] + d.p[1] + d.p[2]) / 3.0
-    return BellDiagonal((t, t, t, float(d.p[3])))
+    a, b, c, f = d.p.tolist()
+    t = (a + b + c) / 3.0
+    return BellDiagonal((t, t, t, f))
 
 
 def twirl_labels(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -3,11 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bellpure import bell, measures
+from bellpure import bell, measures, twirl
 from bellpure.bell import BellLabel
 from bellpure.qstate import (
     BELL_BASIS,
+    BELL_BASIS_CONJ,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -23,10 +26,29 @@ from bellpure.qstate import (
 )
 
 
-def random_density(rng) -> DensityMatrix:
+def random_state_matrix(rng) -> np.ndarray:
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
+    return m / m.trace().real
+
+
+def random_density(rng) -> DensityMatrix:
+    return DensityMatrix(random_state_matrix(rng))
+
+
+@st.composite
+def density_matrices(draw):
+    """A 2x2 or 4x4 state g g-dagger / Tr of every rank, symmetrized so that
+    it is Hermitian bit for bit."""
+    n = draw(st.sampled_from([2, 4]))
+    rank = draw(st.integers(1, n))
+    part = st.lists(st.floats(-1.0, 1.0), min_size=n * rank, max_size=n * rank)
+    g = (np.array(draw(part)) + 1j * np.array(draw(part))).reshape(n, rank)
+    m = g @ g.conj().T
+    m = (m + m.conj().T) / 2
+    tr = m.trace().real
+    assume(tr >= 1e-3)
+    return DensityMatrix(m / tr)
 
 
 def random_su2(rng) -> np.ndarray:
@@ -174,10 +196,8 @@ class TestEntropy:
         assert abs(s - 1.0) <= 1e-3
 
 
-    def test_density_matrix_spectrum_is_one_eigvalsh_call(self, monkeypatch):
-        # a DensityMatrix is square, finite and Hermitian by construction; a
-        # raw array of the same entries still takes every check
-        d = random_density(np.random.default_rng(3))
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = Counter()
         for owner, attr in ((np, "isfinite"), (np, "abs"), (np.linalg, "eigvalsh")):
             def counted(*args, _fn=getattr(owner, attr), _name=attr, **kwargs):
@@ -185,11 +205,40 @@ class TestEntropy:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, counted)
-        s = von_neumann_entropy(d)
-        assert calls == {"eigvalsh": 1}
+        return calls
+
+    def test_density_matrix_spectrum_is_one_eigvalsh_call(self, calls):
+        # a DensityMatrix keeps the spectrum of its positivity check, which
+        # eig_hermitian and the entropy read; a raw array of the same entries
+        # still takes every check
+        d = DensityMatrix(random_state_matrix(np.random.default_rng(3)))
+        assert calls["eigvalsh"] == 1
         calls.clear()
+        s = von_neumann_entropy(d)
+        eig_hermitian(d)
+        assert calls == {}
         assert von_neumann_entropy(d.mat) == s
         assert calls == {"eigvalsh": 1, "isfinite": 1, "abs": 1}
+
+    def test_state_evaluation_is_three_eigvalsh_calls(self, calls):
+        # the state, its Werner twirl's matrix and their difference: one
+        # eigvalsh each
+        d = DensityMatrix(random_state_matrix(np.random.default_rng(4)))
+        w = twirl.exact_twirl(d)
+        eig_hermitian(d)
+        von_neumann_entropy(d)
+        twirl.trace_distance(d, bell.to_density(w))
+        assert calls["eigvalsh"] == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(density_matrices())
+    def test_density_matrix_keeps_its_spectrum(self, d):
+        assert d.spectrum.tobytes() == np.linalg.eigvalsh(d.mat)[::-1].tobytes()
+        assert eig_hermitian(d) is d.spectrum
+        for spectrum in (d.spectrum, eig_hermitian(d.mat)):
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum[0] = 0.0
+        assert von_neumann_entropy(d) == von_neumann_entropy(d.mat)
 
 
 class TestFidelitySinglet:
@@ -211,6 +260,19 @@ class TestFidelitySinglet:
             r = random_su2(rng)
             u = np.kron(r, r)
             assert abs(fidelity_singlet(u @ rho.mat @ u.conj().T) - f) <= 1e-10
+
+    def test_matches_the_per_call_conjugate_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        v = BELL_BASIS[3]
+        assert not BELL_BASIS_CONJ.flags.writeable
+        for _ in range(50):
+            m = random_state_matrix(rng)
+            assert fidelity_singlet(m) == float(np.real(v.conj() @ m @ v))
+
+    @pytest.mark.parametrize("m", [np.eye(2) / 2, DensityMatrix(np.eye(2) / 2), np.eye(8) / 8, np.ones(4)])
+    def test_rejects_a_state_that_is_not_two_qubit(self, m):
+        with pytest.raises(ValueError, match=r"fidelity_singlet expects a two-qubit \(4x4\) state"):
+            fidelity_singlet(m)
 
 
 class TestEntanglementPure:

@@ -51,6 +51,10 @@ class TestExactTwirl:
         with pytest.raises(ValueError, match=r"singlet fidelity 2\.\d* outside \[0, 1\]"):
             exact_twirl(2 * np.eye(4))
 
+    def test_rejects_a_single_qubit_state(self):
+        with pytest.raises(ValueError, match=r"two-qubit \(4x4\) state"):
+            exact_twirl(qstate.DensityMatrix(np.eye(2) / 2))
+
     def test_preserves_fidelity(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
@@ -143,6 +147,10 @@ class TestSampledTwirl:
         # fidelity_singlet(Phi+) = 0, so the target is the F=0 Werner state
         assert report.fidelity_in == 0.0
         assert report.trace_distance_to_werner < 0.05
+
+    def test_rejects_a_single_qubit_state(self):
+        with pytest.raises(ValueError, match=r"two-qubit \(4x4\) state"):
+            sampled_twirl(qstate.DensityMatrix(np.eye(2) / 2), 10, seed=0)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -293,6 +301,14 @@ class TestDiscreteTwirl:
             assert abs(out.fidelity - d.fidelity) <= 1e-15
             assert abs(out.p[:3].sum() - d.p[:3].sum()) <= 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=4, max_size=4))
+    def test_matches_the_numpy_scalar_form_bit_for_bit(self, w):
+        assume(sum(w) > 0.0)
+        d = BellDiagonal(np.array(w) / sum(w))
+        t = float(d.p[0] + d.p[1] + d.p[2]) / 3.0
+        assert discrete_twirl(d).p.tobytes() == BellDiagonal((t, t, t, float(d.p[3]))).p.tobytes()
+
     def test_sampled_form_averages_to_analytic(self):
         # twirl_labels is the sampled form: twirled label frequencies follow
         # the analytic average
@@ -342,3 +358,10 @@ class TestTraceDistance:
         a = bell.to_density(measures.werner(0.9)).mat
         b = np.eye(4) / 4
         assert abs(trace_distance(a, b) - trace_distance(b, a)) <= 1e-14
+
+    @pytest.mark.parametrize("a", [np.eye(2) / 2, qstate.DensityMatrix(np.eye(2) / 2), np.ones(4) / 4])
+    def test_rejects_matrices_of_different_shapes(self, a):
+        b = bell.to_density(measures.werner(0.7))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different shapes"):
+                trace_distance(x, y)
