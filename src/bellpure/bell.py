@@ -109,10 +109,12 @@ class BellDiagonal:
         v = np.array(p, dtype=float).reshape(-1)
         if v.shape != (4,):
             raise ValueError("expected 4 probabilities")
-        # the checks run on plain floats; sum(t) adds from +0.0 in index
-        # order, numpy's order (and signed zero) for 4 entries
+        # the checks run on plain floats; s adds from +0.0 left to right,
+        # numpy's order (and signed zero) for 4 entries, on any Python
+        # (the built-in sum compensates its rounding from 3.12 on)
         t = v.tolist()
-        lo, hi, s = min(t), max(t), sum(t)
+        a, b, c, d = t
+        lo, hi, s = min(t), max(t), 0.0 + a + b + c + d
         # a NaN entry can slip past min and max but always makes s NaN
         if not (-1e-12 <= lo and hi <= 1.0 + 1e-12 and s == s):
             if not all(map(math.isfinite, t)):
@@ -171,14 +173,10 @@ def to_density(d: BellDiagonal) -> qstate.DensityMatrix:
     return qstate.DensityMatrix(bell_matrix(d.p))
 
 
-#: The Bell states as read-only stacks of bras (4, 1, 4) and kets (4, 4, 1).
-_BRAS = qstate.BELL_BASIS_CONJ[:, None, :]
-_KETS = qstate.BELL_BASIS[:, :, None]
-
-
 def bell_diagonal_part(mat) -> np.ndarray:
     """Diagonal of a two-qubit state in the Bell basis (length-4 real vector)."""
-    return (_BRAS @ qstate.as_matrix(mat) @ _KETS).reshape(4).real
+    b = qstate.BELL_BASIS
+    return (b.conj()[:, None, :] @ qstate.as_matrix(mat) @ b[:, :, None]).reshape(4).real
 
 
 #: 16x16 read-only unitary of the bilateral controlled-NOT on two pairs, qubit

@@ -51,9 +51,6 @@ BELL_BASIS = np.array(
     dtype=complex,
 )
 BELL_BASIS.setflags(write=False)
-#: Complex conjugate of BELL_BASIS, read-only: the bras of the Bell states.
-BELL_BASIS_CONJ = BELL_BASIS.conj()
-BELL_BASIS_CONJ.setflags(write=False)
 
 #: Two-qubit conditional flip: the target (second) spin flips exactly when the
 #: source (first) spin is up. Basis order (uu, ud, du, dd).
@@ -111,7 +108,8 @@ def fidelity_singlet(rho) -> float:
     m = as_matrix(rho)
     if m.shape != (4, 4):
         raise ValueError(f"fidelity_singlet expects a two-qubit (4x4) state, got shape {m.shape}")
-    return float(np.real(BELL_BASIS_CONJ[3] @ m @ BELL_BASIS[3]))
+    v = BELL_BASIS[3]
+    return float(np.real(v.conj() @ m @ v))
 
 
 class DensityMatrix:

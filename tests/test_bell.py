@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,22 @@ class TestBellDiagonal:
             BellDiagonal([1 / 3, 1 / 3 + 1e-9, 1 / 3, 0.0])
         # the largest accepted excess still makes a density matrix
         to_density(BellDiagonal([1 / 3, 1 / 3 + 0.999 * BellDiagonal.SUM_TOL, 1 / 3, 0.0]))
+
+    # the entries' left-to-right sum rounds off their exact sum, so an exact
+    # or compensated sum (math.fsum, or the built-in sum from Python 3.12 on)
+    # would print another total; the last two sit at the tolerance's edges,
+    # where it would also give the other verdict
+    @pytest.mark.parametrize("last", [0.1 + 1e-9, 0.10000000000999992, 0.09999999999000014])
+    def test_sum_is_numpy_left_to_right_sum(self, last):
+        p = [0.3, 0.3, 0.3, last]
+        s = float(np.array(p).sum())
+        assert s != math.fsum(p)
+        if abs(s - 1.0) <= BellDiagonal.SUM_TOL:
+            assert BellDiagonal(p).p.tolist() == p
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"probabilities sum to {s!r}, not 1")):
+                BellDiagonal(p)
+        TestAgainstReference._check(p)
 
     def test_immutable(self):
         d = measures.werner(0.7)
